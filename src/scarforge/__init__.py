@@ -1,30 +1,44 @@
-"""Floquet permutation automata and the scar Hamiltonians extracted from them."""
+"""Floquet permutation automata and the scar Hamiltonians extracted from them.
+
+The names below load their module on first use, so importing a submodule
+(``scarforge.cli`` in particular) does not import numpy: the command line
+sets the BLAS thread variables before numpy sizes its thread pool.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .basis import BasisState, BasisSubset, PhasedState, StateVector
-from .gate import PermutationGate, apply_gate, gate_matrix, gate_order, parse_gate
-from .logmap import closing_relation, power_decomposition, principal_log
-from .automaton import FloquetCircuit, apply_floquet, floquet_eigenstates, orbit_of
-from .models import load_model
+_EXPORTS = {
+    "BasisState": "basis",
+    "BasisSubset": "basis",
+    "PhasedState": "basis",
+    "StateVector": "basis",
+    "PermutationGate": "gate",
+    "parse_gate": "gate",
+    "gate_order": "gate",
+    "apply_gate": "gate",
+    "gate_matrix": "gate",
+    "principal_log": "logmap",
+    "power_decomposition": "logmap",
+    "closing_relation": "logmap",
+    "FloquetCircuit": "automaton",
+    "apply_floquet": "automaton",
+    "orbit_of": "automaton",
+    "floquet_eigenstates": "automaton",
+    "load_model": "models",
+}
 
-__all__ = [
-    "BasisState",
-    "BasisSubset",
-    "PhasedState",
-    "StateVector",
-    "PermutationGate",
-    "parse_gate",
-    "gate_order",
-    "apply_gate",
-    "gate_matrix",
-    "principal_log",
-    "power_decomposition",
-    "closing_relation",
-    "FloquetCircuit",
-    "apply_floquet",
-    "orbit_of",
-    "floquet_eigenstates",
-    "load_model",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -13,9 +13,10 @@ exact fractions.  The degree-(n+1) piece maps back to the Hermitian series
 term C_n = i Z_{n+1}, with C_0 = A + B.
 
 All operands are anti-Hermitian, so each commutator costs one product:
-[P, Q] = PQ - (PQ)^dagger.  Matrices stay dense below a dimension threshold
-and sparse above it, with entries below 1e-13 of the largest magnitude
-dropped per nesting level to stop noise fill-in.
+[P, Q] = PQ - (PQ)^dagger.  Every operand is held in CSR form, whatever
+kind of matrix the caller passes: the Floquet-Magnus terms are local, so
+they stay sparse.  Entries below 1e-13 of the largest magnitude are dropped
+per nesting level to stop noise fill-in.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 
 MAX_ORDER = 12
-DENSE_LIMIT = 2500
 SPARSE_PRUNE = 1e-13
 
 
@@ -43,21 +43,18 @@ def bernoulli_numbers(count: int) -> list[Fraction]:
     return out
 
 
-def _prune(mat):
-    if sp.issparse(mat):
-        mat = mat.tocsr()
-        if mat.nnz:
-            cut = SPARSE_PRUNE * np.abs(mat.data).max()
-            mat.data[np.abs(mat.data) < cut] = 0.0
-            mat.eliminate_zeros()
+def _prune(mat) -> sp.csr_matrix:
+    mat = mat.tocsr()
+    if mat.nnz:
+        cut = SPARSE_PRUNE * np.abs(mat.data).max()
+        mat.data[np.abs(mat.data) < cut] = 0.0
+        mat.eliminate_zeros()
     return mat
 
 
-def _commutator(left, right):
+def _commutator(left, right) -> sp.csr_matrix:
     prod = left @ right
-    if sp.issparse(prod):
-        return _prune((prod - prod.getH()).tocsr())
-    return prod - prod.conj().T
+    return _prune(prod - prod.getH())
 
 
 @dataclass
@@ -71,31 +68,21 @@ class BchSeries:
         return self.terms[n]
 
 
-def _as_working(mat, dense: bool):
-    if dense:
-        return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=complex)
-    return sp.csr_matrix(mat, dtype=complex)
+def bch_terms(a, b, n_orders: int) -> BchSeries:
+    """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b.
 
-
-def bch_terms(a, b, n_orders: int, dense: bool | None = None) -> BchSeries:
-    """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b."""
+    a and b may be dense arrays or sparse matrices; the terms are CSR.
+    """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("layer matrices must be square and of equal shape")
     if n_orders < 0 or n_orders > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
-    dim = a.shape[0]
-    if dense is None:
-        dense = dim <= DENSE_LIMIT
 
-    a = _as_working(a, dense)
-    b = _as_working(b, dense)
+    a = sp.csr_matrix(a, dtype=complex)
+    b = sp.csr_matrix(b, dtype=complex)
     # Enforce exact anti-Hermiticity of the generators.
-    if dense:
-        x = -0.5j * (a + a.conj().T)
-        y = -0.5j * (b + b.conj().T)
-    else:
-        x = (-0.5j * (a + a.getH())).tocsr()
-        y = (-0.5j * (b + b.getH())).tocsr()
+    x = (-0.5j * (a + a.getH())).tocsr()
+    y = (-0.5j * (b + b.getH())).tocsr()
     s = x + y
 
     bern = bernoulli_numbers(n_orders + 1)
@@ -130,8 +117,6 @@ def bch_terms(a, b, n_orders: int, dense: bool | None = None) -> BchSeries:
         z.append(_prune(rhs * (1.0 / (deg + 1))))
 
     terms = [1j * z[n + 1] for n in range(n_orders + 1)]
-    if not dense:
-        terms = [t.tocsr() for t in terms]
     return BchSeries(terms, n_orders)
 
 
@@ -141,27 +126,18 @@ def bch_terms(a, b, n_orders: int, dense: bool | None = None) -> BchSeries:
 
 
 def _frobenius_sq(mat) -> float:
-    if sp.issparse(mat):
-        return float(np.sum(np.abs(mat.data) ** 2)) if mat.nnz else 0.0
-    return float(np.sum(np.abs(mat) ** 2))
+    return float(np.sum(np.abs(mat.data) ** 2))
 
 
 def _block_norms(mat, orbit_positions: np.ndarray) -> tuple[float, float, float]:
-    """Frobenius norms of (orbit|orbit), (rest|orbit), (rest|rest) blocks."""
+    """Squared Frobenius norms of the (orbit|orbit), (rest|orbit) and
+    (rest|rest) blocks of a dense or sparse matrix."""
+    mat = sp.csr_matrix(mat)
     orb = np.asarray(orbit_positions, dtype=int)
-    if sp.issparse(mat):
-        csc = mat.tocsc()
-        cols = csc[:, orb]
-        col_sq = float(np.sum(np.abs(cols.data) ** 2)) if cols.nnz else 0.0
-        block = cols.tocsr()[orb]
-        block_sq = float(np.sum(np.abs(block.data) ** 2)) if block.nnz else 0.0
-        rows = mat.tocsr()[orb]
-        row_sq = float(np.sum(np.abs(rows.data) ** 2)) if rows.nnz else 0.0
-    else:
-        cols = mat[:, orb]
-        col_sq = float(np.sum(np.abs(cols) ** 2))
-        block_sq = float(np.sum(np.abs(cols[orb, :]) ** 2))
-        row_sq = float(np.sum(np.abs(mat[orb, :]) ** 2))
+    cols = mat.tocsc()[:, orb]
+    col_sq = _frobenius_sq(cols)
+    block_sq = _frobenius_sq(cols.tocsr()[orb])
+    row_sq = _frobenius_sq(mat[orb])
     total_sq = _frobenius_sq(mat)
     orbit_sq = block_sq
     leak_sq = max(col_sq - block_sq, 0.0)

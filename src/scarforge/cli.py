@@ -66,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", dest="kind", choices=("I", "II"), default=None)
 
     p = sub.add_parser("search", help="exhaustive gate search on the alternating orbit")
-    p.add_argument("--orbit", choices=("neel",), default="neel")
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--trivial-last-qubit", action="store_true", default=True)
     p.add_argument("--require-cycle", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--top", type=int, default=None, help="emit only the best N gates")
@@ -330,6 +328,7 @@ def _parse_sector(spec: str):
 def cmd_rstat(args) -> int:
     import numpy as np
 
+    from .dynamics import DENSE_GUARD
     from .hamiltonian import build_hamiltonian, project_sector
     from .output import write_csv
     from .spectral import r_statistic
@@ -340,7 +339,7 @@ def cmd_rstat(args) -> int:
     chain = build_hamiltonian(model.circuit(args.length), subset)
     sector = _parse_sector(args.sector)
     if sector is None:
-        if subset.size > 6000:
+        if subset.size > DENSE_GUARD:
             raise ValueError(
                 f"direct diagonalization refused at dimension {subset.size}; pass --sector"
             )

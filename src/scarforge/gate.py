@@ -8,7 +8,6 @@ every cycle map to themselves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -123,26 +122,27 @@ def parse_gate(cycles, phases, width: int = 4) -> PermutationGate:
 
 
 def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
-    """Search for the smallest n <= n_max with gate**n == identity.
+    """Smallest n with gate**n == identity, found cycle by cycle.
 
-    The permutation part alone has order lcm of its cycle lengths; phases can
-    push the full order to a multiple of that, or (for phases that are not
-    roots of unity) prevent any finite order, reported as found=False.
+    A cycle of length l returns every one of its labels to itself after l
+    steps, multiplied by the product of the phases along the cycle; it is
+    the identity after l * k steps, k the order of that product.  The gate
+    order is the lcm over all cycles, fixed points included.  Phase products
+    that are not roots of unity of order at most n_max (e.g. irrational
+    phases) prevent a finite order, reported as found=False.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    perm = np.asarray(gate.perm)
-    phases = np.asarray(gate.phases)
-    current = np.arange(gate.dim)
-    acc = np.ones(gate.dim, dtype=complex)
-    for n in range(1, n_max + 1):
-        acc = acc * phases[current]
-        current = perm[current]
-        if np.array_equal(current, np.arange(gate.dim)) and np.all(
-            np.abs(acc - 1.0) < ORDER_PHASE_TOL
-        ):
-            return GateOrder(n, True)
-    return GateOrder(0, False)
+    powers = np.arange(1, n_max + 1)
+    out = 1
+    for cyc in gate.value_cycles():
+        product = np.prod([gate.phases[v] for v in cyc])
+        hits = np.flatnonzero(np.abs(product**powers - 1.0) < ORDER_PHASE_TOL)
+        if len(hits) == 0:
+            return GateOrder(0, False)
+        cycle_order = len(cyc) * int(powers[hits[0]])
+        out = out * cycle_order // gcd(out, cycle_order)
+    return GateOrder(out, True)
 
 
 def permutation_order(gate: PermutationGate) -> int:
@@ -187,12 +187,3 @@ def gate_from_json(data: dict) -> PermutationGate:
     phases = [complex(re, im) for re, im in data["phases"]]
     return parse_gate(data["cycles"], phases, width=data["width"])
 
-
-def load_gate(path) -> PermutationGate:
-    with open(path) as fh:
-        return gate_from_json(json.load(fh))
-
-
-def save_gate(gate: PermutationGate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(gate_to_json(gate), fh, indent=1)

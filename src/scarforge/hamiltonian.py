@@ -20,8 +20,10 @@ from .basis import (
     BasisSubset,
     flip_index,
     mirror_index,
+    set_window,
     translate_index,
     window_bit_shifts,
+    window_value,
 )
 from .logmap import principal_log
 
@@ -52,21 +54,6 @@ class ChainHamiltonian:
     circuit: FloquetCircuit
 
 
-def _window_values(states: np.ndarray, site: int, width: int, length: int) -> np.ndarray:
-    values = np.zeros(len(states), dtype=np.int64)
-    for t, b in enumerate(window_bit_shifts(site, width, length)):
-        values |= ((states >> b) & 1) << (width - 1 - t)
-    return values
-
-
-def _replace_window(states: np.ndarray, site: int, width: int, length: int, value: int) -> np.ndarray:
-    out = states.copy()
-    for t, b in enumerate(window_bit_shifts(site, width, length)):
-        bit = (value >> (width - 1 - t)) & 1
-        out = (out & ~(np.int64(1) << b)) | (np.int64(bit) << b)
-    return out
-
-
 def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np.ndarray) -> sp.csr_matrix:
     states = subset.states
     length = circuit.length
@@ -79,7 +66,7 @@ def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np
         for v in range(local.shape[1])
     ]
     for site in sites:
-        values = _window_values(states, site, width, length)
+        values = window_value(states, site, width, length)
         order = np.argsort(values, kind="stable")
         sorted_vals = values[order]
         bounds = np.searchsorted(sorted_vals, np.arange(local.shape[1] + 1))
@@ -89,7 +76,7 @@ def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np
                 continue
             src = states[sel]
             for vp, amp in nonzero[v]:
-                tgt = _replace_window(src, site, width, length, vp)
+                tgt = set_window(src, site, width, length, vp)
                 for s, t in zip(src, tgt):
                     pos = lookup.get(int(t))
                     if pos is None:

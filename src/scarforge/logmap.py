@@ -20,7 +20,8 @@ DEPENDENCE_RTOL = 1e-9
 
 
 class NonPeriodicGateError(ValueError):
-    """The gate has no finite order below the search bound."""
+    """The gate has no finite order: a cycle's phase product is not a root
+    of unity of order at most the search bound."""
 
 
 CUT_GUARD = 1e-12

@@ -238,7 +238,6 @@ class SearchConstraints:
     rule_powers: int = 6
     length: int = 8
     require_orbit_cycle: bool = False
-    trivial_last_qubit: bool = True
 
 
 @dataclass(frozen=True)
@@ -377,8 +376,6 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     by the lexicographic rank of the underlying permutation, so the output is
     deterministic and independent of the worker count.
     """
-    if not constraints.trivial_last_qubit:
-        raise NotImplementedError("only the trailing-qubit-trivial search space is supported")
     total = 40320
     if workers <= 1:
         results = _search_chunk((0, total, constraints))

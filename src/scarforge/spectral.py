@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset
+from .dynamics import DENSE_GUARD
 
-DENSE_GUARD = 6000
 DEGENERACY_TOL = 1e-12
 HISTOGRAM_BINS = 50
 FLAG_THRESHOLD = 0.02

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_phase_gate
+from scarforge.automaton import FloquetCircuit
+from scarforge.basis import BasisSubset
 from scarforge.bch import (
     BchSeries,
     augmented_hamiltonian,
@@ -41,11 +46,11 @@ def pxp_layers():
 def test_low_orders_match_closed_forms(pxp_layers):
     a, b, _, _ = pxp_layers
     series = bch_terms(a, b, 2)
-    assert np.array_equal(series.term(0), a + b)
+    assert np.array_equal(series.term(0).toarray(), a + b)
     comm = a @ b - b @ a
-    assert np.max(np.abs(series.term(1) + 0.5j * comm)) < 1e-13
+    assert np.max(np.abs(series.term(1).toarray() + 0.5j * comm)) < 1e-13
     c2 = -(1.0 / 12.0) * ((a @ comm - comm @ a) - (b @ comm - comm @ b))
-    assert np.max(np.abs(series.term(2) - c2)) < 1e-13
+    assert np.max(np.abs(series.term(2).toarray() - c2)) < 1e-13
 
 
 def test_commuting_layers_truncate():
@@ -82,13 +87,19 @@ def test_terms_are_hermitian(pxp_layers):
         assert np.max(np.abs(t - t.conj().T)) < 1e-9
 
 
-def test_sparse_and_dense_paths_agree(pxp_layers):
-    a, b, _, _ = pxp_layers
-    dense = bch_terms(a, b, 4, dense=True)
-    sparse = bch_terms(sp.csr_matrix(a), sp.csr_matrix(b), 4, dense=False)
-    for n in range(5):
-        diff = np.max(np.abs(dense.term(n) - sparse.term(n).toarray()))
-        assert diff < 1e-10
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_series_matches_log_for_random_gates(seed):
+    # oracle: scipy's matrix log of the product of the scaled layer
+    # propagators, for any gate on the L=8 full space
+    gate = random_phase_gate(np.random.default_rng(seed))
+    chain = build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), BasisSubset.full_space(8))
+    a, b = chain.a.toarray(), chain.b.toarray()
+    eps = 0.25 / (np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
+    series = bch_terms(eps * a, eps * b, 10)
+    target = 1j * la.logm(la.expm(-1j * eps * a) @ la.expm(-1j * eps * b))
+    partial = sum(series.term(n).toarray() for n in range(11))
+    assert np.max(np.abs(partial - target)) < 1e-9
 
 
 def test_pxp_window_commutator_matrix_elements():
@@ -138,9 +149,9 @@ def test_norm_profile_block_accounting(rng):
 def test_augmented_hamiltonian_partial_sums(pxp_layers):
     a, b, _, _ = pxp_layers
     series = bch_terms(a, b, 3)
-    assert np.array_equal(augmented_hamiltonian(series, 0), a + b)
+    assert np.array_equal(augmented_hamiltonian(series, 0).toarray(), a + b)
     total = series.term(0) + series.term(1) + series.term(2) + series.term(3)
-    assert np.max(np.abs(augmented_hamiltonian(series, 3) - total)) < 1e-14
+    assert np.max(np.abs(augmented_hamiltonian(series, 3).toarray() - total.toarray())) < 1e-14
     with pytest.raises(ValueError):
         augmented_hamiltonian(series, 4)
 

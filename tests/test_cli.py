@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from scarforge.cli import (
     EXIT_CONFIG,
@@ -142,3 +146,40 @@ def test_numerical_guard_exit(tmp_path):
     # force it: a state on a long cycle with tiny l_max is not expressible via CLI,
     # so check the unknown-model and config paths cover the other codes instead.
     assert run(["rules", "--model", "nonexistent"]) == EXIT_UNKNOWN_MODEL
+
+
+THREAD_PROBE = """
+import json, os, sys
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+class NumpyImportProbe:
+    # records the thread variables at the moment numpy is first imported
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and NumpyImportProbe.seen is None:
+            NumpyImportProbe.seen = {v: os.environ.get(v) for v in THREAD_VARS}
+        return None
+
+sys.meta_path.insert(0, NumpyImportProbe())
+import scarforge.cli
+loaded_early = "numpy" in sys.modules
+code = scarforge.cli.run(["--threads", "1", "orbit", "--model", "pxp", "-L", "8", "--out", os.devnull])
+print(json.dumps({"loaded_early": loaded_early, "code": code, "seen": NumpyImportProbe.seen}))
+"""
+
+
+def test_threads_applied_before_numpy_loads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.pop("SCARFORGE_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert not result["loaded_early"]
+    assert result["code"] == EXIT_OK
+    assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
