@@ -24,9 +24,9 @@ import numpy as np
 from .basis import BasisState, BasisSubset, PhasedState, StateVector
 from .gate import PermutationGate, apply_gate_index, gate_matrix
 from .logmap import wrap_angle
+from .tolerances import WINDOW_COMMUTE_TOL
 
 GEOMETRIES = ("stride4", "stride2")
-COMMUTE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _embed_pair(gate: PermutationGate, offset: int) -> tuple[np.ndarray, np.ndar
 
 def _same_layer_gates_commute(gate: PermutationGate) -> bool:
     first, second = _embed_pair(gate, 2)
-    return bool(np.max(np.abs(first @ second - second @ first)) < COMMUTE_TOL)
+    return bool(np.max(np.abs(first @ second - second @ first)) < WINDOW_COMMUTE_TOL)
 
 
 def apply_floquet_index(circuit: FloquetCircuit, index: int) -> tuple[int, complex]:

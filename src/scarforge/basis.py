@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PHASE_TOL = 1e-12
-NORM_TOL = 1e-10
+from .tolerances import NORM_TOL, UNIT_MODULUS_TOL
 
 
 def bit_of(index, site, length):
@@ -133,7 +132,7 @@ class PhasedState:
     phase: complex
 
     def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > PHASE_TOL:
+        if abs(abs(self.phase) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"phase must have unit modulus, got |{self.phase}|")
 
 
@@ -153,7 +152,7 @@ def global_spin_flip(state: BasisState) -> BasisState:
 
 
 class BasisSubset:
-    """An ordered set of basis states with O(1) index lookup.
+    """An ordered set of basis states with binary-search lookup.
 
     `states` is an ascending int64 array of state indices; `position(q)` maps a
     state index back to its slot.  The cardinality doubles as the effective
@@ -161,12 +160,11 @@ class BasisSubset:
     """
 
     def __init__(self, states, length: int):
-        arr = np.asarray(sorted(set(int(s) for s in states)), dtype=np.int64)
+        arr = np.unique(np.asarray(states, dtype=np.int64))
         if len(arr) != len(states):
             raise ValueError("subset states must be unique")
         self.states = arr
         self.length = length
-        self._pos = {int(s): i for i, s in enumerate(arr)}
 
     @classmethod
     def full_space(cls, length: int) -> "BasisSubset":
@@ -179,14 +177,24 @@ class BasisSubset:
     def __len__(self):
         return self.size
 
+    def find(self, indices) -> np.ndarray:
+        """Slots of the given state indices, -1 where a state is absent."""
+        indices = np.asarray(indices, dtype=np.int64)
+        slots = np.searchsorted(self.states, indices)
+        hit = self.size and np.take(self.states, slots, mode="clip") == indices
+        return np.where(hit, slots, -1)
+
     def __contains__(self, index) -> bool:
-        return int(index) in self._pos
+        return bool(self.find(int(index)) >= 0)
 
     def position(self, index) -> int:
-        return self._pos[int(index)]
+        return int(self.positions([index])[0])
 
     def positions(self, indices) -> np.ndarray:
-        return np.array([self._pos[int(i)] for i in indices], dtype=np.int64)
+        slots = self.find(indices)
+        if np.any(slots < 0):
+            raise KeyError(int(np.asarray(indices, dtype=np.int64)[slots < 0][0]))
+        return slots
 
     def basis_state(self, slot: int) -> BasisState:
         return BasisState(int(self.states[slot]), self.length)

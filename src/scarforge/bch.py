@@ -28,8 +28,9 @@ from math import comb, factorial
 import numpy as np
 import scipy.sparse as sp
 
+from .tolerances import SPARSE_PRUNE
+
 MAX_ORDER = 12
-SPARSE_PRUNE = 1e-13
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:

@@ -328,7 +328,7 @@ def _parse_sector(spec: str):
 def cmd_rstat(args) -> int:
     import numpy as np
 
-    from .dynamics import DENSE_GUARD
+    from .tolerances import DENSE_GUARD
     from .hamiltonian import build_hamiltonian, project_sector
     from .output import write_csv
     from .spectral import r_statistic

@@ -14,9 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset, StateVector
+from .tolerances import COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
 
-DENSE_GUARD = 6000
-NORM_DRIFT_ABORT = 1e-6
 DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
 
@@ -205,6 +204,6 @@ def generic_comparison_state(subset: BasisSubset, orbit_states, hamiltonian) -> 
             continue
         col = h[:, pos].toarray().ravel()
         col[pos] = 0.0
-        if np.linalg.norm(col) > 1e-8:
+        if np.linalg.norm(col) > COUPLING_TOL:
             return state
     raise ValueError("subset has no coupled non-orbit state")

@@ -19,9 +19,7 @@ from .basis import (
     set_window,
     window_value,
 )
-
-PHASE_TOL = 1e-12
-ORDER_PHASE_TOL = 1e-10
+from .tolerances import ORDER_PHASE_TOL, UNIT_MODULUS_TOL
 
 
 class GateDefinitionError(ValueError):
@@ -48,7 +46,7 @@ class PermutationGate:
         if len(self.phases) != dim:
             raise GateDefinitionError(f"phase map must have {dim} entries")
         for ph in self.phases:
-            if abs(abs(ph) - 1.0) > PHASE_TOL:
+            if abs(abs(ph) - 1.0) > UNIT_MODULUS_TOL:
                 raise GateDefinitionError(f"phase {ph} is not unit modulus")
 
     @property

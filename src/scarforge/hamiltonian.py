@@ -22,14 +22,10 @@ from .basis import (
     mirror_index,
     set_window,
     translate_index,
-    window_bit_shifts,
     window_value,
 )
 from .logmap import principal_log
-
-ASSEMBLY_PRUNE = 1e-13
-COMMUTE_TOL = 1e-9
-HERMITICITY_TOL = 1e-10
+from .tolerances import ASSEMBLY_PRUNE, HERMITICITY_TOL, SECTOR_COMMUTE_TOL
 
 
 class SubsetNotClosedError(ValueError):
@@ -60,7 +56,6 @@ def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np
     width = circuit.gate.width
     n = subset.size
     rows, cols, data = [], [], []
-    lookup = subset._pos
     nonzero = [
         [(vp, local[vp, v]) for vp in range(local.shape[0]) if abs(local[vp, v]) > ASSEMBLY_PRUNE]
         for v in range(local.shape[1])
@@ -68,24 +63,20 @@ def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np
     for site in sites:
         values = window_value(states, site, width, length)
         order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        bounds = np.searchsorted(sorted_vals, np.arange(local.shape[1] + 1))
+        bounds = np.searchsorted(values[order], np.arange(local.shape[1] + 1))
         for v in range(local.shape[1]):
             sel = order[bounds[v]:bounds[v + 1]]
-            if len(sel) == 0 or not nonzero[v]:
-                continue
-            src = states[sel]
             for vp, amp in nonzero[v]:
-                tgt = set_window(src, site, width, length, vp)
-                for s, t in zip(src, tgt):
-                    pos = lookup.get(int(t))
-                    if pos is None:
-                        raise SubsetNotClosedError(int(s), site)
-                    rows.append(pos)
-                    cols.append(lookup[int(s)])
-                    data.append(amp)
+                pos = subset.find(set_window(states[sel], site, width, length, vp))
+                if np.any(pos < 0):
+                    raise SubsetNotClosedError(int(states[sel[np.argmax(pos < 0)]]), site)
+                rows.append(pos)
+                cols.append(sel)
+                data.append(np.full(len(sel), amp))
+    if not rows:
+        return sp.csr_matrix((n, n), dtype=complex)
     mat = sp.coo_matrix(
-        (np.array(data, dtype=complex), (np.array(rows), np.array(cols))), shape=(n, n)
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
     mat.sum_duplicates()
     return mat
@@ -106,39 +97,25 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
 
 
 def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
-    """Breadth-first closure of the seed under nonzero window matrix elements."""
+    """Breadth-first closure of the seed under nonzero window matrix elements,
+    expanded one whole level of states at a time."""
     local = principal_log(circuit.gate).matrix
     width = circuit.gate.width
     length = circuit.length
-    moves = [
-        (v, vp)
-        for v in range(local.shape[1])
-        for vp in range(local.shape[0])
-        if abs(local[vp, v]) > ASSEMBLY_PRUNE and vp != v
-    ]
-    by_value: dict[int, list[int]] = {}
-    for v, vp in moves:
-        by_value.setdefault(v, []).append(vp)
-    sites = circuit.window_sites
-    shifts = {site: window_bit_shifts(site, width, length) for site in sites}
-    seen = {int(seed)}
-    queue = deque([int(seed)])
-    while queue:
-        x = queue.popleft()
-        for site in sites:
-            bits = shifts[site]
-            v = 0
-            for t, b in enumerate(bits):
-                v |= ((x >> b) & 1) << (width - 1 - t)
-            for vp in by_value.get(v, ()):
-                y = x
-                for t, b in enumerate(bits):
-                    bit = (vp >> (width - 1 - t)) & 1
-                    y = (y & ~(1 << b)) | (bit << b)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return BasisSubset(np.fromiter(seen, dtype=np.int64, count=len(seen)), length)
+    hops = np.abs(local) > ASSEMBLY_PRUNE     # hops[vp, v]: window value v reaches vp
+    np.fill_diagonal(hops, False)
+    seen = frontier = np.array([seed], dtype=np.int64)
+    while len(frontier):
+        reached = []
+        for site in circuit.window_sites:
+            values = window_value(frontier, site, width, length)
+            reached += [
+                set_window(frontier[hops[vp, values]], site, width, length, vp)
+                for vp in range(len(hops))
+            ]
+        frontier = np.setdiff1d(np.unique(np.concatenate(reached)), seen, assume_unique=True)
+        seen = np.union1d(seen, frontier)
+    return BasisSubset(seen, length)
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +170,19 @@ def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
     Orbits whose sign assignment is inconsistent project to zero and are
     dropped.  For the all +1 sector every orbit survives.
     """
-    length = subset.length
-    gens = [
-        (symmetry_permutation(name, length), val) for name, val in sector.operators
-    ]
-    assigned: dict[int, int] = {}
+    images = [(_symmetry_slots(subset, name).tolist(), val) for name, val in sector.operators]
+    assigned = np.zeros(subset.size, dtype=bool)
     orbits = []
-    for start in subset.states:
-        start = int(start)
-        if start in assigned:
+    for start in range(subset.size):
+        if assigned[start]:
             continue
         signs = {start: 1}
         queue = deque([start])
         consistent = True
         while queue:
             x = queue.popleft()
-            for perm, val in gens:
-                y = int(perm(x))
-                if y not in subset:
-                    raise ValueError(
-                        f"subset is not invariant under the sector group (state {y})"
-                    )
+            for image, val in images:
+                y = image[x]
                 sgn = signs[x] * val
                 if y in signs:
                     if signs[y] != sgn:
@@ -221,21 +190,27 @@ def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
                 else:
                     signs[y] = sgn
                     queue.append(y)
-        for x in signs:
-            assigned[x] = 1
+        slots = np.array(sorted(signs), dtype=np.int64)
+        assigned[slots] = True
         if consistent:
-            members = np.array(sorted(signs), dtype=np.int64)
-            orbits.append((members, np.array([signs[int(m)] for m in members])))
+            orbits.append((subset.states[slots], np.array([signs[int(x)] for x in slots])))
     return SectorBasis(orbits, subset)
+
+
+def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
+    """Slot of the image of every subset state under a sector operator."""
+    images = symmetry_permutation(name, subset.length)(subset.states)
+    slots = subset.find(images)
+    if np.any(slots < 0):
+        raise ValueError(
+            f"subset is not invariant under {name} (state {int(images[slots < 0][0])})"
+        )
+    return slots
 
 
 def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float:
     """Max-norm of [mat, P] for the permutation operator P (as deviation)."""
-    perm = symmetry_permutation(name, subset.length)
-    targets = [perm(int(x)) for x in subset.states]
-    if any(t not in subset for t in targets):
-        raise ValueError(f"subset is not invariant under {name}")
-    p = subset.positions(targets)
+    p = _symmetry_slots(subset, name)
     conjugated = mat.tocsr()[p][:, p]
     return float(abs(conjugated - mat).max())
 
@@ -247,7 +222,7 @@ def project_sector(
     if check:
         for name, _ in sector.operators:
             dev = operator_commutes(mat, subset, name)
-            if dev > COMMUTE_TOL:
+            if dev > SECTOR_COMMUTE_TOL:
                 raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
     basis = sector_basis(subset, sector)
     n = basis.size

@@ -13,18 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate import PermutationGate, gate_matrix, gate_order
-
-STRUCTURAL_ZERO = 1e-12
-RECONSTRUCTION_TOL = 1e-9
-DEPENDENCE_RTOL = 1e-9
+from .tolerances import CUT_GUARD, DEPENDENCE_RTOL, RECONSTRUCTION_TOL, STRUCTURAL_ZERO
 
 
 class NonPeriodicGateError(ValueError):
     """The gate has no finite order: a cycle's phase product is not a root
     of unity of order at most the search bound."""
-
-
-CUT_GUARD = 1e-12
 
 
 def wrap_angle(theta):

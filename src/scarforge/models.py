@@ -19,9 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automaton import FloquetCircuit
-from .basis import BasisSubset, tile_pattern
+from .basis import BasisSubset, tile_pattern, window_value
 from .gate import PermutationGate, gate_from_json, gate_matrix, gate_to_json
-from .hamiltonian import build_hamiltonian, principal_log
+from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log
+from .tolerances import ASSEMBLY_PRUNE
 
 MODEL_NAMES = ("qmbs-a", "qmbs-b", "qmbs-c", "pxp", "pxp-nophase")
 
@@ -289,25 +290,16 @@ def working_subspace(model: ModelDefinition, length: int) -> BasisSubset:
     imposes no selection rule, and the closed-form dimension counts them; the
     exact-scar gate leaves exactly the two uniform states inert, for example.
     """
-    from .hamiltonian import ASSEMBLY_PRUNE, krylov_subspace
-
     circuit = model.circuit(length)
     subset = krylov_subspace(circuit, model.orbit_seed(length))
     missing = (1 << length) - subset.size
     if missing == 0 or missing > max(64, length * length):
         return subset
     local = principal_log(circuit.gate).matrix
-    live_values = {
-        v for v in range(local.shape[1]) if np.max(np.abs(local[:, v])) > ASSEMBLY_PRUNE
-    }
-    complement = set(range(1 << length)) - set(int(s) for s in subset.states)
-    from .basis import window_value
-
+    live = np.max(np.abs(local), axis=0) > ASSEMBLY_PRUNE
+    complement = np.setdiff1d(np.arange(1 << length, dtype=np.int64), subset.states)
     width = circuit.gate.width
-    for x in complement:
-        if any(
-            window_value(x, site, width, length) in live_values
-            for site in circuit.window_sites
-        ):
+    for site in circuit.window_sites:
+        if np.any(live[window_value(complement, site, width, length)]):
             return subset
     return BasisSubset.full_space(length)

@@ -8,6 +8,14 @@ an orbit state.  Type I uses gate powers and is an exact yes/no on basis
 states; type II uses window-Hamiltonian powers and is scored by the residual
 norm of the two resulting vectors.
 
+Both kinds are evaluated on span words: the m = min(2d + w, L) bits from the
+rule's first site on (the whole ring when L < 2d + w).  The three windows act
+on no other bit, so the rest of the chain is a spectator that both orderings
+leave as it was: their results agree on the chain exactly when they agree on
+the span word, and differ by a vector of the same norm.  Gate powers become
+index and phase tables over the 2^m words, window-Hamiltonian powers sparse
+2^m x 2^m operators, and every instance of a report is evaluated at once.
+
 Instances are enumerated once per translation-equivalence class: shifting a
 rule by any lattice translation that maps window positions to window
 positions, while mapping the orbit state to an orbit state, reproduces the
@@ -19,16 +27,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
+import scipy.sparse as sp
 
 from .automaton import FloquetCircuit, apply_floquet_index
-from .basis import translate_index, window_bit_shifts
-from .gate import PermutationGate, apply_gate_index, permutation_order
-
-PHASE_TOL = 1e-10
-TYPE2_TOL = 1e-9
+from .basis import set_window, tile_pattern, translate_index, window_value
+from .gate import PermutationGate, identity_gate, permutation_order
+from .logmap import principal_log
+from .tolerances import RULE_ENTRY_CUT, RULE_PHASE_TOL, TYPE2_TOL
 
 
 @dataclass(frozen=True)
@@ -114,89 +123,126 @@ def enumerate_rule_instances(
     ]
 
 
-def _rule_sites(circuit: FloquetCircuit, first_site: int) -> tuple[int, int, int]:
-    d = circuit.site_stride
-    length = circuit.length
-    return (
-        first_site,
-        (first_site - 1 + d) % length + 1,
-        (first_site - 1 + 2 * d) % length + 1,
+def _span(circuit: FloquetCircuit) -> tuple[int, int, int]:
+    """Window stride, window width and span word length m of the rules."""
+    stride, width = circuit.site_stride, circuit.gate.width
+    return stride, width, min(2 * stride + width, circuit.length)
+
+
+@lru_cache(maxsize=None)
+def _layout(stride: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left, middle and right rule windows on the 2^m span words: every
+    word's window value, every word with that window zeroed, and every window
+    value placed into an empty word."""
+    words = np.arange(1 << m, dtype=np.int64)
+    sites = [1 + k * stride for k in range(3)]
+    layout = (
+        np.array([window_value(words, s, width, m) for s in sites]),
+        np.array([set_window(words, s, width, m, 0) for s in sites]),
+        np.array([set_window(0, s, width, m, np.arange(1 << width)) for s in sites]),
     )
+    for table in layout:
+        table.flags.writeable = False   # shared by every caller through the cache
+    return layout
 
 
-def _apply_power(gate, index, phase, site, length, power):
-    for _ in range(power):
-        index, ph = apply_gate_index(gate, index, site, length)
-        phase *= ph
-    return index, phase
+def _instance_arrays(circuit: FloquetCircuit, instances) -> tuple[np.ndarray, np.ndarray]:
+    """Span word and powers (s1, s2, s3) of every instance."""
+    m = _span(circuit)[2]
+    word_of = {
+        key: window_value(key[0], key[1], m, circuit.length)
+        for key in {(r.state_index, r.site) for r in instances}
+    }
+    words = np.array([word_of[r.state_index, r.site] for r in instances], dtype=np.int64)
+    powers = np.array([r.powers for r in instances], dtype=np.int64).reshape(-1, 3)
+    return words, powers
 
 
-def check_type1(circuit: FloquetCircuit, state_index: int, rule: RuleInstance) -> bool:
-    """Exact check: both orders must give the same basis state and phase."""
-    gate = circuit.gate
-    length = circuit.length
-    s1, s2, s3 = rule.powers
-    left, middle, right = _rule_sites(circuit, rule.site)
+def _type1_hits(layout, gate: PermutationGate, words, powers) -> np.ndarray:
+    """Whether both orderings of gate powers give the same word and phase."""
+    values, cleared, spread = layout
+    n = int(powers.max(initial=0)) + 1
+    dim = values.shape[1]
+    offset = np.arange(0, 3 * dim, dim)[:, None]
+    step = (cleared | spread[np.arange(3)[:, None], np.asarray(gate.perm)[values]]).ravel()
+    index = np.empty((3, n, dim), dtype=np.int64)    # index[k, s, u]: window k to the power s
+    index[:, 0] = np.arange(dim)
+    for s in range(1, n):
+        index[:, s] = step[index[:, s - 1] + offset]
+    table = index.ravel()
 
-    x, ph = _apply_power(gate, state_index, 1.0 + 0.0j, middle, length, s2)
-    x, ph = _apply_power(gate, x, ph, right, length, s3)
-    x, ph = _apply_power(gate, x, ph, left, length, s1)
+    def path(steps):
+        x, at = words, []
+        for k, s in steps:
+            at.append((k * n + s) * dim + x)
+            x = table[at[-1]]
+        return x, at
 
-    y, qh = _apply_power(gate, state_index, 1.0 + 0.0j, right, length, s3)
-    y, qh = _apply_power(gate, y, qh, left, length, s1)
-    y, qh = _apply_power(gate, y, qh, middle, length, s2)
-
-    return x == y and abs(ph - qh) < PHASE_TOL
-
-
-def _apply_h_power(vec: dict, h: np.ndarray, site: int, width: int, length: int, power: int) -> dict:
-    shifts = window_bit_shifts(site, width, length)
-    columns = [
-        [(vp, h[vp, v]) for vp in range(h.shape[0]) if abs(h[vp, v]) > 1e-14]
-        for v in range(h.shape[1])
-    ]
-    for _ in range(power):
-        out: dict[int, complex] = {}
-        for x, amp in vec.items():
-            v = 0
-            for t, b in enumerate(shifts):
-                v |= ((x >> b) & 1) << (width - 1 - t)
-            for vp, element in columns[v]:
-                y = x
-                for t, b in enumerate(shifts):
-                    bit = (vp >> (width - 1 - t)) & 1
-                    y = (y & ~(1 << b)) | (bit << b)
-                out[y] = out.get(y, 0.0) + amp * element
-        vec = out
-    return vec
+    s1, s2, s3 = powers.T
+    x, lhs = path(((1, s2), (2, s3), (0, s1)))
+    y, rhs = path(((2, s3), (0, s1), (1, s2)))
+    hits = x == y
+    phases = np.asarray(gate.phases, dtype=complex)
+    if np.any(phases != 1):    # a phase-free gate keeps every phase at one
+        phase = np.ones((3, n, dim), dtype=complex)
+        phase[:, 1:] = np.cumprod(phases[values].ravel()[index[:, :-1] + offset[:, None]], axis=1)
+        phase = phase.ravel()
+        p, q = (phase[at[0]] * phase[at[1]] * phase[at[2]] for at in (lhs, rhs))
+        hits &= np.abs(p - q) < RULE_PHASE_TOL
+    return hits
 
 
-def check_type2(
-    circuit: FloquetCircuit,
-    h_local: np.ndarray,
-    state_index: int,
-    rule: RuleInstance,
-    tol: float = TYPE2_TOL,
-) -> float:
-    """Residual two-norm between the two orderings of window-Hamiltonian powers."""
-    width = circuit.gate.width
-    length = circuit.length
-    s1, s2, s3 = rule.powers
-    left, middle, right = _rule_sites(circuit, rule.site)
+def _window_operators(layout, h_local: np.ndarray) -> list[sp.csr_matrix]:
+    """The window Hamiltonian on each rule window, as operators on span words."""
+    h = np.asarray(h_local)
+    keep = np.abs(h) > RULE_ENTRY_CUT
+    ops = []
+    for values, cleared, spread in zip(*layout):
+        vp, u = np.nonzero(keep[:, values])
+        shape = (len(values), len(values))
+        ops.append(sp.csr_matrix((h[vp, values[u]], (cleared[u] | spread[vp], u)), shape=shape))
+    return ops
 
-    lhs = {state_index: 1.0 + 0.0j}
-    lhs = _apply_h_power(lhs, h_local, middle, width, length, s2)
-    lhs = _apply_h_power(lhs, h_local, right, width, length, s3)
-    lhs = _apply_h_power(lhs, h_local, left, width, length, s1)
 
-    rhs = {state_index: 1.0 + 0.0j}
-    rhs = _apply_h_power(rhs, h_local, right, width, length, s3)
-    rhs = _apply_h_power(rhs, h_local, left, width, length, s1)
-    rhs = _apply_h_power(rhs, h_local, middle, width, length, s2)
+def _ordered_products(block: np.ndarray, column: np.ndarray, steps, n: int) -> np.ndarray:
+    """Each instance's start column under op^e for the (op, e) of `steps` in
+    turn, e one power per instance; all n powers of the block are formed."""
+    for op, exps in steps:
+        stack = [block]
+        for _ in range(1, n):
+            stack.append(op @ stack[-1])
+        column = exps * block.shape[1] + column
+        block = np.hstack(stack)
+    return block[:, column]
 
-    keys = set(lhs) | set(rhs)
-    sq = sum(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) ** 2 for k in keys)
-    return float(np.sqrt(sq))
+
+def _type2_residuals(layout, h_local: np.ndarray, words, powers) -> np.ndarray:
+    """Two-norm of the difference of both orderings of window-Hamiltonian powers."""
+    left, middle, right = _window_operators(layout, h_local)
+    n = int(powers.max(initial=0)) + 1
+    starts, column = np.unique(words, return_inverse=True)
+    block = np.zeros((left.shape[0], len(starts)), dtype=complex)
+    block[starts, np.arange(len(starts))] = 1.0
+    s1, s2, s3 = powers.T
+    lhs = _ordered_products(block, column, ((middle, s2), (right, s3), (left, s1)), n)
+    rhs = _ordered_products(block, column, ((right, s3), (left, s1), (middle, s2)), n)
+    return np.linalg.norm(lhs - rhs, axis=0)
+
+
+def rule_outcomes(circuit: FloquetCircuit, instances, h_local: np.ndarray | None = None) -> np.ndarray:
+    """Per-instance result: whether a type-I rule holds, or the residual norm
+    of a type-II rule (window Hamiltonian `h_local`, default the gate's
+    principal log)."""
+    kinds = {r.kind for r in instances}
+    if len(kinds) > 1 or not kinds <= {"I", "II"}:
+        raise ValueError(f"instances must share one rule kind, I or II (got {sorted(kinds)})")
+    layout = _layout(*_span(circuit))
+    words, powers = _instance_arrays(circuit, instances)
+    if kinds != {"II"}:
+        return _type1_hits(layout, circuit.gate, words, powers)
+    if h_local is None:
+        h_local = principal_log(circuit.gate).matrix
+    return _type2_residuals(layout, h_local, words, powers)
 
 
 def rule_report(
@@ -209,18 +255,11 @@ def rule_report(
 ) -> RuleReport:
     """Count satisfied rules over all inequivalent instances of the orbit."""
     instances = enumerate_rule_instances(circuit, orbit_states, n, kind)
+    outcomes = rule_outcomes(circuit, instances, h_local)
     if kind == "I":
-        satisfied = sum(
-            1 for r in instances if check_type1(circuit, r.state_index, r)
-        )
-        return RuleReport("I", satisfied, len(instances))
-    if h_local is None:
-        from .logmap import principal_log
-
-        h_local = principal_log(circuit.gate).matrix
-    residuals = [check_type2(circuit, h_local, r.state_index, r, tol) for r in instances]
-    satisfied = sum(1 for r in residuals if r < tol)
-    return RuleReport("II", satisfied, len(instances), residuals)
+        return RuleReport("I", int(outcomes.sum()), len(instances))
+    residuals = outcomes.tolist()
+    return RuleReport("II", sum(1 for r in residuals if r < tol), len(instances), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -292,53 +331,10 @@ def _neel_orbit_is_cycle(circuit: FloquetCircuit, seed: int) -> bool:
     return y == seed
 
 
-class _FastScorer:
-    """Vectorized type-I rule counter for phase-free width-4 gates.
-
-    The fully alternating orbit needs only the rule triple anchored at site 1,
-    whose three windows cover sites 1..8; on an 8-site chain the gate actions
-    become permutation tables over 256 words, and all power triples evaluate
-    by fancy indexing.  Results agree with `rule_report` instance by instance.
-    """
-
-    LENGTH = 8
-
-    def __init__(self, n_powers: int):
-        triples = np.array(_power_triples(n_powers), dtype=np.int64).reshape(-1, 3)
-        self.s1, self.s2, self.s3 = triples[:, 0], triples[:, 1], triples[:, 2]
-        self.n_powers = n_powers
-        self.idx = np.arange(256, dtype=np.int64)
-        self.states = (0b10101010, 0b01010101)
-
-    def score(self, perm16: np.ndarray) -> int:
-        if len(self.s1) == 0:
-            return 0
-        tables = []
-        for shift in (4, 2, 0):
-            window = (self.idx >> shift) & 0xF
-            table = (self.idx & ~(0xF << shift)) | (perm16[window] << shift)
-            powers = np.empty((self.n_powers, 256), dtype=np.int64)
-            powers[0] = self.idx
-            for s in range(1, self.n_powers):
-                powers[s] = table[powers[s - 1]]
-            tables.append(powers)
-        p1, p3, p5 = tables
-        satisfied = 0
-        for x in self.states:
-            lhs = p1[self.s1, p5[self.s3, p3[self.s2, x]]]
-            rhs = p3[self.s2, p1[self.s1, p5[self.s3, x]]]
-            satisfied += int(np.sum(lhs == rhs))
-        return satisfied
-
-
 def _search_chunk(args):
-    start, stop, constraints = args
-    from .basis import tile_pattern
-
+    start, stop, constraints, words, powers = args
     length = constraints.length
     seed = tile_pattern("10", length)
-    scorer = _FastScorer(constraints.rule_powers) if length == _FastScorer.LENGTH else None
-    total_rules = 2 * len(_power_triples(constraints.rule_powers))
     results = []
     chunk = itertools.islice(itertools.permutations(range(8)), start, stop)
     for perm3 in chunk:
@@ -349,18 +345,12 @@ def _search_chunk(args):
         is_cycle = _neel_orbit_is_cycle(circuit, seed)
         if constraints.require_orbit_cycle and not is_cycle:
             continue
-        if scorer is not None:
-            perm16 = np.asarray(gate.perm, dtype=np.int64)
-            satisfied, total = scorer.score(perm16), total_rules
-        else:
-            orbit_states = [seed, translate_index(seed, 1, length)]
-            report = rule_report(circuit, orbit_states, constraints.rule_powers, "I")
-            satisfied, total = report.satisfied, report.total
+        hits = _type1_hits(_layout(*_span(circuit)), gate, words, powers)
         results.append(
             SearchResult(
                 tuple(tuple(c) for c in gate.label_cycles()),
-                satisfied,
-                total,
+                int(hits.sum()),
+                len(words),
                 permutation_order(gate),
                 is_cycle,
             )
@@ -374,16 +364,25 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     Gates whose permutation order does not divide the order filter are
     skipped; survivors are ranked by satisfied rules (descending), ties broken
     by the lexicographic rank of the underlying permutation, so the output is
-    deterministic and independent of the worker count.
+    deterministic and independent of the worker count.  The rule instances
+    on the alternating orbit do not depend on the gate, so their span words
+    and powers are built once and every gate is scored on them.
     """
+    length = constraints.length
+    seed = tile_pattern("10", length)
+    probe = FloquetCircuit(identity_gate(4), length, "stride4")
+    instances = enumerate_rule_instances(
+        probe, [seed, translate_index(seed, 1, length)], constraints.rule_powers
+    )
+    words, powers = _instance_arrays(probe, instances)
     total = 40320
     if workers <= 1:
-        results = _search_chunk((0, total, constraints))
+        results = _search_chunk((0, total, constraints, words, powers))
     else:
         import multiprocessing as mp
 
         bounds = np.linspace(0, total, workers * 4 + 1, dtype=int)
-        chunks = [(int(a), int(b), constraints) for a, b in zip(bounds[:-1], bounds[1:])]
+        chunks = [(int(a), int(b), constraints, words, powers) for a, b in zip(bounds[:-1], bounds[1:])]
         with mp.Pool(workers) as pool:
             results = [r for chunk in pool.map(_search_chunk, chunks) for r in chunk]
     order_key = {res.cycles: i for i, res in enumerate(results)}

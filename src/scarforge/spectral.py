@@ -13,9 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset
-from .dynamics import DENSE_GUARD
+from .tolerances import DEGENERACY_TOL, DENSE_GUARD, TOWER_MERGE_TOL
 
-DEGENERACY_TOL = 1e-12
 HISTOGRAM_BINS = 50
 FLAG_THRESHOLD = 0.02
 
@@ -61,7 +60,7 @@ def analyze_spectrum(
     return SpectrumAnalysis(energies, modes, ipr, overlaps, flagged, subset, flag_threshold)
 
 
-def flagged_tower_energies(analysis: SpectrumAnalysis, merge_tol: float = 1e-8) -> np.ndarray:
+def flagged_tower_energies(analysis: SpectrumAnalysis, merge_tol: float = TOWER_MERGE_TOL) -> np.ndarray:
     """Distinct energies of the flagged states, nearby values merged."""
     energies = np.sort(analysis.eigenvalues[analysis.flagged])
     if len(energies) == 0:

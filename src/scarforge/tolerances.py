@@ -1,0 +1,34 @@
+"""Every numerical tolerance, pruning cut and dimension guard, one name each.
+
+Values are absolute unless the comment says otherwise.
+"""
+
+# Gates and states
+UNIT_MODULUS_TOL = 1e-12      # | |phase| - 1 | of gate phases and phased basis states
+NORM_TOL = 1e-10              # | ||psi||^2 - 1 | of a state flagged normalized
+ORDER_PHASE_TOL = 1e-10       # a cycle's phase product counts as a root of unity
+WINDOW_COMMUTE_TOL = 1e-12    # max |[U_1, U_3]| of two same-layer stride2 windows
+
+# Matrix log of a gate
+STRUCTURAL_ZERO = 1e-12       # |c_k| of a power-decomposition coefficient taken as zero
+RECONSTRUCTION_TOL = 1e-9     # max |exp(-i h) - U| of the principal log
+DEPENDENCE_RTOL = 1e-9        # relative cut of the closing-relation least squares
+CUT_GUARD = 1e-12             # angles this far above pi still wrap to +pi
+
+# Local commutation rules
+RULE_ENTRY_CUT = 1e-14        # window-Hamiltonian entries at or below this are dropped
+RULE_PHASE_TOL = 1e-10        # phase difference of the two type-I orderings
+TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
+
+# Chain operators
+ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise
+HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
+SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
+SPARSE_PRUNE = 1e-13          # series entries below this fraction of the largest are dropped
+
+# Spectra and dynamics
+DEGENERACY_TOL = 1e-12        # closer levels merge before the gap-ratio statistic
+TOWER_MERGE_TOL = 1e-8        # flagged energies closer than this form one tower
+COUPLING_TOL = 1e-8           # off-diagonal column norm of a coupled probe state
+NORM_DRIFT_ABORT = 1e-6       # norm drift that aborts a propagation
+DENSE_GUARD = 6000            # largest dimension given to a dense eigensolver

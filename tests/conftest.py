@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scarforge.models import load_model
+
+# Every run draws the same examples: no example database, no randomness,
+# and no per-example deadline on a loaded machine.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

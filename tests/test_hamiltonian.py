@@ -60,6 +60,20 @@ def test_krylov_dimensions_match_formulas(models):
             assert sub.size == expected_krylov_dimension(name, L)
 
 
+def test_krylov_subspace_is_connected_component_of_full_h(models):
+    # oracle: the seed's component in the nonzero graph of the full-space H
+    from scipy.sparse.csgraph import connected_components
+
+    for m in models.values():
+        for L in (4, 6, 8, 10, 12):
+            circuit = m.circuit(L)
+            seed = m.orbit_seed(L)
+            h = build_hamiltonian(circuit, BasisSubset.full_space(L)).h
+            _, label = connected_components(abs(h) > 0, directed=False)
+            component = np.flatnonzero(label == label[seed])
+            assert np.array_equal(krylov_subspace(circuit, seed).states, component)
+
+
 def test_qmbs_a_component_misses_only_inert_states(models):
     # the seed's component excludes exactly the two uniform dark states,
     # which the widened working basis restores

@@ -1,18 +1,22 @@
 import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_phase_gate
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import neel_index, tile_pattern, translate_index
-from scarforge.gate import identity_gate
+from scarforge.gate import gate_matrix, identity_gate
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
     RuleInstance,
     SearchConstraints,
-    check_type1,
-    check_type2,
     count_relevant_rules,
     enumerate_rule_instances,
     lift_three_qubit_permutation,
+    rule_outcomes,
     rule_report,
     search_models,
 )
@@ -55,7 +59,7 @@ def test_trivial_middle_power_always_passes(models):
     state = neel_index(12)
     for s1, s3 in ((1, 0), (3, 2), (0, 5)):
         rule = RuleInstance("I", 1, (s1, 0, s3), state)
-        assert check_type1(circuit, state, rule)
+        assert rule_outcomes(circuit, [rule])[0]
 
 
 def test_identity_gate_rules_all_pass():
@@ -65,7 +69,7 @@ def test_identity_gate_rules_all_pass():
     assert report.satisfied == report.total == 350
     h = principal_log(identity_gate(4)).matrix
     rule = RuleInstance("II", 1, (2, 1, 1), state)
-    assert check_type2(circuit, h, state, rule) < 1e-12
+    assert rule_outcomes(circuit, [rule], h)[0] < 1e-12
 
 
 def test_table_rule_ratios(models):
@@ -108,11 +112,12 @@ def test_type1_inverse_gate_symmetry(rng):
         m = permutation_order(gate)
         ca = FloquetCircuit(gate, L, "stride4")
         cb = FloquetCircuit(gate_inv, L, "stride4")
+        rules, mirror_rules = [], []
         for _ in range(10):
             s1, s2, s3 = (int(v) for v in rng.integers(0, m, size=3))
-            rule = RuleInstance("I", 1, (s1, s2, s3), state)
-            mirror_rule = RuleInstance("I", 1, ((m - s1) % m, (m - s2) % m, (m - s3) % m), state)
-            assert check_type1(ca, state, rule) == check_type1(cb, state, mirror_rule)
+            rules.append(RuleInstance("I", 1, (s1, s2, s3), state))
+            mirror_rules.append(RuleInstance("I", 1, ((m - s1) % m, (m - s2) % m, (m - s3) % m), state))
+        assert np.array_equal(rule_outcomes(ca, rules), rule_outcomes(cb, mirror_rules))
 
 
 def test_global_rule_consequence_when_all_pass(models):
@@ -163,3 +168,95 @@ def test_search_order_filter_one_keeps_identity_only():
     assert results[0].cycles == ()
     assert results[0].order == 1
     assert results[0].total == 0
+
+
+def test_search_ratios_independent_of_length():
+    # the rule windows span eight sites, so L=12 must score every gate as L=8
+    short = search_models(SearchConstraints(order=2, length=8))
+    long = search_models(SearchConstraints(order=2, length=12))
+    assert [(r.cycles, r.satisfied, r.total) for r in long] == [
+        (r.cycles, r.satisfied, r.total) for r in short
+    ]
+
+
+def test_ring_ratios_below_span(models):
+    # L=4 is shorter than the rule span, so every rule reads the whole ring
+    type1 = {
+        "qmbs-a": (194, 350),
+        "qmbs-b": (254, 350),
+        "qmbs-c": (350, 350),
+        "pxp": (369, 525),
+        "pxp-nophase": (417, 525),
+    }
+    for name, want in type1.items():
+        m = models[name]
+        assert rule_report(m.circuit(4), neel_orbit_states(m, 4), 6, "I").ratio == want
+    for name, want in (("pxp", 38), ("pxp-nophase", 24)):
+        m = models[name]
+        report = rule_report(m.circuit(4), neel_orbit_states(m, 4), 3, "II")
+        assert report.ratio == (want, 48)
+
+
+def _window_operator(local: np.ndarray, site: int, length: int) -> sp.csr_matrix:
+    """local on the window starting at `site`: rotate that site to the front,
+    act with local (x) identity, rotate back."""
+    width = local.shape[0].bit_length() - 1
+    states = np.arange(1 << length)
+    shift = site - 1
+    rotated = ((states << shift) | (states >> (length - shift))) & ((1 << length) - 1)
+    rotate = sp.csr_matrix((np.ones(len(states)), (rotated, states)))
+    front = sp.kron(sp.csr_matrix(local), sp.identity(1 << (length - width)), format="csr")
+    return (rotate.T @ front @ rotate).tocsr()
+
+
+def _reference_outcomes(circuit: FloquetCircuit, instances, local: np.ndarray) -> np.ndarray:
+    """Residual norm of both orderings of every rule, on the full chain."""
+    d, length = circuit.site_stride, circuit.length
+    ops = {}
+    out = []
+    for r in instances:
+        sites = [(r.site - 1 + k * d) % length + 1 for k in range(3)]
+        for site in sites:
+            if site not in ops:
+                ops[site] = _window_operator(local, site, length)
+        left, middle, right = (ops[site] for site in sites)
+        s1, s2, s3 = r.powers
+        lhs = rhs = np.eye(1, 1 << length, r.state_index, dtype=complex).ravel()
+        for op, power in ((middle, s2), (right, s3), (left, s1)):
+            for _ in range(power):
+                lhs = op @ lhs
+        for op, power in ((right, s3), (left, s1), (middle, s2)):
+            for _ in range(power):
+                rhs = op @ rhs
+        out.append(np.linalg.norm(lhs - rhs))
+    return np.array(out)
+
+
+def _assert_engine_matches_reference(circuit: FloquetCircuit, states, n1: int, n2: int):
+    type1 = enumerate_rule_instances(circuit, states, n1, "I")
+    reference = _reference_outcomes(circuit, type1, gate_matrix(circuit.gate))
+    assert np.array_equal(rule_outcomes(circuit, type1), reference < 1e-10)
+    type2 = enumerate_rule_instances(circuit, states, n2, "II")
+    local = principal_log(circuit.gate).matrix
+    assert np.allclose(rule_outcomes(circuit, type2), _reference_outcomes(circuit, type2, local),
+                       rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("length", [12, 4])
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_engine_matches_full_space_for_random_gates(length, seed):
+    # oracle: embedded gate and window-Hamiltonian powers on the full chain,
+    # for the segment case (L=12 > span 8) and the ring case (L=4 < span 8)
+    rng = np.random.default_rng(seed)
+    circuit = FloquetCircuit(random_phase_gate(rng), length, "stride4")
+    states = [neel_index(length), neel_index(length, 0), int(rng.integers(1 << length))]
+    _assert_engine_matches_reference(circuit, states, 5, 3)
+
+
+def test_engine_matches_full_space_for_models(models):
+    # the same oracle on the registry gates, stride2 windows included
+    for m in models.values():
+        for length, irregular in ((4, 0b0110), (12, 0b011010011100)):
+            states = neel_orbit_states(m, length) + [irregular]
+            _assert_engine_matches_reference(m.circuit(length), states, 4, 3)
