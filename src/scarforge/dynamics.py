@@ -3,7 +3,12 @@
 The default propagator diagonalizes the (sub-)Hamiltonian once and evaluates
 e^{-iHt} exactly on the whole time grid; an iterative short-time scheme based
 on scipy's Krylov exponential kicks in above the dense dimension guard.
-Unitarity is monitored along every trace and drift beyond 1e-6 aborts.
+When every assembled imaginary part of H is floating noise (at most
+ASSEMBLY_PRUNE, as for pxp, pxp-nophase and qmbs-c), the dense path solves
+the real-symmetric eigenproblem and maps the phase block through the real
+modes as one real matrix product; a truly complex H keeps the complex
+eigensolve.  Unitarity is monitored along every trace and drift beyond 1e-6
+aborts.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset, StateVector
-from .tolerances import COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
+from .tolerances import ASSEMBLY_PRUNE, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
 
 DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
@@ -53,6 +58,8 @@ class Propagator:
         self.hamiltonian = hamiltonian
         if method == "dense":
             dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
+            if np.all(np.abs(dense.imag) <= ASSEMBLY_PRUNE):
+                dense = np.ascontiguousarray(dense.real)
             self.energies, self.modes = np.linalg.eigh(dense)
         else:
             self.energies = None
@@ -65,8 +72,11 @@ class Propagator:
         psi0 = np.asarray(initial, dtype=complex)
         if self.method == "dense":
             coeff = self.modes.conj().T @ psi0
-            phases = np.exp(-1j * np.outer(times, self.energies))
-            amps = (phases * coeff) @ self.modes.T
+            if np.isrealobj(self.modes):
+                amps = self._evolve_real(coeff, times)
+            else:
+                phases = np.exp(-1j * np.outer(times, self.energies))
+                amps = (phases * coeff) @ self.modes.T
         else:
             amps = self._evolve_iterative(psi0, times)
         norms = np.linalg.norm(amps, axis=1)
@@ -74,6 +84,19 @@ class Propagator:
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(times, amps, self.subset)
+
+    def _evolve_real(self, coeff, times):
+        """amps[t] = modes @ (coeff * e^{-iEt}) for real modes, as one real GEMM.
+
+        The (dim, n_times) complex phase block is scaled in place and read as
+        a (dim, 2 n_times) float64 array of interleaved real and imaginary
+        parts, so the real modes multiply both at once; the product is read
+        back as complex and returned as its (n_times, dim) transpose.
+        """
+        phases = np.exp(-1j * np.outer(self.energies, times))
+        phases *= coeff[:, None]
+        amps = self.modes @ phases.view(np.float64)
+        return amps.view(complex).T
 
     def _evolve_iterative(self, psi0, times):
         from scipy.sparse.linalg import expm_multiply
@@ -124,7 +147,8 @@ def fidelity(v: StateVector, ref: StateVector) -> float:
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
-    return np.sum(np.abs(result.amplitudes) ** 4, axis=1)
+    amps = result.amplitudes
+    return np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1)
 
 
 def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:

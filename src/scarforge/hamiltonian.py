@@ -226,25 +226,22 @@ def project_sector(
                 raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
     basis = sector_basis(subset, sector)
     n = basis.size
-    csc = mat.tocsc()
-    rep_of = {}
-    weight = {}
-    for a, (members, signs) in enumerate(basis.orbits):
-        for m, s in zip(members, signs):
-            rep_of[int(m)] = (a, int(s))
-        weight[a] = len(members)
+    sizes = np.array([len(members) for members, _ in basis.orbits], dtype=np.int64)
+    # Per slot: its orbit (-1 where the orbit was dropped) and its sign.
+    orbit = np.full(subset.size, -1, dtype=np.int64)
+    sign = np.zeros(subset.size)
+    if n:
+        slots = subset.find(np.concatenate([members for members, _ in basis.orbits]))
+        orbit[slots] = np.repeat(np.arange(n), sizes)
+        sign[slots] = np.concatenate([signs for _, signs in basis.orbits])
+    reps = subset.find(np.array([members[0] for members, _ in basis.orbits], dtype=np.int64))
+    cols = mat.tocsc()[:, reps]
+    b = np.repeat(np.arange(n), np.diff(cols.indptr))
+    a = orbit[cols.indices]
+    keep = a >= 0
+    a, b, rows = a[keep], b[keep], cols.indices[keep]
     out = np.zeros((n, n), dtype=complex)
-    for b, (members, _) in enumerate(basis.orbits):
-        rep = int(members[0])
-        col = subset.position(rep)
-        sl = slice(csc.indptr[col], csc.indptr[col + 1])
-        for row, amp in zip(csc.indices[sl], csc.data[sl]):
-            x = int(subset.states[row])
-            hit = rep_of.get(x)
-            if hit is None:
-                continue
-            a, sgn = hit
-            out[a, b] += sgn * amp * np.sqrt(weight[b] / weight[a])
+    np.add.at(out, (a, b), sign[rows] * cols.data[keep] * np.sqrt(sizes[b] / sizes[a]))
     return out, basis
 
 

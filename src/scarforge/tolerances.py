@@ -21,7 +21,8 @@ RULE_PHASE_TOL = 1e-10        # phase difference of the two type-I orderings
 TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
 
 # Chain operators
-ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise
+ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise; an assembled
+                              # H whose imaginary parts all are is propagated as real
 HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 SPARSE_PRUNE = 1e-13          # series entries below this fraction of the largest are dropped

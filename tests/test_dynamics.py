@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scarforge.basis import StateVector
+from conftest import random_phase_gate
+from scarforge.automaton import FloquetCircuit
+from scarforge.basis import BasisSubset, StateVector
 from scarforge.dynamics import (
     EvolutionJob,
     NormDriftError,
@@ -18,6 +23,7 @@ from scarforge.dynamics import (
 )
 from scarforge.hamiltonian import build_hamiltonian, krylov_subspace
 from scarforge.models import load_model, neel_orbit_states, working_subspace
+from scarforge.tolerances import ASSEMBLY_PRUNE
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +204,59 @@ def test_generic_state_is_deterministic_and_coupled():
     col[sub.position(g)] = 0.0
     assert np.linalg.norm(col) > 1e-8
     assert g == int("100000100010", 2)
+
+
+@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-c", "qmbs-a", "qmbs-b"])
+def test_propagator_dtype_follows_hamiltonian(name, length):
+    # pxp, pxp-nophase and qmbs-c assemble a real H up to floating noise and
+    # get real modes; qmbs-a and qmbs-b are truly complex and keep complex ones
+    m = load_model(name)
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    real = name in ("pxp", "pxp-nophase", "qmbs-c")
+    assert (abs(h.imag).max() <= ASSEMBLY_PRUNE) == real
+    if (name, length) == ("qmbs-a", 12):
+        # the 4096-state full space: its complex eigensolve alone takes
+        # minutes (criterion 09 runs it), so only its H is checked here
+        return
+    prop = Propagator(h, sub)
+    assert prop.modes.dtype == (np.float64 if real else np.complex128)
+
+
+def assert_propagator_matches_expm(h, sub, psi0):
+    # oracle: scipy's dense matrix exponential at a few times, whichever
+    # eigensolve the propagator picked for this H
+    times = np.array([0.0, 0.37, 2.5, 9.0])
+    prop = Propagator(h, sub, "dense")
+    assert np.isrealobj(prop.modes) == bool(np.all(np.abs(np.imag(h)) <= ASSEMBLY_PRUNE))
+    res = prop.evolve(psi0, times)
+    for t, amps in zip(times, res.amplitudes):
+        expected = scipy.linalg.expm(-1j * t * h) @ psi0
+        assert np.max(np.abs(amps - expected)) < 1e-10
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dense_propagator_matches_expm_for_random_gates(seed):
+    # a random phased gate gives a complex H, and its real part is a
+    # real-symmetric H on the same space: each example checks both paths
+    rng = np.random.default_rng(seed)
+    gate = random_phase_gate(rng)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), sub).h.toarray()
+    psi0 = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
+    psi0 /= np.linalg.norm(psi0)
+    assert_propagator_matches_expm(h, sub, psi0)
+    assert_propagator_matches_expm(h.real, sub, psi0)
+
+
+def test_dense_propagator_matches_expm_pxp(pxp_chain):
+    chain, sub, m = pxp_chain
+    h = chain.h.toarray()
+    psi0 = np.zeros(sub.size, dtype=complex)
+    psi0[sub.position(m.orbit_seed(12))] = 1.0
+    assert_propagator_matches_expm(h, sub, psi0)
+    rng = np.random.default_rng(12)
+    psi0 = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
+    assert_propagator_matches_expm(h, sub, psi0 / np.linalg.norm(psi0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from scarforge.automaton import FloquetCircuit, floquet_matrix
 from scarforge.basis import BasisSubset, neel_index, tile_pattern
@@ -161,6 +162,48 @@ def test_project_sector_spectrum_matches_direct_block(models):
     direct = vecs.conj().T @ dense @ vecs
     assert np.max(np.abs(direct - hs)) < 1e-10
     assert np.max(np.abs(np.linalg.eigvalsh(direct) - sector_evals)) < 1e-9
+
+
+def project_sector_loop(mat, subset, basis):
+    """Reference projection: one Python step per stored entry of each
+    representative column, accumulated in CSC order."""
+    csc = mat.tocsc()
+    rep_of = {}
+    for a, (members, signs) in enumerate(basis.orbits):
+        for state, sign in zip(members, signs):
+            rep_of[int(state)] = (a, int(sign))
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for b, (members, _) in enumerate(basis.orbits):
+        col = subset.position(int(members[0]))
+        for row, amp in zip(csc.indices[csc.indptr[col]:csc.indptr[col + 1]],
+                            csc.data[csc.indptr[col]:csc.indptr[col + 1]]):
+            hit = rep_of.get(int(subset.states[row]))
+            if hit is not None:
+                a, sign = hit
+                out[a, b] += sign * amp * np.sqrt(len(members) / len(basis.orbits[a][0]))
+    return out
+
+
+@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("name", ["qmbs-a", "qmbs-b"])
+def test_project_sector_matches_signed_orbit_sums(models, name, length):
+    # oracles, in every S2 x USM character sector: the entry-by-entry loop
+    # (same arithmetic in the same order, so equal), and V^dagger H V with
+    # the sparse matrix V whose columns are the normalized signed orbit sums
+    m = models[name]
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    for s2 in (1, -1):
+        for usm in (1, -1):
+            hs, basis = project_sector(h, sub, SymmetrySector((("S2", s2), ("USM", usm))))
+            rows = np.concatenate([sub.positions(members) for members, _ in basis.orbits])
+            cols = np.concatenate([np.full(len(members), k) for k, (members, _) in enumerate(basis.orbits)])
+            vals = np.concatenate([signs / np.sqrt(len(signs)) for _, signs in basis.orbits])
+            v = sp.csc_matrix((vals, (rows, cols)), shape=(sub.size, basis.size))
+            direct = (v.conj().T @ h @ v).toarray()
+            assert np.array_equal(hs, project_sector_loop(h, sub, basis))
+            assert hs.shape == direct.shape
+            assert np.max(np.abs(hs - direct), initial=0.0) < 1e-12
 
 
 def test_project_sector_rejects_noncommuting():
