@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
-(norm drift, non-closed subset, no recurrence), 4 unknown model.  Thread
+(norm drift, non-closed subset, no recurrence) or resource limit (dense
+dimension guard, memory pre-flight), 4 unknown model.  Thread
 count comes from --threads or SCARFORGE_THREADS (the flag wins) and is
 applied to the BLAS pool before numpy loads; it never changes results, only
 timing.  All emitted files are deterministic for a fixed configuration.
@@ -229,6 +230,7 @@ def cmd_search(args) -> int:
 def cmd_revivals(args) -> int:
     import numpy as np
 
+    from .basis import StateVector, bitstring
     from .dynamics import Propagator, fidelity_trace, generic_comparison_state, local_z_trace, pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
@@ -244,21 +246,18 @@ def cmd_revivals(args) -> int:
         seed = _seed_index(args.state, model, args.length)
     prop = Propagator(chain.h, subset)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
-    psi0 = np.zeros(subset.size, dtype=complex)
-    psi0[subset.position(seed)] = 1.0
+    psi0 = StateVector.from_basis_index(subset, seed).amplitudes
     result = prop.evolve(psi0, times)
     pr = pr_trace(result)
     fid = fidelity_trace(result, seed)
     columns = ["t", "pr", "fidelity"]
     data = [times, pr, fid]
     if args.site is not None:
-        series, z_mc = local_z_trace(prop, seed, times, args.site, args.window)
+        series, z_mc = local_z_trace(prop, psi0, result, args.site, args.window)
         columns.append(f"z_{args.site}")
         data.append(series)
         columns.append(f"z_{args.site}_deviation_sq")
         data.append(np.abs(series - z_mc) ** 2)
-    from .basis import bitstring
-
     rows = zip(*data)
     params = _params(args, n_eff=subset.size, seed=bitstring(seed, args.length))
     if args.out:
@@ -328,23 +327,23 @@ def _parse_sector(spec: str):
 def cmd_rstat(args) -> int:
     import numpy as np
 
-    from .tolerances import DENSE_GUARD
+    from .dynamics import ResourceLimitError
     from .hamiltonian import build_hamiltonian, project_sector
     from .output import write_csv
     from .spectral import r_statistic
+    from .tolerances import DENSE_GUARD
     from . import __version__
 
     model = _load(args.model)
-    subset = _subspace(model, args.length, "working")
-    chain = build_hamiltonian(model.circuit(args.length), subset)
     sector = _parse_sector(args.sector)
+    subset = _subspace(model, args.length, "working")
+    if sector is None and subset.size > DENSE_GUARD:
+        raise ResourceLimitError(
+            f"direct diagonalization refused at dimension {subset.size}; pass --sector"
+        )
+    chain = build_hamiltonian(model.circuit(args.length), subset)
     if sector is None:
-        if subset.size > DENSE_GUARD:
-            raise ValueError(
-                f"direct diagonalization refused at dimension {subset.size}; pass --sector"
-            )
-        dense = chain.h.toarray()
-        evals = np.linalg.eigvalsh(dense)
+        evals = np.linalg.eigvalsh(chain.h.toarray())
     else:
         hs, _ = project_sector(chain.h, subset, sector)
         evals = np.linalg.eigvalsh(hs)
@@ -466,7 +465,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from .automaton import CycleOverflowError
-    from .dynamics import NormDriftError
+    from .dynamics import NormDriftError, ResourceLimitError
     from .hamiltonian import SubsetNotClosedError
     from .models import UnknownModelError
 
@@ -475,7 +474,7 @@ def run(argv=None) -> int:
     except UnknownModelError as exc:
         print(f"error: unknown model {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_MODEL
-    except (SubsetNotClosedError, NormDriftError, CycleOverflowError) as exc:
+    except (SubsetNotClosedError, NormDriftError, CycleOverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -1,19 +1,24 @@
 """Time evolution, revival traces, and local-observable diagnostics.
 
-The default propagator diagonalizes the (sub-)Hamiltonian once and evaluates
-e^{-iHt} exactly on the whole time grid; an iterative short-time scheme based
-on scipy's Krylov exponential kicks in above the dense dimension guard.
-When every assembled imaginary part of H is floating noise (at most
-ASSEMBLY_PRUNE, as for pxp, pxp-nophase and qmbs-c), the dense path solves
-the real-symmetric eigenproblem and maps the phase block through the real
-modes as one real matrix product; a truly complex H keeps the complex
-eigensolve.  Unitarity is monitored along every trace and drift beyond 1e-6
-aborts.
+`Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
+Up to the dense dimension guard the propagator diagonalizes the
+(sub-)Hamiltonian once and evaluates e^{-iHt} exactly on the whole time grid:
+the (dim, n_times) phase block is scaled by the mode coefficients in place
+and mapped through the modes in one matrix product.  When every assembled
+imaginary part of H is floating noise (at most ASSEMBLY_PRUNE, as for pxp,
+pxp-nophase and qmbs-c), the eigenproblem is real-symmetric and the product
+is a real one on the float64 view of the phase block; a truly complex H
+keeps complex modes.  Above the guard an iterative short-time scheme based
+on scipy's Krylov exponential takes over.  Before allocating, `evolve`
+refuses a call whose amplitude history (and phase block) would not fit in
+the available memory.  Unitarity is monitored along every trace and drift
+beyond 1e-6 aborts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,10 +28,27 @@ from .tolerances import ASSEMBLY_PRUNE, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_AB
 
 DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
+COMPLEX_BYTES = 16
 
 
 class NormDriftError(RuntimeError):
     """Evolved state lost unit norm beyond the abort threshold."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A call would exceed the dense dimension guard or the available memory."""
+
+
+def available_bytes() -> int:
+    """The kernel's MemAvailable estimate, else total physical memory."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass
@@ -35,28 +57,18 @@ class EvolutionResult:
     amplitudes: np.ndarray  # shape (n_times, dim)
     subset: BasisSubset
 
-    def state(self, i: int) -> StateVector:
-        return StateVector(self.subset, self.amplitudes[i].copy())
-
-    def states(self) -> list[StateVector]:
-        return [self.state(i) for i in range(len(self.times))]
-
 
 class Propagator:
-    """Reusable e^{-iHt} evaluator over one subset."""
+    """Reusable e^{-iHt} evaluator over one subset; dense up to DENSE_GUARD."""
 
-    def __init__(self, hamiltonian, subset: BasisSubset, method: str | None = None):
+    def __init__(self, hamiltonian, subset: BasisSubset):
         dim = hamiltonian.shape[0]
         if dim != subset.size:
             raise ValueError("Hamiltonian dimension does not match subset")
-        if method is None:
-            method = "dense" if dim <= DENSE_GUARD else "iterative"
-        if method == "dense" and dim > DENSE_GUARD:
-            raise ValueError(f"dense propagation refused above dimension {DENSE_GUARD}")
-        self.method = method
+        self.method = "dense" if dim <= DENSE_GUARD else "iterative"
         self.subset = subset
         self.hamiltonian = hamiltonian
-        if method == "dense":
+        if self.method == "dense":
             dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
             if np.all(np.abs(dense.imag) <= ASSEMBLY_PRUNE):
                 dense = np.ascontiguousarray(dense.real)
@@ -69,14 +81,17 @@ class Propagator:
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
+        # the history, plus the phase block the dense path holds beside it
+        need = len(times) * self.subset.size * COMPLEX_BYTES * (2 if self.method == "dense" else 1)
+        have = available_bytes()
+        if need > have:
+            raise ResourceLimitError(
+                f"evolution holds {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; "
+                "shorten the time grid"
+            )
         psi0 = np.asarray(initial, dtype=complex)
         if self.method == "dense":
-            coeff = self.modes.conj().T @ psi0
-            if np.isrealobj(self.modes):
-                amps = self._evolve_real(coeff, times)
-            else:
-                phases = np.exp(-1j * np.outer(times, self.energies))
-                amps = (phases * coeff) @ self.modes.T
+            amps = self._evolve_dense(psi0, times)
         else:
             amps = self._evolve_iterative(psi0, times)
         norms = np.linalg.norm(amps, axis=1)
@@ -85,18 +100,22 @@ class Propagator:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(times, amps, self.subset)
 
-    def _evolve_real(self, coeff, times):
-        """amps[t] = modes @ (coeff * e^{-iEt}) for real modes, as one real GEMM.
+    def _evolve_dense(self, psi0, times):
+        """amps[t] = modes @ (coeff * e^{-iEt}), as one GEMM over the whole grid.
 
-        The (dim, n_times) complex phase block is scaled in place and read as
-        a (dim, 2 n_times) float64 array of interleaved real and imaginary
-        parts, so the real modes multiply both at once; the product is read
-        back as complex and returned as its (n_times, dim) transpose.
+        The (dim, n_times) phase block is built and scaled in place.  Real
+        modes multiply its (dim, 2 n_times) float64 view of interleaved real
+        and imaginary parts; the product is read back as complex.  Either way
+        the result is returned as its (n_times, dim) transpose.
         """
-        phases = np.exp(-1j * np.outer(self.energies, times))
+        coeff = self.modes.conj().T @ psi0
+        phases = np.zeros((len(coeff), len(times)), dtype=complex)
+        np.multiply.outer(-self.energies, times, out=phases.imag)
+        np.exp(phases, out=phases)
         phases *= coeff[:, None]
-        amps = self.modes @ phases.view(np.float64)
-        return amps.view(complex).T
+        if np.isrealobj(self.modes):
+            return (self.modes @ phases.view(np.float64)).view(complex).T
+        return (self.modes @ phases).T
 
     def _evolve_iterative(self, psi0, times):
         from scipy.sparse.linalg import expm_multiply
@@ -111,27 +130,6 @@ class Propagator:
             amps[i] = psi
             t_prev = t
         return amps
-
-
-@dataclass
-class EvolutionJob:
-    hamiltonian: object
-    subset: BasisSubset
-    initial_index: int
-    t_max: float = DEFAULT_TMAX
-    dt: float = DEFAULT_DT
-    method: str | None = None
-    times: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.times = np.arange(0.0, self.t_max + 0.5 * self.dt, self.dt)
-
-
-def evolve(job: EvolutionJob) -> EvolutionResult:
-    prop = Propagator(job.hamiltonian, job.subset, job.method)
-    psi0 = np.zeros(job.subset.size, dtype=complex)
-    psi0[job.subset.position(job.initial_index)] = 1.0
-    return prop.evolve(psi0, job.times)
 
 
 def participation_ratio(v: StateVector) -> float:
@@ -164,27 +162,23 @@ def z_diagonal(subset: BasisSubset, site: int) -> np.ndarray:
 
 def local_z_trace(
     prop: Propagator,
-    initial_index: int,
-    times,
+    initial: np.ndarray,
+    result: EvolutionResult,
     site: int,
     energy_window: float = 0.4,
 ) -> tuple[np.ndarray, float]:
-    """Expectation series <Z_site(t)> and its microcanonical average.
+    """Expectation series <Z_site(t)> of an evolved trace and its microcanonical average.
 
-    The microcanonical value averages <Z_site> over eigenstates whose energy
-    lies within +-window/2 of the initial state's mean energy.
+    `result` is `prop.evolve(initial, times)`.  The microcanonical value
+    averages <Z_site> over eigenstates whose energy lies within +-window/2 of
+    the initial state's mean energy.
     """
     if prop.method != "dense":
         raise ValueError("microcanonical comparison needs the dense eigensystem")
-    subset = prop.subset
-    psi0 = np.zeros(subset.size, dtype=complex)
-    psi0[subset.position(initial_index)] = 1.0
-    z = z_diagonal(subset, site)
-
-    result = prop.evolve(psi0, times)
+    z = z_diagonal(prop.subset, site)
     series = (np.abs(result.amplitudes) ** 2) @ z
 
-    coeff = prop.modes.conj().T @ psi0
+    coeff = prop.modes.conj().T @ np.asarray(initial, dtype=complex)
     mean_energy = float(np.real(np.sum(np.abs(coeff) ** 2 * prop.energies)))
     window = np.abs(prop.energies - mean_energy) <= energy_window / 2.0
     if not np.any(window):

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset
+from .dynamics import ResourceLimitError
 from .tolerances import DEGENERACY_TOL, DENSE_GUARD, TOWER_MERGE_TOL
 
 HISTOGRAM_BINS = 50
@@ -41,7 +42,7 @@ def analyze_spectrum(
     flagged as scar candidates."""
     dim = subset.size
     if dim > DENSE_GUARD:
-        raise ValueError(
+        raise ResourceLimitError(
             f"dense spectrum refused above dimension {DENSE_GUARD}; project to a sector first"
         )
     if hamiltonian.shape != (dim, dim):
@@ -119,7 +120,8 @@ def scaling_scan(
     dt: float = 0.05,
 ) -> list[ScalingRow]:
     """Extrema of the alternating-seed participation-ratio trace per length."""
-    from .dynamics import EvolutionJob, evolve, pr_trace
+    from .basis import StateVector
+    from .dynamics import Propagator, pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import load_model, working_subspace
 
@@ -130,10 +132,10 @@ def scaling_scan(
         seed = model.orbit_seed(length)
         subset = working_subspace(model, length)
         chain = build_hamiltonian(circuit, subset)
-        job = EvolutionJob(chain.h, subset, seed, t_max=t_window[1], dt=dt)
-        result = evolve(job)
-        trace = pr_trace(result)
-        mask = (result.times > t_window[0]) & (result.times <= t_window[1])
+        times = np.arange(0.0, t_window[1] + 0.5 * dt, dt)
+        psi0 = StateVector.from_basis_index(subset, seed).amplitudes
+        trace = pr_trace(Propagator(chain.h, subset).evolve(psi0, times))
+        mask = (times > t_window[0]) & (times <= t_window[1])
         rows.append(
             ScalingRow(length, subset.size, float(trace[mask].max()), float(trace[mask].min()))
         )

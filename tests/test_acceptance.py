@@ -55,8 +55,8 @@ def pxp16():
     return m, chain, subset, series, positions
 
 
-def evolve_basis_state(hamiltonian, subset, seed, times, method=None):
-    prop = Propagator(hamiltonian, subset, method)
+def evolve_basis_state(hamiltonian, subset, seed, times):
+    prop = Propagator(hamiltonian, subset)
     psi0 = np.zeros(subset.size, dtype=complex)
     psi0[subset.position(seed)] = 1.0
     return prop, prop.evolve(psi0, times)
@@ -395,8 +395,9 @@ def test_criterion_14_prethermal_trace_qualitative():
     times = np.arange(0.0, 300.0, 0.1)
     psi0 = np.zeros(subset.size, dtype=complex)
     psi0[subset.position(generic)] = 1.0
-    pr = pr_trace(prop.evolve(psi0, times))
-    z_series, z_mc = local_z_trace(prop, generic, times, 2, 0.4)
+    result = prop.evolve(psi0, times)
+    pr = pr_trace(result)
+    z_series, z_mc = local_z_trace(prop, psi0, result, 2, 0.4)
     deviation = np.abs(z_series - z_mc) ** 2
     early = (times > 5.0) & (times < 30.0)
     late = times > 150.0

@@ -74,6 +74,40 @@ def test_revivals_with_z_trace(tmp_path):
     assert header == "t,pr,fidelity,z_2,z_2_deviation_sq"
 
 
+def test_revivals_site_evolves_once(tmp_path, monkeypatch):
+    # the <Z_site> trace reuses the PR/fidelity evolution instead of a second one
+    from scarforge.dynamics import Propagator
+
+    calls = []
+    evolve = Propagator.evolve
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return evolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "evolve", counted)
+    code = run(["revivals", "--model", "pxp", "-L", "8", "--site", "2",
+                "--out", str(tmp_path / "trace.csv")])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_revivals_memory_refusal_exit(tmp_path, monkeypatch):
+    # the default grid holds 6001 x 322 amplitudes twice (about 62 MB);
+    # with 4 MB available the pre-flight refuses before allocating them
+    from scarforge import dynamics
+
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    out = tmp_path / "trace.csv"
+    assert run(["revivals", "--model", "pxp", "-L", "12", "--out", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
+def test_rstat_dense_guard_exit():
+    # the qmbs-b L=16 working subspace has 21,846 states, above DENSE_GUARD
+    assert run(["rstat", "--model", "qmbs-b", "-L", "16", "--sector", "none"]) == EXIT_NUMERICAL
+
+
 def test_ipr_command(tmp_path):
     out = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"

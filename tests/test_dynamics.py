@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phase_gate
+from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset, StateVector
 from scarforge.dynamics import (
-    EvolutionJob,
     NormDriftError,
     Propagator,
-    evolve,
+    ResourceLimitError,
     fidelity,
     fidelity_trace,
     first_revival_peak,
@@ -37,18 +39,15 @@ def pxp_chain():
 
 def test_time_zero_returns_initial(pxp_chain):
     chain, sub, m = pxp_chain
-    seed = m.orbit_seed(12)
-    job = EvolutionJob(chain.h, sub, seed, t_max=1.0, dt=0.5)
-    res = evolve(job)
-    psi0 = np.zeros(sub.size, dtype=complex)
-    psi0[sub.position(seed)] = 1.0
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 1.25, 0.5))
     assert np.allclose(res.amplitudes[0], psi0)
 
 
 def test_norm_conserved(pxp_chain):
     chain, sub, m = pxp_chain
-    job = EvolutionJob(chain.h, sub, m.orbit_seed(12), t_max=50.0, dt=0.5)
-    res = evolve(job)
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 50.25, 0.5))
     norms = np.linalg.norm(res.amplitudes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-8
 
@@ -118,13 +117,15 @@ def test_qmbs_c_exact_period_two():
     assert np.min(pr[revive]) > 1 - 1e-8
 
 
-def test_norm_drift_abort(pxp_chain):
+def test_norm_drift_abort(pxp_chain, monkeypatch):
     # the dense path is unitary by construction; a non-Hermitian generator
     # slipped into the iterative path must trip the drift guard
     chain, sub, m = pxp_chain
     broken = chain.h.toarray().astype(complex)
     broken[0, 1] += 0.05
-    prop = Propagator(broken, sub, "iterative")
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(broken, sub)
+    assert prop.method == "iterative"
     psi0 = np.zeros(sub.size, dtype=complex)
     psi0[sub.position(m.orbit_seed(12))] = 1.0
     with pytest.raises(NormDriftError):
@@ -140,14 +141,17 @@ def test_time_grid_must_increase(pxp_chain):
         prop.evolve(psi0, [0.0, 1.0, 1.0])
 
 
-def test_iterative_propagator_matches_dense(pxp_chain):
+def test_iterative_propagator_matches_dense(pxp_chain, monkeypatch):
     chain, sub, m = pxp_chain
     seed = m.orbit_seed(12)
     psi0 = np.zeros(sub.size, dtype=complex)
     psi0[sub.position(seed)] = 1.0
     times = np.arange(0.0, 5.0, 0.5)
-    dense = Propagator(chain.h, sub, "dense").evolve(psi0, times)
-    iterative = Propagator(chain.h, sub, "iterative").evolve(psi0, times)
+    dense = Propagator(chain.h, sub).evolve(psi0, times)
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(chain.h, sub)
+    assert prop.method == "iterative"
+    iterative = prop.evolve(psi0, times)
     assert np.max(np.abs(dense.amplitudes - iterative.amplitudes)) < 1e-8
 
 
@@ -167,8 +171,9 @@ def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
     seed = m.orbit_seed(12)
-    times = np.arange(0.0, 5.0, 1.0)
-    series, z_mc = local_z_trace(prop, seed, times, 2, energy_window=1e6)
+    psi0 = StateVector.from_basis_index(sub, seed).amplitudes
+    res = prop.evolve(psi0, np.arange(0.0, 5.0, 1.0))
+    series, z_mc = local_z_trace(prop, psi0, res, 2, energy_window=1e6)
     z = z_diagonal(sub, 2)
     expected = float(np.mean([np.sum(np.abs(prop.modes[:, k]) ** 2 * z) for k in range(sub.size)]))
     assert z_mc == pytest.approx(expected)
@@ -178,8 +183,10 @@ def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
 def test_local_z_trace_empty_window(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    res = prop.evolve(psi0, [0.0, 1.0])
     with pytest.raises(ValueError):
-        local_z_trace(prop, m.orbit_seed(12), [0.0, 1.0], 2, energy_window=-1.0)
+        local_z_trace(prop, psi0, res, 2, energy_window=-1.0)
 
 
 def test_first_revival_peak_window():
@@ -227,9 +234,13 @@ def test_propagator_dtype_follows_hamiltonian(name, length):
 def assert_propagator_matches_expm(h, sub, psi0):
     # oracle: scipy's dense matrix exponential at a few times, whichever
     # eigensolve the propagator picked for this H
-    times = np.array([0.0, 0.37, 2.5, 9.0])
-    prop = Propagator(h, sub, "dense")
+    prop = Propagator(h, sub)
+    assert prop.method == "dense"
     assert np.isrealobj(prop.modes) == bool(np.all(np.abs(np.imag(h)) <= ASSEMBLY_PRUNE))
+    assert_evolution_matches_expm(prop, h, psi0, np.array([0.0, 0.37, 2.5, 9.0]))
+
+
+def assert_evolution_matches_expm(prop, h, psi0, times):
     res = prop.evolve(psi0, times)
     for t, amps in zip(times, res.amplitudes):
         expected = scipy.linalg.expm(-1j * t * h) @ psi0
@@ -260,3 +271,39 @@ def test_dense_propagator_matches_expm_pxp(pxp_chain):
     rng = np.random.default_rng(12)
     psi0 = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
     assert_propagator_matches_expm(h, sub, psi0 / np.linalg.norm(psi0))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_iterative_propagator_matches_expm_for_random_gates(seed):
+    # the iterative path on a truly complex H, forced by lowering the guard,
+    # on a grid whose first step starts away from t = 0
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
+    psi0 = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
+    psi0 /= np.linalg.norm(psi0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        prop = Propagator(h, sub)
+    assert prop.method == "iterative"
+    assert_evolution_matches_expm(prop, h.toarray(), psi0, np.array([0.37, 2.5, 9.0]))
+
+
+def test_history_refused_before_allocation(pxp_chain, monkeypatch):
+    # 6001 times x 322 states x 16 bytes x 2 (history and phase block) is
+    # 62 MB; with 4 MB available the call refuses before building either
+    chain, sub, m = pxp_chain
+    prop = Propagator(chain.h, sub)
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    times = np.arange(0.0, 300.025, 0.05)
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            prop.evolve(psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert prop.evolve(psi0, times[:50]).amplitudes.shape == (50, sub.size)
