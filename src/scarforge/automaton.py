@@ -21,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisState, BasisSubset, PhasedState, StateVector
-from .gate import PermutationGate, apply_gate_index, gate_matrix
-from .logmap import wrap_angle
+from .basis import BasisState, BasisSubset, PhasedState, StateVector, bitstring, set_window, window_value
+from .gate import PermutationGate, gate_matrix, phase_product, phased_cycles, walk_cycle
+from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
 
 GEOMETRIES = ("stride4", "stride2")
@@ -73,34 +73,27 @@ class FloquetCircuit:
         return tuple(sorted(self.first_layer_sites + self.second_layer_sites))
 
 
-def _embed_pair(gate: PermutationGate, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense embeddings of the gate at sites 1 and 1+offset on a test chain."""
-    w = gate.width
-    n = w + offset
-    u = gate_matrix(gate)
-    eye = np.eye(1 << offset)
-    first = np.kron(u, eye)
-    second = np.kron(eye, u)
-    assert first.shape == (1 << n, 1 << n) and second.shape == first.shape
-    return first, second
-
-
 def _same_layer_gates_commute(gate: PermutationGate) -> bool:
-    first, second = _embed_pair(gate, 2)
+    """Whether the gate commutes with its copy two sites on."""
+    u, eye = gate_matrix(gate), np.eye(4)
+    first, second = np.kron(u, eye), np.kron(eye, u)
     return bool(np.max(np.abs(first @ second - second @ first)) < WINDOW_COMMUTE_TOL)
 
 
-def apply_floquet_index(circuit: FloquetCircuit, index: int) -> tuple[int, complex]:
-    """One Floquet period on a raw state index: first layer, then second."""
+def floquet_map(circuit: FloquetCircuit, index):
+    """One Floquet period, first layer then second, on a state index (a
+    Python int) or on an int64 array of them: the image and the product of
+    window phases, multiplied in site order."""
     if not circuit.is_brickwork:
         raise ValueError("automaton application needs complete layers (L divisible by 4)")
-    phase = 1.0 + 0.0j
-    for site in circuit.first_layer_sites:
-        index, ph = apply_gate_index(circuit.gate, index, site, circuit.length)
-        phase *= ph
-    for site in circuit.second_layer_sites:
-        index, ph = apply_gate_index(circuit.gate, index, site, circuit.length)
-        phase *= ph
+    gate, length = circuit.gate, circuit.length
+    array = isinstance(index, np.ndarray)
+    perm, phases = (np.array(gate.perm), np.array(gate.phases)) if array else (gate.perm, gate.phases)
+    phase = np.ones(index.shape, complex) if array else 1.0 + 0.0j
+    for site in circuit.first_layer_sites + circuit.second_layer_sites:
+        v = window_value(index, site, gate.width, length)
+        index = set_window(index, site, gate.width, length, perm[v])
+        phase = phase_product(phase, phases[v]) if array else phase * phases[v]
     return index, phase
 
 
@@ -108,7 +101,7 @@ def apply_floquet(circuit: FloquetCircuit, state: BasisState) -> PhasedState:
     """Apply U_F once, accumulating the product of window phases."""
     if state.length != circuit.length:
         raise ValueError("state length does not match circuit length")
-    index, phase = apply_floquet_index(circuit, state.index)
+    index, phase = floquet_map(circuit, state.index)
     return PhasedState(BasisState(index, circuit.length), phase)
 
 
@@ -134,16 +127,10 @@ class OrbitCycle:
     def cycle_length(self) -> int:
         return len(self.states)
 
-    def basis_states(self) -> list[BasisState]:
-        return [BasisState(s, self.length_chain) for s in self.states]
-
     def eigenphases(self) -> np.ndarray:
-        l = self.cycle_length
-        return np.array([(self.phi + 2.0 * np.pi * m) / l for m in range(l)])
+        return cycle_eigenphases(self.phi, self.cycle_length)
 
     def to_json(self) -> dict:
-        from .basis import bitstring
-
         return {
             "seed": bitstring(self.states[0], self.length_chain),
             "cycle": [bitstring(s, self.length_chain) for s in self.states],
@@ -153,22 +140,19 @@ class OrbitCycle:
         }
 
 
+def _orbit_cycle(length: int, states, walk, total) -> OrbitCycle:
+    return OrbitCycle(tuple(states), tuple(walk), float(wrap_angle(np.angle(total))), length)
+
+
 def orbit_of(circuit: FloquetCircuit, seed: BasisState | int, l_max: int | None = None) -> OrbitCycle:
     """Iterate U_F from the seed until it recurs, recording phases exactly."""
     seed_index = seed.index if isinstance(seed, BasisState) else int(seed)
     if l_max is None:
         l_max = 1 << circuit.length
-    states = [seed_index]
-    walk = [1.0 + 0.0j]
-    index, phase = seed_index, 1.0 + 0.0j
-    for _ in range(l_max):
-        index, ph = apply_floquet_index(circuit, index)
-        phase *= ph
-        if index == seed_index:
-            return OrbitCycle(tuple(states), tuple(walk), float(wrap_angle(np.angle(phase))), circuit.length)
-        states.append(index)
-        walk.append(phase)
-    raise CycleOverflowError(f"no recurrence within {l_max} applications")
+    cycle = walk_cycle(lambda index: floquet_map(circuit, index), seed_index, l_max)
+    if cycle is None:
+        raise CycleOverflowError(f"no recurrence within {l_max} applications")
+    return _orbit_cycle(circuit.length, *cycle)
 
 
 @dataclass(frozen=True)
@@ -182,37 +166,25 @@ class FloquetEigenstate:
 
 def floquet_eigenstates(orbit: OrbitCycle, circuit: FloquetCircuit) -> list[FloquetEigenstate]:
     """The cycle_length eigenstates supported on one cycle."""
-    l = orbit.cycle_length
     subset = BasisSubset(np.array(orbit.states, dtype=np.int64), circuit.length)
-    out = []
-    for m in range(l):
-        beta = (orbit.phi + 2.0 * np.pi * m) / l
-        amps = np.zeros(l, dtype=complex)
-        for k, (state, walk) in enumerate(zip(orbit.states, orbit.walk_phases)):
-            amps[subset.position(state)] = np.exp(-1j * k * beta) * walk / np.sqrt(l)
-        out.append(FloquetEigenstate(m, float(beta), StateVector(subset, amps, normalized=True)))
-    return out
+    betas, amplitudes = cycle_eigenvectors(orbit.walk_phases, orbit.phi)
+    by_slot = amplitudes[:, np.argsort(orbit.states)]    # columns in subset order
+    return [
+        FloquetEigenstate(m, float(beta), StateVector(subset, amps, normalized=True))
+        for m, (beta, amps) in enumerate(zip(betas, by_slot))
+    ]
 
 
 def all_orbits(circuit: FloquetCircuit) -> list[OrbitCycle]:
     """Decompose the full basis into disjoint cycles (small L only)."""
-    seen = np.zeros(1 << circuit.length, dtype=bool)
-    orbits = []
-    for seed in range(1 << circuit.length):
-        if seen[seed]:
-            continue
-        orb = orbit_of(circuit, seed)
-        for s in orb.states:
-            seen[s] = True
-        orbits.append(orb)
-    return orbits
+    images, phases = floquet_map(circuit, np.arange(1 << circuit.length, dtype=np.int64))
+    return [_orbit_cycle(circuit.length, *c) for c in phased_cycles(images.tolist(), phases.tolist())]
 
 
 def floquet_matrix(circuit: FloquetCircuit) -> np.ndarray:
     """Dense 2**L x 2**L matrix of U_F (testing aid, small L only)."""
     dim = 1 << circuit.length
+    images, phases = floquet_map(circuit, np.arange(dim, dtype=np.int64))
     mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        row, phase = apply_floquet_index(circuit, col)
-        mat[row, col] = phase
+    mat[images, np.arange(dim)] = phases
     return mat

@@ -196,9 +196,6 @@ class BasisSubset:
             raise KeyError(int(np.asarray(indices, dtype=np.int64)[slots < 0][0]))
         return slots
 
-    def basis_state(self, slot: int) -> BasisState:
-        return BasisState(int(self.states[slot]), self.length)
-
     def __eq__(self, other):
         return (
             isinstance(other, BasisSubset)

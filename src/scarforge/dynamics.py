@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSubset, StateVector
+from .basis import BasisSubset, StateVector, bit_of
 from .tolerances import ASSEMBLY_PRUNE, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
 
 DEFAULT_DT = 0.05
@@ -100,6 +100,14 @@ class Propagator:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(times, amps, self.subset)
 
+    def mode_coefficients(self, psi0: np.ndarray) -> np.ndarray:
+        """Coefficients of psi0 in the eigenmodes.  Real modes multiply the
+        real and imaginary parts of psi0 separately, so no complex copy of
+        the dim x dim modes is made."""
+        if np.isrealobj(self.modes):
+            return self.modes.T @ psi0.real + 1j * (self.modes.T @ psi0.imag)
+        return self.modes.conj().T @ psi0
+
     def _evolve_dense(self, psi0, times):
         """amps[t] = modes @ (coeff * e^{-iEt}), as one GEMM over the whole grid.
 
@@ -108,7 +116,7 @@ class Propagator:
         and imaginary parts; the product is read back as complex.  Either way
         the result is returned as its (n_times, dim) transpose.
         """
-        coeff = self.modes.conj().T @ psi0
+        coeff = self.mode_coefficients(psi0)
         phases = np.zeros((len(coeff), len(times)), dtype=complex)
         np.multiply.outer(-self.energies, times, out=phases.imag)
         np.exp(phases, out=phases)
@@ -156,8 +164,7 @@ def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:
 
 def z_diagonal(subset: BasisSubset, site: int) -> np.ndarray:
     """Z eigenvalues (+1 for bit 0, -1 for bit 1) of the subset states."""
-    bits = (subset.states >> (subset.length - site)) & 1
-    return 1.0 - 2.0 * bits.astype(float)
+    return 1.0 - 2.0 * bit_of(subset.states, site, subset.length).astype(float)
 
 
 def local_z_trace(
@@ -178,7 +185,7 @@ def local_z_trace(
     z = z_diagonal(prop.subset, site)
     series = (np.abs(result.amplitudes) ** 2) @ z
 
-    coeff = prop.modes.conj().T @ np.asarray(initial, dtype=complex)
+    coeff = prop.mode_coefficients(np.asarray(initial, dtype=complex))
     mean_energy = float(np.real(np.sum(np.abs(coeff) ** 2 * prop.energies)))
     window = np.abs(prop.energies - mean_energy) <= energy_window / 2.0
     if not np.any(window):

@@ -9,7 +9,7 @@ every cycle map to themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -53,38 +53,54 @@ class PermutationGate:
     def dim(self) -> int:
         return 1 << self.width
 
-    def label_cycles(self) -> list[list[int]]:
-        """Nontrivial cycles of the permutation, in 1-based label notation."""
-        seen = [False] * self.dim
-        cycles = []
-        for start in range(self.dim):
-            if seen[start] or self.perm[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                cyc.append(v + 1)
-                v = self.perm[v]
-            cycles.append(cyc)
-        return cycles
-
     def value_cycles(self) -> list[list[int]]:
         """All cycles (including fixed points) over 0-based window values."""
-        seen = [False] * self.dim
-        cycles = []
-        for start in range(self.dim):
-            if seen[start]:
-                continue
-            cyc = []
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                cyc.append(v)
-                v = self.perm[v]
-            cycles.append(cyc)
-        return cycles
+        return [values for values, _, _ in phased_cycles(self.perm, self.phases)]
+
+    def label_cycles(self) -> list[list[int]]:
+        """Nontrivial cycles of the permutation, in 1-based label notation."""
+        return [[v + 1 for v in values] for values in self.value_cycles() if len(values) > 1]
+
+
+def walk_cycle(step, start: int, limit: int | None = None):
+    """Follow step(v) = (image, phase) from `start` until it returns.
+
+    Returns the cycle's values in walk order, the walk phases (walk[k] is the
+    product of the phases picked up on the way from `start` to values[k]) and
+    the total phase of one full turn; None when `start` does not recur within
+    `limit` steps.
+    """
+    values, walk = [], []
+    v, acc = start, 1.0 + 0.0j
+    while len(values) != limit:
+        values.append(v)
+        walk.append(acc)
+        v, phase = step(v)
+        acc = acc * phase
+        if v == start:
+            return values, walk, acc
+    return None
+
+
+def phased_cycles(perm, phases) -> list[tuple[list[int], list[complex], complex]]:
+    """Every cycle of a permutation table, fixed points included, smallest
+    start first, as `walk_cycle` reports it; phases[v] multiplies the step
+    out of value v."""
+    step = list(zip(perm, phases)).__getitem__
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles.append(walk_cycle(step, start))
+            seen.update(cycles[-1][0])
+    return cycles
+
+
+def phase_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b of complex arrays, rounded as scalar complex
+    arithmetic rounds it.  Vectorised complex multiplication may fuse a
+    multiply with an add, which moves a product of phases that are not exact
+    binary fractions by an ulp; this keeps array and scalar walks equal."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 @dataclass(frozen=True)
@@ -133,36 +149,26 @@ def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
         raise ValueError("n_max must be at least 1")
     powers = np.arange(1, n_max + 1)
     out = 1
-    for cyc in gate.value_cycles():
-        product = np.prod([gate.phases[v] for v in cyc])
+    for values, _, product in phased_cycles(gate.perm, gate.phases):
         hits = np.flatnonzero(np.abs(product**powers - 1.0) < ORDER_PHASE_TOL)
         if len(hits) == 0:
             return GateOrder(0, False)
-        cycle_order = len(cyc) * int(powers[hits[0]])
-        out = out * cycle_order // gcd(out, cycle_order)
+        out = lcm(out, len(values) * int(powers[hits[0]]))
     return GateOrder(out, True)
 
 
 def permutation_order(gate: PermutationGate) -> int:
     """Order of the permutation part alone (phases ignored)."""
-    out = 1
-    for cyc in gate.value_cycles():
-        out = out * len(cyc) // gcd(out, len(cyc))
-    return out
-
-
-def apply_gate_index(gate, index, site, length):
-    """Fast path: act on a raw state index, returning (new_index, phase)."""
-    v = window_value(index, site, gate.width, length)
-    return set_window(index, site, gate.width, length, gate.perm[v]), gate.phases[v]
+    return lcm(*(len(values) for values in gate.value_cycles()))
 
 
 def apply_gate(gate: PermutationGate, state: BasisState, site: int) -> PhasedState:
     """Apply the gate to the w-qubit window starting at `site` (periodic)."""
     if not 1 <= site <= state.length:
         raise ValueError(f"site {site} outside [1, {state.length}]")
-    new_index, phase = apply_gate_index(gate, state.index, site, state.length)
-    return PhasedState(BasisState(new_index, state.length), phase)
+    v = window_value(state.index, site, gate.width, state.length)
+    index = set_window(state.index, site, gate.width, state.length, gate.perm[v])
+    return PhasedState(BasisState(index, state.length), gate.phases[v])
 
 
 def gate_matrix(gate: PermutationGate) -> np.ndarray:

@@ -250,25 +250,3 @@ def restrict_dense(mat: sp.spmatrix, subset: BasisSubset, states) -> np.ndarray:
     pos = subset.positions(states)
     return mat.tocsr()[pos][:, pos].toarray()
 
-
-def subset_hash(subset: BasisSubset) -> str:
-    """Stable fingerprint of the ordered subset states."""
-    import hashlib
-
-    blob = ",".join(str(int(s)) for s in subset.states)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def dump_operator(mat: sp.spmatrix, subset: BasisSubset, model: str) -> dict:
-    """Triplet-format dump with a reproducibility header."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    return {
-        "model": model,
-        "L": subset.length,
-        "subset_hash": subset_hash(subset),
-        "entries": [
-            [int(coo.row[i]), int(coo.col[i]), float(coo.data[i].real), float(coo.data[i].imag)]
-            for i in order
-        ],
-    }

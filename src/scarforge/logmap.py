@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import PermutationGate, gate_matrix, gate_order
-from .tolerances import CUT_GUARD, DEPENDENCE_RTOL, RECONSTRUCTION_TOL, STRUCTURAL_ZERO
+from .gate import PermutationGate, gate_matrix, gate_order, phase_product, phased_cycles
+from .tolerances import CUT_GUARD, DEPENDENCE_RTOL, RECONSTRUCTION_TOL
 
 
 class NonPeriodicGateError(ValueError):
@@ -34,6 +34,26 @@ def wrap_angle(theta):
     return np.minimum(wrapped, np.pi)
 
 
+def cycle_eigenphases(phi, l: int) -> np.ndarray:
+    """beta_m = (phi + 2 pi m) / l, m = 0..l-1: the eigenphases of a phased
+    cycle of length l whose full-turn phase has angle phi."""
+    return (phi + 2.0 * np.pi * np.arange(l)) / l
+
+
+def cycle_eigenvectors(walk, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and eigenvectors of a phased cycle of length l.
+
+    walk[k] is the phase picked up on the way to the k-th value of the cycle
+    and phi the angle of the full-turn phase.  Row m of the (l, l) amplitude
+    array, over the values in walk order, is the eigenvector with eigenphase
+    beta_m: e^{-i k beta_m} walk[k] / sqrt(l).
+    """
+    l = len(walk)
+    betas = cycle_eigenphases(phi, l)
+    turns = np.exp(-1j * np.outer(betas, np.arange(l)))
+    return betas, phase_product(turns, np.asarray(walk, dtype=complex)) / np.sqrt(l)
+
+
 @dataclass(frozen=True)
 class LocalHamiltonian:
     """Hermitian window Hamiltonian with exp(-i h) equal to the source gate."""
@@ -46,18 +66,12 @@ class LocalHamiltonian:
 class PowerDecomposition:
     """Coefficients c_k with sum_k c_k U**k = h0, k = 0..n-1.
 
-    The coefficient vector depends only on the gate order n.  Entries with
-    |c_k| below 1e-12 are structural zeros: the decomposition genuinely does
-    not need that power (no reduced re-solve is attempted).
+    The coefficient vector depends only on the gate order n.
     """
 
     order: int
     coefficients: np.ndarray
     reconstruction_error: float
-
-    @property
-    def structural_zeros(self) -> np.ndarray:
-        return np.abs(self.coefficients) < STRUCTURAL_ZERO
 
     def to_json(self) -> dict:
         return {
@@ -75,42 +89,24 @@ class ClosingRelation:
     alpha: np.ndarray
 
 
-def _cycle_eigenpairs(gate: PermutationGate, values: list[int]):
-    """Eigenphases and eigenvectors of the gate restricted to one cycle.
+def principal_log(gate: PermutationGate, n_max: int = 64) -> LocalHamiltonian:
+    """Hermitian h0 with exp(-i h0) = gate and eigenvalues in (-pi, pi].
 
-    Walking the cycle accumulates the exact product of table phases; the
+    Walking each cycle accumulates the exact product of table phases; the
     cycle phase angle comes from that product, not from a floating log of
     matrix elements.
     """
-    l = len(values)
-    walk_phase = np.ones(l, dtype=complex)
-    acc = 1.0 + 0.0j
-    for k in range(1, l):
-        acc = acc * gate.phases[values[k - 1]]
-        walk_phase[k] = acc
-    total = acc * gate.phases[values[l - 1]]
-    phi = wrap_angle(np.angle(total))
-    pairs = []
-    for m in range(l):
-        beta = (phi + 2.0 * np.pi * m) / l
-        vec = np.zeros(gate.dim, dtype=complex)
-        for k, v in enumerate(values):
-            vec[v] = np.exp(-1j * k * beta) * walk_phase[k] / np.sqrt(l)
-        pairs.append((beta, vec))
-    return pairs
-
-
-def principal_log(gate: PermutationGate, n_max: int = 64) -> LocalHamiltonian:
-    """Hermitian h0 with exp(-i h0) = gate and eigenvalues in (-pi, pi]."""
     order = gate_order(gate, n_max)
     if not order.found:
         raise NonPeriodicGateError(
             "gate has no finite order (accumulated phases are not a root of unity)"
         )
     h = np.zeros((gate.dim, gate.dim), dtype=complex)
-    for values in gate.value_cycles():
-        for beta, vec in _cycle_eigenpairs(gate, values):
-            h -= wrap_angle(beta) * np.outer(vec, vec.conj())
+    for values, walk, total in phased_cycles(gate.perm, gate.phases):
+        block = np.ix_(values, values)
+        betas, amplitudes = cycle_eigenvectors(walk, wrap_angle(np.angle(total)))
+        for beta, vec in zip(betas, amplitudes):
+            h[block] -= wrap_angle(beta) * np.outer(vec, vec.conj())
     return LocalHamiltonian(h, gate)
 
 
@@ -130,15 +126,10 @@ def decomposition_coefficients(n: int) -> np.ndarray:
 
 def power_decomposition(gate: PermutationGate, n_max: int = 64) -> PowerDecomposition:
     """Decompose h0 = i log(gate) as sum_k c_k gate**k, k = 0..n-1."""
-    order = gate_order(gate, n_max)
-    if not order.found:
-        raise NonPeriodicGateError(
-            "gate has no finite order (accumulated phases are not a root of unity)"
-        )
-    n = order.n
+    h = principal_log(gate, n_max).matrix
+    n = gate_order(gate, n_max).n
     coeffs = decomposition_coefficients(n)
     u = gate_matrix(gate)
-    h = principal_log(gate, n_max).matrix
     recon = np.zeros_like(h)
     power = np.eye(gate.dim, dtype=complex)
     for k in range(n):

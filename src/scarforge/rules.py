@@ -28,14 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 import numpy as np
 import scipy.sparse as sp
 
-from .automaton import FloquetCircuit, apply_floquet_index
+from .automaton import FloquetCircuit, floquet_map
 from .basis import set_window, tile_pattern, translate_index, window_value
-from .gate import PermutationGate, identity_gate, permutation_order
+from .gate import PermutationGate, identity_gate, phased_cycles
 from .logmap import principal_log
 from .tolerances import RULE_ENTRY_CUT, RULE_PHASE_TOL, TYPE2_TOL
 
@@ -307,27 +307,12 @@ def lift_three_qubit_permutation(perm3) -> PermutationGate:
     return PermutationGate(4, tuple(perm), (1.0 + 0.0j,) * 16)
 
 
-def _perm_order(perm3) -> int:
-    seen = [False] * len(perm3)
-    out = 1
-    for start in range(len(perm3)):
-        if seen[start]:
-            continue
-        l, v = 0, start
-        while not seen[v]:
-            seen[v] = True
-            v = perm3[v]
-            l += 1
-        out = out * l // gcd(out, l)
-    return out
-
-
 def _neel_orbit_is_cycle(circuit: FloquetCircuit, seed: int) -> bool:
     partner = translate_index(seed, 1, circuit.length)
-    x, _ = apply_floquet_index(circuit, seed)
+    x, _ = floquet_map(circuit, seed)
     if x != partner:
         return False
-    y, _ = apply_floquet_index(circuit, partner)
+    y, _ = floquet_map(circuit, partner)
     return y == seed
 
 
@@ -338,7 +323,9 @@ def _search_chunk(args):
     results = []
     chunk = itertools.islice(itertools.permutations(range(8)), start, stop)
     for perm3 in chunk:
-        if constraints.order % _perm_order(perm3) != 0:
+        cycles = [values for values, _, _ in phased_cycles(perm3, (1,) * 8) if len(values) > 1]
+        order = lcm(*map(len, cycles))
+        if constraints.order % order != 0:
             continue
         gate = lift_three_qubit_permutation(perm3)
         circuit = FloquetCircuit(gate, length, "stride4")
@@ -348,10 +335,11 @@ def _search_chunk(args):
         hits = _type1_hits(_layout(*_span(circuit)), gate, words, powers)
         results.append(
             SearchResult(
-                tuple(tuple(c) for c in gate.label_cycles()),
+                # the lifted gate's label cycles: each cycle once per trailing bit
+                tuple(tuple(2 * v + b + 1 for v in values) for values in cycles for b in (0, 1)),
                 int(hits.sum()),
                 len(words),
-                permutation_order(gate),
+                order,
                 is_cycle,
             )
         )

@@ -10,7 +10,6 @@ ORDER_PHASE_TOL = 1e-10       # a cycle's phase product counts as a root of unit
 WINDOW_COMMUTE_TOL = 1e-12    # max |[U_1, U_3]| of two same-layer stride2 windows
 
 # Matrix log of a gate
-STRUCTURAL_ZERO = 1e-12       # |c_k| of a power-decomposition coefficient taken as zero
 RECONSTRUCTION_TOL = 1e-9     # max |exp(-i h) - U| of the principal log
 DEPENDENCE_RTOL = 1e-9        # relative cut of the closing-relation least squares
 CUT_GUARD = 1e-12             # angles this far above pi still wrap to +pi

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_phase_gate, window_operator
 from scarforge.automaton import (
     FloquetCircuit,
     all_orbits,
     apply_floquet,
     floquet_eigenstates,
+    floquet_map,
     floquet_matrix,
     orbit_of,
 )
 from scarforge.basis import BasisState, neel_index, tile_pattern
-from scarforge.gate import identity_gate
+from scarforge.gate import gate_matrix, identity_gate
 
 
 def test_geometry_validation(models):
@@ -75,8 +80,10 @@ def test_orbit_overflow(models):
     from scarforge.automaton import CycleOverflowError
 
     c = models["pxp"].circuit(8)
-    with pytest.raises(CycleOverflowError):
-        orbit_of(c, tile_pattern("1", 8), l_max=2)  # the cycle has length 3
+    for l_max in (0, 2):
+        with pytest.raises(CycleOverflowError):
+            orbit_of(c, tile_pattern("1", 8), l_max=l_max)  # the cycle has length 3
+    assert orbit_of(c, tile_pattern("1", 8), l_max=3).cycle_length == 3
 
 
 def test_eigenphase_ladder(models):
@@ -164,3 +171,39 @@ def test_apply_floquet_matches_dense_matrix(models):
             out = apply_floquet(c, BasisState(x, L))
             col = mat[:, x]
             assert abs(col[out.state.index] - out.phase) < 1e-12
+
+
+def _assert_floquet_map_matches_windows(circuit: FloquetCircuit):
+    # oracle: the product of kron-embedded gate windows, first layer then
+    # second, built without the bit gather/scatter of the Floquet map
+    L = circuit.length
+    u = gate_matrix(circuit.gate)
+    product = sp.identity(1 << L, dtype=complex, format="csr")
+    for site in circuit.first_layer_sites + circuit.second_layer_sites:
+        product = window_operator(u, site, L) @ product
+    product = product.toarray()
+    assert np.max(np.abs(floquet_matrix(circuit) - product)) < 1e-12
+    images, phases = floquet_map(circuit, np.arange(1 << L, dtype=np.int64))
+    assert list(zip(images.tolist(), phases.tolist())) == [floquet_map(circuit, x) for x in range(1 << L)]
+    orbits = all_orbits(circuit)
+    assert sorted(s for orb in orbits for s in orb.states) == list(range(1 << L))
+    for orb in orbits:
+        for est in floquet_eigenstates(orb, circuit):
+            vec = np.zeros(1 << L, dtype=complex)
+            vec[est.vector.subset.states] = est.vector.amplitudes
+            assert np.max(np.abs(product @ vec - np.exp(1j * est.beta) * vec)) < 1e-12
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), roots=st.sampled_from([4, 12]))
+def test_floquet_map_matches_embedded_windows_for_random_gates(seed, roots):
+    # twelfth roots of unity are not exact binary fractions: the array and
+    # int paths of the map then agree bit for bit only if both round alike
+    rng = np.random.default_rng(seed)
+    gate = random_phase_gate(rng, phase_choices=np.exp(2j * np.pi * np.arange(roots) / roots))
+    _assert_floquet_map_matches_windows(FloquetCircuit(gate, 8, "stride4"))
+
+
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase"])
+def test_floquet_map_matches_embedded_windows_stride2(models, name):
+    _assert_floquet_map_matches_windows(models[name].circuit(8))

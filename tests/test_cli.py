@@ -217,3 +217,12 @@ def test_threads_applied_before_numpy_loads():
     assert not result["loaded_early"]
     assert result["code"] == EXIT_OK
     assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def test_exported_names_resolve():
+    # a stale entry of the lazy export table would fail only at first use
+    import scarforge
+
+    for name in scarforge.__all__:
+        if name != "__version__":
+            assert scarforge.__getattr__(name) is getattr(scarforge, name)

@@ -307,3 +307,24 @@ def test_history_refused_before_allocation(pxp_chain, monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert prop.evolve(psi0, times[:50]).amplitudes.shape == (50, sub.size)
+
+
+def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
+    # real modes multiply the real and imaginary parts of the start apart,
+    # instead of promoting the 322 x 322 modes to a complex temporary
+    chain, sub, m = pxp_chain
+    prop = Propagator(chain.h, sub)
+    assert np.isrealobj(prop.modes)
+    rng = np.random.default_rng(11)
+    basis = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    generic = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
+    for psi0 in (basis, generic):
+        tracemalloc.start()
+        try:
+            prop.mode_coefficients(psi0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sub.size**2 * 8
+    assert np.array_equal(prop.mode_coefficients(basis), prop.modes.conj().T @ basis)
+    assert np.allclose(prop.mode_coefficients(generic), prop.modes.conj().T @ generic, rtol=0, atol=1e-12)

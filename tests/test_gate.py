@@ -103,14 +103,13 @@ def test_gate_order_divides_permutation_structure(rng):
 
 def test_apply_gate_matches_embedded_matrix(rng, models):
     # exhaustive at L=8 for one site, all basis states
-    from scarforge.gate import apply_gate_index
-
     g = models["pxp"].gate
     L = 8
     u = gate_matrix(g)
     embedded = np.kron(u, np.eye(1 << (L - 4)))
     for x in range(1 << L):
-        y, ph = apply_gate_index(g, x, 1, L)
+        out = apply_gate(g, BasisState(x, L), 1)
+        y, ph = out.state.index, out.phase
         col = embedded[:, x]
         assert abs(col[y] - ph) < 1e-12
         assert np.sum(np.abs(col) > 1e-14) == 1

@@ -235,20 +235,3 @@ def test_sector_basis_orthonormal(models):
     gram = vecs.T @ vecs
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
 
-
-def test_dump_operator_schema(models):
-    from scarforge.hamiltonian import dump_operator, subset_hash
-
-    m = models["qmbs-c"]
-    L = 8
-    sub = working_subspace(m, L)
-    chain = build_hamiltonian(m.circuit(L), sub)
-    dump = dump_operator(chain.h, sub, "qmbs-c")
-    assert dump["model"] == "qmbs-c" and dump["L"] == L
-    assert dump["subset_hash"] == subset_hash(sub)
-    assert all(len(e) == 4 for e in dump["entries"])
-    rows = [(e[0], e[1]) for e in dump["entries"]]
-    assert rows == sorted(rows)
-    # round-trip one entry against the matrix
-    r, c, re, im = dump["entries"][0]
-    assert chain.h[r, c] == pytest.approx(re + 1j * im)

@@ -7,6 +7,7 @@ from scarforge.gate import gate_matrix, gate_order, identity_gate, parse_gate
 from scarforge.logmap import (
     NonPeriodicGateError,
     closing_relation,
+    cycle_eigenvectors,
     decomposition_coefficients,
     power_decomposition,
     principal_log,
@@ -41,6 +42,22 @@ def test_reconstruction_with_branch_cut_eigenphase():
     assert order.found and order.n % 2 == 0
     d = power_decomposition(g)
     assert d.reconstruction_error < 1e-9
+
+
+def test_cycle_eigenvectors_match_scalar_formula():
+    # reference: e^{-i k beta_m} walk_k / sqrt(l) entry by entry in scalar
+    # arithmetic; twelfth-root walk phases are not exact binary fractions,
+    # so the array form must round every product as the scalar one does
+    rng = np.random.default_rng(3)
+    for l in (1, 2, 5, 12):
+        walk = np.cumprod(np.exp(2j * np.pi * rng.integers(12, size=l) / 12))
+        phi = float(wrap_angle(np.angle(walk[-1])))
+        betas, amps = cycle_eigenvectors(walk, phi)
+        for m in range(l):
+            beta = (phi + 2.0 * np.pi * m) / l
+            assert betas[m] == beta
+            for k in range(l):
+                assert amps[m, k] == np.exp(-1j * k * beta) * walk[k] / np.sqrt(l)
 
 
 def test_identity_gate_log_is_zero():

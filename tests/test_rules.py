@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_phase_gate
+from conftest import random_phase_gate, window_operator
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import neel_index, tile_pattern, translate_index
 from scarforge.gate import gate_matrix, identity_gate
@@ -197,18 +196,6 @@ def test_ring_ratios_below_span(models):
         assert report.ratio == (want, 48)
 
 
-def _window_operator(local: np.ndarray, site: int, length: int) -> sp.csr_matrix:
-    """local on the window starting at `site`: rotate that site to the front,
-    act with local (x) identity, rotate back."""
-    width = local.shape[0].bit_length() - 1
-    states = np.arange(1 << length)
-    shift = site - 1
-    rotated = ((states << shift) | (states >> (length - shift))) & ((1 << length) - 1)
-    rotate = sp.csr_matrix((np.ones(len(states)), (rotated, states)))
-    front = sp.kron(sp.csr_matrix(local), sp.identity(1 << (length - width)), format="csr")
-    return (rotate.T @ front @ rotate).tocsr()
-
-
 def _reference_outcomes(circuit: FloquetCircuit, instances, local: np.ndarray) -> np.ndarray:
     """Residual norm of both orderings of every rule, on the full chain."""
     d, length = circuit.site_stride, circuit.length
@@ -218,7 +205,7 @@ def _reference_outcomes(circuit: FloquetCircuit, instances, local: np.ndarray) -
         sites = [(r.site - 1 + k * d) % length + 1 for k in range(3)]
         for site in sites:
             if site not in ops:
-                ops[site] = _window_operator(local, site, length)
+                ops[site] = window_operator(local, site, length)
         left, middle, right = (ops[site] for site in sites)
         s1, s2, s3 = r.powers
         lhs = rhs = np.eye(1, 1 << length, r.state_index, dtype=complex).ravel()
