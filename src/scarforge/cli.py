@@ -268,6 +268,7 @@ def cmd_revivals(args) -> int:
             print(",".join(f"{v:.12g}" for v in row))
     if args.svg:
         write_svg_lines(args.svg, f"{model.name} L={args.length}", times, {"pr": pr, "fidelity": fid}, log_y=True)
+    print(f"revivals: {prop.method}, {len(times) - 1} steps, norm drift {result.norm_drift:.1e}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -8,15 +8,26 @@ and mapped through the modes in one matrix product.  When every assembled
 imaginary part of H is floating noise (at most ASSEMBLY_PRUNE, as for pxp,
 pxp-nophase and qmbs-c), the eigenproblem is real-symmetric and the product
 is a real one on the float64 view of the phase block; a truly complex H
-keeps complex modes.  Above the guard an iterative short-time scheme based
-on scipy's Krylov exponential takes over.  Before allocating, `evolve`
-refuses a call whose amplitude history (and phase block) would not fit in
-the available memory.  Unitarity is monitored along every trace and drift
-beyond 1e-6 aborts.
+keeps complex modes.
+
+Above the guard the propagator expands e^{-iHt} in Chebyshev polynomials of
+the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+3967 (1984)), where [b - a, b + a] is the Gershgorin interval of H.  Output
+times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW; each window runs
+one three-term recurrence from its start state and reads every output time
+in it off the same Chebyshev vectors (dense output), with Bessel-function
+coefficients.  The degree comes from |J_k(x)| <= (x/2)^k / k!, so the
+dropped tail of each window is at most CHEBYSHEV_TAIL_TOL in norm.
+
+Before allocating, `evolve` refuses a call whose amplitude history and
+working block (the phase block, or the Chebyshev vectors) would not fit in
+the available memory.  Unitarity is monitored along every trace, the worst
+drift is reported in the result, and drift beyond NORM_DRIFT_ABORT aborts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -24,11 +35,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset, StateVector, bit_of
-from .tolerances import ASSEMBLY_PRUNE, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
+from .tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
 
 DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
 COMPLEX_BYTES = 16
+CHEBYSHEV_WINDOW = 25.0  # largest a*dt one Chebyshev recurrence covers
+CHEBYSHEV_BLOCK = 16     # Chebyshev vectors added into the history per matrix product
 
 
 class NormDriftError(RuntimeError):
@@ -56,6 +69,30 @@ class EvolutionResult:
     times: np.ndarray
     amplitudes: np.ndarray  # shape (n_times, dim)
     subset: BasisSubset
+    norm_drift: float  # worst | ||psi(t)|| - ||psi0|| | along the trace
+
+
+def chebyshev_degree(x: float) -> int:
+    """Degree K whose dropped tail 2 sum_{k>K} |J_k(x)| is at most
+    CHEBYSHEV_TAIL_TOL, by the bound |J_k(x)| <= (x/2)^k / k!: the smallest
+    K for which the estimate below certifies it.
+
+    Past k > x/2 - 1 the bound's terms shrink at least geometrically, by
+    q = (x/2) / (K + 2) from the first dropped one on, so the tail is at most
+    2 (x/2)^(K+1) / (K+1)! / (1 - q).  Worked in logarithms, so any x fits.
+    """
+    if x <= 0.0:
+        return 0
+    half = x / 2.0
+    log_tol = math.log(CHEBYSHEV_TAIL_TOL)
+    k = 1  # the first dropped index, K + 1
+    while True:
+        q = half / (k + 1)
+        if q < 1.0:
+            log_tail = math.log(2.0 / (1.0 - q)) + k * math.log(half) - math.lgamma(k + 1)
+            if log_tail <= log_tol:
+                return k - 1
+        k += 1
 
 
 class Propagator:
@@ -67,7 +104,6 @@ class Propagator:
             raise ValueError("Hamiltonian dimension does not match subset")
         self.method = "dense" if dim <= DENSE_GUARD else "iterative"
         self.subset = subset
-        self.hamiltonian = hamiltonian
         if self.method == "dense":
             dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
             if np.all(np.abs(dense.imag) <= ASSEMBLY_PRUNE):
@@ -76,13 +112,24 @@ class Propagator:
         else:
             self.energies = None
             self.modes = None
+            h = sp.csr_matrix(hamiltonian, dtype=complex)
+            # Gershgorin: every eigenvalue of a Hermitian H lies in [b - a, b + a]
+            diag = h.diagonal()
+            radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+            lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
+            self.centre = float(hi + lo) / 2.0
+            self.half_width = float(hi - lo) / 2.0 or 1.0  # H = b: any a > 0 bounds it
+            # 2 (H - b) / a, the operator of the recurrence T_{k+1} = 2X T_k - T_{k-1}
+            self.scaled = ((h - self.centre * sp.identity(dim, dtype=complex, format="csr"))
+                           * (2.0 / self.half_width)).tocsr()
 
     def evolve(self, initial: np.ndarray, times) -> EvolutionResult:
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        # the history, plus the phase block the dense path holds beside it
-        need = len(times) * self.subset.size * COMPLEX_BYTES * (2 if self.method == "dense" else 1)
+        # the history, plus the phase block or the Chebyshev vectors held beside it
+        work = len(times) if self.method == "dense" else CHEBYSHEV_BLOCK
+        need = (len(times) + work) * self.subset.size * COMPLEX_BYTES
         have = available_bytes()
         if need > have:
             raise ResourceLimitError(
@@ -95,10 +142,10 @@ class Propagator:
         else:
             amps = self._evolve_iterative(psi0, times)
         norms = np.linalg.norm(amps, axis=1)
-        drift = np.max(np.abs(norms - np.linalg.norm(psi0)))
+        drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
-        return EvolutionResult(times, amps, self.subset)
+        return EvolutionResult(times, amps, self.subset, drift)
 
     def mode_coefficients(self, psi0: np.ndarray) -> np.ndarray:
         """Coefficients of psi0 in the eigenmodes.  Real modes multiply the
@@ -126,18 +173,63 @@ class Propagator:
         return (self.modes @ phases).T
 
     def _evolve_iterative(self, psi0, times):
-        from scipy.sparse.linalg import expm_multiply
+        """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid.
 
-        h = sp.csc_matrix(self.hamiltonian)
-        amps = np.empty((len(times), h.shape[0]), dtype=complex)
-        psi = psi0
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            if t != t_prev:
-                psi = expm_multiply((-1j * (t - t_prev)) * h, psi)
-            amps[i] = psi
-            t_prev = t
+        Each window starts from the state at its start time (psi0 at t = 0,
+        then the last output of the previous window) and covers the output
+        times up to CHEBYSHEV_WINDOW / a after it.  A gap longer than that
+        is crossed by whole windows that keep only their end state.
+        """
+        if np.any(times < 0.0):
+            raise ValueError("the Chebyshev path evolves forward from t = 0 only")
+        amps = np.zeros((len(times), len(psi0)), dtype=complex)
+        block = np.empty((CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
+        reach = CHEBYSHEV_WINDOW / self.half_width
+        psi, start, i = psi0, 0.0, 0
+        while i < len(times):
+            if times[i] - start > reach:
+                hop = np.zeros((1, len(psi0)), dtype=complex)
+                self._chebyshev_window(psi, np.array([reach]), hop, block)
+                psi, start = hop[0], start + reach
+                continue
+            stop = int(np.searchsorted(times, start + reach, side="right"))
+            self._chebyshev_window(psi, times[i:stop] - start, amps[i:stop], block)
+            psi, start, i = amps[stop - 1], times[stop - 1], stop
         return amps
+
+    def _chebyshev_window(self, psi, dts, out, block):
+        """out[j] += e^{-iH dts[j]} psi for increasing dts with a*dts <= CHEBYSHEV_WINDOW.
+
+        e^{-iHt} = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - b)/a).
+        The Chebyshev vectors T_k psi fill the rows of `block` in turn; each
+        time it is full, one matrix product of the coefficient columns with
+        the block adds those terms to every output time of the window.  The
+        product accumulates into `out` (C-contiguous rows) in place, through
+        its Fortran-ordered transpose, so no temporary of its size is made.
+        """
+        from scipy.linalg.blas import zgemm
+        from scipy.special import jv
+
+        degree = chebyshev_degree(self.half_width * dts[-1])
+        orders = np.arange(degree + 1)
+        coeff = jv(orders, self.half_width * dts[:, None]) * np.array([1, -1j, -1, 1j])[orders % 4]
+        coeff[:, 1:] *= 2.0
+        coeff *= np.exp(-1j * self.centre * dts)[:, None]
+
+        def add(lo, hi):
+            zgemm(1.0, block[: hi - lo].T, coeff[:, lo:hi].T, beta=1.0, c=out.T, overwrite_c=True)
+
+        rows = len(block)
+        block[0] = psi
+        for k in range(1, degree + 1):
+            r = k % rows
+            if r == 0:
+                add(k - rows, k)
+            if k == 1:
+                np.multiply(self.scaled @ psi, 0.5, out=block[1])
+            else:
+                block[r] = self.scaled @ block[r - 1] - block[r - 2]
+        add(degree - degree % rows, degree + 1)
 
 
 def participation_ratio(v: StateVector) -> float:

@@ -316,17 +316,31 @@ def _neel_orbit_is_cycle(circuit: FloquetCircuit, seed: int) -> bool:
     return y == seed
 
 
+def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise n-th power of a stack of permutation tables, by repeated squaring."""
+    result = np.broadcast_to(np.arange(perms.shape[1], dtype=perms.dtype), perms.shape).copy()
+    while n:
+        if n & 1:
+            result = np.take_along_axis(perms, result, axis=1)
+        perms = np.take_along_axis(perms, perms, axis=1)
+        n >>= 1
+    return result
+
+
 def _search_chunk(args):
     start, stop, constraints, words, powers = args
     length = constraints.length
     seed = tile_pattern("10", length)
     results = []
     chunk = itertools.islice(itertools.permutations(range(8)), start, stop)
-    for perm3 in chunk:
+    perms = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int8).reshape(-1, 8)
+    # the order filter in one array pass: perm^n is the identity exactly
+    # when the permutation's order divides n
+    keep = np.all(_permutation_power(perms, abs(constraints.order)) == np.arange(8), axis=1)
+    for row in perms[keep]:
+        perm3 = tuple(row.tolist())
         cycles = [values for values, _, _ in phased_cycles(perm3, (1,) * 8) if len(values) > 1]
         order = lcm(*map(len, cycles))
-        if constraints.order % order != 0:
-            continue
         gate = lift_three_qubit_permutation(perm3)
         circuit = FloquetCircuit(gate, length, "stride4")
         is_cycle = _neel_orbit_is_cycle(circuit, seed)

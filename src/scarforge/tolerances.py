@@ -31,4 +31,5 @@ DEGENERACY_TOL = 1e-12        # closer levels merge before the gap-ratio statist
 TOWER_MERGE_TOL = 1e-8        # flagged energies closer than this form one tower
 COUPLING_TOL = 1e-8           # off-diagonal column norm of a coupled probe state
 NORM_DRIFT_ABORT = 1e-6       # norm drift that aborts a propagation
+CHEBYSHEV_TAIL_TOL = 1e-15    # bound on the dropped Chebyshev tail of one propagation window
 DENSE_GUARD = 6000            # largest dimension given to a dense eigensolver

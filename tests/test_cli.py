@@ -65,6 +65,15 @@ def test_revivals_deterministic(tmp_path):
     assert float(row["pr"]) > 1 - 1e-8
 
 
+def test_revivals_stderr_summary(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    args = ["revivals", "--model", "pxp", "-L", "8", "--tmax", "5", "--dt", "0.5", "--out", str(out)]
+    assert run(args) == EXIT_OK
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("revivals: dense, 10 steps, norm drift ")
+    assert float(line.rsplit(" ", 1)[1]) < 1e-12
+
+
 def test_revivals_with_z_trace(tmp_path):
     out = tmp_path / "trace.csv"
     code = run(["revivals", "--model", "pxp", "-L", "8", "--state", "neel",

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +13,12 @@ from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset, StateVector
 from scarforge.dynamics import (
+    CHEBYSHEV_BLOCK,
+    COMPLEX_BYTES,
     NormDriftError,
     Propagator,
     ResourceLimitError,
+    chebyshev_degree,
     fidelity,
     fidelity_trace,
     first_revival_peak,
@@ -25,7 +30,7 @@ from scarforge.dynamics import (
 )
 from scarforge.hamiltonian import build_hamiltonian, krylov_subspace
 from scarforge.models import load_model, neel_orbit_states, working_subspace
-from scarforge.tolerances import ASSEMBLY_PRUNE
+from scarforge.tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +144,15 @@ def test_time_grid_must_increase(pxp_chain):
     psi0[0] = 1.0
     with pytest.raises(ValueError):
         prop.evolve(psi0, [0.0, 1.0, 1.0])
+
+
+def test_chebyshev_path_refuses_negative_times(pxp_chain, monkeypatch):
+    chain, sub, _ = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    psi0 = np.zeros(sub.size, dtype=complex)
+    psi0[0] = 1.0
+    with pytest.raises(ValueError):
+        Propagator(chain.h, sub).evolve(psi0, [-1.0, 0.0, 1.0])
 
 
 def test_iterative_propagator_matches_dense(pxp_chain, monkeypatch):
@@ -328,3 +342,96 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
         assert peak < sub.size**2 * 8
     assert np.array_equal(prop.mode_coefficients(basis), prop.modes.conj().T @ basis)
     assert np.allclose(prop.mode_coefficients(generic), prop.modes.conj().T @ generic, rtol=0, atol=1e-12)
+
+
+def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
+    # the iterative path holds the history and a block of CHEBYSHEV_BLOCK
+    # Chebyshev vectors: one byte short of both, the call refuses before
+    # building either; with exactly both available it runs
+    chain, sub, m = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(chain.h, sub)
+    assert prop.method == "iterative"
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    times = np.arange(0.0, 5.0, 0.05)
+    need = (len(times) + CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            prop.evolve(psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < CHEBYSHEV_BLOCK * sub.size * COMPLEX_BYTES
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
+    assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)
+
+
+def test_evolution_reports_norm_drift(pxp_chain):
+    chain, sub, m = pxp_chain
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 20.0, 0.5))
+    drift = np.max(np.abs(np.linalg.norm(res.amplitudes, axis=1) - 1.0))
+    assert res.norm_drift == drift
+    assert 0.0 <= res.norm_drift < 1e-12
+
+
+def test_chebyshev_degree_tail_within_tolerance():
+    # the bound's tail past the chosen degree, summed term by term, and the
+    # true Bessel tail both stay within the tolerance
+    for x in np.logspace(-3, 3, 61):
+        degree = chebyshev_degree(x)
+        k = np.arange(degree + 1, degree + 400)
+        bound = 2.0 * math.fsum(np.exp(k * math.log(x / 2.0) - scipy.special.gammaln(k + 1.0)))
+        assert bound <= CHEBYSHEV_TAIL_TOL
+        assert 2.0 * np.sum(np.abs(scipy.special.jv(k, x))) <= CHEBYSHEV_TAIL_TOL
+    assert chebyshev_degree(0.0) == 0
+
+
+@st.composite
+def irregular_grids(draw):
+    """A grid that starts after t = 0, holds a 1e-3 step next to a step of
+    10, and crosses one gap of 60 that spans dozens of Chebyshev windows."""
+    start = draw(st.floats(0.01, 2.0))
+    steps = draw(st.lists(st.sampled_from((1e-3, 0.05, 0.7, 10.0)), min_size=2, max_size=10))
+    steps.insert(draw(st.integers(0, len(steps))), 60.0)
+    at = draw(st.integers(0, len(steps)))
+    steps[at:at] = [1e-3, 10.0, 1e-3]
+    return start + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def assert_chebyshev_matches_dense(h, sub, psi0, times):
+    dense = Propagator(h, sub)
+    assert dense.method == "dense"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        chebyshev = Propagator(h, sub)
+    assert chebyshev.method == "iterative"
+    want = dense.evolve(psi0, times).amplitudes
+    got = chebyshev.evolve(psi0, times).amplitudes
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def random_state(rng, dim):
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi0 / np.linalg.norm(psi0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), times=irregular_grids())
+def test_chebyshev_matches_dense_for_random_gates(seed, times):
+    # a truly complex H on the L=8 full space
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
+    assert_chebyshev_matches_dense(h, sub, random_state(rng, sub.size), times)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), times=irregular_grids())
+def test_chebyshev_matches_dense_pxp(pxp_chain, seed, times):
+    # the real pxp H at L=12, whose dense path uses real modes
+    chain, sub, _ = pxp_chain
+    rng = np.random.default_rng(seed)
+    assert_chebyshev_matches_dense(chain.h, sub, random_state(rng, sub.size), times)

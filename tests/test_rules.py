@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +9,13 @@ from hypothesis import strategies as st
 from conftest import random_phase_gate, window_operator
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import neel_index, tile_pattern, translate_index
-from scarforge.gate import gate_matrix, identity_gate
+from scarforge.gate import gate_matrix, identity_gate, phased_cycles
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
     RuleInstance,
     SearchConstraints,
+    _permutation_power,
     count_relevant_rules,
     enumerate_rule_instances,
     lift_three_qubit_permutation,
@@ -167,6 +171,20 @@ def test_search_order_filter_one_keeps_identity_only():
     assert results[0].cycles == ()
     assert results[0].order == 1
     assert results[0].total == 0
+
+
+def test_order_filter_matches_cycle_walk():
+    # reference: a permutation's order is the lcm of its cycle lengths, so
+    # perm^n is the identity exactly when that lcm divides n
+    perms = np.array(list(itertools.permutations(range(8))))
+    orders = np.array([
+        math.lcm(*(len(values) for values, _, _ in phased_cycles(tuple(p), (1,) * 8)))
+        for p in perms.tolist()
+    ])
+    for n in range(13):
+        keep = np.all(_permutation_power(perms, n) == np.arange(8), axis=1)
+        assert np.array_equal(keep, n % orders == 0)
+    assert np.count_nonzero(4 % orders == 0) == 6224
 
 
 def test_search_ratios_independent_of_length():
