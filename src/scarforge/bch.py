@@ -158,12 +158,10 @@ class NormProfile:
     generic_norm: np.ndarray
 
 
-def norm_profile(series: BchSeries, orbit_positions, n_eff: int | None = None) -> NormProfile:
+def norm_profile(series: BchSeries, orbit_positions) -> NormProfile:
     orb = np.asarray(sorted(orbit_positions), dtype=int)
     l = len(orb)
-    dim = series.terms[0].shape[0]
-    if n_eff is None:
-        n_eff = dim
+    n_eff = series.terms[0].shape[0]
     orders = np.arange(series.max_order + 1)
     orbit, leak, generic = [], [], []
     for term in series.terms:

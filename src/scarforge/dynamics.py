@@ -13,11 +13,12 @@ keeps complex modes.
 Above the guard the propagator expands e^{-iHt} in Chebyshev polynomials of
 the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
 3967 (1984)), where [b - a, b + a] is the Gershgorin interval of H.  Output
-times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW; each window runs
-one three-term recurrence from its start state and reads every output time
-in it off the same Chebyshev vectors (dense output), with Bessel-function
-coefficients.  The degree comes from |J_k(x)| <= (x/2)^k / k!, so the
-dropped tail of each window is at most CHEBYSHEV_TAIL_TOL in norm.
+times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW, the last one
+stretched to end the grid; each window runs one three-term recurrence from
+its start state and reads every output time in it off the same Chebyshev
+vectors (dense output), with Bessel-function coefficients.  The degree
+comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each window is
+at most CHEBYSHEV_TAIL_TOL in norm.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
 working block (the phase block, or the Chebyshev vectors) would not fit in
@@ -41,6 +42,7 @@ DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
 COMPLEX_BYTES = 16
 CHEBYSHEV_WINDOW = 25.0  # largest a*dt one Chebyshev recurrence covers
+CHEBYSHEV_STRETCH = 1.25  # the last window stretches this many windows to end the grid
 CHEBYSHEV_BLOCK = 16     # Chebyshev vectors added into the history per matrix product
 
 
@@ -177,8 +179,9 @@ class Propagator:
 
         Each window starts from the state at its start time (psi0 at t = 0,
         then the last output of the previous window) and covers the output
-        times up to CHEBYSHEV_WINDOW / a after it.  A gap longer than that
-        is crossed by whole windows that keep only their end state.
+        times up to CHEBYSHEV_WINDOW / a after it, or the rest of the grid
+        when that ends within CHEBYSHEV_STRETCH windows.  A longer gap is
+        crossed by whole windows that keep only their end state.
         """
         if np.any(times < 0.0):
             raise ValueError("the Chebyshev path evolves forward from t = 0 only")
@@ -187,6 +190,9 @@ class Propagator:
         reach = CHEBYSHEV_WINDOW / self.half_width
         psi, start, i = psi0, 0.0, 0
         while i < len(times):
+            if times[-1] - start <= CHEBYSHEV_STRETCH * reach:
+                self._chebyshev_window(psi, times[i:] - start, amps[i:], block)
+                break
             if times[i] - start > reach:
                 hop = np.zeros((1, len(psi0)), dtype=complex)
                 self._chebyshev_window(psi, np.array([reach]), hop, block)
@@ -198,7 +204,7 @@ class Propagator:
         return amps
 
     def _chebyshev_window(self, psi, dts, out, block):
-        """out[j] += e^{-iH dts[j]} psi for increasing dts with a*dts <= CHEBYSHEV_WINDOW.
+        """out[j] += e^{-iH dts[j]} psi for increasing dts within one (stretched) window.
 
         e^{-iHt} = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - b)/a).
         The Chebyshev vectors T_k psi fill the rows of `block` in turn; each

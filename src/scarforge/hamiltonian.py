@@ -5,11 +5,18 @@ first; both act inside a `BasisSubset` (the full space, a Krylov-connected
 set, or a symmetry sector).  Matrix elements below 1e-13 are dropped at
 assembly: window entries are exact combinations of pi-scale constants, so
 anything smaller is floating noise.
+
+Symmetry sectors use the group of S2 (translation by two sites) and USM
+(mirror, one-site translation, spin flip), elements S2^j USM^e with
+character chi(S2)^j chi(USM)^e.  An orbit's representative is its smallest
+state, a state's sign is the character of the elements taking it there, and
+an orbit survives only when every element fixing its representative has
+character +1.  As S2^(L/2) = 1, an odd S2 character at L = 2 (mod 4)
+empties the sector.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,19 +132,6 @@ def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
 SECTOR_OPERATORS = ("S2", "USM")
 
 
-def symmetry_permutation(name: str, length: int):
-    """State permutation of a sector operator.
-
-    S2 translates by two sites; USM mirrors about the center bond, translates
-    by one, then flips every spin.  Both act on basis states without phases.
-    """
-    if name == "S2":
-        return lambda x: translate_index(x, 2, length)
-    if name == "USM":
-        return lambda x: flip_index(translate_index(mirror_index(x, length), 1, length), length)
-    raise ValueError(f"unknown sector operator {name!r}")
-
-
 @dataclass(frozen=True)
 class SymmetrySector:
     """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1))."""
@@ -145,103 +139,108 @@ class SymmetrySector:
     operators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        names = [name for name, _ in self.operators]
         for name, val in self.operators:
+            if names.count(name) > 1:  # checked first: a dict of characters would keep the last
+                raise ValueError(f"sector operator {name} given twice")
             if name not in SECTOR_OPERATORS:
                 raise ValueError(f"unknown sector operator {name!r}")
             if val not in (1, -1):
                 raise ValueError("sector eigenvalues must be +1 or -1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectorBasis:
-    """Signed orbit sums forming an orthonormal sector basis."""
+    """Signed orbit sums forming an orthonormal sector basis, per subset slot.
 
-    orbits: list[tuple[np.ndarray, np.ndarray]]
+    Column k is the sum of sign[x] |x> / sqrt(sizes[k]) over the slots x with
+    orbit[x] == k; reps[k] is the slot of its smallest state.
+    """
+
+    orbit: np.ndarray   # column of each slot, -1 where its orbit is dropped
+    sign: np.ndarray    # +1 or -1 per slot
+    reps: np.ndarray    # representative slot of each column
+    sizes: np.ndarray   # orbit size of each column
     subset: BasisSubset
 
     @property
     def size(self) -> int:
-        return len(self.orbits)
-
-
-def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
-    """Group orbits of the subset states with character signs attached.
-
-    Orbits whose sign assignment is inconsistent project to zero and are
-    dropped.  For the all +1 sector every orbit survives.
-    """
-    images = [(_symmetry_slots(subset, name).tolist(), val) for name, val in sector.operators]
-    assigned = np.zeros(subset.size, dtype=bool)
-    orbits = []
-    for start in range(subset.size):
-        if assigned[start]:
-            continue
-        signs = {start: 1}
-        queue = deque([start])
-        consistent = True
-        while queue:
-            x = queue.popleft()
-            for image, val in images:
-                y = image[x]
-                sgn = signs[x] * val
-                if y in signs:
-                    if signs[y] != sgn:
-                        consistent = False
-                else:
-                    signs[y] = sgn
-                    queue.append(y)
-        slots = np.array(sorted(signs), dtype=np.int64)
-        assigned[slots] = True
-        if consistent:
-            orbits.append((subset.states[slots], np.array([signs[int(x)] for x in slots])))
-    return SectorBasis(orbits, subset)
+        return len(self.reps)
 
 
 def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
-    """Slot of the image of every subset state under a sector operator."""
-    images = symmetry_permutation(name, subset.length)(subset.states)
+    """Slot of the image of every subset state under a sector operator.
+
+    S2 translates by two sites; USM mirrors about the center bond, translates
+    by one, then flips every spin.  Both act on basis states without phases.
+    """
+    states, length = subset.states, subset.length
+    if name == "S2":
+        images = translate_index(states, 2, length)
+    elif name == "USM":
+        images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
+    else:
+        raise ValueError(f"unknown sector operator {name!r}")
     slots = subset.find(images)
     if np.any(slots < 0):
-        raise ValueError(
-            f"subset is not invariant under {name} (state {int(images[slots < 0][0])})"
-        )
+        raise ValueError(f"subset is not invariant under {name} (state {int(images[slots < 0][0])})")
     return slots
+
+
+def _conjugation_deviation(mat: sp.spmatrix, slots: np.ndarray) -> float:
+    return float(abs(mat.tocsr()[slots][:, slots] - mat).max())
 
 
 def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float:
     """Max-norm of [mat, P] for the permutation operator P (as deviation)."""
-    p = _symmetry_slots(subset, name)
-    conjugated = mat.tocsr()[p][:, p]
-    return float(abs(conjugated - mat).max())
+    return _conjugation_deviation(mat, _symmetry_slots(subset, name))
 
 
-def project_sector(
-    mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector, check: bool = True
-) -> tuple[np.ndarray, SectorBasis]:
+def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
+    """Orbits of the subset states under the sector group, signs attached."""
+    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
+    return _orbit_arrays(subset, sector, slots)
+
+
+def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorBasis:
+    """Row g of the group table holds the slot images under S2^j USM^e, with
+    j = 0..L/2 so that S2^(L/2) = 1 carries its character; a slot's
+    representative is the minimum of its column."""
+    chars = dict(sector.operators)
+    table, signs = [np.arange(subset.size)], [1]
+    for _ in range(subset.length // 2 if "S2" in chars else 0):
+        table.append(slots["S2"][table[-1]])
+        signs.append(signs[-1] * chars["S2"])
+    table, signs = np.array(table), np.array(signs)
+    if "USM" in chars:
+        table = np.concatenate([table, table[:, slots["USM"]]])
+        signs = np.concatenate([signs, signs * chars["USM"]])
+    to_rep, rep = np.argmin(table, axis=0), np.min(table, axis=0)
+    reps = np.flatnonzero(rep == table[0])
+    # an orbit survives when every element fixing its representative has character +1
+    reps = reps[~np.any((table[:, reps] == reps) & (signs[:, None] < 0), axis=0)]
+    column = np.full(subset.size, -1)
+    column[reps] = np.arange(len(reps))
+    orbit = column[rep]
+    sizes = np.bincount(orbit[orbit >= 0], minlength=len(reps))
+    return SectorBasis(orbit, signs[to_rep], reps, sizes, subset)
+
+
+def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector) -> tuple[np.ndarray, SectorBasis]:
     """Restrict an operator to the sector spanned by signed orbit sums."""
-    if check:
-        for name, _ in sector.operators:
-            dev = operator_commutes(mat, subset, name)
-            if dev > SECTOR_COMMUTE_TOL:
-                raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
-    basis = sector_basis(subset, sector)
-    n = basis.size
-    sizes = np.array([len(members) for members, _ in basis.orbits], dtype=np.int64)
-    # Per slot: its orbit (-1 where the orbit was dropped) and its sign.
-    orbit = np.full(subset.size, -1, dtype=np.int64)
-    sign = np.zeros(subset.size)
-    if n:
-        slots = subset.find(np.concatenate([members for members, _ in basis.orbits]))
-        orbit[slots] = np.repeat(np.arange(n), sizes)
-        sign[slots] = np.concatenate([signs for _, signs in basis.orbits])
-    reps = subset.find(np.array([members[0] for members, _ in basis.orbits], dtype=np.int64))
-    cols = mat.tocsc()[:, reps]
-    b = np.repeat(np.arange(n), np.diff(cols.indptr))
-    a = orbit[cols.indices]
+    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
+    for name, p in slots.items():
+        dev = _conjugation_deviation(mat, p)
+        if dev > SECTOR_COMMUTE_TOL:
+            raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
+    basis = _orbit_arrays(subset, sector, slots)
+    cols = mat.tocsc()[:, basis.reps]
+    b = np.repeat(np.arange(basis.size), np.diff(cols.indptr))
+    a = basis.orbit[cols.indices]
     keep = a >= 0
     a, b, rows = a[keep], b[keep], cols.indices[keep]
-    out = np.zeros((n, n), dtype=complex)
-    np.add.at(out, (a, b), sign[rows] * cols.data[keep] * np.sqrt(sizes[b] / sizes[a]))
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    np.add.at(out, (a, b), basis.sign[rows] * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a]))
     return out, basis
 
 

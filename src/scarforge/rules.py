@@ -251,7 +251,6 @@ def rule_report(
     n: int,
     kind: str = "I",
     h_local: np.ndarray | None = None,
-    tol: float = TYPE2_TOL,
 ) -> RuleReport:
     """Count satisfied rules over all inequivalent instances of the orbit."""
     instances = enumerate_rule_instances(circuit, orbit_states, n, kind)
@@ -259,7 +258,7 @@ def rule_report(
     if kind == "I":
         return RuleReport("I", int(outcomes.sum()), len(instances))
     residuals = outcomes.tolist()
-    return RuleReport("II", sum(1 for r in residuals if r < tol), len(instances), residuals)
+    return RuleReport("II", sum(1 for r in residuals if r < TYPE2_TOL), len(instances), residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,18 @@ def analyze_spectrum(
     return SpectrumAnalysis(energies, modes, ipr, overlaps, flagged, subset, flag_threshold)
 
 
-def flagged_tower_energies(analysis: SpectrumAnalysis, merge_tol: float = TOWER_MERGE_TOL) -> np.ndarray:
+def _merge_levels(levels: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted levels, dropping each one within tol of the last one kept."""
+    kept = list(levels[:1])
+    for e in levels[1:]:
+        if e - kept[-1] > tol:
+            kept.append(e)
+    return np.asarray(kept, dtype=float)
+
+
+def flagged_tower_energies(analysis: SpectrumAnalysis) -> np.ndarray:
     """Distinct energies of the flagged states, nearby values merged."""
-    energies = np.sort(analysis.eigenvalues[analysis.flagged])
-    if len(energies) == 0:
-        return energies
-    towers = [energies[0]]
-    for e in energies[1:]:
-        if e - towers[-1] > merge_tol:
-            towers.append(e)
-    return np.array(towers)
+    return _merge_levels(np.sort(analysis.eigenvalues[analysis.flagged]), TOWER_MERGE_TOL)
 
 
 @dataclass
@@ -81,27 +83,18 @@ class RStatReport:
     mean: float
 
 
-def r_statistic(
-    eigenvalues,
-    merge_tol: float = DEGENERACY_TOL,
-    bins: int = HISTOGRAM_BINS,
-) -> RStatReport:
+def r_statistic(eigenvalues) -> RStatReport:
     """Gap-ratio list, normalized histogram on [0, 1], and mean.
 
-    Levels closer than `merge_tol` collapse to a single level before ratios
-    are formed; fewer than three surviving levels is an error.
+    Levels closer than DEGENERACY_TOL collapse to a single level before
+    ratios are formed; fewer than three surviving levels is an error.
     """
-    levels = np.sort(np.asarray(eigenvalues, dtype=float))
-    kept = [levels[0]]
-    for e in levels[1:]:
-        if e - kept[-1] > merge_tol:
-            kept.append(e)
-    kept = np.asarray(kept)
+    kept = _merge_levels(np.sort(np.asarray(eigenvalues, dtype=float)), DEGENERACY_TOL)
     if len(kept) < 3:
         raise ValueError("need at least three distinct levels")
     gaps = np.diff(kept)
     r = np.minimum(gaps[1:], gaps[:-1]) / np.maximum(gaps[1:], gaps[:-1])
-    density, edges = np.histogram(r, bins=bins, range=(0.0, 1.0), density=True)
+    density, edges = np.histogram(r, bins=HISTOGRAM_BINS, range=(0.0, 1.0), density=True)
     return RStatReport(r, edges, density, float(np.mean(r)))
 
 

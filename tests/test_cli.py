@@ -143,6 +143,12 @@ def test_rstat_bad_sector():
     assert run(["rstat", "--model", "qmbs-b", "-L", "8", "--sector", "bogus+3"]) == EXIT_CONFIG
 
 
+def test_rstat_repeated_sector_operator(capsys):
+    # s2+1,s2-1 asks for two S2 characters at once; refused, not an empty sector
+    assert run(["rstat", "--model", "qmbs-b", "-L", "8", "--sector", "s2+1,s2-1"]) == EXIT_CONFIG
+    assert "given twice" in capsys.readouterr().err
+
+
 def test_bch_command(tmp_path):
     out = tmp_path / "norms.csv"
     code = run(["bch", "--model", "qmbs-c", "-L", "8", "--orders", "3",

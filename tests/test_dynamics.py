@@ -435,3 +435,26 @@ def test_chebyshev_matches_dense_pxp(pxp_chain, seed, times):
     chain, sub, _ = pxp_chain
     rng = np.random.default_rng(seed)
     assert_chebyshev_matches_dense(chain.h, sub, random_state(rng, sub.size), times)
+
+
+@pytest.mark.parametrize("end, windows", [(1.2, 1), (1.3, 2)])
+def test_chebyshev_last_window_takes_the_rest_of_the_grid(pxp_chain, monkeypatch, end, windows):
+    # a grid ending within 1.25 windows of the start is one stretched window
+    # instead of a full window and a short one; a little further out, the
+    # second window starts at the first one's last output
+    chain, sub, _ = pxp_chain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        reach = dynamics.CHEBYSHEV_WINDOW / Propagator(chain.h, sub).half_width
+    spans = []
+    run_window = Propagator._chebyshev_window
+
+    def spy(self, psi, dts, out, block):
+        spans.append(dts[-1])
+        run_window(self, psi, dts, out, block)
+
+    monkeypatch.setattr(Propagator, "_chebyshev_window", spy)
+    times = np.linspace(0.0, end * reach, 41)
+    assert_chebyshev_matches_dense(chain.h, sub, random_state(np.random.default_rng(7), sub.size), times)
+    assert len(spans) == windows
+    assert spans[-1] <= dynamics.CHEBYSHEV_STRETCH * reach

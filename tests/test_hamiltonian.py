@@ -1,10 +1,19 @@
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from scarforge.automaton import FloquetCircuit, floquet_matrix
-from scarforge.basis import BasisSubset, neel_index, tile_pattern
+from scarforge.basis import (
+    BasisSubset,
+    flip_index,
+    mirror_index,
+    neel_index,
+    tile_pattern,
+    translate_index,
+)
 from scarforge.gate import identity_gate
 from scarforge.hamiltonian import (
     SubsetNotClosedError,
@@ -125,6 +134,15 @@ def test_sector_operators_commute(models):
     assert operator_commutes(chain.h, sub, "USM") < 1e-10
 
 
+def sector_vectors(basis):
+    """Dense matrix whose columns are the normalized signed orbit sums."""
+    slots = np.flatnonzero(basis.orbit >= 0)
+    cols = basis.orbit[slots]
+    vecs = np.zeros((basis.subset.size, basis.size))
+    vecs[slots, cols] = basis.sign[slots] / np.sqrt(basis.sizes[cols])
+    return vecs
+
+
 def test_project_sector_counts_and_hermiticity(models):
     m = models["qmbs-a"]
     L = 12
@@ -137,7 +155,8 @@ def test_project_sector_counts_and_hermiticity(models):
     assert np.max(np.abs(hs - hs.conj().T)) < 1e-10
     # the symmetric alternating-state combination survives projection
     neel = neel_index(L)
-    members = [orbit for orbit, _ in basis.orbits if neel in orbit]
+    column = basis.orbit[sub.position(neel)]
+    members = [sub.states[basis.orbit == column]] if column >= 0 else []
     assert len(members) == 1 and sorted(members[0]) == sorted(
         [tile_pattern("01", L), neel]
     )
@@ -153,11 +172,7 @@ def test_project_sector_spectrum_matches_direct_block(models):
     hs, basis = project_sector(chain.h, sub, sector)
     sector_evals = np.linalg.eigvalsh(hs)
     # build the projector onto the signed orbit sums explicitly
-    dim = sub.size
-    vecs = np.zeros((dim, basis.size), dtype=complex)
-    for k, (members, signs) in enumerate(basis.orbits):
-        for state, sign in zip(members, signs):
-            vecs[sub.position(int(state)), k] = sign / np.sqrt(len(members))
+    vecs = sector_vectors(basis)
     dense = chain.h.toarray()
     direct = vecs.conj().T @ dense @ vecs
     assert np.max(np.abs(direct - hs)) < 1e-10
@@ -168,19 +183,13 @@ def project_sector_loop(mat, subset, basis):
     """Reference projection: one Python step per stored entry of each
     representative column, accumulated in CSC order."""
     csc = mat.tocsc()
-    rep_of = {}
-    for a, (members, signs) in enumerate(basis.orbits):
-        for state, sign in zip(members, signs):
-            rep_of[int(state)] = (a, int(sign))
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for b, (members, _) in enumerate(basis.orbits):
-        col = subset.position(int(members[0]))
+    for b, col in enumerate(basis.reps):
         for row, amp in zip(csc.indices[csc.indptr[col]:csc.indptr[col + 1]],
                             csc.data[csc.indptr[col]:csc.indptr[col + 1]]):
-            hit = rep_of.get(int(subset.states[row]))
-            if hit is not None:
-                a, sign = hit
-                out[a, b] += sign * amp * np.sqrt(len(members) / len(basis.orbits[a][0]))
+            a = int(basis.orbit[row])
+            if a >= 0:
+                out[a, b] += int(basis.sign[row]) * amp * np.sqrt(int(basis.sizes[b]) / int(basis.sizes[a]))
     return out
 
 
@@ -196,10 +205,7 @@ def test_project_sector_matches_signed_orbit_sums(models, name, length):
     for s2 in (1, -1):
         for usm in (1, -1):
             hs, basis = project_sector(h, sub, SymmetrySector((("S2", s2), ("USM", usm))))
-            rows = np.concatenate([sub.positions(members) for members, _ in basis.orbits])
-            cols = np.concatenate([np.full(len(members), k) for k, (members, _) in enumerate(basis.orbits)])
-            vals = np.concatenate([signs / np.sqrt(len(signs)) for _, signs in basis.orbits])
-            v = sp.csc_matrix((vals, (rows, cols)), shape=(sub.size, basis.size))
+            v = sp.csc_matrix(sector_vectors(basis))
             direct = (v.conj().T @ h @ v).toarray()
             assert np.array_equal(hs, project_sector_loop(h, sub, basis))
             assert hs.shape == direct.shape
@@ -227,11 +233,85 @@ def test_sector_basis_orthonormal(models):
     L = 10
     sub = working_subspace(m, L)
     basis = sector_basis(sub, SymmetrySector((("S2", 1), ("USM", 1))))
-    dim = sub.size
-    vecs = np.zeros((dim, basis.size))
-    for k, (members, signs) in enumerate(basis.orbits):
-        for state, sign in zip(members, signs):
-            vecs[sub.position(int(state)), k] = sign / np.sqrt(len(members))
+    vecs = sector_vectors(basis)
     gram = vecs.T @ vecs
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
 
+
+def reference_orbits(subset, sector):
+    """Reference sector basis: a breadth-first walk from every unassigned
+    state, one Python step per state and operator, signs kept in a dict.
+    Orbits whose signs contradict each other are dropped."""
+    def image(name, x):
+        if name == "S2":
+            return translate_index(x, 2, subset.length)
+        return flip_index(translate_index(mirror_index(x, subset.length), 1, subset.length), subset.length)
+
+    images = []
+    for name, val in sector.operators:
+        slots = subset.find(image(name, subset.states))
+        if np.any(slots < 0):
+            raise ValueError(f"subset is not invariant under {name}")
+        images.append((slots.tolist(), val))
+    assigned = np.zeros(subset.size, dtype=bool)
+    orbits = []
+    for start in range(subset.size):
+        if assigned[start]:
+            continue
+        signs = {start: 1}
+        queue = deque([start])
+        consistent = True
+        while queue:
+            x = queue.popleft()
+            for slots, val in images:
+                y = slots[x]
+                sgn = signs[x] * val
+                if y in signs:
+                    if signs[y] != sgn:
+                        consistent = False
+                else:
+                    signs[y] = sgn
+                    queue.append(y)
+        members = np.array(sorted(signs), dtype=np.int64)
+        assigned[members] = True
+        if consistent:
+            orbits.append((subset.states[members], np.array([signs[int(x)] for x in members])))
+    return orbits
+
+
+SECTOR_SPECS = [((name, val),) for name in ("S2", "USM") for val in (1, -1)] + [
+    (("S2", s2), ("USM", usm)) for s2 in (1, -1) for usm in (1, -1)
+]
+
+
+@pytest.mark.parametrize("length", [6, 8, 10, 12])
+def test_sector_basis_matches_orbit_walk(models, length):
+    # every registry model's working subspace and the full space, in all
+    # eight one- and two-operator sectors: the same orbits in the same
+    # order, with the same members and signs; a subset the operators do
+    # not preserve is refused by both
+    subsets = [working_subspace(m, length) for m in models.values()] + [BasisSubset.full_space(length)]
+    for sub in subsets:
+        for spec in SECTOR_SPECS:
+            sector = SymmetrySector(spec)
+            try:
+                want = reference_orbits(sub, sector)
+            except ValueError:
+                with pytest.raises(ValueError, match="not invariant"):
+                    sector_basis(sub, sector)
+                continue
+            basis = sector_basis(sub, sector)
+            assert basis.size == len(want)
+            assert np.array_equal(basis.reps, sub.positions([members[0] for members, _ in want]))
+            for k, (members, signs) in enumerate(want):
+                got = np.flatnonzero(basis.orbit == k)
+                assert np.array_equal(sub.states[got], members)
+                assert np.array_equal(basis.sign[got], signs)
+                assert basis.sizes[k] == len(members)
+            # exactly an odd S2 character at L = 2 (mod 4) empties a sector
+            assert (basis.size == 0) == (("S2", -1) in spec and length % 4 == 2)
+
+
+def test_sector_rejects_repeated_operator():
+    with pytest.raises(ValueError, match="given twice"):
+        SymmetrySector((("S2", 1), ("S2", -1)))
