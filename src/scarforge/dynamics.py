@@ -2,13 +2,25 @@
 
 `Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
 Up to the dense dimension guard the propagator diagonalizes the
-(sub-)Hamiltonian once and evaluates e^{-iHt} exactly on the whole time grid:
-the (dim, n_times) phase block is scaled by the mode coefficients in place
-and mapped through the modes in one matrix product.  When every assembled
-imaginary part of H is floating noise (at most ASSEMBLY_PRUNE, as for pxp,
-pxp-nophase and qmbs-c), the eigenproblem is real-symmetric and the product
-is a real one on the float64 view of the phase block; a truly complex H
-keeps complex modes.
+(sub-)Hamiltonian once and evaluates e^{-iHt} exactly on the whole time grid,
+one S2 momentum block at a time.  When the subset is invariant under S2
+(translation by two sites, of order M = L / gcd(L, 2)) and [H, S2] is at most
+MOMENTUM_COMMUTE_TOL, H splits into the M momentum blocks of
+`hamiltonian.project_sector`; otherwise the group is the trivial one and its
+single block is the whole H.  When every assembled imaginary part of H is
+floating noise (at most ASSEMBLY_PRUNE, as for pxp, pxp-nophase and qmbs-c),
+only the momenta k <= M/2 are solved, as the -k block is the complex
+conjugate of the k block, and the k = 0 and M/2 blocks are real-symmetric.
+
+`evolve` takes the coefficients of psi0 in each block from one DFT over the
+S2 powers of every orbit, and skips blocks without weight: an S2-invariant
+start such as the Neel state touches the k = 0 block alone.  Over chunks of
+the time grid, each block maps its scaled phase block through its
+eigenvectors in one matrix product, and one inverse DFT over the momenta of
+each orbit returns the amplitudes of its members.  `energies` are sorted
+over all blocks; `modes`, the eigenvectors in the subset basis (real for a
+real H, from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on
+first read.
 
 Above the guard the propagator expands e^{-iHt} in Chebyshev polynomials of
 the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
@@ -21,22 +33,31 @@ comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each window is
 at most CHEBYSHEV_TAIL_TOL in norm.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
-working block (the phase block, or the Chebyshev vectors) would not fit in
-the available memory.  Unitarity is monitored along every trace, the worst
-drift is reported in the result, and drift beyond NORM_DRIFT_ABORT aborts.
+working block (one time chunk of the block evolution, or the Chebyshev
+vectors) would not fit in the available memory.  Unitarity is monitored
+along every trace, the worst drift is reported in the result, and drift
+beyond NORM_DRIFT_ABORT aborts.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset, StateVector, bit_of
-from .tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL, COUPLING_TOL, DENSE_GUARD, NORM_DRIFT_ABORT
+from .hamiltonian import SectorBasis, SymmetrySector, operator_commutes, project_sector, s2_order
+from .tolerances import (
+    ASSEMBLY_PRUNE,
+    CHEBYSHEV_TAIL_TOL,
+    COUPLING_TOL,
+    DENSE_GUARD,
+    MOMENTUM_COMMUTE_TOL,
+    NORM_DRIFT_ABORT,
+)
 
 DEFAULT_DT = 0.05
 DEFAULT_TMAX = 300.0
@@ -44,6 +65,7 @@ COMPLEX_BYTES = 16
 CHEBYSHEV_WINDOW = 25.0  # largest a*dt one Chebyshev recurrence covers
 CHEBYSHEV_STRETCH = 1.25  # the last window stretches this many windows to end the grid
 CHEBYSHEV_BLOCK = 16     # Chebyshev vectors added into the history per matrix product
+HISTORY_CHUNK = 1 << 19  # complex entries of one time chunk of working arrays over the history
 
 
 class NormDriftError(RuntimeError):
@@ -74,6 +96,19 @@ class EvolutionResult:
     norm_drift: float  # worst | ||psi(t)|| - ||psi0|| | along the trace
 
 
+def _chunk_rows(width: int) -> int:
+    """Time points per chunk when each one spans `width` entries."""
+    return max(1, HISTORY_CHUNK // width)
+
+
+def _adjoint_times(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """vectors^dagger @ psi.  Real vectors multiply the real and imaginary
+    parts of psi separately, so no complex copy of them is made."""
+    if np.isrealobj(vectors):
+        return vectors.T @ psi.real + 1j * (vectors.T @ psi.imag)
+    return vectors.conj().T @ psi
+
+
 def chebyshev_degree(x: float) -> int:
     """Degree K whose dropped tail 2 sum_{k>K} |J_k(x)| is at most
     CHEBYSHEV_TAIL_TOL, by the bound |J_k(x)| <= (x/2)^k / k!: the smallest
@@ -97,6 +132,22 @@ def chebyshev_degree(x: float) -> int:
         k += 1
 
 
+@dataclass(frozen=True)
+class MomentumBlock:
+    """Eigenpairs of H in one S2 momentum sector.
+
+    `vectors` holds the sector eigenvectors as amplitudes on the orbit
+    representatives, the block eigenvectors with row r divided by
+    sqrt(sizes[r]); `orbits` numbers each block column among all orbits.
+    """
+
+    momentum: int
+    basis: SectorBasis
+    orbits: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+
 class Propagator:
     """Reusable e^{-iHt} evaluator over one subset; dense up to DENSE_GUARD."""
 
@@ -106,14 +157,39 @@ class Propagator:
             raise ValueError("Hamiltonian dimension does not match subset")
         self.method = "dense" if dim <= DENSE_GUARD else "iterative"
         self.subset = subset
+        self._modes = None
         if self.method == "dense":
-            dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-            if np.all(np.abs(dense.imag) <= ASSEMBLY_PRUNE):
-                dense = np.ascontiguousarray(dense.real)
-            self.energies, self.modes = np.linalg.eigh(dense)
+            h = sp.csr_matrix(hamiltonian)
+            self.real = bool(np.all(np.abs(h.data.imag) <= ASSEMBLY_PRUNE))
+            if self.real:
+                h = h.real
+            try:
+                symmetric = operator_commutes(h, subset, "S2") <= MOMENTUM_COMMUTE_TOL
+            except ValueError:  # the subset is not S2-invariant
+                symmetric = False
+            # the trivial group when S2 does not apply: one block, the whole H
+            self.order = s2_order(subset.length) if symmetric else 1
+            self.blocks = []
+            for k in range(self.order // 2 + 1 if self.real else self.order):
+                sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
+                block, basis = project_sector(h, subset, sector)
+                if not np.any(block.imag):
+                    block = block.real
+                energies, vectors = np.linalg.eigh(block)
+                if k == 0:
+                    self.orbit, self.shift, self.sizes = basis.orbit, basis.shift, basis.sizes
+                orbits, scaled = self.orbit[basis.reps], vectors / np.sqrt(basis.sizes)[:, None]
+                self.blocks.append(MomentumBlock(k, basis, orbits, energies, scaled))
+                # H_{-k} is the complex conjugate of H_k; kept next to it, so that
+                # evolve computes their shared phase block once
+                if self.real and 0 < 2 * k < self.order:
+                    self.blocks.append(MomentumBlock(self.order - k, replace(basis, sign=basis.sign.conj()),
+                                                     orbits, energies, scaled.conj()))
+            levels = np.concatenate([b.energies for b in self.blocks])
+            self._sorted = np.argsort(levels, kind="stable")
+            self.energies = levels[self._sorted]
         else:
             self.energies = None
-            self.modes = None
             h = sp.csr_matrix(hamiltonian, dtype=complex)
             # Gershgorin: every eigenvalue of a Hermitian H lies in [b - a, b + a]
             diag = h.diagonal()
@@ -125,13 +201,31 @@ class Propagator:
             self.scaled = ((h - self.centre * sp.identity(dim, dtype=complex, format="csr"))
                            * (2.0 / self.half_width)).tocsr()
 
+    @property
+    def modes(self) -> np.ndarray | None:
+        """Eigenvectors of H in the subset basis, one column per entry of
+        `energies`; built from the blocks on first read.  Real H has real
+        modes: of a conjugate pair of momenta k < M/2 and M - k, the first
+        contributes sqrt(2) Re and the second sqrt(2) Im of its vectors."""
+        if self._modes is None and self.method == "dense":
+            dim = self.subset.size
+            modes = np.zeros((dim, dim), dtype=float if self.real else complex)
+            start = 0
+            for b in self.blocks:
+                slots = np.flatnonzero(b.basis.orbit >= 0)
+                vecs = b.vectors[b.basis.orbit[slots]] * b.basis.sign[slots, None]
+                if self.real and np.iscomplexobj(vecs):
+                    vecs = math.sqrt(2.0) * (vecs.real if 2 * b.momentum < self.order else vecs.imag)
+                modes[slots, start:start + len(b.energies)] = vecs
+                start += len(b.energies)
+            self._modes = modes[:, self._sorted]
+        return self._modes
+
     def evolve(self, initial: np.ndarray, times) -> EvolutionResult:
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        # the history, plus the phase block or the Chebyshev vectors held beside it
-        work = len(times) if self.method == "dense" else CHEBYSHEV_BLOCK
-        need = (len(times) + work) * self.subset.size * COMPLEX_BYTES
+        need = (len(times) * self.subset.size + self._work_entries(len(times))) * COMPLEX_BYTES
         have = available_bytes()
         if need > have:
             raise ResourceLimitError(
@@ -143,36 +237,81 @@ class Propagator:
             amps = self._evolve_dense(psi0, times)
         else:
             amps = self._evolve_iterative(psi0, times)
-        norms = np.linalg.norm(amps, axis=1)
+        norms = np.empty(len(amps))
+        step = _chunk_rows(self.subset.size)
+        for lo in range(0, len(amps), step):
+            norms[lo:lo + step] = np.linalg.norm(amps[lo:lo + step], axis=1)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(times, amps, self.subset, drift)
 
+    def _work_entries(self, n_times: int) -> int:
+        """Complex entries held beside the history: the Chebyshev vectors, or,
+        for one time chunk, the momentum array, its transform and the
+        gathered amplitudes, plus the shared phase block, the scaled one and
+        the product of the largest momentum block."""
+        if self.method != "dense":
+            return CHEBYSHEV_BLOCK * self.subset.size
+        width = len(self.sizes) * self.order
+        rows = min(n_times, _chunk_rows(width))
+        return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks))
+
     def mode_coefficients(self, psi0: np.ndarray) -> np.ndarray:
         """Coefficients of psi0 in the eigenmodes.  Real modes multiply the
         real and imaginary parts of psi0 separately, so no complex copy of
         the dim x dim modes is made."""
-        if np.isrealobj(self.modes):
-            return self.modes.T @ psi0.real + 1j * (self.modes.T @ psi0.imag)
-        return self.modes.conj().T @ psi0
+        return _adjoint_times(self.modes, psi0)
+
+    def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
+        """Coefficients of psi0 in the eigenvectors of each momentum block.
+
+        The orbit sums sum_{x in r} conj(chi_k(x)) psi0[x] of every orbit r and
+        momentum k come from one DFT over the S2 power of each slot.
+        """
+        split = np.zeros((len(self.sizes), self.order), dtype=complex)
+        split[self.orbit, self.shift] = psi0
+        sums = np.fft.fft(split, axis=1)
+        return [_adjoint_times(b.vectors, sums[b.orbits, b.momentum]) for b in self.blocks]
 
     def _evolve_dense(self, psi0, times):
-        """amps[t] = modes @ (coeff * e^{-iEt}), as one GEMM over the whole grid.
+        """Block by block over time chunks, recombined by one DFT per orbit.
 
-        The (dim, n_times) phase block is built and scaled in place.  Real
-        modes multiply its (dim, 2 n_times) float64 view of interleaved real
-        and imaginary parts; the product is read back as complex.  Either way
-        the result is returned as its (n_times, dim) transpose.
+        In each chunk every momentum block with weight scales the (n_k, chunk)
+        phase block e^{-iEt} by its coefficients and maps it through its
+        vectors in one GEMM (on the float64 view when they are real); the two
+        blocks of a conjugate pair share one phase block.  The products fill
+        the rows of a (momentum, orbit, chunk) array whose inverse DFT over
+        the momentum axis gives, for each orbit, the amplitude of the member
+        that S2^j takes to the representative at index j.  The history is
+        built as (dim, n_times) and returned as its (n_times, dim) transpose.
         """
-        coeff = self.mode_coefficients(psi0)
-        phases = np.zeros((len(coeff), len(times)), dtype=complex)
-        np.multiply.outer(-self.energies, times, out=phases.imag)
-        np.exp(phases, out=phases)
-        phases *= coeff[:, None]
-        if np.isrealobj(self.modes):
-            return (self.modes @ phases.view(np.float64)).view(complex).T
-        return (self.modes @ phases).T
+        active = [(b, c) for b, c in zip(self.blocks, self.block_coefficients(psi0)) if np.any(c)]
+        width = len(self.sizes) * self.order
+        step = _chunk_rows(width)
+        momenta = np.zeros((self.order, len(self.sizes), min(step, len(times))), dtype=complex)
+        spectrum = np.empty_like(momenta)
+        gather = self.shift * len(self.sizes) + self.orbit
+        amps = np.empty((self.subset.size, len(times)), dtype=complex)
+        for lo in range(0, len(times), step):
+            t = times[lo:lo + step]
+            energies = None
+            for b, coeff in active:
+                if b.energies is not energies:
+                    energies = b.energies
+                    base = np.zeros((len(energies), len(t)), dtype=complex)
+                    np.multiply.outer(-energies, t, out=base.imag)
+                    np.exp(base, out=base)
+                phases = base * coeff[:, None]
+                if np.isrealobj(b.vectors):
+                    product = (b.vectors @ phases.view(np.float64)).view(complex)
+                else:
+                    product = b.vectors @ phases
+                momenta[b.momentum, b.orbits, :len(t)] = product
+            out = spectrum[:, :, :len(t)]
+            np.fft.ifft(momenta[:, :, :len(t)], axis=0, norm="forward", out=out)
+            amps[:, lo:lo + len(t)] = out.reshape(width, len(t))[gather]
+        return amps.T
 
     def _evolve_iterative(self, psi0, times):
         """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid.
@@ -251,8 +390,15 @@ def fidelity(v: StateVector, ref: StateVector) -> float:
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
+    """Participation ratio of each history row, reduced a chunk of rows at a
+    time so that no temporary of the history's size is made."""
     amps = result.amplitudes
-    return np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1)
+    out = np.empty(len(amps))
+    step = _chunk_rows(amps.shape[1])
+    for lo in range(0, len(amps), step):
+        rows = amps[lo:lo + step]
+        out[lo:lo + step] = np.sum((rows.real**2 + rows.imag**2) ** 2, axis=1)
+    return out
 
 
 def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:
@@ -283,14 +429,17 @@ def local_z_trace(
     z = z_diagonal(prop.subset, site)
     series = (np.abs(result.amplitudes) ** 2) @ z
 
-    coeff = prop.mode_coefficients(np.asarray(initial, dtype=complex))
-    mean_energy = float(np.real(np.sum(np.abs(coeff) ** 2 * prop.energies)))
-    window = np.abs(prop.energies - mean_energy) <= energy_window / 2.0
-    if not np.any(window):
+    coeffs = prop.block_coefficients(np.asarray(initial, dtype=complex))
+    mean_energy = float(sum(np.sum(np.abs(c) ** 2 * b.energies) for b, c in zip(prop.blocks, coeffs)))
+    # <v|Z|v> of a block eigenvector: sum_r |vectors[r, n]|^2 times the sum of z over orbit r
+    z_orbit = np.bincount(prop.orbit, weights=z)
+    z_levels = np.concatenate([
+        z_orbit[b.orbits] @ np.abs(b.vectors[:, np.abs(b.energies - mean_energy) <= energy_window / 2.0]) ** 2
+        for b in prop.blocks
+    ])
+    if not len(z_levels):
         raise ValueError("microcanonical window contains no eigenstates")
-    occupations = np.abs(prop.modes[:, window]) ** 2
-    z_mc = float(np.mean(z @ occupations))
-    return series, z_mc
+    return series, float(np.mean(z_levels))
 
 
 def first_revival_peak(times, values, t_lo: float, t_hi: float) -> float:

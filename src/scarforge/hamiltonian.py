@@ -6,17 +6,21 @@ set, or a symmetry sector).  Matrix elements below 1e-13 are dropped at
 assembly: window entries are exact combinations of pi-scale constants, so
 anything smaller is floating noise.
 
-Symmetry sectors use the group of S2 (translation by two sites) and USM
-(mirror, one-site translation, spin flip), elements S2^j USM^e with
-character chi(S2)^j chi(USM)^e.  An orbit's representative is its smallest
+Symmetry sectors use the group of S2 (translation by two sites, of order
+M = L / gcd(L, 2)) and USM (mirror, one-site translation, spin flip),
+elements S2^j USM^e with character chi(S2)^j chi(USM)^e.  chi(USM) is +1 or
+-1; chi(S2) is +1, -1, or a momentum omega^k with omega = e^{2 pi i / M}
+(after Sandvik, arXiv:1101.3281).  An orbit's representative is its smallest
 state, a state's sign is the character of the elements taking it there, and
 an orbit survives only when every element fixing its representative has
-character +1.  As S2^(L/2) = 1, an odd S2 character at L = 2 (mod 4)
-empties the sector.
+character 1, so momentum k keeps the orbits whose period p has k p = 0
+(mod M).  As S2^M = 1, an odd S2 character at L = 2 (mod 4) empties the
+sector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +136,23 @@ def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
 SECTOR_OPERATORS = ("S2", "USM")
 
 
+def s2_order(length: int) -> int:
+    """Order M of S2 on a ring of `length` sites: L / gcd(L, 2)."""
+    return length // math.gcd(length, 2)
+
+
 @dataclass(frozen=True)
 class SymmetrySector:
-    """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1))."""
+    """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1)), or an S2 momentum.
 
-    operators: tuple[tuple[str, int], ...]
+    `momentum=k` asks for S2 = omega^k with omega = e^{2 pi i / M}, in place
+    of an S2 entry among the operators.  USM maps k to -k, so it labels only
+    k = 0 and, for even M, k = M/2.  No operator at all is the trivial group:
+    every state its own orbit.
+    """
+
+    operators: tuple[tuple[str, int], ...] = ()
+    momentum: int | None = None
 
     def __post_init__(self):
         names = [name for name, _ in self.operators]
@@ -147,18 +163,22 @@ class SymmetrySector:
                 raise ValueError(f"unknown sector operator {name!r}")
             if val not in (1, -1):
                 raise ValueError("sector eigenvalues must be +1 or -1")
+        if self.momentum is not None and "S2" in names:
+            raise ValueError("sector operator S2 given twice (as a momentum and a sign)")
 
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Signed orbit sums forming an orthonormal sector basis, per subset slot.
+    """Character-weighted orbit sums forming an orthonormal sector basis, per subset slot.
 
     Column k is the sum of sign[x] |x> / sqrt(sizes[k]) over the slots x with
-    orbit[x] == k; reps[k] is the slot of its smallest state.
+    orbit[x] == k; reps[k] is the slot of its smallest state, and
+    S2^shift[x] USM^e maps slot x to its representative.
     """
 
     orbit: np.ndarray   # column of each slot, -1 where its orbit is dropped
-    sign: np.ndarray    # +1 or -1 per slot
+    sign: np.ndarray    # character per slot: +1 or -1, complex for a momentum other than 0 and M/2
+    shift: np.ndarray   # power of S2 taking each slot to its representative
     reps: np.ndarray    # representative slot of each column
     sizes: np.ndarray   # orbit size of each column
     subset: BasisSubset
@@ -197,38 +217,67 @@ def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float
 
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
-    """Orbits of the subset states under the sector group, signs attached."""
-    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
-    return _orbit_arrays(subset, sector, slots)
+    """Orbits of the subset states under the sector group, characters attached."""
+    return _orbit_arrays(subset, sector, _sector_slots(subset, sector))
+
+
+def _sector_slots(subset: BasisSubset, sector: SymmetrySector) -> dict[str, np.ndarray]:
+    names = [name for name, _ in sector.operators]
+    if sector.momentum is not None:
+        names.append("S2")
+    return {name: _symmetry_slots(subset, name) for name in names}
 
 
 def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorBasis:
     """Row g of the group table holds the slot images under S2^j USM^e, with
-    j = 0..L/2 so that S2^(L/2) = 1 carries its character; a slot's
-    representative is the minimum of its column."""
-    chars = dict(sector.operators)
-    table, signs = [np.arange(subset.size)], [1]
-    for _ in range(subset.length // 2 if "S2" in chars else 0):
+    j = 0..M so that S2^M = 1 carries its character; a slot's representative
+    is the minimum of its column.
+
+    Characters are e^{2 pi i n / 2M}, kept as the integer n: S2 = -1 and
+    USM = -1 are n = M, momentum k is n = 2k.  Integers make "every element
+    fixing the representative has character 1" exact, and an S2 sign of -1
+    at odd M then empties the sector.
+    """
+    order = s2_order(subset.length)
+    turns = {name: 0 if val == 1 else order for name, val in sector.operators}
+    if sector.momentum is not None:
+        turns["S2"] = 2 * sector.momentum
+        if "USM" in turns and (2 * sector.momentum) % order:
+            raise ValueError(f"USM maps momentum {sector.momentum} to {-sector.momentum}; "
+                             "it labels only k = 0 and k = M/2")
+    table, chars = [np.arange(subset.size)], [0]
+    for _ in range(order if "S2" in turns else 0):
         table.append(slots["S2"][table[-1]])
-        signs.append(signs[-1] * chars["S2"])
-    table, signs = np.array(table), np.array(signs)
-    if "USM" in chars:
+        chars.append(chars[-1] + turns["S2"])
+    rows = len(table)
+    table, chars = np.array(table), np.array(chars)
+    if "USM" in turns:
         table = np.concatenate([table, table[:, slots["USM"]]])
-        signs = np.concatenate([signs, signs * chars["USM"]])
+        chars = np.concatenate([chars, chars + turns["USM"]])
+    chars %= 2 * order
     to_rep, rep = np.argmin(table, axis=0), np.min(table, axis=0)
     reps = np.flatnonzero(rep == table[0])
-    # an orbit survives when every element fixing its representative has character +1
-    reps = reps[~np.any((table[:, reps] == reps) & (signs[:, None] < 0), axis=0)]
+    # an orbit survives when every element fixing its representative has character 1
+    reps = reps[~np.any((table[:, reps] == reps) & (chars[:, None] != 0), axis=0)]
     column = np.full(subset.size, -1)
     column[reps] = np.arange(len(reps))
     orbit = column[rep]
     sizes = np.bincount(orbit[orbit >= 0], minlength=len(reps))
-    return SectorBasis(orbit, signs[to_rep], reps, sizes, subset)
+    chars = chars[to_rep]
+    if np.all(chars % order == 0):
+        sign = np.where(chars == 0, 1, -1)
+    else:
+        sign = np.exp(1j * np.pi * chars / order)
+    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes, subset)
 
 
 def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector) -> tuple[np.ndarray, SectorBasis]:
-    """Restrict an operator to the sector spanned by signed orbit sums."""
-    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
+    """Restrict an operator to the sector spanned by character-weighted orbit sums.
+
+    Entry (a, b) is sum_x conj(sign[x]) mat[x, rep_b] sqrt(sizes[b] / sizes[a])
+    over the slots x of orbit a.
+    """
+    slots = _sector_slots(subset, sector)
     for name, p in slots.items():
         dev = _conjugation_deviation(mat, p)
         if dev > SECTOR_COMMUTE_TOL:
@@ -240,7 +289,7 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
     keep = a >= 0
     a, b, rows = a[keep], b[keep], cols.indices[keep]
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    np.add.at(out, (a, b), basis.sign[rows] * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a]))
+    np.add.at(out, (a, b), basis.sign[rows].conj() * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a]))
     return out, basis
 
 

@@ -24,6 +24,8 @@ ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noi
                               # H whose imaginary parts all are is propagated as real
 HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
+MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the
+                              # dropped couplings grow by at most this times t in the amplitudes
 SPARSE_PRUNE = 1e-13          # series entries below this fraction of the largest are dropped
 
 # Spectra and dynamics

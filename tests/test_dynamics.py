@@ -305,8 +305,8 @@ def test_iterative_propagator_matches_expm_for_random_gates(seed):
 
 
 def test_history_refused_before_allocation(pxp_chain, monkeypatch):
-    # 6001 times x 322 states x 16 bytes x 2 (history and phase block) is
-    # 62 MB; with 4 MB available the call refuses before building either
+    # 6001 times x 322 states x 16 bytes of history alone is 31 MB; with
+    # 4 MB available the call refuses before building it or any chunk
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
     psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
@@ -366,6 +366,111 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     assert peak < CHEBYSHEV_BLOCK * sub.size * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
     assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)
+
+
+def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeypatch):
+    # the dense path holds the history and one time chunk of block work: the
+    # (momentum, orbit, chunk) array, its transform and the gathered
+    # amplitudes, plus the shared and scaled phase blocks and the product of
+    # the largest block.  One byte short of that, the call refuses before
+    # building any of it; with exactly that available it runs, in several
+    # chunks, and holds no more than that beyond a few O(dim) index and
+    # coefficient arrays
+    chain, sub, m = pxp_chain
+    prop = Propagator(chain.h, sub)
+    assert prop.order == 6
+    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    times = np.arange(0.0, 300.025, 0.05)
+    width = len(prop.sizes) * prop.order
+    rows = dynamics.HISTORY_CHUNK // width
+    assert 2 * rows < len(times)
+    largest = max(len(b.energies) for b in prop.blocks)
+    need = (len(times) * sub.size + rows * (2 * width + sub.size + 3 * largest)) * COMPLEX_BYTES
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            prop.evolve(psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(times) * sub.size  # a sixteenth of the history
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
+    tracemalloc.start()
+    try:
+        amps = prop.evolve(psi0, times).amplitudes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (len(times), sub.size)
+    assert peak <= need + 64 * sub.size
+
+
+def test_pr_trace_in_row_chunks_equals_one_reduction(pxp_chain, monkeypatch):
+    # a ragged split into 37-row chunks gives the same bits as reducing the
+    # whole history at once, for the transposed dense history and a
+    # C-ordered one alike
+    chain, sub, _ = pxp_chain
+    res = Propagator(chain.h, sub).evolve(random_state(np.random.default_rng(3), sub.size), np.arange(0.0, 20.0, 0.05))
+    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 37 * sub.size)
+    for amps in (res.amplitudes, np.ascontiguousarray(res.amplitudes)):
+        res.amplitudes = amps
+        assert np.array_equal(pr_trace(res), np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1))
+
+
+def test_local_z_trace_microcanonical_from_blocks(pxp_chain):
+    # the microcanonical value comes from the block eigenvectors, without
+    # building the dim x dim modes, and equals the average over the full
+    # eigh's eigenvectors in the window
+    chain, sub, m = pxp_chain
+    prop = Propagator(chain.h, sub)
+    psi0 = StateVector.from_basis_index(sub, generic_comparison_state(sub, neel_orbit_states(m, 12), chain.h)).amplitudes
+    res = prop.evolve(psi0, np.arange(0.0, 5.0, 1.0))
+    tracemalloc.start()
+    try:
+        _, z_mc = local_z_trace(prop, psi0, res, 2, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sub.size**2 * 8
+    energies, modes = np.linalg.eigh(chain.h.toarray())
+    mean_energy = np.sum(np.abs(modes.conj().T @ psi0) ** 2 * energies)
+    window = np.abs(energies - mean_energy) <= 0.2
+    assert np.count_nonzero(window) > 1
+    want = np.mean(z_diagonal(sub, 2) @ np.abs(modes[:, window]) ** 2)
+    assert abs(z_mc - want) < 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_momentum_blocks_match_full_space_for_random_gates(seed):
+    # oracles on the L=8 full space for a random phased gate's complex H and
+    # its real part, both of which commute with S2 (order 4): the block
+    # spectra together are the full spectrum; block evolution of a random
+    # state, over several time chunks, matches expm; the lazily built modes
+    # are orthonormal eigenpairs, real for the real H.  A single-site Z field
+    # breaks S2, and that H takes the one-block path and still matches expm.
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h.toarray()
+    psi0 = random_state(rng, sub.size)
+    times = np.array([0.0, 0.37, 2.5, 9.0])
+    field = np.diag(0.3 * z_diagonal(sub, 3))
+    for dense in (h, h.real):
+        prop = Propagator(dense, sub)
+        assert prop.order == 4
+        levels = np.sort(np.concatenate([b.energies for b in prop.blocks]))
+        assert np.max(np.abs(levels - np.linalg.eigvalsh(dense))) < 1e-10
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "HISTORY_CHUNK", 2 * len(prop.sizes) * prop.order)
+            assert_evolution_matches_expm(prop, dense, psi0, times)
+        modes = prop.modes
+        assert np.isrealobj(modes) == np.isrealobj(dense)
+        assert np.max(np.abs(dense @ modes - modes * prop.energies)) < 1e-10
+        assert np.max(np.abs(modes.conj().T @ modes - np.eye(sub.size))) < 1e-10
+        broken = Propagator(dense + field, sub)
+        assert broken.order == 1 and len(broken.blocks) == 1
+        assert_evolution_matches_expm(broken, dense + field, psi0, times)
 
 
 def test_evolution_reports_norm_drift(pxp_chain):

@@ -23,6 +23,7 @@ from scarforge.hamiltonian import (
     operator_commutes,
     project_sector,
     restrict_dense,
+    s2_order,
     sector_basis,
 )
 from scarforge.models import (
@@ -310,6 +311,45 @@ def test_sector_basis_matches_orbit_walk(models, length):
                 assert basis.sizes[k] == len(members)
             # exactly an odd S2 character at L = 2 (mod 4) empties a sector
             assert (basis.size == 0) == (("S2", -1) in spec and length % 4 == 2)
+
+
+@pytest.mark.parametrize("length", [8, 10])
+@pytest.mark.parametrize("name", ["pxp", "qmbs-b"])
+def test_momentum_sectors_split_the_operator(models, name, length):
+    # for every S2 momentum k (M = 4 and M = 5 momenta): the columns
+    # sum_x sign[x] |x> / sqrt(size) are orthonormal eigenvectors of S2 with
+    # eigenvalue e^{2 pi i k / M}, the projected block is V^dagger H V, the
+    # blocks together hold every subset state once and their spectra make up
+    # the full one; the k = 0 block is the S2 = +1 sector bit for bit
+    sub = working_subspace(models[name], length)
+    h = build_hamiltonian(models[name].circuit(length), sub).h
+    order = s2_order(length)
+    s2 = sp.csr_matrix((np.ones(sub.size), (sub.find(translate_index(sub.states, 2, length)), np.arange(sub.size))))
+    levels, count = [], 0
+    for k in range(order):
+        block, basis = project_sector(h, sub, SymmetrySector(momentum=k))
+        slots = np.flatnonzero(basis.orbit >= 0)
+        v = np.zeros((sub.size, basis.size), dtype=complex)
+        v[slots, basis.orbit[slots]] = basis.sign[slots] / np.sqrt(basis.sizes[basis.orbit[slots]])
+        assert np.max(np.abs(v.conj().T @ v - np.eye(basis.size)), initial=0.0) < 1e-12
+        assert np.max(np.abs(s2 @ v - np.exp(2j * np.pi * k / order) * v), initial=0.0) < 1e-12
+        assert np.max(np.abs(block - v.conj().T @ (h @ v)), initial=0.0) < 1e-12
+        levels.append(np.linalg.eigvalsh(block))
+        count += basis.size
+    assert count == sub.size
+    assert np.max(np.abs(np.sort(np.concatenate(levels)) - np.linalg.eigvalsh(h.toarray()))) < 1e-10
+    zero, _ = project_sector(h, sub, SymmetrySector(momentum=0))
+    assert np.array_equal(zero, project_sector(h, sub, SymmetrySector((("S2", 1),)))[0])
+
+
+def test_momentum_sector_refusals():
+    sub = BasisSubset.full_space(8)
+    with pytest.raises(ValueError, match="given twice"):
+        SymmetrySector((("S2", 1),), momentum=0)
+    # USM maps k to -k: it labels k = 0 and k = M/2 = 2 only
+    sector_basis(sub, SymmetrySector((("USM", 1),), momentum=2))
+    with pytest.raises(ValueError, match="USM maps momentum"):
+        sector_basis(sub, SymmetrySector((("USM", 1),), momentum=1))
 
 
 def test_sector_rejects_repeated_operator():
