@@ -101,6 +101,16 @@ def _chunk_rows(width: int) -> int:
     return max(1, HISTORY_CHUNK // width)
 
 
+def _by_rows(amps: np.ndarray, reduce) -> np.ndarray:
+    """reduce(rows) of a history, one chunk of rows at a time, so that no
+    temporary of the history's size is made."""
+    out = np.empty(len(amps))
+    step = _chunk_rows(amps.shape[1])
+    for lo in range(0, len(amps), step):
+        out[lo:lo + step] = reduce(amps[lo:lo + step])
+    return out
+
+
 def _adjoint_times(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """vectors^dagger @ psi.  Real vectors multiply the real and imaginary
     parts of psi separately, so no complex copy of them is made."""
@@ -237,10 +247,7 @@ class Propagator:
             amps = self._evolve_dense(psi0, times)
         else:
             amps = self._evolve_iterative(psi0, times)
-        norms = np.empty(len(amps))
-        step = _chunk_rows(self.subset.size)
-        for lo in range(0, len(amps), step):
-            norms[lo:lo + step] = np.linalg.norm(amps[lo:lo + step], axis=1)
+        norms = _by_rows(amps, lambda rows: np.linalg.norm(rows, axis=1))
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
@@ -390,15 +397,8 @@ def fidelity(v: StateVector, ref: StateVector) -> float:
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
-    """Participation ratio of each history row, reduced a chunk of rows at a
-    time so that no temporary of the history's size is made."""
-    amps = result.amplitudes
-    out = np.empty(len(amps))
-    step = _chunk_rows(amps.shape[1])
-    for lo in range(0, len(amps), step):
-        rows = amps[lo:lo + step]
-        out[lo:lo + step] = np.sum((rows.real**2 + rows.imag**2) ** 2, axis=1)
-    return out
+    """Participation ratio of each history row."""
+    return _by_rows(result.amplitudes, lambda rows: np.sum((rows.real**2 + rows.imag**2) ** 2, axis=1))
 
 
 def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:
@@ -427,7 +427,7 @@ def local_z_trace(
     if prop.method != "dense":
         raise ValueError("microcanonical comparison needs the dense eigensystem")
     z = z_diagonal(prop.subset, site)
-    series = (np.abs(result.amplitudes) ** 2) @ z
+    series = _by_rows(result.amplitudes, lambda rows: (np.abs(rows) ** 2) @ z)
 
     coeffs = prop.block_coefficients(np.asarray(initial, dtype=complex))
     mean_energy = float(sum(np.sum(np.abs(c) ** 2 * b.energies) for b, c in zip(prop.blocks, coeffs)))
