@@ -10,20 +10,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "BasisState": "basis",
     "BasisSubset": "basis",
-    "PhasedState": "basis",
     "StateVector": "basis",
     "PermutationGate": "gate",
     "parse_gate": "gate",
     "gate_order": "gate",
-    "apply_gate": "gate",
     "gate_matrix": "gate",
     "principal_log": "logmap",
     "power_decomposition": "logmap",
     "closing_relation": "logmap",
     "FloquetCircuit": "automaton",
-    "apply_floquet": "automaton",
     "orbit_of": "automaton",
     "floquet_eigenstates": "automaton",
     "load_model": "models",

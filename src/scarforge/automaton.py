@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisState, BasisSubset, PhasedState, StateVector, bitstring, set_window, window_value
+from .basis import BasisSubset, StateVector, bitstring, set_window, window_value
 from .gate import PermutationGate, gate_matrix, phase_product, phased_cycles, walk_cycle
 from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
@@ -97,14 +97,6 @@ def floquet_map(circuit: FloquetCircuit, index):
     return index, phase
 
 
-def apply_floquet(circuit: FloquetCircuit, state: BasisState) -> PhasedState:
-    """Apply U_F once, accumulating the product of window phases."""
-    if state.length != circuit.length:
-        raise ValueError("state length does not match circuit length")
-    index, phase = floquet_map(circuit, state.index)
-    return PhasedState(BasisState(index, circuit.length), phase)
-
-
 class CycleOverflowError(RuntimeError):
     """The seed did not recur within the allowed number of periods."""
 
@@ -144,12 +136,11 @@ def _orbit_cycle(length: int, states, walk, total) -> OrbitCycle:
     return OrbitCycle(tuple(states), tuple(walk), float(wrap_angle(np.angle(total))), length)
 
 
-def orbit_of(circuit: FloquetCircuit, seed: BasisState | int, l_max: int | None = None) -> OrbitCycle:
-    """Iterate U_F from the seed until it recurs, recording phases exactly."""
-    seed_index = seed.index if isinstance(seed, BasisState) else int(seed)
+def orbit_of(circuit: FloquetCircuit, seed: int, l_max: int | None = None) -> OrbitCycle:
+    """Iterate U_F from the seed index until it recurs, recording phases exactly."""
     if l_max is None:
         l_max = 1 << circuit.length
-    cycle = walk_cycle(lambda index: floquet_map(circuit, index), seed_index, l_max)
+    cycle = walk_cycle(lambda index: floquet_map(circuit, index), int(seed), l_max)
     if cycle is None:
         raise CycleOverflowError(f"no recurrence within {l_max} applications")
     return _orbit_cycle(circuit.length, *cycle)

@@ -1,12 +1,11 @@
 """Bit-level encoding of qubit-chain basis states and lattice symmetry actions.
 
-A basis state of an L-qubit periodic chain is stored as an integer in
-[0, 2**L).  Qubit 1 is the most significant bit, so at L = 4 the string
-|0001> has index 1, and states carry the integer label index + 1 (|0000> is
-label 1, |1111> is label 16).  Sites are 1-based in the public API; the bit
-holding site s sits at position L - s counted from the least significant end.
-
-All types here are immutable values and safe to share between threads.
+A basis state of an L-qubit periodic chain is its index, an integer in
+[0, 2**L): a Python int, or an int64 numpy array of indices on which the bit
+functions here act elementwise.  Qubit 1 is the most significant bit, so at
+L = 4 the string |0001> has index 1.  Sites are 1-based in the public API;
+the bit holding site s sits at position L - s counted from the least
+significant end.  This module is the only one that reads or writes site bits.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import NORM_TOL, UNIT_MODULUS_TOL
+from .tolerances import NORM_TOL
 
 
 def bit_of(index, site, length):
@@ -26,19 +25,6 @@ def bit_of(index, site, length):
 def bitstring(index: int, length: int) -> str:
     """0/1 string for a basis state, qubit 1 first."""
     return format(index, f"0{length}b")
-
-
-def index_of_bitstring(bits: str) -> int:
-    return int(bits, 2)
-
-
-def state_label(index: int) -> int:
-    """Integer label of a basis state: index + 1 (|0...0> is label 1)."""
-    return index + 1
-
-
-def state_from_label(label: int) -> int:
-    return label - 1
 
 
 def translate_index(index, shift, length):
@@ -70,12 +56,7 @@ def tile_pattern(pattern: str, length: int) -> int:
     """Index of the state obtained by tiling `pattern` to L sites."""
     if length % len(pattern) != 0:
         raise ValueError(f"pattern {pattern!r} does not tile {length} sites")
-    return index_of_bitstring(pattern * (length // len(pattern)))
-
-
-def neel_index(length: int, leading: int = 1) -> int:
-    """The alternating state |1010...> (leading=1) or |0101...> (leading=0)."""
-    return tile_pattern("10" if leading else "01", length)
+    return int(pattern * (length // len(pattern)), 2)
 
 
 def window_bit_shifts(site: int, width: int, length: int) -> list[int]:
@@ -98,57 +79,6 @@ def set_window(index, site, width, length, value):
         bit = (value >> (width - 1 - t)) & 1
         out = (out & ~(1 << b)) | (bit << b)
     return out
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """A computational basis state of an L-qubit chain (L even)."""
-
-    index: int
-    length: int
-
-    def __post_init__(self):
-        if self.length <= 0 or self.length % 2 != 0:
-            raise ValueError(f"chain length must be positive and even, got {self.length}")
-        if not 0 <= self.index < (1 << self.length):
-            raise ValueError(f"index {self.index} out of range for L={self.length}")
-
-    @property
-    def label(self) -> int:
-        return state_label(self.index)
-
-    def bits(self) -> str:
-        return bitstring(self.index, self.length)
-
-    def __str__(self):
-        return f"|{self.bits()}>"
-
-
-@dataclass(frozen=True)
-class PhasedState:
-    """A basis state together with a unit-modulus amplitude."""
-
-    state: BasisState
-    phase: complex
-
-    def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > UNIT_MODULUS_TOL:
-            raise ValueError(f"phase must have unit modulus, got |{self.phase}|")
-
-
-def translate(state: BasisState, shift: int) -> BasisState:
-    """Shift every qubit `shift` sites to the right (periodic)."""
-    return BasisState(translate_index(state.index, shift, state.length), state.length)
-
-
-def mirror(state: BasisState) -> BasisState:
-    """Reflect about the center bond."""
-    return BasisState(mirror_index(state.index, state.length), state.length)
-
-
-def global_spin_flip(state: BasisState) -> BasisState:
-    """Complement every bit."""
-    return BasisState(flip_index(state.index, state.length), state.length)
 
 
 class BasisSubset:

@@ -206,11 +206,7 @@ def cmd_search(args) -> int:
     from .rules import SearchConstraints, search_models
     from . import __version__
 
-    constraints = SearchConstraints(
-        order=args.order,
-        rule_powers=args.order,
-        require_orbit_cycle=args.require_cycle,
-    )
+    constraints = SearchConstraints(order=args.order, require_orbit_cycle=args.require_cycle)
     results = search_models(constraints, workers=args.workers or 1)
     if args.top:
         results = results[: args.top]
@@ -314,7 +310,7 @@ def _parse_sector(spec: str):
     from .hamiltonian import SymmetrySector
 
     if spec in ("none", ""):
-        return None
+        return SymmetrySector()
     ops = []
     for field in spec.split(","):
         field = field.strip().lower()
@@ -329,7 +325,7 @@ def cmd_rstat(args) -> int:
     import numpy as np
 
     from .dynamics import ResourceLimitError
-    from .hamiltonian import build_hamiltonian, project_sector
+    from .hamiltonian import build_hamiltonian, project_sector, sector_basis
     from .output import write_csv
     from .spectral import r_statistic
     from .tolerances import DENSE_GUARD
@@ -338,16 +334,15 @@ def cmd_rstat(args) -> int:
     model = _load(args.model)
     sector = _parse_sector(args.sector)
     subset = _subspace(model, args.length, "working")
-    if sector is None and subset.size > DENSE_GUARD:
+    levels = sector_basis(subset, sector).size
+    if levels > DENSE_GUARD:
         raise ResourceLimitError(
-            f"direct diagonalization refused at dimension {subset.size}; pass --sector"
+            f"direct diagonalization refused: the sector has {levels} levels, "
+            f"more than {DENSE_GUARD}; pass a smaller sector or length"
         )
     chain = build_hamiltonian(model.circuit(args.length), subset)
-    if sector is None:
-        evals = np.linalg.eigvalsh(chain.h.toarray())
-    else:
-        hs, _ = project_sector(chain.h, subset, sector)
-        evals = np.linalg.eigvalsh(hs)
+    hs, _ = project_sector(chain.h, subset, sector)
+    evals = np.linalg.eigvalsh(hs)
     report = r_statistic(evals)
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
     params = _params(args, n_levels=len(evals), mean_r=report.mean)

@@ -264,12 +264,6 @@ class Propagator:
         rows = min(n_times, _chunk_rows(width))
         return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks))
 
-    def mode_coefficients(self, psi0: np.ndarray) -> np.ndarray:
-        """Coefficients of psi0 in the eigenmodes.  Real modes multiply the
-        real and imaginary parts of psi0 separately, so no complex copy of
-        the dim x dim modes is made."""
-        return _adjoint_times(self.modes, psi0)
-
     def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
         """Coefficients of psi0 in the eigenvectors of each momentum block.
 

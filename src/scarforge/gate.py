@@ -13,12 +13,6 @@ from math import lcm
 
 import numpy as np
 
-from .basis import (
-    BasisState,
-    PhasedState,
-    set_window,
-    window_value,
-)
 from .tolerances import ORDER_PHASE_TOL, UNIT_MODULUS_TOL
 
 
@@ -160,15 +154,6 @@ def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
 def permutation_order(gate: PermutationGate) -> int:
     """Order of the permutation part alone (phases ignored)."""
     return lcm(*(len(values) for values in gate.value_cycles()))
-
-
-def apply_gate(gate: PermutationGate, state: BasisState, site: int) -> PhasedState:
-    """Apply the gate to the w-qubit window starting at `site` (periodic)."""
-    if not 1 <= site <= state.length:
-        raise ValueError(f"site {site} outside [1, {state.length}]")
-    v = window_value(state.index, site, gate.width, state.length)
-    index = set_window(state.index, site, gate.width, state.length, gate.perm[v])
-    return PhasedState(BasisState(index, state.length), gate.phases[v])
 
 
 def gate_matrix(gate: PermutationGate) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automaton import FloquetCircuit
-from .basis import BasisSubset, tile_pattern, window_value
+from .basis import BasisSubset, bit_of, set_window, tile_pattern, window_value
 from .gate import PermutationGate, gate_from_json, gate_matrix, gate_to_json
 from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log
 from .tolerances import ASSEMBLY_PRUNE
@@ -199,35 +199,27 @@ def verify_spin_representation(model: ModelDefinition) -> float:
 
 
 def anti_aligned_pair_states(length: int) -> np.ndarray:
-    """States whose qubits at sites (2j, 2j+1), with wrap, are anti-aligned."""
-    half = length // 2
-    out = []
-    for pattern in range(1 << half):
-        x = 0
-        for j in range(half):
-            a_site = 2 * (j + 1)
-            b_site = a_site % length + 1
-            bit = (pattern >> j) & 1
-            x |= bit << (length - a_site)
-            x |= (1 - bit) << (length - b_site)
-        out.append(x)
-    return np.array(sorted(out), dtype=np.int64)
+    """States whose qubits at sites (2j, 2j+1), with wrap, are anti-aligned.
+
+    Pair j is the width-2 window at site 2j; it is anti-aligned when the
+    window holds 1 or 2, and flipping both spins takes value v to 3 - v.
+    """
+    states = np.zeros(1, dtype=np.int64)
+    for site in range(2, length + 1, 2):
+        states = np.concatenate([set_window(states, site, 2, length, v) for v in (1, 2)])
+    return np.sort(states)
 
 
 def ladder_operator(length: int) -> sp.csr_matrix:
     """Sum over pairs of Z_{2j} (I - X_{2j} X_{2j+1}) on the full space."""
     dim = 1 << length
-    half = length // 2
     diag = np.zeros(dim, dtype=complex)
     rows, cols, data = [], [], []
     states = np.arange(dim)
-    for j in range(half):
-        a_site = 2 * (j + 1)
-        b_site = a_site % length + 1
-        a_bit = (states >> (length - a_site)) & 1
-        z_a = 1.0 - 2.0 * a_bit
+    for site in range(2, length + 1, 2):
+        z_a = 1.0 - 2.0 * bit_of(states, site, length)
         diag += z_a
-        flipped = states ^ ((1 << (length - a_site)) | (1 << (length - b_site)))
+        flipped = set_window(states, site, 2, length, 3 - window_value(states, site, 2, length))
         rows.extend(flipped)
         cols.extend(states)
         # Z acts after the pair flip: -Z X X carries weight -z(target) = +z(source).
@@ -258,18 +250,12 @@ def sga_check(length: int, epsilon: float = np.pi) -> float:
 def embedded_block_reference(length: int) -> np.ndarray:
     """Pair-flip chain sum of (pi/2) X_{2j} X_{2j+1} - pi/2 on the anti-aligned states."""
     w_states = anti_aligned_pair_states(length)
-    lookup = {int(x): i for i, x in enumerate(w_states)}
     n = len(w_states)
-    half = length // 2
     out = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(out, -0.5 * np.pi * half)
-    for i, x in enumerate(w_states):
-        x = int(x)
-        for j in range(half):
-            a_site = 2 * (j + 1)
-            b_site = a_site % length + 1
-            y = x ^ ((1 << (length - a_site)) | (1 << (length - b_site)))
-            out[lookup[y], i] += 0.5 * np.pi
+    np.fill_diagonal(out, -0.5 * np.pi * (length // 2))
+    for site in range(2, length + 1, 2):
+        flipped = set_window(w_states, site, 2, length, 3 - window_value(w_states, site, 2, length))
+        out[np.searchsorted(w_states, flipped), np.arange(n)] += 0.5 * np.pi
     return out
 
 

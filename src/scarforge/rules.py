@@ -268,12 +268,12 @@ def rule_report(
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Search setup: the power range n of the rules, the order filter
-    (permutation order must divide `order`), the chain length the rules are
-    evaluated on, and whether the seed orbit must be an actual 2-cycle."""
+    """Search setup: the order filter (permutation order must divide
+    `order`), the chain length the rules are evaluated on, and whether the
+    seed orbit must be an actual 2-cycle.  Rules use the powers below
+    `order`: a surviving gate repeats them at every higher power."""
 
     order: int = 6
-    rule_powers: int = 6
     length: int = 8
     require_orbit_cycle: bool = False
 
@@ -363,18 +363,17 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     """Exhaustively score the 8! trailing-qubit-trivial phase-free gates.
 
     Gates whose permutation order does not divide the order filter are
-    skipped; survivors are ranked by satisfied rules (descending), ties broken
-    by the lexicographic rank of the underlying permutation, so the output is
-    deterministic and independent of the worker count.  The rule instances
-    on the alternating orbit do not depend on the gate, so their span words
-    and powers are built once and every gate is scored on them.
+    skipped; survivors are ranked by satisfied rules (descending), ties kept
+    in the lexicographic enumeration order of the underlying permutations, so
+    the output is deterministic and independent of the worker count.  The
+    rule instances on the alternating orbit do not depend on the gate, so
+    their span words and powers are built once and every gate is scored on
+    them.
     """
     length = constraints.length
     seed = tile_pattern("10", length)
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
-    instances = enumerate_rule_instances(
-        probe, [seed, translate_index(seed, 1, length)], constraints.rule_powers
-    )
+    instances = enumerate_rule_instances(probe, [seed, translate_index(seed, 1, length)], constraints.order)
     words, powers = _instance_arrays(probe, instances)
     total = 40320
     if workers <= 1:
@@ -386,5 +385,4 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
         chunks = [(int(a), int(b), constraints, words, powers) for a, b in zip(bounds[:-1], bounds[1:])]
         with mp.Pool(workers) as pool:
             results = [r for chunk in pool.map(_search_chunk, chunks) for r in chunk]
-    order_key = {res.cycles: i for i, res in enumerate(results)}
-    return sorted(results, key=lambda r: (-r.satisfied, order_key[r.cycles]))
+    return sorted(results, key=lambda r: -r.satisfied)

@@ -8,13 +8,12 @@ from conftest import random_phase_gate, window_operator
 from scarforge.automaton import (
     FloquetCircuit,
     all_orbits,
-    apply_floquet,
     floquet_eigenstates,
     floquet_map,
     floquet_matrix,
     orbit_of,
 )
-from scarforge.basis import BasisState, neel_index, tile_pattern
+from scarforge.basis import set_window, tile_pattern, window_value
 from scarforge.gate import gate_matrix, identity_gate
 
 
@@ -41,27 +40,27 @@ def test_brickwork_needed_for_application(models):
     c = models["qmbs-a"].circuit(10)  # valid Hamiltonian geometry, no automaton
     assert not c.is_brickwork
     with pytest.raises(ValueError):
-        apply_floquet(c, BasisState(0, 10))
+        floquet_map(c, 0)
 
 
 def test_identity_circuit_fixes_everything():
     c = FloquetCircuit(identity_gate(4), 8, "stride4")
     for x in range(256):
-        out = apply_floquet(c, BasisState(x, 8))
-        assert out.state.index == x and out.phase == 1.0
+        image, phase = floquet_map(c, x)
+        assert image == x and phase == 1.0
         orb = orbit_of(c, x)
         assert orb.cycle_length == 1 and orb.phi == 0.0
 
 
 def test_qmbs_circuits_swap_alternating_states(models):
     L = 12
-    neel = neel_index(L)
+    neel = tile_pattern("10", L)
     anti = tile_pattern("01", L)
     for name in ("qmbs-a", "qmbs-b", "qmbs-c"):
         c = models[name].circuit(L)
-        out = apply_floquet(c, BasisState(neel, L))
-        assert out.state.index == anti
-        assert abs(out.phase - 1.0) < 1e-12
+        image, phase = floquet_map(c, neel)
+        assert image == anti
+        assert abs(phase - 1.0) < 1e-12
         orb = orbit_of(c, neel)
         assert orb.cycle_length == 2 and abs(orb.phi) < 1e-12
 
@@ -104,8 +103,8 @@ def test_floquet_eigenstates_are_eigenstates(models):
         vec = est.vector
         out = np.zeros_like(vec.amplitudes)
         for pos, x in enumerate(vec.subset.states):
-            res = apply_floquet(c, BasisState(int(x), L))
-            out[vec.subset.position(res.state.index)] += res.phase * vec.amplitudes[pos]
+            image, phase = floquet_map(c, int(x))
+            out[vec.subset.position(image)] += phase * vec.amplitudes[pos]
         assert np.max(np.abs(out - np.exp(1j * est.beta) * vec.amplitudes)) < 1e-10
     # distinct eigenphases are orthogonal
     for a in states:
@@ -117,7 +116,7 @@ def test_floquet_eigenstates_are_eigenstates(models):
 def test_two_cycle_eigenstates_are_symmetric_combinations(models):
     L = 8
     c = models["qmbs-c"].circuit(L)
-    orb = orbit_of(c, neel_index(L))
+    orb = orbit_of(c, tile_pattern("10", L))
     states = floquet_eigenstates(orb, c)
     assert sorted(round(e.beta, 12) for e in states) == [0.0, round(np.pi, 12)]
     for est in states:
@@ -161,29 +160,27 @@ def test_exhaustive_cycle_decomposition_l8(models):
     assert np.max(np.abs(gram - np.eye(1 << L))) < 1e-9
 
 
-def test_apply_floquet_matches_dense_matrix(models):
-    L = 8
-    for name in ("qmbs-a", "pxp"):
-        c = models[name].circuit(L)
-        mat = floquet_matrix(c)
-        assert np.max(np.abs(mat @ mat.conj().T - np.eye(1 << L))) < 1e-10
-        for x in (0, 17, 85, 170, 255):
-            out = apply_floquet(c, BasisState(x, L))
-            col = mat[:, x]
-            assert abs(col[out.state.index] - out.phase) < 1e-12
-
-
 def _assert_floquet_map_matches_windows(circuit: FloquetCircuit):
     # oracle: the product of kron-embedded gate windows, first layer then
-    # second, built without the bit gather/scatter of the Floquet map
+    # second, built without the bit gather/scatter of the Floquet map; each
+    # window alone is the gate acting through window_value and set_window
     L = circuit.length
-    u = gate_matrix(circuit.gate)
+    gate = circuit.gate
+    u = gate_matrix(gate)
+    states = np.arange(1 << L, dtype=np.int64)
     product = sp.identity(1 << L, dtype=complex, format="csr")
     for site in circuit.first_layer_sites + circuit.second_layer_sites:
-        product = window_operator(u, site, L) @ product
+        window = window_operator(u, site, L)
+        v = window_value(states, site, gate.width, L)
+        images = set_window(states, site, gate.width, L, np.array(gate.perm)[v])
+        dense = window.toarray()
+        assert np.array_equal(dense[images, states], np.array(gate.phases)[v])
+        assert np.count_nonzero(dense) == 1 << L
+        product = window @ product
     product = product.toarray()
+    assert np.max(np.abs(product @ product.conj().T - np.eye(1 << L))) < 1e-10
     assert np.max(np.abs(floquet_matrix(circuit) - product)) < 1e-12
-    images, phases = floquet_map(circuit, np.arange(1 << L, dtype=np.int64))
+    images, phases = floquet_map(circuit, states)
     assert list(zip(images.tolist(), phases.tolist())) == [floquet_map(circuit, x) for x in range(1 << L)]
     orbits = all_orbits(circuit)
     assert sorted(s for orb in orbits for s in orb.states) == list(range(1 << L))
@@ -206,4 +203,9 @@ def test_floquet_map_matches_embedded_windows_for_random_gates(seed, roots):
 
 @pytest.mark.parametrize("name", ["pxp", "pxp-nophase"])
 def test_floquet_map_matches_embedded_windows_stride2(models, name):
+    _assert_floquet_map_matches_windows(models[name].circuit(8))
+
+
+@pytest.mark.parametrize("name", ["qmbs-a", "qmbs-b", "qmbs-c"])
+def test_floquet_map_matches_embedded_windows_stride4(models, name):
     _assert_floquet_map_matches_windows(models[name].circuit(8))

@@ -2,47 +2,36 @@ import numpy as np
 import pytest
 
 from scarforge.basis import (
-    BasisState,
     BasisSubset,
     StateVector,
     bitstring,
-    global_spin_flip,
-    mirror,
-    neel_index,
+    flip_index,
+    mirror_index,
     set_window,
-    state_from_label,
-    state_label,
     tile_pattern,
-    translate,
     translate_index,
     window_value,
 )
 
 
 def test_bit_convention_msb_first():
-    s = BasisState(1, 4)
-    assert s.bits() == "0001"
-    assert s.label == 2
-    assert BasisState(0, 4).label == 1
-    assert BasisState(15, 4).label == 16
-
-
-def test_label_round_trip():
-    for label in range(1, 17):
-        assert state_label(state_from_label(label)) == label
+    assert bitstring(1, 4) == "0001"
+    assert tile_pattern("0001", 4) == 1
+    assert bitstring(0, 4) == "0000"
+    assert bitstring(15, 4) == "1111"
 
 
 def test_translate_single_bit():
-    s = BasisState(int("1000", 2), 4)
-    assert translate(s, 1).bits() == "0100"
-    assert translate(s, 0) == s
+    s = int("1000", 2)
+    assert bitstring(translate_index(s, 1, 4), 4) == "0100"
+    assert translate_index(s, 0, 4) == s
 
 
 def test_translate_neel_by_two_is_identity():
     L = 12
-    neel = BasisState(neel_index(L), L)
-    assert translate(neel, 2) == neel
-    assert translate(neel, 1).bits() == "01" * 6
+    neel = tile_pattern("10", L)
+    assert translate_index(neel, 2, L) == neel
+    assert bitstring(translate_index(neel, 1, L), L) == "01" * 6
 
 
 def test_translate_composition_exhaustive():
@@ -56,29 +45,23 @@ def test_translate_composition_exhaustive():
 
 
 def test_mirror():
-    assert mirror(BasisState(int("1100", 2), 4)).bits() == "0011"
-    assert mirror(BasisState(int("100000", 2), 6)).bits() == "000001"
-    pal = BasisState(int("0110", 2), 4)
-    assert mirror(pal) == pal
+    assert bitstring(mirror_index(int("1100", 2), 4), 4) == "0011"
+    assert bitstring(mirror_index(int("100000", 2), 6), 6) == "000001"
+    pal = int("0110", 2)
+    assert mirror_index(pal, 4) == pal
 
 
 def test_mirror_and_flip_are_involutions():
     for L in (4, 8):
         for x in range(1 << L):
-            s = BasisState(x, L)
-            assert mirror(mirror(s)) == s
-            assert global_spin_flip(global_spin_flip(s)) == s
+            assert mirror_index(mirror_index(x, L), L) == x
+            assert flip_index(flip_index(x, L), L) == x
 
 
 def test_global_spin_flip():
-    assert global_spin_flip(BasisState(0, 4)).bits() == "1111"
+    assert bitstring(flip_index(0, 4), 4) == "1111"
     L = 8
-    assert global_spin_flip(BasisState(neel_index(L), L)).index == tile_pattern("01", L)
-
-
-def test_odd_length_rejected():
-    with pytest.raises(ValueError):
-        BasisState(0, 5)
+    assert flip_index(tile_pattern("10", L), L) == tile_pattern("01", L)
 
 
 def test_window_value_and_set_window_wrap():

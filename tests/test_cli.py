@@ -117,6 +117,19 @@ def test_rstat_dense_guard_exit():
     assert run(["rstat", "--model", "qmbs-b", "-L", "16", "--sector", "none"]) == EXIT_NUMERICAL
 
 
+def test_rstat_sector_guard_before_assembly(monkeypatch, capsys):
+    # a symmetry sector above DENSE_GUARD refuses before H is built: the
+    # qmbs-b L=12 sector s2+1,usm+1 has 119 levels
+    from scarforge import hamiltonian, tolerances
+
+    built = []
+    monkeypatch.setattr(tolerances, "DENSE_GUARD", 100)
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", lambda *a, **k: built.append(a))
+    assert run(["rstat", "--model", "qmbs-b", "-L", "12", "--sector", "s2+1,usm+1"]) == EXIT_NUMERICAL
+    assert built == []
+    assert "119 levels" in capsys.readouterr().err
+
+
 def test_ipr_command(tmp_path):
     out = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"

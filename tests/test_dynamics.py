@@ -324,24 +324,26 @@ def test_history_refused_before_allocation(pxp_chain, monkeypatch):
 
 
 def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
-    # real modes multiply the real and imaginary parts of the start apart,
-    # instead of promoting the 322 x 322 modes to a complex temporary
+    # real block vectors multiply the real and imaginary parts of the start
+    # apart, instead of promoting the 322 x 322 vectors to a complex
+    # temporary; a Z field on one site breaks S2, so one block holds all of H
     chain, sub, m = pxp_chain
-    prop = Propagator(chain.h, sub)
-    assert np.isrealobj(prop.modes)
+    prop = Propagator(chain.h.toarray() + np.diag(0.3 * z_diagonal(sub, 3)), sub)
+    (block,) = prop.blocks
+    assert np.isrealobj(block.vectors) and block.vectors.shape == (sub.size, sub.size)
     rng = np.random.default_rng(11)
     basis = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
     generic = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
     for psi0 in (basis, generic):
         tracemalloc.start()
         try:
-            prop.mode_coefficients(psi0)
+            prop.block_coefficients(psi0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < sub.size**2 * 8
-    assert np.array_equal(prop.mode_coefficients(basis), prop.modes.conj().T @ basis)
-    assert np.allclose(prop.mode_coefficients(generic), prop.modes.conj().T @ generic, rtol=0, atol=1e-12)
+    assert np.array_equal(prop.block_coefficients(basis)[0], block.vectors.conj().T @ basis)
+    assert np.allclose(prop.block_coefficients(generic)[0], block.vectors.conj().T @ generic, rtol=0, atol=1e-12)
 
 
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):

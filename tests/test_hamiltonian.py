@@ -10,7 +10,6 @@ from scarforge.basis import (
     BasisSubset,
     flip_index,
     mirror_index,
-    neel_index,
     tile_pattern,
     translate_index,
 )
@@ -155,7 +154,7 @@ def test_project_sector_counts_and_hermiticity(models):
     assert basis.size == 350
     assert np.max(np.abs(hs - hs.conj().T)) < 1e-10
     # the symmetric alternating-state combination survives projection
-    neel = neel_index(L)
+    neel = tile_pattern("10", L)
     column = basis.orbit[sub.position(neel)]
     members = [sub.states[basis.orbit == column]] if column >= 0 else []
     assert len(members) == 1 and sorted(members[0]) == sorted(

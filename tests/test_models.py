@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import window_operator
 from scarforge.gate import gate_order
 from scarforge.models import (
     MODEL_NAMES,
     UnknownModelError,
     expected_krylov_dimension,
+    ladder_operator,
     load_model,
     neel_orbit_states,
     sga_check,
@@ -86,3 +88,14 @@ def test_sga_residual_small():
 def test_sga_wrong_ladder_spacing_fails():
     assert sga_check(8, epsilon=3.0) > 0.1
     assert sga_check(8, epsilon=0.0) > 0.1
+
+
+@pytest.mark.parametrize("length", [4, 8])
+def test_ladder_operator_matches_kron_windows(length):
+    # oracle: Z_a (I - X_a X_{a+1}) kron-embedded on the pair window at every
+    # even site a, the last pair wrapping to site 1
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    pair = np.kron(z, np.eye(2)) @ (np.eye(4) - np.kron(x, x))
+    want = sum(window_operator(pair, site, length) for site in range(2, length + 1, 2))
+    assert np.array_equal(ladder_operator(length).toarray(), want.toarray())

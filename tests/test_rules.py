@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_phase_gate, window_operator
 from scarforge.automaton import FloquetCircuit
-from scarforge.basis import neel_index, tile_pattern, translate_index
+from scarforge.basis import tile_pattern, translate_index
 from scarforge.gate import gate_matrix, identity_gate, phased_cycles
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
@@ -59,7 +59,7 @@ def test_pxp_instance_composition(models):
 def test_trivial_middle_power_always_passes(models):
     m = models["qmbs-a"]
     circuit = m.circuit(12)
-    state = neel_index(12)
+    state = tile_pattern("10", 12)
     for s1, s3 in ((1, 0), (3, 2), (0, 5)):
         rule = RuleInstance("I", 1, (s1, 0, s3), state)
         assert rule_outcomes(circuit, [rule])[0]
@@ -67,7 +67,7 @@ def test_trivial_middle_power_always_passes(models):
 
 def test_identity_gate_rules_all_pass():
     circuit = FloquetCircuit(identity_gate(4), 12, "stride4")
-    state = neel_index(12)
+    state = tile_pattern("10", 12)
     report = rule_report(circuit, [state, translate_index(state, 1, 12)], 6, "I")
     assert report.satisfied == report.total == 350
     h = principal_log(identity_gate(4)).matrix
@@ -105,7 +105,7 @@ def test_type1_inverse_gate_symmetry(rng):
     from scarforge.gate import PermutationGate, permutation_order
 
     L = 12
-    state = neel_index(L)
+    state = tile_pattern("10", L)
     for _ in range(20):
         perm = rng.permutation(16)
         gate = PermutationGate(4, tuple(int(v) for v in perm), (1.0 + 0j,) * 16)
@@ -166,7 +166,7 @@ def test_search_reproduces_table_models(models):
 
 
 def test_search_order_filter_one_keeps_identity_only():
-    results = search_models(SearchConstraints(order=1, rule_powers=1))
+    results = search_models(SearchConstraints(order=1))
     assert len(results) == 1
     assert results[0].cycles == ()
     assert results[0].order == 1
@@ -263,7 +263,7 @@ def test_engine_matches_full_space_for_random_gates(length, seed):
     # for the segment case (L=12 > span 8) and the ring case (L=4 < span 8)
     rng = np.random.default_rng(seed)
     circuit = FloquetCircuit(random_phase_gate(rng), length, "stride4")
-    states = [neel_index(length), neel_index(length, 0), int(rng.integers(1 << length))]
+    states = [tile_pattern("10", length), tile_pattern("01", length), int(rng.integers(1 << length))]
     _assert_engine_matches_reference(circuit, states, 5, 3)
 
 
