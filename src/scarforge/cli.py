@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import time
 from pathlib import Path
 
 EXIT_OK = 0
@@ -207,7 +209,9 @@ def cmd_search(args) -> int:
     from . import __version__
 
     constraints = SearchConstraints(order=args.order, require_orbit_cycle=args.require_cycle)
+    start = time.perf_counter()
     results = search_models(constraints, workers=args.workers or 1)
+    summary = f"search: {len(results)} of {math.factorial(8)} gates scored in {time.perf_counter() - start:.2f} s"
     if args.top:
         results = results[: args.top]
     payload = {
@@ -219,7 +223,7 @@ def cmd_search(args) -> int:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    print(f"search: {len(results)} gates", file=sys.stderr)
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 

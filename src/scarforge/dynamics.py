@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSubset, StateVector, bit_of
+from .basis import BasisSubset, bit_of
 from .hamiltonian import SectorBasis, SymmetrySector, operator_commutes, project_sector, s2_order
 from .tolerances import (
     ASSEMBLY_PRUNE,
@@ -376,18 +376,6 @@ class Propagator:
             else:
                 block[r] = self.scaled @ block[r - 1] - block[r - 2]
         add(degree - degree % rows, degree + 1)
-
-
-def participation_ratio(v: StateVector) -> float:
-    """Sum of |amplitude|^4 over the subset basis (1 for a basis state)."""
-    return float(np.sum(np.abs(v.amplitudes) ** 4))
-
-
-def fidelity(v: StateVector, ref: StateVector) -> float:
-    """Squared overlap |<ref|v>|^2."""
-    if v.subset is not ref.subset and v.subset != ref.subset:
-        raise ValueError("states live on different subsets")
-    return float(np.abs(np.vdot(ref.amplitudes, v.amplitudes)) ** 2)
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:

@@ -291,10 +291,3 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
     out = np.zeros((basis.size, basis.size), dtype=complex)
     np.add.at(out, (a, b), basis.sign[rows].conj() * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a]))
     return out, basis
-
-
-def restrict_dense(mat: sp.spmatrix, subset: BasisSubset, states) -> np.ndarray:
-    """Dense block of the operator on an explicit list of subset states."""
-    pos = subset.positions(states)
-    return mat.tocsr()[pos][:, pos].toarray()
-

@@ -28,14 +28,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 import scipy.sparse as sp
 
-from .automaton import FloquetCircuit, floquet_map
+from .automaton import FloquetCircuit
 from .basis import set_window, tile_pattern, translate_index, window_value
-from .gate import PermutationGate, identity_gate, phased_cycles
+from .gate import identity_gate
 from .logmap import principal_log
 from .tolerances import RULE_ENTRY_CUT, RULE_PHASE_TOL, TYPE2_TOL
 
@@ -158,38 +157,41 @@ def _instance_arrays(circuit: FloquetCircuit, instances) -> tuple[np.ndarray, np
     return words, powers
 
 
-def _type1_hits(layout, gate: PermutationGate, words, powers) -> np.ndarray:
-    """Whether both orderings of gate powers give the same word and phase."""
+def _type1_hits(layout, perms: np.ndarray, phases: np.ndarray | None, words, powers) -> np.ndarray:
+    """hits[g, i]: whether both orderings of gate g's powers give instance i
+    the same word and phase; rows of `perms` and `phases` (None when all are
+    one) are the gate tables.  Each ordering is a tree grown from every
+    distinct span word, one level of all n powers per window in turn."""
     values, cleared, spread = layout
+    g, d, dim = len(perms), perms.shape[1], values.shape[1]
     n = int(powers.max(initial=0)) + 1
-    dim = values.shape[1]
-    offset = np.arange(0, 3 * dim, dim)[:, None]
-    step = (cleared | spread[np.arange(3)[:, None], np.asarray(gate.perm)[values]]).ravel()
-    index = np.empty((3, n, dim), dtype=np.int64)    # index[k, s, u]: window k to the power s
-    index[:, 0] = np.arange(dim)
-    for s in range(1, n):
-        index[:, s] = step[index[:, s - 1] + offset]
-    table = index.ravel()
+    k3 = np.arange(3)[:, None]
+    moved = spread[k3, perms[:, None, :]].reshape(g, 3 * d)    # value v's image set into window k
+    step = (cleared.ravel() | moved[:, (values + d * k3).ravel()]).ravel()
+    phase = None if phases is None else phases[:, values.ravel()].ravel()
+    base = np.arange(0, 3 * g * dim, 3 * dim)[:, None]          # gate g's (3, dim) step table
+    starts, at = np.unique(words, return_inverse=True)
 
-    def path(steps):
-        x, at = words, []
-        for k, s in steps:
-            at.append((k * n + s) * dim + x)
-            x = table[at[-1]]
-        return x, at
+    def tree(order):
+        x = np.repeat(starts[None], g, axis=0)
+        p = None if phase is None else np.ones(x.shape, dtype=complex)
+        for k in order:    # node [s_last, ..., s_first, gate, word]
+            x = np.repeat(x[None], n, axis=0)
+            p = None if p is None else np.repeat(p[None], n, axis=0)
+            for s in range(1, n):
+                i = base + k * dim + x[s - 1]
+                x[s] = step[i]
+                if p is not None:
+                    p[s] = p[s - 1] * phase[i]
+        return x, p
 
+    lx, lp = tree((1, 2, 0))    # middle, right, left: node [s1, s3, s2]
+    rx, rp = tree((2, 0, 1))    # right, left, middle: node [s2, s1, s3]
+    agree = lx == rx.transpose(1, 2, 0, 3, 4)
+    if phase is not None:
+        agree &= np.abs(lp - rp.transpose(1, 2, 0, 3, 4)) < RULE_PHASE_TOL
     s1, s2, s3 = powers.T
-    x, lhs = path(((1, s2), (2, s3), (0, s1)))
-    y, rhs = path(((2, s3), (0, s1), (1, s2)))
-    hits = x == y
-    phases = np.asarray(gate.phases, dtype=complex)
-    if np.any(phases != 1):    # a phase-free gate keeps every phase at one
-        phase = np.ones((3, n, dim), dtype=complex)
-        phase[:, 1:] = np.cumprod(phases[values].ravel()[index[:, :-1] + offset[:, None]], axis=1)
-        phase = phase.ravel()
-        p, q = (phase[at[0]] * phase[at[1]] * phase[at[2]] for at in (lhs, rhs))
-        hits &= np.abs(p - q) < RULE_PHASE_TOL
-    return hits
+    return agree[s1, s3, s2, :, at].T
 
 
 def _window_operators(layout, h_local: np.ndarray) -> list[sp.csr_matrix]:
@@ -239,19 +241,16 @@ def rule_outcomes(circuit: FloquetCircuit, instances, h_local: np.ndarray | None
     layout = _layout(*_span(circuit))
     words, powers = _instance_arrays(circuit, instances)
     if kinds != {"II"}:
-        return _type1_hits(layout, circuit.gate, words, powers)
+        phases = np.array([circuit.gate.phases], dtype=complex)
+        phases = phases if np.any(phases != 1) else None    # a phase-free gate keeps every phase at one
+        return _type1_hits(layout, np.array([circuit.gate.perm]), phases, words, powers)[0]
     if h_local is None:
         h_local = principal_log(circuit.gate).matrix
     return _type2_residuals(layout, h_local, words, powers)
 
 
-def rule_report(
-    circuit: FloquetCircuit,
-    orbit_states,
-    n: int,
-    kind: str = "I",
-    h_local: np.ndarray | None = None,
-) -> RuleReport:
+def rule_report(circuit: FloquetCircuit, orbit_states, n: int, kind: str = "I",
+                h_local: np.ndarray | None = None) -> RuleReport:
     """Count satisfied rules over all inequivalent instances of the orbit."""
     instances = enumerate_rule_instances(circuit, orbit_states, n, kind)
     outcomes = rule_outcomes(circuit, instances, h_local)
@@ -277,6 +276,12 @@ class SearchConstraints:
     length: int = 8
     require_orbit_cycle: bool = False
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"search order must be at least 1 (got {self.order})")
+        if self.length < 4 or self.length % 4:
+            raise ValueError(f"search length must be a positive multiple of 4 (got {self.length})")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -296,23 +301,28 @@ class SearchResult:
         }
 
 
-def lift_three_qubit_permutation(perm3) -> PermutationGate:
-    """Embed a permutation of the 8 three-qubit values as a width-4 gate that
-    leaves the trailing qubit untouched."""
-    perm = [0] * 16
-    for v3 in range(8):
-        for b in range(2):
-            perm[2 * v3 + b] = 2 * perm3[v3] + b
-    return PermutationGate(4, tuple(perm), (1.0 + 0.0j,) * 16)
+def lift_three_qubit_permutation(perm3) -> np.ndarray:
+    """Embed permutations of the 8 three-qubit values (the last axis) as
+    width-4 permutation tables that leave the trailing qubit untouched."""
+    perm3 = np.asarray(perm3, dtype=np.int64)
+    return (2 * perm3[..., None] + np.arange(2)).reshape(*perm3.shape[:-1], 16)
 
 
-def _neel_orbit_is_cycle(circuit: FloquetCircuit, seed: int) -> bool:
-    partner = translate_index(seed, 1, circuit.length)
-    x, _ = floquet_map(circuit, seed)
-    if x != partner:
-        return False
-    y, _ = floquet_map(circuit, partner)
-    return y == seed
+def _cycle_labels(perms3: np.ndarray) -> tuple[list, list]:
+    """Label cycles of each lifted gate (every nontrivial cycle of the
+    three-qubit permutation once per trailing bit) and the permutation
+    order, from one array walk over all powers of the stack."""
+    walk = [np.broadcast_to(np.arange(8), perms3.shape)]
+    for _ in range(8):
+        walk.append(np.take_along_axis(perms3, walk[-1], axis=1))
+    walk = np.stack(walk, axis=2)    # walk[g, v, t]: perm^t(v)
+    lengths = np.argmax(walk[:, :, 1:] == walk[:, :, :1], axis=2) + 1
+    first = (walk.min(axis=2) == np.arange(8)) & (lengths > 1)    # started where phased_cycles starts
+    odd, even = (2 * walk[first] + 1).tolist(), (2 * walk[first] + 2).tolist()
+    cycles = [(tuple(o[:k]), tuple(e[:k])) for o, e, k in zip(odd, even, lengths[first].tolist())]
+    ends = np.cumsum(first.sum(axis=1)).tolist()
+    labels = [sum(cycles[a:b], ()) for a, b in zip([0] + ends, ends)]
+    return labels, np.lcm.reduce(lengths, axis=1).tolist()
 
 
 def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
@@ -326,37 +336,25 @@ def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def _search_chunk(args):
-    start, stop, constraints, words, powers = args
-    length = constraints.length
-    seed = tile_pattern("10", length)
-    results = []
-    chunk = itertools.islice(itertools.permutations(range(8)), start, stop)
-    perms = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int8).reshape(-1, 8)
-    # the order filter in one array pass: perm^n is the identity exactly
-    # when the permutation's order divides n
-    keep = np.all(_permutation_power(perms, abs(constraints.order)) == np.arange(8), axis=1)
-    for row in perms[keep]:
-        perm3 = tuple(row.tolist())
-        cycles = [values for values, _, _ in phased_cycles(perm3, (1,) * 8) if len(values) > 1]
-        order = lcm(*map(len, cycles))
-        gate = lift_three_qubit_permutation(perm3)
-        circuit = FloquetCircuit(gate, length, "stride4")
-        is_cycle = _neel_orbit_is_cycle(circuit, seed)
-        if constraints.require_orbit_cycle and not is_cycle:
-            continue
-        hits = _type1_hits(_layout(*_span(circuit)), gate, words, powers)
-        results.append(
-            SearchResult(
-                # the lifted gate's label cycles: each cycle once per trailing bit
-                tuple(tuple(2 * v + b + 1 for v in values) for values in cycles for b in (0, 1)),
-                int(hits.sum()),
-                len(words),
-                order,
-                is_cycle,
-            )
-        )
-    return results
+# Gates scored per kernel call: the power trees of a block stay a few MB,
+# where much larger blocks cost more memory and run no faster.
+_GATE_BLOCK = 128
+
+
+def _search_block(args) -> list[SearchResult]:
+    """Search rows for one block of three-qubit permutations, in block order."""
+    perms3, probe, neel, require_cycle, words, powers = args
+    perms = lift_three_qubit_permutation(perms3)
+    x, rows = np.repeat(neel[None], len(perms), axis=0), np.arange(len(perms))[:, None]
+    for site in probe.first_layer_sites + probe.second_layer_sites:    # one period of the whole stack
+        x = set_window(x, site, 4, probe.length, perms[rows, window_value(x, site, 4, probe.length)])
+    is_cycle = np.all(x == neel[::-1], axis=1)    # the two Neel states swap
+    if require_cycle:
+        perms3, perms, is_cycle = perms3[is_cycle], perms[is_cycle], is_cycle[is_cycle]
+    satisfied = _type1_hits(_layout(*_span(probe)), perms, None, words, powers).sum(axis=1)
+    labels, orders = _cycle_labels(perms3)
+    scored = zip(labels, satisfied.tolist(), orders, is_cycle.tolist())
+    return [SearchResult(cycles, hits, len(words), order, cycle) for cycles, hits, order, cycle in scored]
 
 
 def search_models(constraints: SearchConstraints = SearchConstraints(), workers: int = 1) -> list[SearchResult]:
@@ -366,23 +364,25 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     skipped; survivors are ranked by satisfied rules (descending), ties kept
     in the lexicographic enumeration order of the underlying permutations, so
     the output is deterministic and independent of the worker count.  The
-    rule instances on the alternating orbit do not depend on the gate, so
-    their span words and powers are built once and every gate is scored on
-    them.
+    rule instances on the alternating orbit do not depend on the gate: their
+    span words and powers are built once, and `workers` processes score the
+    survivors on them in fixed-size blocks, one array pass per block.
     """
     length = constraints.length
-    seed = tile_pattern("10", length)
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
-    instances = enumerate_rule_instances(probe, [seed, translate_index(seed, 1, length)], constraints.order)
-    words, powers = _instance_arrays(probe, instances)
-    total = 40320
+    neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
+    words, powers = _instance_arrays(probe, enumerate_rule_instances(probe, neel.tolist(), constraints.order))
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)
+    # the order filter in one array pass: perm^n is the identity exactly
+    # when the permutation's order divides n
+    perms = perms[np.all(_permutation_power(perms, constraints.order) == np.arange(8), axis=1)]
+    args = (probe, neel, constraints.require_orbit_cycle, words, powers)
+    blocks = [(perms[i:i + _GATE_BLOCK], *args) for i in range(0, len(perms), _GATE_BLOCK)]
     if workers <= 1:
-        results = _search_chunk((0, total, constraints, words, powers))
+        scored = list(map(_search_block, blocks))
     else:
         import multiprocessing as mp
 
-        bounds = np.linspace(0, total, workers * 4 + 1, dtype=int)
-        chunks = [(int(a), int(b), constraints, words, powers) for a, b in zip(bounds[:-1], bounds[1:])]
         with mp.Pool(workers) as pool:
-            results = [r for chunk in pool.map(_search_chunk, chunks) for r in chunk]
-    return sorted(results, key=lambda r: -r.satisfied)
+            scored = pool.map(_search_block, blocks)
+    return sorted((r for block in scored for r in block), key=lambda r: -r.satisfied)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,13 +183,20 @@ def test_sga_and_spinrep_commands(capsys):
     assert "deviation" in out
 
 
-def test_search_command(tmp_path):
+def test_search_command(tmp_path, capsys):
     out = tmp_path / "results.json"
     code = run(["search", "--order", "2", "--top", "5", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert len(payload["results"]) == 5
     assert payload["results"][0]["satisfied"] >= payload["results"][1]["satisfied"]
+    # the summary counts every gate scored, not only the --top ones written
+    assert re.fullmatch(r"search: 764 of 40320 gates scored in \d+\.\d\d s\n", capsys.readouterr().err)
+
+
+def test_search_rejects_invalid_constraints(capsys):
+    assert run(["search", "--order", "0"]) == EXIT_CONFIG
+    assert "order must be at least 1" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path):

@@ -15,16 +15,15 @@ from scarforge.basis import BasisSubset, StateVector
 from scarforge.dynamics import (
     CHEBYSHEV_BLOCK,
     COMPLEX_BYTES,
+    EvolutionResult,
     NormDriftError,
     Propagator,
     ResourceLimitError,
     chebyshev_degree,
-    fidelity,
     fidelity_trace,
     first_revival_peak,
     generic_comparison_state,
     local_z_trace,
-    participation_ratio,
     pr_trace,
     z_diagonal,
 )
@@ -77,30 +76,36 @@ def test_eigenstate_has_constant_pr(pxp_chain):
     assert np.max(np.abs(prs - prs[0])) < 1e-10
 
 
+def _history(sub, *rows) -> EvolutionResult:
+    """A history whose rows are the given amplitude vectors."""
+    return EvolutionResult(np.arange(float(len(rows))), np.array(rows, dtype=complex), sub, 0.0)
+
+
 def test_participation_ratio_basics(pxp_chain):
     _, sub, _ = pxp_chain
-    basis_state = StateVector.from_basis_index(sub, int(sub.states[5]))
-    assert participation_ratio(basis_state) == pytest.approx(1.0)
-    uniform = StateVector(sub, np.full(sub.size, 1.0 / np.sqrt(sub.size)))
-    assert participation_ratio(uniform) == pytest.approx(1.0 / sub.size)
-    # invariant under global phase and under relabeling
-    phased = StateVector(sub, uniform.amplitudes * np.exp(0.321j))
-    assert participation_ratio(phased) == pytest.approx(participation_ratio(uniform))
+    basis_state = StateVector.from_basis_index(sub, int(sub.states[5])).amplitudes
+    uniform = np.full(sub.size, 1.0 / np.sqrt(sub.size))
     rng = np.random.default_rng(5)
     amps = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
     amps /= np.linalg.norm(amps)
-    shuffled = StateVector(sub, amps[rng.permutation(sub.size)])
-    assert participation_ratio(shuffled) == pytest.approx(
-        participation_ratio(StateVector(sub, amps))
-    )
+    # one for a basis state, 1/N for the uniform state, and invariant under
+    # a global phase and under relabeling
+    pr = pr_trace(_history(sub, basis_state, uniform, uniform * np.exp(0.321j), amps,
+                           amps[rng.permutation(sub.size)]))
+    assert pr[0] == pytest.approx(1.0)
+    assert pr[1] == pytest.approx(1.0 / sub.size)
+    assert pr[2] == pytest.approx(pr[1])
+    assert pr[4] == pytest.approx(pr[3])
 
 
 def test_fidelity_basics(pxp_chain):
     _, sub, _ = pxp_chain
-    a = StateVector.from_basis_index(sub, int(sub.states[0]))
-    b = StateVector.from_basis_index(sub, int(sub.states[1]))
-    assert fidelity(a, a) == pytest.approx(1.0)
-    assert fidelity(a, b) == 0.0
+    a = StateVector.from_basis_index(sub, int(sub.states[0])).amplitudes
+    b = StateVector.from_basis_index(sub, int(sub.states[1])).amplitudes
+    fid = fidelity_trace(_history(sub, a, b, (a + 1j * b) / np.sqrt(2)), int(sub.states[0]))
+    assert fid[0] == pytest.approx(1.0)
+    assert fid[1] == 0.0
+    assert fid[2] == pytest.approx(0.5)
 
 
 def test_qmbs_c_exact_period_two():

@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phase_gate, window_operator
-from scarforge.automaton import FloquetCircuit
+from scarforge.automaton import FloquetCircuit, orbit_of
 from scarforge.basis import tile_pattern, translate_index
-from scarforge.gate import gate_matrix, identity_gate, phased_cycles
+from scarforge.gate import PermutationGate, gate_matrix, identity_gate, phased_cycles
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
     RuleInstance,
     SearchConstraints,
+    _instance_arrays,
+    _layout,
     _permutation_power,
+    _span,
+    _type1_hits,
     count_relevant_rules,
     enumerate_rule_instances,
     lift_three_qubit_permutation,
@@ -102,7 +106,7 @@ def test_ratios_independent_of_length(models):
 def test_type1_inverse_gate_symmetry(rng):
     # phase-free rules are invariant under inverting the gate and negating all
     # powers modulo the gate's own order
-    from scarforge.gate import PermutationGate, permutation_order
+    from scarforge.gate import permutation_order
 
     L = 12
     state = tile_pattern("10", L)
@@ -142,11 +146,13 @@ def test_global_rule_consequence_when_all_pass(models):
 
 
 def test_lift_three_qubit_permutation():
-    lifted = lift_three_qubit_permutation([1, 0, 2, 3, 4, 5, 6, 7])
-    assert lifted.perm[0] == 2 and lifted.perm[1] == 3
-    assert lifted.perm[2] == 0 and lifted.perm[3] == 1
-    for v in range(4, 16):
-        assert lifted.perm[v] == v
+    # a stack of one swap and the identity: rows lift independently
+    lifted = lift_three_qubit_permutation([[1, 0, 2, 3, 4, 5, 6, 7], list(range(8))])
+    assert lifted.shape == (2, 16)
+    assert lifted[0, 0] == 2 and lifted[0, 1] == 3
+    assert lifted[0, 2] == 0 and lifted[0, 3] == 1
+    assert np.array_equal(lifted[0, 4:], np.arange(4, 16))
+    assert np.array_equal(lifted[1], np.arange(16))
 
 
 def test_search_reproduces_table_models(models):
@@ -185,6 +191,63 @@ def test_order_filter_matches_cycle_walk():
         keep = np.all(_permutation_power(perms, n) == np.arange(8), axis=1)
         assert np.array_equal(keep, n % orders == 0)
     assert np.count_nonzero(4 % orders == 0) == 6224
+
+
+@pytest.mark.parametrize("bad", [{"order": 0}, {"order": -2}, {"length": 10}, {"length": 0}])
+def test_search_constraints_reject_invalid(bad):
+    # an order below 1 is no order filter, and a length off the stride4
+    # lattice has no complete layers to map the Neel states with
+    with pytest.raises(ValueError):
+        SearchConstraints(**bad)
+
+
+def _cycle_lengths(perm3) -> list[int]:
+    return [len(values) for values, _, _ in phased_cycles(perm3, (1,) * 8)]
+
+
+@pytest.fixture(scope="module")
+def search_rows():
+    """Order-6 search rows at L = 8 and 12, keyed by label cycles."""
+    return {
+        length: {r.cycles: r for r in search_models(SearchConstraints(length=length))}
+        for length in (8, 12)
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(perm3=st.permutations(range(8)).filter(lambda p: 6 % math.lcm(*_cycle_lengths(p)) == 0))
+def test_search_rows_match_per_gate_reference(search_rows, perm3):
+    # oracle: the lifted gate as one PermutationGate, scored by rule_report,
+    # its Neel orbit walked by orbit_of and its cycles read by phased_cycles
+    cycles = [values for values, _, _ in phased_cycles(perm3, (1,) * 8) if len(values) > 1]
+    labels = tuple(tuple(2 * v + b + 1 for v in values) for values in cycles for b in (0, 1))
+    gate = PermutationGate(4, tuple(lift_three_qubit_permutation(perm3).tolist()), (1.0 + 0j,) * 16)
+    for length, rows in search_rows.items():
+        assert labels in rows
+        row = rows[labels]
+        circuit = FloquetCircuit(gate, length, "stride4")
+        neel = [tile_pattern("10", length), tile_pattern("01", length)]
+        assert (row.satisfied, row.total) == rule_report(circuit, neel, 6, "I").ratio
+        assert row.orbit_is_cycle == (orbit_of(circuit, neel[0]).states == tuple(neel))
+        assert row.order == math.lcm(*_cycle_lengths(perm3))
+
+
+@pytest.mark.parametrize("length", [12, 4])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_type1_matches_single_gate_calls(length, seed):
+    # one kernel call on a stack of gates, a phase-free one among them, must
+    # give each gate's own rule_outcomes row
+    rng = np.random.default_rng(seed)
+    gates = [random_phase_gate(rng) for _ in range(4)] + [random_phase_gate(rng, phase_choices=(1,))]
+    circuits = [FloquetCircuit(g, length, "stride4") for g in gates]
+    states = [tile_pattern("10", length), tile_pattern("01", length), int(rng.integers(1 << length))]
+    instances = enumerate_rule_instances(circuits[0], states, 5)
+    words, powers = _instance_arrays(circuits[0], instances)
+    perms = np.array([g.perm for g in gates])
+    phases = np.array([g.phases for g in gates], dtype=complex)
+    stacked = _type1_hits(_layout(*_span(circuits[0])), perms, phases, words, powers)
+    assert np.array_equal(stacked, [rule_outcomes(c, instances) for c in circuits])
 
 
 def test_search_ratios_independent_of_length():
