@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive gate search on the alternating orbit")
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--require-cycle", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--top", type=int, default=None, help="emit only the best N gates")
     p.add_argument("--out", default=None)
 
@@ -86,12 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ipr", help="IPR versus energy scatter with scar flags")
     common(p)
-    p.add_argument(
-        "--subspace",
-        choices=("working", "krylov", "full"),
-        default=None,
-        help="basis choice; the default follows the model's tabulated diagnostics",
-    )
+    p.add_argument("--subspace", choices=("working", "krylov", "full"), default=None,
+                   help="basis choice; the default follows the model's tabulated diagnostics")
     p.add_argument("--flag-threshold", type=float, default=0.02)
     p.add_argument("--svg", default=None)
 
@@ -147,11 +142,31 @@ def _seed_index(spec: str, model, length: int) -> int:
 
 
 def _params(args, **extra) -> dict:
-    skip = {"out", "svg", "config", "threads", "command", "workers"}
+    skip = {"out", "svg", "config", "threads", "command"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     params.update(extra)
     params["command"] = args.command
     return params
+
+
+def _emit_json(args, payload: dict) -> None:
+    text = json.dumps(payload, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+def _emit_csv(args, params: dict, columns: list[str], rows) -> None:
+    from .output import format_value, write_csv
+    from . import __version__
+
+    if args.out:
+        write_csv(args.out, __version__, params, columns, rows)
+    else:
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(format_value(v) for v in row))
 
 
 def cmd_orbit(args) -> int:
@@ -164,11 +179,7 @@ def cmd_orbit(args) -> int:
     orbit = orbit_of(model.circuit(args.length), seed)
     payload = orbit.to_json()
     payload["metadata"] = metadata_object(__version__, _params(args))
-    text = json.dumps(payload, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -194,11 +205,7 @@ def cmd_rules(args) -> int:
     payload = report.to_json()
     payload["model"] = model.name
     payload["metadata"] = metadata_object(__version__, _params(args, kind=kind, n=n))
-    text = json.dumps(payload, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit_json(args, payload)
     print(f"rules type {kind}: {report.satisfied}/{report.total}", file=sys.stderr)
     return EXIT_OK
 
@@ -208,21 +215,18 @@ def cmd_search(args) -> int:
     from .rules import SearchConstraints, search_models
     from . import __version__
 
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be at least 1 (got {args.top})")
     constraints = SearchConstraints(order=args.order, require_orbit_cycle=args.require_cycle)
     start = time.perf_counter()
-    results = search_models(constraints, workers=args.workers or 1)
+    results = search_models(constraints)
     summary = f"search: {len(results)} of {math.factorial(8)} gates scored in {time.perf_counter() - start:.2f} s"
-    if args.top:
-        results = results[: args.top]
+    results = results[: args.top]
     payload = {
         "metadata": metadata_object(__version__, _params(args)),
         "results": [r.to_json() for r in results],
     }
-    text = json.dumps(payload, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit_json(args, payload)
     print(summary, file=sys.stderr)
     return EXIT_OK
 
@@ -234,8 +238,7 @@ def cmd_revivals(args) -> int:
     from .dynamics import Propagator, fidelity_trace, generic_comparison_state, local_z_trace, pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
-    from .output import write_csv, write_svg_lines
-    from . import __version__
+    from .output import write_svg_lines
 
     model = _load(args.model)
     subset = _subspace(model, args.length, "working")
@@ -258,14 +261,7 @@ def cmd_revivals(args) -> int:
         data.append(series)
         columns.append(f"z_{args.site}_deviation_sq")
         data.append(np.abs(series - z_mc) ** 2)
-    rows = zip(*data)
-    params = _params(args, n_eff=subset.size, seed=bitstring(seed, args.length))
-    if args.out:
-        write_csv(args.out, __version__, params, columns, rows)
-    else:
-        print(",".join(columns))
-        for row in zip(*data):
-            print(",".join(f"{v:.12g}" for v in row))
+    _emit_csv(args, _params(args, n_eff=subset.size, seed=bitstring(seed, args.length)), columns, zip(*data))
     if args.svg:
         write_svg_lines(args.svg, f"{model.name} L={args.length}", times, {"pr": pr, "fidelity": fid}, log_y=True)
     print(f"revivals: {prop.method}, {len(times) - 1} steps, norm drift {result.norm_drift:.1e}", file=sys.stderr)
@@ -275,9 +271,8 @@ def cmd_revivals(args) -> int:
 def cmd_ipr(args) -> int:
     from .basis import tile_pattern
     from .hamiltonian import build_hamiltonian
-    from .output import write_csv, write_svg_scatter
+    from .output import write_svg_scatter
     from .spectral import analyze_spectrum
-    from . import __version__
 
     model = _load(args.model)
     mode = args.subspace or ("full" if model.name == "qmbs-c" else "working")
@@ -285,28 +280,11 @@ def cmd_ipr(args) -> int:
     chain = build_hamiltonian(model.circuit(args.length), subset)
     refs = [tile_pattern("10", args.length), tile_pattern("01", args.length)]
     analysis = analyze_spectrum(chain.h, subset, refs, args.flag_threshold)
-    rows = zip(
-        analysis.eigenvalues,
-        analysis.ipr,
-        analysis.overlaps.max(axis=1),
-        analysis.flagged.astype(int),
-    )
-    params = _params(args, n_eff=subset.size, subspace=mode)
-    columns = ["energy", "ipr", "neel_overlap", "flagged"]
-    if args.out:
-        write_csv(args.out, __version__, params, columns, rows)
-    else:
-        for row in rows:
-            print(",".join(str(v) for v in row))
+    rows = zip(analysis.eigenvalues, analysis.ipr, analysis.overlaps.max(axis=1), analysis.flagged.astype(int))
+    _emit_csv(args, _params(args, n_eff=subset.size, subspace=mode), ["energy", "ipr", "neel_overlap", "flagged"], rows)
     if args.svg:
-        write_svg_scatter(
-            args.svg,
-            f"{model.name} L={args.length} IPR",
-            analysis.eigenvalues,
-            analysis.ipr,
-            analysis.flagged,
-            log_y=True,
-        )
+        title = f"{model.name} L={args.length} IPR"
+        write_svg_scatter(args.svg, title, analysis.eigenvalues, analysis.ipr, analysis.flagged, log_y=True)
     return EXIT_OK
 
 
@@ -361,8 +339,7 @@ def cmd_bch(args) -> int:
     from .bch import bch_terms, fgr_rate, norm_profile
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
-    from .output import write_csv, write_svg_lines
-    from . import __version__
+    from .output import write_svg_lines
 
     model = _load(args.model)
     subset = _subspace(model, args.length, args.subspace)
@@ -377,13 +354,7 @@ def cmd_bch(args) -> int:
         params["fgr_rate"] = estimate.rate
         print(f"fgr_rate={estimate.rate:.6g}", file=sys.stderr)
     rows = zip(profile.orders, profile.orbit_norm, profile.leakage_norm, profile.generic_norm)
-    columns = ["n", "orbit_norm", "leakage_norm", "generic_norm"]
-    if args.out:
-        write_csv(args.out, __version__, params, columns, rows)
-    else:
-        print(",".join(columns))
-        for row in zip(profile.orders, profile.orbit_norm, profile.leakage_norm, profile.generic_norm):
-            print(",".join(f"{v:.12g}" for v in row))
+    _emit_csv(args, params, ["n", "orbit_norm", "leakage_norm", "generic_norm"], rows)
     if args.svg:
         write_svg_lines(
             args.svg,

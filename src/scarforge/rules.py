@@ -341,9 +341,8 @@ def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
 _GATE_BLOCK = 128
 
 
-def _search_block(args) -> list[SearchResult]:
+def _search_block(perms3, probe, neel, require_cycle, words, powers) -> list[SearchResult]:
     """Search rows for one block of three-qubit permutations, in block order."""
-    perms3, probe, neel, require_cycle, words, powers = args
     perms = lift_three_qubit_permutation(perms3)
     x, rows = np.repeat(neel[None], len(perms), axis=0), np.arange(len(perms))[:, None]
     for site in probe.first_layer_sites + probe.second_layer_sites:    # one period of the whole stack
@@ -363,11 +362,14 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     Gates whose permutation order does not divide the order filter are
     skipped; survivors are ranked by satisfied rules (descending), ties kept
     in the lexicographic enumeration order of the underlying permutations, so
-    the output is deterministic and independent of the worker count.  The
-    rule instances on the alternating orbit do not depend on the gate: their
-    span words and powers are built once, and `workers` processes score the
-    survivors on them in fixed-size blocks, one array pass per block.
+    the output is deterministic.  The rule instances on the alternating orbit
+    do not depend on the gate: their span words and powers are built once,
+    and the survivors are scored on them in fixed-size blocks, one array pass
+    per block.  The search runs in this process; `workers` is accepted for
+    callers that still pass it and must be 1.
     """
+    if workers != 1:
+        raise ValueError(f"the search runs in one process (got workers={workers})")
     length = constraints.length
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
@@ -377,12 +379,5 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     # when the permutation's order divides n
     perms = perms[np.all(_permutation_power(perms, constraints.order) == np.arange(8), axis=1)]
     args = (probe, neel, constraints.require_orbit_cycle, words, powers)
-    blocks = [(perms[i:i + _GATE_BLOCK], *args) for i in range(0, len(perms), _GATE_BLOCK)]
-    if workers <= 1:
-        scored = list(map(_search_block, blocks))
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            scored = pool.map(_search_block, blocks)
+    scored = [_search_block(perms[i:i + _GATE_BLOCK], *args) for i in range(0, len(perms), _GATE_BLOCK)]
     return sorted((r for block in scored for r in block), key=lambda r: -r.satisfied)

@@ -1,5 +1,14 @@
 """Eigen-analysis diagnostics: IPR scatter, scar flags, gap ratios, scaling.
 
+`analyze_spectrum` reads the momentum blocks of one dense `Propagator`, so
+IPR and overlaps need a stated eigenbasis inside degenerate eigenspaces.
+The levels are momentum eigenstates, one block each.  Inside a block, levels
+within DEGENERACY_TOL form a group; the group is rotated so that all of its
+reference weight sits in at most one vector per reference, and the
+weightless rest are the eigenvectors of a fixed diagonal tie-break operator
+with distinct entries.  IPR, overlaps and flags then depend only on each
+group's span.
+
 The gap-ratio statistic r_n = min(d_{n+1}/d_n, d_n/d_{n+1}) distinguishes
 Poissonian from level-repelling spectra without unfolding; exact degeneracies
 are merged first so that scar towers do not inject spurious zeros.
@@ -10,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import BasisSubset
-from .dynamics import ResourceLimitError
-from .tolerances import DEGENERACY_TOL, DENSE_GUARD, TOWER_MERGE_TOL
+from .dynamics import MomentumBlock, Propagator, ResourceLimitError
+from .tolerances import DEGENERACY_TOL, DENSE_GUARD, TOWER_MERGE_TOL, REFERENCE_WEIGHT_TOL
 
 HISTOGRAM_BINS = 50
 FLAG_THRESHOLD = 0.02
@@ -23,7 +31,6 @@ FLAG_THRESHOLD = 0.02
 @dataclass
 class SpectrumAnalysis:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     ipr: np.ndarray
     overlaps: np.ndarray       # (n_states, n_reference) overlap amplitudes
     flagged: np.ndarray        # overlap amplitude above the flag threshold
@@ -31,34 +38,53 @@ class SpectrumAnalysis:
     flag_threshold: float = FLAG_THRESHOLD
 
 
-def analyze_spectrum(
-    hamiltonian,
-    subset: BasisSubset,
-    reference_states=(),
-    flag_threshold: float = FLAG_THRESHOLD,
-) -> SpectrumAnalysis:
-    """Full eigensystem with inverse participation ratios and reference
-    overlaps; states overlapping any reference above the threshold are
-    flagged as scar candidates."""
-    dim = subset.size
-    if dim > DENSE_GUARD:
-        raise ResourceLimitError(
-            f"dense spectrum refused above dimension {DENSE_GUARD}; project to a sector first"
-        )
-    if hamiltonian.shape != (dim, dim):
-        raise ValueError("operator dimension does not match the subset")
-    dense = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-    energies, modes = np.linalg.eigh(dense)
-    pr = np.sum(np.abs(modes) ** 4, axis=0)
-    ipr = 1.0 / pr
+def analyze_spectrum(hamiltonian, subset: BasisSubset, reference_states=(),
+                     flag_threshold: float = FLAG_THRESHOLD) -> SpectrumAnalysis:
+    """Every level with its inverse participation ratio and reference
+    overlaps, read off the momentum blocks of one dense `Propagator` in the
+    eigenbasis convention of the module docstring; states overlapping any
+    reference above the threshold are flagged as scar candidates."""
+    if subset.size > DENSE_GUARD:
+        raise ResourceLimitError(f"dense spectrum refused above dimension {DENSE_GUARD}; project to a sector first")
+    prop = Propagator(hamiltonian, subset)
+    if prop.method != "dense":
+        raise ResourceLimitError("the spectrum needs the dense eigensystem")
     refs = [subset.position(int(s)) for s in reference_states]
-    if refs:
-        overlaps = np.abs(modes[refs, :]).T
-        flagged = np.any(overlaps > flag_threshold, axis=1)
-    else:
-        overlaps = np.zeros((dim, 0))
-        flagged = np.zeros(dim, dtype=bool)
-    return SpectrumAnalysis(energies, modes, ipr, overlaps, flagged, subset, flag_threshold)
+    ipr, overlaps = [], []
+    for block in prop.blocks:
+        vectors = _fixed_basis(block, refs)
+        # a vector's amplitude on slot x is sign[x] vectors[orbit[x]]
+        ipr.append(1.0 / (block.basis.sizes @ np.abs(vectors) ** 4))
+        overlaps.append(np.abs(_reference_rows(block, refs, vectors)).T)
+    levels = np.concatenate([b.energies for b in prop.blocks])
+    order = np.argsort(levels, kind="stable")
+    overlaps = np.concatenate(overlaps)[order]
+    flagged = np.any(overlaps > flag_threshold, axis=1)
+    return SpectrumAnalysis(levels[order], np.concatenate(ipr)[order], overlaps, flagged, subset, flag_threshold)
+
+
+def _reference_rows(block: MomentumBlock, refs, vectors: np.ndarray) -> np.ndarray:
+    """Amplitudes of the vectors on each reference slot, 0 where the
+    reference's orbit is dropped from the block."""
+    orbit = block.basis.orbit[refs]
+    return np.where((orbit >= 0)[:, None], block.basis.sign[refs, None] * vectors[orbit], 0.0)
+
+
+def _fixed_basis(block: MomentumBlock, refs) -> np.ndarray:
+    """The block's vectors, each degenerate group rotated to the right singular
+    vectors of its reference amplitudes, and its weightless rest to those of
+    sqrt(T) on it, T = sum_x (orbit number of x + 1) |x><x|."""
+    vectors = block.vectors.copy()
+    tie = np.sqrt(block.basis.sizes * (block.orbits + 1.0))[:, None]
+    cuts = np.flatnonzero(np.diff(block.energies) > DEGENERACY_TOL) + 1
+    for group in np.split(np.arange(len(block.energies)), cuts):
+        if len(group) > 1:
+            _, weight, vh = np.linalg.svd(_reference_rows(block, refs, vectors[:, group]))
+            rotated = vectors[:, group] @ vh.conj().T
+            rest = rotated[:, np.count_nonzero(weight > REFERENCE_WEIGHT_TOL):]
+            rest[:] = rest @ np.linalg.svd(tie * rest, full_matrices=False)[2].conj().T
+            vectors[:, group] = rotated
+    return vectors
 
 
 def _merge_levels(levels: np.ndarray, tol: float) -> np.ndarray:
@@ -114,7 +140,7 @@ def scaling_scan(
 ) -> list[ScalingRow]:
     """Extrema of the alternating-seed participation-ratio trace per length."""
     from .basis import StateVector
-    from .dynamics import Propagator, pr_trace
+    from .dynamics import pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import load_model, working_subspace
 

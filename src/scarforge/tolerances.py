@@ -29,7 +29,9 @@ MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves mome
 SPARSE_PRUNE = 1e-13          # series entries below this fraction of the largest are dropped
 
 # Spectra and dynamics
-DEGENERACY_TOL = 1e-12        # closer levels merge before the gap-ratio statistic
+DEGENERACY_TOL = 1e-12        # closer levels merge before the gap-ratio statistic, and form one
+                              # degenerate group of a momentum block in `analyze_spectrum`
+REFERENCE_WEIGHT_TOL = 1e-10  # a degenerate group's reference singular values at or below this are no weight
 TOWER_MERGE_TOL = 1e-8        # flagged energies closer than this form one tower
 COUPLING_TOL = 1e-8           # off-diagonal column norm of a coupled probe state
 NORM_DRIFT_ABORT = 1e-6       # norm drift that aborts a propagation

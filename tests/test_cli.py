@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from scarforge.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -131,7 +133,7 @@ def test_rstat_sector_guard_before_assembly(monkeypatch, capsys):
     assert "119 levels" in capsys.readouterr().err
 
 
-def test_ipr_command(tmp_path):
+def test_ipr_command(tmp_path, capsys):
     out = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"
     code = run(["ipr", "--model", "qmbs-c", "-L", "8", "--subspace", "full",
@@ -141,6 +143,10 @@ def test_ipr_command(tmp_path):
     assert body[0] == "energy,ipr,neel_overlap,flagged"
     assert len(body) == 257
     assert svg.read_text().startswith("<svg")
+    # without --out the same header and rows go to stdout
+    capsys.readouterr()
+    assert run(["ipr", "--model", "qmbs-c", "-L", "8", "--subspace", "full"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == body
 
 
 def test_rstat_command(tmp_path):
@@ -197,6 +203,14 @@ def test_search_command(tmp_path, capsys):
 def test_search_rejects_invalid_constraints(capsys):
     assert run(["search", "--order", "0"]) == EXIT_CONFIG
     assert "order must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_search_rejects_top_below_one(top, tmp_path, capsys):
+    out = tmp_path / "results.json"
+    assert run(["search", "--order", "2", "--top", top, "--out", str(out)]) == EXIT_CONFIG
+    assert f"--top must be at least 1 (got {top})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults(tmp_path):

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_phase_gate
+from scarforge import spectral
+from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset, tile_pattern
+from scarforge.dynamics import Propagator
 from scarforge.hamiltonian import build_hamiltonian
 from scarforge.models import load_model, working_subspace
 from scarforge.spectral import (
@@ -10,6 +18,7 @@ from scarforge.spectral import (
     r_statistic,
     scaling_scan,
 )
+from scarforge.tolerances import DEGENERACY_TOL
 
 
 def test_diagonal_hamiltonian_ipr_one():
@@ -21,12 +30,88 @@ def test_diagonal_hamiltonian_ipr_one():
 
 
 def test_completeness_of_eigenbasis():
+    # every subset state as a reference: its squared overlaps over the
+    # levels of all momentum blocks sum to one
     m = load_model("qmbs-b")
     sub = working_subspace(m, 8)
     chain = build_hamiltonian(m.circuit(8), sub)
-    analysis = analyze_spectrum(chain.h, sub, [m.orbit_seed(8)])
-    weights = np.sum(np.abs(analysis.eigenvectors) ** 2, axis=1)
-    assert np.max(np.abs(weights - 1.0)) < 1e-8
+    analysis = analyze_spectrum(chain.h, sub, sub.states)
+    weights = np.sum(analysis.overlaps**2, axis=0)
+    assert np.max(np.abs(weights - 1.0)) < 1e-10
+
+
+def rotated_propagator(rng):
+    """A Propagator whose block vectors are turned by a random unitary inside
+    every group of levels within DEGENERACY_TOL."""
+
+    class Rotated(Propagator):
+        def __init__(self, hamiltonian, subset):
+            super().__init__(hamiltonian, subset)
+            self.blocks = [replace(b, vectors=self._turn(b)) for b in self.blocks]
+
+        @staticmethod
+        def _turn(block):
+            vectors = block.vectors.astype(complex)
+            cuts = np.flatnonzero(np.diff(block.energies) > DEGENERACY_TOL) + 1
+            for group in np.split(np.arange(len(block.energies)), cuts):
+                g = rng.normal(size=(len(group), len(group))) + 1j * rng.normal(size=(len(group), len(group)))
+                vectors[:, group] = vectors[:, group] @ np.linalg.qr(g)[0]
+            return vectors
+
+    return Rotated
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_spectrum_matches_full_eigh_for_random_gates(seed):
+    # oracles on the L=8 full space for a random phased gate's complex H and
+    # its real part, with the Neel pair and one random state as references:
+    # the levels are the full spectrum; on levels more than 1e-6 from their
+    # neighbours (so that a full eigh fixes their vectors to 1e-10) IPR and
+    # overlaps match it; random unitaries inside every degenerate group,
+    # before the convention, change no field
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h.toarray()
+    refs = [tile_pattern("10", 8), tile_pattern("01", 8), int(rng.integers(sub.size))]
+    for dense in (h, h.real):
+        analysis = analyze_spectrum(dense, sub, refs)
+        energies, modes = np.linalg.eigh(dense)
+        assert np.max(np.abs(analysis.eigenvalues - energies)) < 1e-10
+        gaps = np.diff(energies)
+        single = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) > 1e-6
+        assert np.count_nonzero(single) > sub.size // 4
+        ipr = 1.0 / np.sum(np.abs(modes) ** 4, axis=0)
+        assert np.max(np.abs(analysis.ipr[single] / ipr[single] - 1.0)) < 1e-10
+        overlaps = np.abs(modes[[sub.position(s) for s in refs]]).T
+        assert np.max(np.abs(analysis.overlaps[single] - overlaps[single])) < 1e-10
+        assert_rotation_invariant(analysis, dense, sub, refs, rng)
+
+
+def assert_rotation_invariant(analysis, hamiltonian, sub, refs, rng):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "Propagator", rotated_propagator(rng))
+        turned = analyze_spectrum(hamiltonian, sub, refs)
+    assert np.array_equal(turned.eigenvalues, analysis.eigenvalues)
+    assert np.max(np.abs(turned.ipr / analysis.ipr - 1.0)) < 1e-10
+    assert np.max(np.abs(turned.overlaps - analysis.overlaps)) < 1e-10
+    assert np.array_equal(turned.flagged, analysis.flagged)
+
+
+@pytest.mark.parametrize("name, length, full", [("pxp", 12, False), ("qmbs-c", 8, True)])
+def test_convention_fixes_degenerate_groups(name, length, full, rng):
+    # random phased gates at L=8 have no degenerate levels inside a momentum
+    # block; these models do (pxp: 30 groups, qmbs-c: its towers).  Every
+    # group's Neel weight sits in one vector, so the Neel-flagged levels are
+    # the tower alone.
+    m = load_model(name)
+    sub = BasisSubset.full_space(length) if full else working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    refs = [tile_pattern("10", length), tile_pattern("01", length), int(sub.states[sub.size // 3])]
+    analysis = analyze_spectrum(h, sub, refs)
+    assert_rotation_invariant(analysis, h, sub, refs, rng)
+    if name == "qmbs-c":
+        assert np.count_nonzero(np.any(analysis.overlaps[:, :2] > analysis.flag_threshold, axis=1)) == length // 2 + 1
 
 
 def test_qmbs_c_flagged_tower_spacing_pi():
