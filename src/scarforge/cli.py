@@ -308,10 +308,8 @@ def cmd_rstat(args) -> int:
 
     from .dynamics import ResourceLimitError
     from .hamiltonian import build_hamiltonian, project_sector, sector_basis
-    from .output import write_csv
     from .spectral import r_statistic
     from .tolerances import DENSE_GUARD
-    from . import __version__
 
     model = _load(args.model)
     sector = _parse_sector(args.sector)
@@ -328,9 +326,7 @@ def cmd_rstat(args) -> int:
     report = r_statistic(evals)
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
     params = _params(args, n_levels=len(evals), mean_r=report.mean)
-    rows = zip(centers, report.density)
-    if args.out:
-        write_csv(args.out, __version__, params, ["r_bin_center", "density"], rows)
+    _emit_csv(args, params, ["r_bin_center", "density"], zip(centers, report.density))
     print(f"levels={len(evals)} mean_r={report.mean:.6f}", file=sys.stderr)
     return EXIT_OK
 

@@ -2,9 +2,9 @@
 
 A sums the window Hamiltonians of the second circuit layer, B those of the
 first; both act inside a `BasisSubset` (the full space, a Krylov-connected
-set, or a symmetry sector).  Matrix elements below 1e-13 are dropped at
-assembly: window entries are exact combinations of pi-scale constants, so
-anything smaller is floating noise.
+set, or a symmetry sector).  `window_sum` builds every such sum of one local
+matrix over windows, and drops entries at or below 1e-13: window entries are
+exact combinations of pi-scale constants, so anything smaller is noise.
 
 Symmetry sectors use the group of S2 (translation by two sites, of order
 M = L / gcd(L, 2)) and USM (mirror, one-site translation, spin flip),
@@ -61,36 +61,43 @@ class ChainHamiltonian:
     circuit: FloquetCircuit
 
 
-def _layer_matrix(circuit: FloquetCircuit, subset: BasisSubset, sites, local: np.ndarray) -> sp.csr_matrix:
-    states = subset.states
-    length = circuit.length
-    width = circuit.gate.width
-    n = subset.size
+def _window_moves(states: np.ndarray, site: int, length: int, keep: np.ndarray):
+    """Every window entry keep[vp, v] at `site` applied to an ascending state
+    array: the position u, window values v -> vp and target state of each, in
+    (v, vp, u) order, so the targets of one (v, vp) run ascend."""
+    width = len(keep).bit_length() - 1
+    values = window_value(states, site, width, length)
+    order = np.argsort(values, kind="stable")
+    bounds = np.searchsorted(values[order], np.arange(len(keep) + 1))
+    v, vp = np.nonzero(keep.T)
+    counts = bounds[v + 1] - bounds[v]
+    # pair (v, vp) takes the run order[bounds[v]:bounds[v + 1]] of slots holding v
+    u = order[np.arange(counts.sum()) + np.repeat(bounds[v] + counts - np.cumsum(counts), counts)]
+    v, vp = np.repeat(v, counts), np.repeat(vp, counts)
+    spread = set_window(0, site, width, length, np.arange(len(keep)))    # each value in an empty window
+    return u, v, vp, (states ^ spread[values])[u] | spread[vp]
+
+
+def window_sum(subset: BasisSubset, sites, local: np.ndarray) -> sp.csr_matrix:
+    """Sum over `sites` of `local` on the window starting at each site, as a
+    CSR operator on a subset closed under those windows.  Entries of `local`
+    at or below ASSEMBLY_PRUNE are dropped; the first subset state with an
+    image outside the subset raises SubsetNotClosedError."""
+    local = np.asarray(local)
+    keep = np.abs(local) > ASSEMBLY_PRUNE
     rows, cols, data = [], [], []
-    nonzero = [
-        [(vp, local[vp, v]) for vp in range(local.shape[0]) if abs(local[vp, v]) > ASSEMBLY_PRUNE]
-        for v in range(local.shape[1])
-    ]
     for site in sites:
-        values = window_value(states, site, width, length)
-        order = np.argsort(values, kind="stable")
-        bounds = np.searchsorted(values[order], np.arange(local.shape[1] + 1))
-        for v in range(local.shape[1]):
-            sel = order[bounds[v]:bounds[v + 1]]
-            for vp, amp in nonzero[v]:
-                pos = subset.find(set_window(states[sel], site, width, length, vp))
-                if np.any(pos < 0):
-                    raise SubsetNotClosedError(int(states[sel[np.argmax(pos < 0)]]), site)
-                rows.append(pos)
-                cols.append(sel)
-                data.append(np.full(len(sel), amp))
+        u, v, vp, targets = _window_moves(subset.states, site, subset.length, keep)
+        pos = subset.find(targets)
+        if np.any(pos < 0):
+            raise SubsetNotClosedError(int(subset.states[u[np.argmax(pos < 0)]]), site)
+        rows.append(pos)
+        cols.append(u)
+        data.append(local[vp, v])
+    n = subset.size
     if not rows:
-        return sp.csr_matrix((n, n), dtype=complex)
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+        return sp.csr_matrix((n, n), dtype=local.dtype)
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHamiltonian:
@@ -98,8 +105,8 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
     if subset.length != circuit.length:
         raise ValueError("subset length does not match circuit length")
     local = principal_log(circuit.gate).matrix
-    a = _layer_matrix(circuit, subset, circuit.second_layer_sites, local)
-    b = _layer_matrix(circuit, subset, circuit.first_layer_sites, local)
+    a = window_sum(subset, circuit.second_layer_sites, local)
+    b = window_sum(subset, circuit.first_layer_sites, local)
     for name, m in (("A", a), ("B", b)):
         dev = abs(m - m.getH()).max()
         if dev > HERMITICITY_TOL:
@@ -110,20 +117,12 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
 def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
     """Breadth-first closure of the seed under nonzero window matrix elements,
     expanded one whole level of states at a time."""
-    local = principal_log(circuit.gate).matrix
-    width = circuit.gate.width
+    hops = np.abs(principal_log(circuit.gate).matrix) > ASSEMBLY_PRUNE
+    np.fill_diagonal(hops, False)    # hops[vp, v]: window value v reaches vp
     length = circuit.length
-    hops = np.abs(local) > ASSEMBLY_PRUNE     # hops[vp, v]: window value v reaches vp
-    np.fill_diagonal(hops, False)
     seen = frontier = np.array([seed], dtype=np.int64)
     while len(frontier):
-        reached = []
-        for site in circuit.window_sites:
-            values = window_value(frontier, site, width, length)
-            reached += [
-                set_window(frontier[hops[vp, values]], site, width, length, vp)
-                for vp in range(len(hops))
-            ]
+        reached = [_window_moves(frontier, site, length, hops)[3] for site in circuit.window_sites]
         frontier = np.setdiff1d(np.unique(np.concatenate(reached)), seen, assume_unique=True)
         seen = np.union1d(seen, frontier)
     return BasisSubset(seen, length)

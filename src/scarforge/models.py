@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .automaton import FloquetCircuit
-from .basis import BasisSubset, bit_of, set_window, tile_pattern, window_value
+from .basis import BasisSubset, set_window, tile_pattern, window_value
 from .gate import PermutationGate, gate_from_json, gate_matrix, gate_to_json
-from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log
+from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log, window_sum
 from .tolerances import ASSEMBLY_PRUNE
 
 MODEL_NAMES = ("qmbs-a", "qmbs-b", "qmbs-c", "pxp", "pxp-nophase")
@@ -212,20 +212,8 @@ def anti_aligned_pair_states(length: int) -> np.ndarray:
 
 def ladder_operator(length: int) -> sp.csr_matrix:
     """Sum over pairs of Z_{2j} (I - X_{2j} X_{2j+1}) on the full space."""
-    dim = 1 << length
-    diag = np.zeros(dim, dtype=complex)
-    rows, cols, data = [], [], []
-    states = np.arange(dim)
-    for site in range(2, length + 1, 2):
-        z_a = 1.0 - 2.0 * bit_of(states, site, length)
-        diag += z_a
-        flipped = set_window(states, site, 2, length, 3 - window_value(states, site, 2, length))
-        rows.extend(flipped)
-        cols.extend(states)
-        # Z acts after the pair flip: -Z X X carries weight -z(target) = +z(source).
-        data.extend(z_a)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    return sp.diags(diag).tocsr() + mat
+    pair = _kron(Z, I2) @ (np.eye(4) - _kron(X, X))
+    return window_sum(BasisSubset.full_space(length), range(2, length + 1, 2), pair)
 
 
 def sga_check(length: int, epsilon: float = np.pi) -> float:
@@ -249,14 +237,8 @@ def sga_check(length: int, epsilon: float = np.pi) -> float:
 
 def embedded_block_reference(length: int) -> np.ndarray:
     """Pair-flip chain sum of (pi/2) X_{2j} X_{2j+1} - pi/2 on the anti-aligned states."""
-    w_states = anti_aligned_pair_states(length)
-    n = len(w_states)
-    out = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(out, -0.5 * np.pi * (length // 2))
-    for site in range(2, length + 1, 2):
-        flipped = set_window(w_states, site, 2, length, 3 - window_value(w_states, site, 2, length))
-        out[np.searchsorted(w_states, flipped), np.arange(n)] += 0.5 * np.pi
-    return out
+    subset = BasisSubset(anti_aligned_pair_states(length), length)
+    return window_sum(subset, range(2, length + 1, 2), 0.5 * np.pi * (_kron(X, X) - np.eye(4))).toarray()
 
 
 def neel_orbit_states(model: ModelDefinition, length: int) -> list[int]:

@@ -13,8 +13,9 @@ rule's first site on (the whole ring when L < 2d + w).  The three windows act
 on no other bit, so the rest of the chain is a spectator that both orderings
 leave as it was: their results agree on the chain exactly when they agree on
 the span word, and differ by a vector of the same norm.  Gate powers become
-index and phase tables over the 2^m words, window-Hamiltonian powers sparse
-2^m x 2^m operators, and every instance of a report is evaluated at once.
+index and phase tables over the 2^m words, window-Hamiltonian powers the
+sparse operators `hamiltonian.window_sum` builds on the full space of span
+words, and every instance of a report is evaluated at once.
 
 Instances are enumerated once per translation-equivalence class: shifting a
 rule by any lattice translation that maps window positions to window
@@ -30,13 +31,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .automaton import FloquetCircuit
-from .basis import set_window, tile_pattern, translate_index, window_value
+from .basis import BasisSubset, set_window, tile_pattern, translate_index, window_value
 from .gate import identity_gate
+from .hamiltonian import window_sum
 from .logmap import principal_log
-from .tolerances import RULE_ENTRY_CUT, RULE_PHASE_TOL, TYPE2_TOL
+from .tolerances import RULE_PHASE_TOL, TYPE2_TOL
 
 
 @dataclass(frozen=True)
@@ -194,18 +195,6 @@ def _type1_hits(layout, perms: np.ndarray, phases: np.ndarray | None, words, pow
     return agree[s1, s3, s2, :, at].T
 
 
-def _window_operators(layout, h_local: np.ndarray) -> list[sp.csr_matrix]:
-    """The window Hamiltonian on each rule window, as operators on span words."""
-    h = np.asarray(h_local)
-    keep = np.abs(h) > RULE_ENTRY_CUT
-    ops = []
-    for values, cleared, spread in zip(*layout):
-        vp, u = np.nonzero(keep[:, values])
-        shape = (len(values), len(values))
-        ops.append(sp.csr_matrix((h[vp, values[u]], (cleared[u] | spread[vp], u)), shape=shape))
-    return ops
-
-
 def _ordered_products(block: np.ndarray, column: np.ndarray, steps, n: int) -> np.ndarray:
     """Each instance's start column under op^e for the (op, e) of `steps` in
     turn, e one power per instance; all n powers of the block are formed."""
@@ -218,9 +207,11 @@ def _ordered_products(block: np.ndarray, column: np.ndarray, steps, n: int) -> n
     return block[:, column]
 
 
-def _type2_residuals(layout, h_local: np.ndarray, words, powers) -> np.ndarray:
+def _type2_residuals(circuit: FloquetCircuit, h_local: np.ndarray, words, powers) -> np.ndarray:
     """Two-norm of the difference of both orderings of window-Hamiltonian powers."""
-    left, middle, right = _window_operators(layout, h_local)
+    stride, _, m = _span(circuit)
+    words_space = BasisSubset.full_space(m)
+    left, middle, right = (window_sum(words_space, [1 + k * stride], h_local) for k in range(3))
     n = int(powers.max(initial=0)) + 1
     starts, column = np.unique(words, return_inverse=True)
     block = np.zeros((left.shape[0], len(starts)), dtype=complex)
@@ -238,15 +229,14 @@ def rule_outcomes(circuit: FloquetCircuit, instances, h_local: np.ndarray | None
     kinds = {r.kind for r in instances}
     if len(kinds) > 1 or not kinds <= {"I", "II"}:
         raise ValueError(f"instances must share one rule kind, I or II (got {sorted(kinds)})")
-    layout = _layout(*_span(circuit))
     words, powers = _instance_arrays(circuit, instances)
     if kinds != {"II"}:
         phases = np.array([circuit.gate.phases], dtype=complex)
         phases = phases if np.any(phases != 1) else None    # a phase-free gate keeps every phase at one
-        return _type1_hits(layout, np.array([circuit.gate.perm]), phases, words, powers)[0]
+        return _type1_hits(_layout(*_span(circuit)), np.array([circuit.gate.perm]), phases, words, powers)[0]
     if h_local is None:
         h_local = principal_log(circuit.gate).matrix
-    return _type2_residuals(layout, h_local, words, powers)
+    return _type2_residuals(circuit, h_local, words, powers)
 
 
 def rule_report(circuit: FloquetCircuit, orbit_states, n: int, kind: str = "I",
@@ -268,19 +258,16 @@ def rule_report(circuit: FloquetCircuit, orbit_states, n: int, kind: str = "I",
 @dataclass(frozen=True)
 class SearchConstraints:
     """Search setup: the order filter (permutation order must divide
-    `order`), the chain length the rules are evaluated on, and whether the
-    seed orbit must be an actual 2-cycle.  Rules use the powers below
-    `order`: a surviving gate repeats them at every higher power."""
+    `order`) and whether the seed orbit must be an actual 2-cycle.  Rules use
+    the powers below `order`: a surviving gate repeats them at every higher
+    power."""
 
     order: int = 6
-    length: int = 8
     require_orbit_cycle: bool = False
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"search order must be at least 1 (got {self.order})")
-        if self.length < 4 or self.length % 4:
-            raise ValueError(f"search length must be a positive multiple of 4 (got {self.length})")
 
 
 @dataclass(frozen=True)
@@ -362,15 +349,16 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     Gates whose permutation order does not divide the order filter are
     skipped; survivors are ranked by satisfied rules (descending), ties kept
     in the lexicographic enumeration order of the underlying permutations, so
-    the output is deterministic.  The rule instances on the alternating orbit
-    do not depend on the gate: their span words and powers are built once,
-    and the survivors are scored on them in fixed-size blocks, one array pass
-    per block.  The search runs in this process; `workers` is accepted for
-    callers that still pass it and must be 1.
+    the output is deterministic.  Rules are scored at L = 8, the stride4
+    rule span, which gives every longer chain's ratios.  The rule instances
+    on the alternating orbit do not depend on the gate: their span words and
+    powers are built once, and the survivors are scored on them in
+    fixed-size blocks, one array pass per block.  The search runs in this
+    process; `workers` is accepted for callers that still pass it and must be 1.
     """
     if workers != 1:
         raise ValueError(f"the search runs in one process (got workers={workers})")
-    length = constraints.length
+    length = 8
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
     words, powers = _instance_arrays(probe, enumerate_rule_instances(probe, neel.tolist(), constraints.order))

@@ -47,8 +47,6 @@ def analyze_spectrum(hamiltonian, subset: BasisSubset, reference_states=(),
     if subset.size > DENSE_GUARD:
         raise ResourceLimitError(f"dense spectrum refused above dimension {DENSE_GUARD}; project to a sector first")
     prop = Propagator(hamiltonian, subset)
-    if prop.method != "dense":
-        raise ResourceLimitError("the spectrum needs the dense eigensystem")
     refs = [subset.position(int(s)) for s in reference_states]
     ipr, overlaps = [], []
     for block in prop.blocks:

@@ -15,7 +15,6 @@ DEPENDENCE_RTOL = 1e-9        # relative cut of the closing-relation least squar
 CUT_GUARD = 1e-12             # angles this far above pi still wrap to +pi
 
 # Local commutation rules
-RULE_ENTRY_CUT = 1e-14        # window-Hamiltonian entries at or below this are dropped
 RULE_PHASE_TOL = 1e-10        # phase difference of the two type-I orderings
 TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
 

@@ -149,7 +149,7 @@ def test_ipr_command(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == body
 
 
-def test_rstat_command(tmp_path):
+def test_rstat_command(tmp_path, capsys):
     out = tmp_path / "rstat.csv"
     code = run(["rstat", "--model", "qmbs-b", "-L", "12", "--sector", "s2+1,usm+1",
                 "--out", str(out)])
@@ -157,6 +157,13 @@ def test_rstat_command(tmp_path):
     text = out.read_text()
     assert "mean_r=" in text
     assert "n_levels=119" in text
+    body = [l for l in text.splitlines() if not l.startswith("#")]
+    assert body[0] == "r_bin_center,density"
+    assert len(body) == 51
+    # without --out the same histogram goes to stdout
+    capsys.readouterr()
+    assert run(["rstat", "--model", "qmbs-b", "-L", "12", "--sector", "s2+1,usm+1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == body
 
 
 def test_rstat_bad_sector():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import window_operator
 from scarforge.automaton import FloquetCircuit, floquet_matrix
 from scarforge.basis import (
     BasisSubset,
@@ -14,6 +16,7 @@ from scarforge.basis import (
     translate_index,
 )
 from scarforge.gate import identity_gate
+from scarforge.tolerances import ASSEMBLY_PRUNE
 from scarforge.hamiltonian import (
     SubsetNotClosedError,
     SymmetrySector,
@@ -23,6 +26,7 @@ from scarforge.hamiltonian import (
     project_sector,
     s2_order,
     sector_basis,
+    window_sum,
 )
 from scarforge.models import (
     anti_aligned_pair_states,
@@ -103,6 +107,55 @@ def test_subset_not_closed_reports_state(models):
     broken = BasisSubset(sub.states[:-1], L)
     with pytest.raises(SubsetNotClosedError):
         build_hamiltonian(circuit, broken)
+
+
+def _random_local(rng, width: int) -> np.ndarray:
+    """A complex local matrix with about a third of its entries at or below ASSEMBLY_PRUNE."""
+    dim = 1 << width
+    local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    tiny = rng.random((dim, dim)) < 0.35
+    local[tiny] = rng.choice([0.0, ASSEMBLY_PRUNE, -ASSEMBLY_PRUNE, 0.5j * ASSEMBLY_PRUNE], size=tiny.sum())
+    return local
+
+
+@settings(max_examples=30)
+@given(length=st.sampled_from([4, 6, 8]), width=st.sampled_from([2, 4]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_window_sum_matches_kron_windows(length, width, seed, data):
+    # oracle: the kron-embedded local matrix with the entries at or below
+    # ASSEMBLY_PRUNE zeroed, summed over the sites; the last site's window wraps
+    rng = np.random.default_rng(seed)
+    local = _random_local(rng, width)
+    pruned = np.where(np.abs(local) > ASSEMBLY_PRUNE, local, 0.0)
+    sites = data.draw(st.lists(st.integers(1, length), max_size=length)) + [length]
+    space = BasisSubset.full_space(length)
+    ops = {site: window_operator(pruned, site, length).toarray() for site in sites}
+    for site, op in ops.items():    # one window adds nothing: exact
+        assert np.array_equal(window_sum(space, [site], local).toarray(), op)
+    want = sum(ops[site] for site in sites)
+    # sums of at most k = len(sites) terms of modulus below 6, in another order
+    bound = 6 * len(sites) ** 2 * np.finfo(float).eps
+    assert np.max(np.abs(window_sum(space, sites, local).toarray() - want)) <= bound
+
+
+@settings(max_examples=30)
+@given(length=st.sampled_from([4, 6, 8]), width=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_window_sum_names_a_leaving_state(length, width, seed):
+    # on a subset the windows leave, the error names a subset state whose
+    # image under the window at the named site has weight outside the subset
+    rng = np.random.default_rng(seed)
+    local = _random_local(rng, width)
+    pruned = np.where(np.abs(local) > ASSEMBLY_PRUNE, local, 0.0)
+    subset = BasisSubset(np.flatnonzero(rng.random(1 << length) < 0.8), length)
+    outside = np.setdiff1d(np.arange(1 << length), subset.states)
+    leaving = {
+        site: set(subset.states[np.any(window_operator(pruned, site, length).toarray()[outside][:, subset.states], axis=0)])
+        for site in (1, length)
+    }
+    assume(any(leaving.values()))
+    with pytest.raises(SubsetNotClosedError) as err:
+        window_sum(subset, [1, length], local)
+    assert err.value.state_index in leaving[err.value.site]
 
 
 def test_pxp_bandwidth_near_thirty(models):
