@@ -17,6 +17,13 @@ All operands are anti-Hermitian, so each commutator costs one product:
 kind of matrix the caller passes: the Floquet-Magnus terms are local, so
 they stay sparse.  Entries below 1e-13 of the largest magnitude are dropped
 per nesting level to stop noise fill-in.
+
+Before each order the series is admitted against the available memory: the
+CSR pieces it holds, plus the order's deg + 1 new pieces and three in-flight
+products, each sized as the largest piece held, must fit, else
+ResourceLimitError is raised before the order allocates.  The held pieces
+are already resident; counting them again keeps a margin as large as the
+series held.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from math import comb, factorial
 import numpy as np
 import scipy.sparse as sp
 
+from . import dynamics
 from .tolerances import SPARSE_PRUNE
 
 MAX_ORDER = 12
@@ -53,6 +61,10 @@ def _prune(mat) -> sp.csr_matrix:
     return mat
 
 
+def _csr_bytes(mat) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
 def _commutator(left, right) -> sp.csr_matrix:
     prod = left @ right
     return _prune(prod - prod.getH())
@@ -73,6 +85,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b.
 
     a and b may be dense arrays or sparse matrices; the terms are CSR.
+    Raises ResourceLimitError before an order that would not fit in memory.
     """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("layer matrices must be square and of equal shape")
@@ -96,6 +109,14 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         return table.get((k, d))
 
     for deg in range(1, n_orders + 1):
+        held = [_csr_bytes(piece) for piece in (x, y, *z[1:], *table.values())]
+        need = sum(held) + (deg + 4) * max(held)
+        have = dynamics.available_bytes()
+        if need > have:
+            raise dynamics.ResourceLimitError(
+                f"series order {deg} needs about {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; "
+                "lower the order or use a smaller subspace"
+            )
         for k in range(1, deg + 1):
             acc = None
             for m in range(1, deg - k + 2):
@@ -195,6 +216,8 @@ class DecayEstimate:
 def fgr_rate(series: BchSeries, orbit_positions, chain_length: int, bandwidth: float) -> DecayEstimate:
     """Golden-rule decay rate from the second-order orbit-to-generic coupling:
     2 pi (2 N_eff / (L Delta)) |leakage(C_2)|^2 / (N_eff l)."""
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive (got {bandwidth})")
     if series.max_order < 2:
         raise ValueError("decay estimate needs the series through order 2")
     orb = np.asarray(sorted(orbit_positions), dtype=int)

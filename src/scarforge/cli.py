@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
 (norm drift, non-closed subset, no recurrence) or resource limit (dense
 dimension guard, memory pre-flight), 4 unknown model.  Thread
-count comes from --threads or SCARFORGE_THREADS (the flag wins) and is
-applied to the BLAS pool before numpy loads; it never changes results, only
-timing.  All emitted files are deterministic for a fixed configuration.
+count comes from --threads (or a config file's threads= key), else from
+SCARFORGE_THREADS, and is applied to the BLAS pool before numpy loads; it
+never changes results, only timing.  All emitted files are deterministic for
+a fixed configuration.
 """
 
 from __future__ import annotations
@@ -24,18 +25,6 @@ EXIT_NUMERICAL = 3
 EXIT_UNKNOWN_MODEL = 4
 
 
-def _apply_threads(argv) -> None:
-    threads = os.environ.get("SCARFORGE_THREADS")
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def _read_config_file(path) -> dict:
     values = {}
     for raw in Path(path).read_text().splitlines():
@@ -49,32 +38,43 @@ def _read_config_file(path) -> dict:
     return values
 
 
+def _top_options() -> argparse.ArgumentParser:
+    """The options that precede the subcommand."""
+    top = argparse.ArgumentParser(add_help=False)
+    top.add_argument("--threads", type=int, default=None, help="BLAS/worker thread count")
+    top.add_argument("--config", default=None, help="key=value file of defaults")
+    return top
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="scarforge", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="BLAS/worker thread count")
-    parser.add_argument("--config", default=None, help="key=value file of defaults")
+    parser = argparse.ArgumentParser(prog="scarforge", description=__doc__, parents=[_top_options()])
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
     def common(p, length_default=12):
         p.add_argument("--model", required=True, help="registry name or model file")
         p.add_argument("-L", "--length", type=int, default=length_default)
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("orbit", help="cycle of a seed state under the automaton")
+    p = command("orbit", cmd_orbit, "cycle of a seed state under the automaton")
     common(p)
     p.add_argument("--seed", default="neel", help="neel | polarized | an explicit 0/1 string")
 
-    p = sub.add_parser("rules", help="commutation-rule report for a model")
+    p = command("rules", cmd_rules, "commutation-rule report for a model")
     common(p)
     p.add_argument("--type", dest="kind", choices=("I", "II"), default=None)
 
-    p = sub.add_parser("search", help="exhaustive gate search on the alternating orbit")
+    p = command("search", cmd_search, "exhaustive gate search on the alternating orbit")
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--require-cycle", action="store_true")
     p.add_argument("--top", type=int, default=None, help="emit only the best N gates")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("revivals", help="participation-ratio and fidelity trace")
+    p = command("revivals", cmd_revivals, "participation-ratio and fidelity trace")
     common(p)
     p.add_argument("--state", default="neel", help="neel | polarized | generic | 0/1 string")
     p.add_argument("--tmax", type=float, default=300.0)
@@ -83,29 +83,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=0.4, help="microcanonical energy window")
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("ipr", help="IPR versus energy scatter with scar flags")
+    p = command("ipr", cmd_ipr, "IPR versus energy scatter with scar flags")
     common(p)
     p.add_argument("--subspace", choices=("working", "krylov", "full"), default=None,
                    help="basis choice; the default follows the model's tabulated diagnostics")
     p.add_argument("--flag-threshold", type=float, default=0.02)
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("rstat", help="gap-ratio statistic in a symmetry sector")
+    p = command("rstat", cmd_rstat, "gap-ratio statistic in a symmetry sector")
     common(p, length_default=16)
     p.add_argument("--sector", default="s2+1,usm+1", help="e.g. s2+1,usm+1 or none")
 
-    p = sub.add_parser("bch", help="projected norms of the series terms")
+    p = command("bch", cmd_bch, "projected norms of the series terms")
     common(p, length_default=16)
     p.add_argument("--orders", type=int, default=8)
     p.add_argument("--subspace", choices=("working", "krylov", "full"), default="working")
     p.add_argument("--bandwidth", type=float, default=None, help="also report the golden-rule rate")
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("sga-check", help="tower-algebra residual of the exact model")
+    p = command("sga-check", cmd_sga_check, "tower-algebra residual of the exact model")
     p.add_argument("-L", "--length", type=int, default=8)
     p.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("spinrep-check", help="spin representation versus gate table")
+    p = command("spinrep-check", cmd_spinrep_check, "spin representation versus gate table")
     p.add_argument("--model", required=True)
 
     return parser
@@ -142,11 +142,17 @@ def _seed_index(spec: str, model, length: int) -> int:
 
 
 def _params(args, **extra) -> dict:
-    skip = {"out", "svg", "config", "threads", "command"}
+    skip = {"out", "svg", "config", "threads", "command", "handler"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     params.update(extra)
     params["command"] = args.command
     return params
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Refuse an out-of-range flag value before any work is done."""
+    if not ok:
+        raise ValueError(f"{flag} must {rule} (got {value})")
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -215,8 +221,7 @@ def cmd_search(args) -> int:
     from .rules import SearchConstraints, search_models
     from . import __version__
 
-    if args.top is not None and args.top < 1:
-        raise ValueError(f"--top must be at least 1 (got {args.top})")
+    _require(args.top is None or args.top >= 1, "--top", "be at least 1", args.top)
     constraints = SearchConstraints(order=args.order, require_orbit_cycle=args.require_cycle)
     start = time.perf_counter()
     results = search_models(constraints)
@@ -240,6 +245,9 @@ def cmd_revivals(args) -> int:
     from .models import neel_orbit_states
     from .output import write_svg_lines
 
+    _require(args.dt > 0, "--dt", "be positive", args.dt)
+    _require(args.tmax >= 0, "--tmax", "be at least 0", args.tmax)
+    _require(args.site is None or 1 <= args.site <= args.length, "--site", f"lie in 1..{args.length}", args.site)
     model = _load(args.model)
     subset = _subspace(model, args.length, "working")
     chain = build_hamiltonian(model.circuit(args.length), subset)
@@ -345,7 +353,7 @@ def cmd_bch(args) -> int:
     positions = [subset.position(s) for s in orbit]
     profile = norm_profile(series, positions)
     params = _params(args, n_eff=subset.size)
-    if args.bandwidth:
+    if args.bandwidth is not None:
         estimate = fgr_rate(series, positions, args.length, args.bandwidth)
         params["fgr_rate"] = estimate.rate
         print(f"fgr_rate={estimate.rate:.6g}", file=sys.stderr)
@@ -382,54 +390,42 @@ def cmd_spinrep_check(args) -> int:
     return EXIT_OK
 
 
-HANDLERS = {
-    "orbit": cmd_orbit,
-    "rules": cmd_rules,
-    "search": cmd_search,
-    "revivals": cmd_revivals,
-    "ipr": cmd_ipr,
-    "rstat": cmd_rstat,
-    "bch": cmd_bch,
-    "sga-check": cmd_sga_check,
-    "spinrep-check": cmd_spinrep_check,
-}
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config entries into flags placed right after the subcommand,
-    so explicitly passed flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the --config file's keys spliced in as flags: keys that name
+    top-level options go before the subcommand and the rest right after it,
+    so explicitly passed flags, which come later, still win."""
+    top = _top_options()
+    split = argparse.ArgumentParser(add_help=False, exit_on_error=False, parents=[top])
+    split.add_argument("command", nargs="?")
+    split.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        known, _ = split.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return argv  # the full parser reports it
+    if not known.config or known.command is None:
         return argv
-    values = _read_config_file(known.config)
-    extra = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "L" or key == "length":
-            flag = "-L"
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                extra.append(flag)
-        else:
-            extra.extend([flag, value])
-    for i, token in enumerate(argv):
-        if token in HANDLERS:
-            return argv[: i + 1] + extra + argv[i + 1 :]
-    return argv
+    top_keys = vars(top.parse_args([]))
+    head, tail = [], []
+    for key, value in _read_config_file(known.config).items():
+        flag = "-L" if key in ("L", "length") else "--" + key.replace("_", "-")
+        words = {"true": [flag], "false": []}.get(value.lower(), [flag, value])
+        (head if key in top_keys else tail).extend(words)
+    cut = len(argv) - len(known.rest)
+    return head + argv[:cut] + tail + argv[cut:]
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
-    parser = build_parser()
     try:
-        argv = _inject_config(argv)
+        argv = _with_config(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    threads = os.environ.get("SCARFORGE_THREADS") if args.threads is None else str(args.threads)
+    if threads:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = threads
 
     from .automaton import CycleOverflowError
     from .dynamics import NormDriftError, ResourceLimitError
@@ -437,7 +433,7 @@ def run(argv=None) -> int:
     from .models import UnknownModelError
 
     try:
-        return HANDLERS[args.command](args)
+        return args.handler(args)
     except UnknownModelError as exc:
         print(f"error: unknown model {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_MODEL

@@ -390,6 +390,8 @@ def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:
 
 def z_diagonal(subset: BasisSubset, site: int) -> np.ndarray:
     """Z eigenvalues (+1 for bit 0, -1 for bit 1) of the subset states."""
+    if not 1 <= site <= subset.length:
+        raise ValueError(f"site {site} lies outside 1..{subset.length}")
     return 1.0 - 2.0 * bit_of(subset.states, site, subset.length).astype(float)
 
 

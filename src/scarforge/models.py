@@ -255,8 +255,10 @@ def working_subspace(model: ModelDefinition, length: int) -> BasisSubset:
     This is the Krylov closure of the protected seed, widened to the full
     space when the closure misses nothing but window-inert states (states
     every window annihilates).  A gate that strands only such inert states
-    imposes no selection rule, and the closed-form dimension counts them; the
-    exact-scar gate leaves exactly the two uniform states inert, for example.
+    imposes no selection rule, and the closed-form dimension counts them.
+    qmbs-a is widened this way: its closure (254/4094/65534 states at
+    L=8/12/16) misses exactly the two uniform states 0...0 and 1...1.  The
+    exact-scar qmbs-c closure (16/64/256) is not widened.
     """
     circuit = model.circuit(length)
     subset = krylov_subspace(circuit, model.orbit_seed(length))

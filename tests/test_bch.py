@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phase_gate
+from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset
 from scarforge.bch import (
@@ -162,6 +163,24 @@ def test_fgr_rate_zero_for_vanishing_coupling():
     series = BchSeries([zero, zero, zero], 2)
     est = fgr_rate(series, [0, 1], 8, 30.0)
     assert est.rate == 0.0
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -3.0])
+def test_fgr_rate_refuses_nonpositive_bandwidth(bandwidth):
+    zero = np.zeros((8, 8), dtype=complex)
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        fgr_rate(BchSeries([zero, zero, zero], 2), [0, 1], 8, bandwidth)
+
+
+def test_series_refused_before_an_order_that_does_not_fit(monkeypatch):
+    # qmbs-a on the 256-state full space: the order-2 admission counts about
+    # 2.5 MB and the order-3 one about 9 MB
+    model = load_model("qmbs-a")
+    chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    with pytest.raises(dynamics.ResourceLimitError, match="series order 3 needs"):
+        bch_terms(chain.a, chain.b, 8)
+    assert bch_terms(chain.a, chain.b, 2).max_order == 2
 
 
 def test_order_guard():

@@ -220,6 +220,47 @@ def test_search_rejects_top_below_one(top, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--site", "0"], "--site must lie in 1..8 (got 0)"),
+    (["--site", "9"], "--site must lie in 1..8 (got 9)"),
+    (["--dt", "0"], "--dt must be positive (got 0.0)"),
+    (["--dt", "-0.1"], "--dt must be positive (got -0.1)"),
+    (["--tmax", "-1"], "--tmax must be at least 0 (got -1.0)"),
+])
+def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp_path, monkeypatch, capsys):
+    from scarforge import hamiltonian
+
+    built = []
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", lambda *a, **k: built.append(a))
+    out = tmp_path / "trace.csv"
+    assert run(["revivals", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-3"])
+def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, capsys):
+    out = tmp_path / "c2.csv"
+    args = ["bch", "--model", "qmbs-c", "-L", "8", "--orders", "2", "--subspace", "krylov",
+            "--bandwidth", bandwidth, "--out", str(out)]
+    assert run(args) == EXIT_CONFIG
+    assert "bandwidth must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
+    # the qmbs-a series on the 256-state full space fills in: order 3 needs
+    # about 9 MB, so 4 MB refuses it before the order allocates
+    from scarforge import dynamics
+
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    out = tmp_path / "norms.csv"
+    args = ["bch", "--model", "qmbs-a", "-L", "8", "--subspace", "full", "--out", str(out)]
+    assert run(args) == EXIT_NUMERICAL
+    assert "series order 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=qmbs-c\nlength=8\ntype=I\n")
@@ -228,6 +269,16 @@ def test_config_file_defaults(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["total"] == 350
+
+
+def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch):
+    # the config path "orbit" is the value of --config, not the subcommand,
+    # and its keys give the same file, config hash included, as the flags
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit").write_text("length=8\nseed=polarized\n")
+    assert run(["--config", "orbit", "orbit", "--model", "pxp", "--out", "from-config.json"]) == EXIT_OK
+    assert run(["orbit", "--model", "pxp", "-L", "8", "--seed", "polarized", "--out", "from-flags.json"]) == EXIT_OK
+    assert (tmp_path / "from-config.json").read_bytes() == (tmp_path / "from-flags.json").read_bytes()
 
 
 def test_numerical_guard_exit(tmp_path):
@@ -256,24 +307,31 @@ class NumpyImportProbe:
 sys.meta_path.insert(0, NumpyImportProbe())
 import scarforge.cli
 loaded_early = "numpy" in sys.modules
-code = scarforge.cli.run(["--threads", "1", "orbit", "--model", "pxp", "-L", "8", "--out", os.devnull])
+code = scarforge.cli.run(json.loads(sys.argv[1]) + ["orbit", "--model", "pxp", "-L", "8", "--out", os.devnull])
 print(json.dumps({"loaded_early": loaded_early, "code": code, "seen": NumpyImportProbe.seen}))
 """
 
 
-def test_threads_applied_before_numpy_loads():
+def test_threads_applied_before_numpy_loads(tmp_path):
+    # the count comes from the flag, from a config file's threads= key, or
+    # from the flag over a config file that names another count
+    (tmp_path / "one.cfg").write_text("threads=1\n")
+    (tmp_path / "three.cfg").write_text("threads=3\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.pop("SCARFORGE_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert not result["loaded_early"]
-    assert result["code"] == EXIT_OK
-    assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for flags in (["--threads", "1"], ["--config", str(tmp_path / "one.cfg")],
+                  ["--config", str(tmp_path / "three.cfg"), "--threads", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, json.dumps(flags)], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert not result["loaded_early"]
+        assert result["code"] == EXIT_OK, flags
+        assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, flags
 
 
 def test_exported_names_resolve():

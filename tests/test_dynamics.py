@@ -186,6 +186,13 @@ def test_local_z_trace_eigenstate_constant(pxp_chain):
     assert np.max(np.abs(series - series[0])) < 1e-10
 
 
+@pytest.mark.parametrize("site", [0, 13])
+def test_z_diagonal_refuses_site_outside_chain(pxp_chain, site):
+    _, sub, _ = pxp_chain
+    with pytest.raises(ValueError, match=r"site .* outside 1\.\.12"):
+        z_diagonal(sub, site)
+
+
 def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
