@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "BasisSubset": "basis",
-    "StateVector": "basis",
     "PermutationGate": "gate",
     "parse_gate": "gate",
     "gate_order": "gate",
@@ -21,7 +20,6 @@ _EXPORTS = {
     "closing_relation": "logmap",
     "FloquetCircuit": "automaton",
     "orbit_of": "automaton",
-    "floquet_eigenstates": "automaton",
     "load_model": "models",
 }
 

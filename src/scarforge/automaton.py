@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSubset, StateVector, bitstring, set_window, window_value
+from .basis import bitstring, set_window, window_value
 from .gate import PermutationGate, gate_matrix, phase_product, phased_cycles, walk_cycle
 from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
@@ -122,6 +122,12 @@ class OrbitCycle:
     def eigenphases(self) -> np.ndarray:
         return cycle_eigenphases(self.phi, self.cycle_length)
 
+    def eigenstates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cycle_length eigenstates of U_F supported on the cycle: the
+        eigenphases beta_m and an (l, l) array whose row m, over `states`
+        in walk order, satisfies U_F |psi_m> = e^{i beta_m} |psi_m>."""
+        return cycle_eigenvectors(self.walk_phases, self.phi)
+
     def to_json(self) -> dict:
         return {
             "seed": bitstring(self.states[0], self.length_chain),
@@ -144,26 +150,6 @@ def orbit_of(circuit: FloquetCircuit, seed: int, l_max: int | None = None) -> Or
     if cycle is None:
         raise CycleOverflowError(f"no recurrence within {l_max} applications")
     return _orbit_cycle(circuit.length, *cycle)
-
-
-@dataclass(frozen=True)
-class FloquetEigenstate:
-    """Eigenvector of U_F built on one cycle: U_F |psi> = e^{i beta} |psi>."""
-
-    m: int
-    beta: float
-    vector: StateVector
-
-
-def floquet_eigenstates(orbit: OrbitCycle, circuit: FloquetCircuit) -> list[FloquetEigenstate]:
-    """The cycle_length eigenstates supported on one cycle."""
-    subset = BasisSubset(np.array(orbit.states, dtype=np.int64), circuit.length)
-    betas, amplitudes = cycle_eigenvectors(orbit.walk_phases, orbit.phi)
-    by_slot = amplitudes[:, np.argsort(orbit.states)]    # columns in subset order
-    return [
-        FloquetEigenstate(m, float(beta), StateVector(subset, amps, normalized=True))
-        for m, (beta, amps) in enumerate(zip(betas, by_slot))
-    ]
 
 
 def all_orbits(circuit: FloquetCircuit) -> list[OrbitCycle]:

@@ -10,11 +10,7 @@ significant end.  This module is the only one that reads or writes site bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tolerances import NORM_TOL
 
 
 def bit_of(index, site, length):
@@ -120,6 +116,12 @@ class BasisSubset:
     def position(self, index) -> int:
         return int(self.positions([index])[0])
 
+    def basis_vector(self, index) -> np.ndarray:
+        """The one-hot complex vector over the subset of basis state `index`."""
+        vector = np.zeros(self.size, dtype=complex)
+        vector[self.position(index)] = 1.0
+        return vector
+
     def positions(self, indices) -> np.ndarray:
         slots = self.find(indices)
         if np.any(slots < 0):
@@ -132,28 +134,3 @@ class BasisSubset:
             and self.length == other.length
             and np.array_equal(self.states, other.states)
         )
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over a basis subset."""
-
-    subset: BasisSubset
-    amplitudes: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.subset.size,):
-            raise ValueError("amplitude array does not match subset size")
-        if self.normalized and abs(self.norm() ** 2 - 1.0) > NORM_TOL:
-            raise ValueError("state flagged normalized violates unit norm")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def from_basis_index(cls, subset: BasisSubset, index: int) -> "StateVector":
-        amps = np.zeros(subset.size, dtype=complex)
-        amps[subset.position(index)] = 1.0
-        return cls(subset, amps, normalized=True)

@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
 (norm drift, non-closed subset, no recurrence) or resource limit (dense
 dimension guard, memory pre-flight), 4 unknown model.  Thread
 count comes from --threads (or a config file's threads= key), else from
-SCARFORGE_THREADS, and is applied to the BLAS pool before numpy loads; it
-never changes results, only timing.  All emitted files are deterministic for
-a fixed configuration.
+SCARFORGE_THREADS, must be at least 1, and is applied to the BLAS pool
+before numpy loads; it never changes results, only timing.  All emitted
+files are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def cmd_search(args) -> int:
 def cmd_revivals(args) -> int:
     import numpy as np
 
-    from .basis import StateVector, bitstring
+    from .basis import bitstring
     from .dynamics import Propagator, fidelity_trace, generic_comparison_state, local_z_trace, pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
@@ -257,7 +257,7 @@ def cmd_revivals(args) -> int:
         seed = _seed_index(args.state, model, args.length)
     prop = Propagator(chain.h, subset)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
-    psi0 = StateVector.from_basis_index(subset, seed).amplitudes
+    psi0 = subset.basis_vector(seed)
     result = prop.evolve(psi0, times)
     pr = pr_trace(result)
     fid = fidelity_trace(result, seed)
@@ -271,7 +271,7 @@ def cmd_revivals(args) -> int:
         data.append(np.abs(series - z_mc) ** 2)
     _emit_csv(args, _params(args, n_eff=subset.size, seed=bitstring(seed, args.length)), columns, zip(*data))
     if args.svg:
-        write_svg_lines(args.svg, f"{model.name} L={args.length}", times, {"pr": pr, "fidelity": fid}, log_y=True)
+        write_svg_lines(args.svg, f"{model.name} L={args.length}", times, {"pr": pr, "fidelity": fid})
     print(f"revivals: {prop.method}, {len(times) - 1} steps, norm drift {result.norm_drift:.1e}", file=sys.stderr)
     return EXIT_OK
 
@@ -292,7 +292,7 @@ def cmd_ipr(args) -> int:
     _emit_csv(args, _params(args, n_eff=subset.size, subspace=mode), ["energy", "ipr", "neel_overlap", "flagged"], rows)
     if args.svg:
         title = f"{model.name} L={args.length} IPR"
-        write_svg_scatter(args.svg, title, analysis.eigenvalues, analysis.ipr, analysis.flagged, log_y=True)
+        write_svg_scatter(args.svg, title, analysis.eigenvalues, analysis.ipr, analysis.flagged)
     return EXIT_OK
 
 
@@ -345,6 +345,7 @@ def cmd_bch(args) -> int:
     from .models import neel_orbit_states
     from .output import write_svg_lines
 
+    _require(args.bandwidth is None or args.bandwidth > 0, "--bandwidth", "be positive", args.bandwidth)
     model = _load(args.model)
     subset = _subspace(model, args.length, args.subspace)
     chain = build_hamiltonian(model.circuit(args.length), subset)
@@ -360,13 +361,8 @@ def cmd_bch(args) -> int:
     rows = zip(profile.orders, profile.orbit_norm, profile.leakage_norm, profile.generic_norm)
     _emit_csv(args, params, ["n", "orbit_norm", "leakage_norm", "generic_norm"], rows)
     if args.svg:
-        write_svg_lines(
-            args.svg,
-            f"{model.name} L={args.length} series norms",
-            profile.orders,
-            {"orbit": profile.orbit_norm, "leakage": profile.leakage_norm, "generic": profile.generic_norm},
-            log_y=True,
-        )
+        norms = {"orbit": profile.orbit_norm, "leakage": profile.leakage_norm, "generic": profile.generic_norm}
+        write_svg_lines(args.svg, f"{model.name} L={args.length} series norms", profile.orders, norms)
     return EXIT_OK
 
 
@@ -414,18 +410,28 @@ def _with_config(argv: list[str]) -> list[str]:
     return head + argv[:cut] + tail + argv[cut:]
 
 
+def _export_threads(args) -> None:
+    """Set the BLAS pool variables to --threads (or a config file's threads=),
+    else to SCARFORGE_THREADS when it is set; the count must be at least 1."""
+    flag, threads = "--threads", args.threads
+    if threads is None:
+        flag, threads = "SCARFORGE_THREADS", os.environ.get("SCARFORGE_THREADS")
+        if not threads:
+            return
+    threads = str(threads)
+    _require(threads.isdecimal() and int(threads) >= 1, flag, "be at least 1", threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = threads
+
+
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _with_config(argv)
+        args = build_parser().parse_args(_with_config(argv))
+        _export_threads(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    args = build_parser().parse_args(argv)
-    threads = os.environ.get("SCARFORGE_THREADS") if args.threads is None else str(args.threads)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
 
     from .automaton import CycleOverflowError
     from .dynamics import NormDriftError, ResourceLimitError

@@ -89,14 +89,14 @@ class ClosingRelation:
     alpha: np.ndarray
 
 
-def principal_log(gate: PermutationGate, n_max: int = 64) -> LocalHamiltonian:
+def principal_log(gate: PermutationGate) -> LocalHamiltonian:
     """Hermitian h0 with exp(-i h0) = gate and eigenvalues in (-pi, pi].
 
     Walking each cycle accumulates the exact product of table phases; the
     cycle phase angle comes from that product, not from a floating log of
     matrix elements.
     """
-    order = gate_order(gate, n_max)
+    order = gate_order(gate)
     if not order.found:
         raise NonPeriodicGateError(
             "gate has no finite order (accumulated phases are not a root of unity)"
@@ -124,10 +124,10 @@ def decomposition_coefficients(n: int) -> np.ndarray:
     return -(np.exp(-1j * np.outer(k, gamma)) @ gamma_tilde) / n
 
 
-def power_decomposition(gate: PermutationGate, n_max: int = 64) -> PowerDecomposition:
+def power_decomposition(gate: PermutationGate) -> PowerDecomposition:
     """Decompose h0 = i log(gate) as sum_k c_k gate**k, k = 0..n-1."""
-    h = principal_log(gate, n_max).matrix
-    n = gate_order(gate, n_max).n
+    h = principal_log(gate).matrix
+    n = gate_order(gate).n
     coeffs = decomposition_coefficients(n)
     u = gate_matrix(gate)
     recon = np.zeros_like(h)

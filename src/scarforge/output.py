@@ -68,20 +68,17 @@ def _scale(values, lo, hi, out_lo, out_hi):
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def write_svg_lines(path, title: str, x, series: dict, log_y: bool = False) -> None:
-    """Self-contained line plot; series maps label -> values."""
+def write_svg_lines(path, title: str, x, series: dict) -> None:
+    """Self-contained line plot on a log y axis; series maps label -> values."""
     import numpy as np
 
     width, height, pad = 640, 420, 50
     x = np.asarray(x, dtype=float)
     parts = _svg_header(width, height, title)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    if log_y:
-        floor = max(all_y[all_y > 0].min() if np.any(all_y > 0) else 1e-16, 1e-16)
-        transform = lambda v: np.log10(np.maximum(np.asarray(v, dtype=float), floor))
-        all_y = transform(all_y)
-    else:
-        transform = lambda v: np.asarray(v, dtype=float)
+    floor = max(all_y[all_y > 0].min() if np.any(all_y > 0) else 1e-16, 1e-16)
+    transform = lambda v: np.log10(np.maximum(np.asarray(v, dtype=float), floor))
+    all_y = transform(all_y)
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     x_lo, x_hi = float(x.min()), float(x.max())
     for i, (label, values) in enumerate(series.items()):
@@ -98,24 +95,20 @@ def write_svg_lines(path, title: str, x, series: dict, log_y: bool = False) -> N
     parts.append(f'<path d="{axis}" stroke="black" fill="none"/>')
     parts.append(f'<text x="{pad}" y="{height - pad + 24}" font-size="11">{x_lo:.6g}</text>')
     parts.append(f'<text x="{width - pad}" y="{height - pad + 24}" font-size="11" text-anchor="end">{x_hi:.6g}</text>')
-    label_hi = f"{10 ** y_hi:.3g}" if log_y else f"{y_hi:.6g}"
-    label_lo = f"{10 ** y_lo:.3g}" if log_y else f"{y_lo:.6g}"
-    parts.append(f'<text x="{pad - 4}" y="{pad}" font-size="11" text-anchor="end">{label_hi}</text>')
-    parts.append(f'<text x="{pad - 4}" y="{height - pad}" font-size="11" text-anchor="end">{label_lo}</text>')
+    parts.append(f'<text x="{pad - 4}" y="{pad}" font-size="11" text-anchor="end">{10 ** y_hi:.3g}</text>')
+    parts.append(f'<text x="{pad - 4}" y="{height - pad}" font-size="11" text-anchor="end">{10 ** y_lo:.3g}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def write_svg_scatter(path, title: str, x, y, flagged=None, log_y: bool = False) -> None:
-    """Scatter plot with flagged points visually distinguished."""
+def write_svg_scatter(path, title: str, x, y, flagged) -> None:
+    """Scatter plot on a log y axis with flagged points visually distinguished."""
     import numpy as np
 
     width, height, pad = 640, 420, 50
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if log_y:
-        y = np.log10(np.maximum(y, 1e-16))
-    flags = np.zeros(len(x), dtype=bool) if flagged is None else np.asarray(flagged, dtype=bool)
+    y = np.log10(np.maximum(np.asarray(y, dtype=float), 1e-16))
+    flags = np.asarray(flagged, dtype=bool)
     parts = _svg_header(width, height, title)
     px = _scale(x, x.min(), x.max(), pad, width - pad)
     py = _scale(y, y.min(), y.max(), height - pad, pad)

@@ -40,17 +40,6 @@ from .logmap import principal_log
 from .tolerances import RULE_PHASE_TOL, TYPE2_TOL
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    """One nontrivial commutation rule: kind 'I' or 'II', first-window site,
-    powers (s1, s2, s3) with s2 on the middle window, and the orbit state."""
-
-    kind: str
-    site: int
-    powers: tuple[int, int, int]
-    state_index: int
-
-
 @dataclass
 class RuleReport:
     kind: str
@@ -111,16 +100,14 @@ def _state_site_classes(circuit: FloquetCircuit, orbit_states) -> list[tuple[int
     return reps
 
 
-def enumerate_rule_instances(
-    circuit: FloquetCircuit, orbit_states, n: int, kind: str = "I"
-) -> list[RuleInstance]:
-    """All nontrivial rule instances for the orbit, one per equivalence class."""
-    triples = _power_triples(n)
-    return [
-        RuleInstance(kind, site, powers, state)
-        for state, site in _state_site_classes(circuit, orbit_states)
-        for powers in triples
-    ]
+def enumerate_rule_instances(circuit: FloquetCircuit, orbit_states, n: int) -> tuple[np.ndarray, ...]:
+    """All nontrivial rule instances for the orbit, one per equivalence class:
+    int64 arrays of the orbit state, the first-window site and the powers
+    (s1, s2, s3), s2 on the middle window, one row per instance."""
+    classes = np.array(_state_site_classes(circuit, orbit_states), dtype=np.int64).reshape(-1, 2)
+    triples = np.array(_power_triples(n), dtype=np.int64).reshape(-1, 3)
+    states, sites = np.repeat(classes, len(triples), axis=0).T
+    return states, sites, np.tile(triples, (len(classes), 1))
 
 
 def _span(circuit: FloquetCircuit) -> tuple[int, int, int]:
@@ -146,16 +133,9 @@ def _layout(stride: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     return layout
 
 
-def _instance_arrays(circuit: FloquetCircuit, instances) -> tuple[np.ndarray, np.ndarray]:
-    """Span word and powers (s1, s2, s3) of every instance."""
-    m = _span(circuit)[2]
-    word_of = {
-        key: window_value(key[0], key[1], m, circuit.length)
-        for key in {(r.state_index, r.site) for r in instances}
-    }
-    words = np.array([word_of[r.state_index, r.site] for r in instances], dtype=np.int64)
-    powers = np.array([r.powers for r in instances], dtype=np.int64).reshape(-1, 3)
-    return words, powers
+def _span_words(circuit: FloquetCircuit, states: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Span word of each (state, first-window site) pair."""
+    return window_value(states, sites, _span(circuit)[2], circuit.length)
 
 
 def _type1_hits(layout, perms: np.ndarray, phases: np.ndarray | None, words, powers) -> np.ndarray:
@@ -222,15 +202,17 @@ def _type2_residuals(circuit: FloquetCircuit, h_local: np.ndarray, words, powers
     return np.linalg.norm(lhs - rhs, axis=0)
 
 
-def rule_outcomes(circuit: FloquetCircuit, instances, h_local: np.ndarray | None = None) -> np.ndarray:
-    """Per-instance result: whether a type-I rule holds, or the residual norm
-    of a type-II rule (window Hamiltonian `h_local`, default the gate's
+def rule_outcomes(circuit: FloquetCircuit, instances, kind: str = "I",
+                  h_local: np.ndarray | None = None) -> np.ndarray:
+    """Per-instance result for the (states, sites, powers) arrays of
+    `enumerate_rule_instances`: whether a type-I rule holds, or the residual
+    norm of a type-II rule (window Hamiltonian `h_local`, default the gate's
     principal log)."""
-    kinds = {r.kind for r in instances}
-    if len(kinds) > 1 or not kinds <= {"I", "II"}:
-        raise ValueError(f"instances must share one rule kind, I or II (got {sorted(kinds)})")
-    words, powers = _instance_arrays(circuit, instances)
-    if kinds != {"II"}:
+    if kind not in ("I", "II"):
+        raise ValueError(f"rule kind must be I or II (got {kind!r})")
+    states, sites, powers = (np.asarray(a, dtype=np.int64) for a in instances)
+    words = _span_words(circuit, states, sites)
+    if kind == "I":
         phases = np.array([circuit.gate.phases], dtype=complex)
         phases = phases if np.any(phases != 1) else None    # a phase-free gate keeps every phase at one
         return _type1_hits(_layout(*_span(circuit)), np.array([circuit.gate.perm]), phases, words, powers)[0]
@@ -242,12 +224,12 @@ def rule_outcomes(circuit: FloquetCircuit, instances, h_local: np.ndarray | None
 def rule_report(circuit: FloquetCircuit, orbit_states, n: int, kind: str = "I",
                 h_local: np.ndarray | None = None) -> RuleReport:
     """Count satisfied rules over all inequivalent instances of the orbit."""
-    instances = enumerate_rule_instances(circuit, orbit_states, n, kind)
-    outcomes = rule_outcomes(circuit, instances, h_local)
+    instances = enumerate_rule_instances(circuit, orbit_states, n)
+    outcomes = rule_outcomes(circuit, instances, kind, h_local)
     if kind == "I":
-        return RuleReport("I", int(outcomes.sum()), len(instances))
+        return RuleReport("I", int(outcomes.sum()), len(outcomes))
     residuals = outcomes.tolist()
-    return RuleReport("II", sum(1 for r in residuals if r < TYPE2_TOL), len(instances), residuals)
+    return RuleReport("II", sum(1 for r in residuals if r < TYPE2_TOL), len(outcomes), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +343,8 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     length = 8
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
-    words, powers = _instance_arrays(probe, enumerate_rule_instances(probe, neel.tolist(), constraints.order))
+    states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
+    words = _span_words(probe, states, sites)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)
     # the order filter in one array pass: perm^n is the identity exactly
     # when the permutation's order divides n

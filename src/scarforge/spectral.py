@@ -137,7 +137,6 @@ def scaling_scan(
     dt: float = 0.05,
 ) -> list[ScalingRow]:
     """Extrema of the alternating-seed participation-ratio trace per length."""
-    from .basis import StateVector
     from .dynamics import pr_trace
     from .hamiltonian import build_hamiltonian
     from .models import load_model, working_subspace
@@ -150,7 +149,7 @@ def scaling_scan(
         subset = working_subspace(model, length)
         chain = build_hamiltonian(circuit, subset)
         times = np.arange(0.0, t_window[1] + 0.5 * dt, dt)
-        psi0 = StateVector.from_basis_index(subset, seed).amplitudes
+        psi0 = subset.basis_vector(seed)
         trace = pr_trace(Propagator(chain.h, subset).evolve(psi0, times))
         mask = (times > t_window[0]) & (times <= t_window[1])
         rows.append(

@@ -5,7 +5,6 @@ Values are absolute unless the comment says otherwise.
 
 # Gates and states
 UNIT_MODULUS_TOL = 1e-12      # | |phase| - 1 | of gate phases and phased basis states
-NORM_TOL = 1e-10              # | ||psi||^2 - 1 | of a state flagged normalized
 ORDER_PHASE_TOL = 1e-10       # a cycle's phase product counts as a root of unity
 WINDOW_COMMUTE_TOL = 1e-12    # max |[U_1, U_3]| of two same-layer stride2 windows
 

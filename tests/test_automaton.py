@@ -8,7 +8,6 @@ from conftest import random_phase_gate, window_operator
 from scarforge.automaton import (
     FloquetCircuit,
     all_orbits,
-    floquet_eigenstates,
     floquet_map,
     floquet_matrix,
     orbit_of,
@@ -98,29 +97,28 @@ def test_floquet_eigenstates_are_eigenstates(models):
     L = 12
     c = models["pxp"].circuit(L)
     orb = orbit_of(c, tile_pattern("1", L))
-    states = floquet_eigenstates(orb, c)
-    for est in states:
-        vec = est.vector
-        out = np.zeros_like(vec.amplitudes)
-        for pos, x in enumerate(vec.subset.states):
-            image, phase = floquet_map(c, int(x))
-            out[vec.subset.position(image)] += phase * vec.amplitudes[pos]
-        assert np.max(np.abs(out - np.exp(1j * est.beta) * vec.amplitudes)) < 1e-10
+    betas, vectors = orb.eigenstates()
+    for beta, vec in zip(betas, vectors):
+        out = np.zeros_like(vec)
+        for pos, x in enumerate(orb.states):
+            image, phase = floquet_map(c, x)
+            out[orb.states.index(image)] += phase * vec[pos]
+        assert np.max(np.abs(out - np.exp(1j * beta) * vec)) < 1e-10
     # distinct eigenphases are orthogonal
-    for a in states:
-        for b in states:
-            ip = np.vdot(a.vector.amplitudes, b.vector.amplitudes)
-            assert abs(ip - (1.0 if a.m == b.m else 0.0)) < 1e-10
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            ip = np.vdot(va, vb)
+            assert abs(ip - (1.0 if a == b else 0.0)) < 1e-10
 
 
 def test_two_cycle_eigenstates_are_symmetric_combinations(models):
     L = 8
     c = models["qmbs-c"].circuit(L)
     orb = orbit_of(c, tile_pattern("10", L))
-    states = floquet_eigenstates(orb, c)
-    assert sorted(round(e.beta, 12) for e in states) == [0.0, round(np.pi, 12)]
-    for est in states:
-        amps = np.sort(np.abs(est.vector.amplitudes))
+    betas, vectors = orb.eigenstates()
+    assert sorted(round(beta, 12) for beta in betas) == [0.0, round(np.pi, 12)]
+    for vec in vectors:
+        amps = np.sort(np.abs(vec))
         assert np.allclose(amps, [1 / np.sqrt(2)] * 2)
 
 
@@ -135,9 +133,9 @@ def test_fixed_point_phase_eigenstate():
     assert orb.cycle_length == 1
     # four windows each contribute pi/3: total 4*pi/3, wrapped to -2*pi/3
     assert orb.phi == pytest.approx(-2 * np.pi / 3)
-    est = floquet_eigenstates(orb, c)[0]
-    assert est.beta == pytest.approx(orb.phi)
-    assert est.vector.amplitudes.tolist() == [1.0]
+    betas, vectors = orb.eigenstates()
+    assert betas[0] == pytest.approx(orb.phi)
+    assert vectors.tolist() == [[1.0]]
 
 
 def test_exhaustive_cycle_decomposition_l8(models):
@@ -150,10 +148,9 @@ def test_exhaustive_cycle_decomposition_l8(models):
     vectors = np.zeros((1 << L, 1 << L), dtype=complex)
     k = 0
     for orb in orbits:
-        for est in floquet_eigenstates(orb, c):
-            amps = est.vector.amplitudes
-            for pos, x in enumerate(est.vector.subset.states):
-                vectors[int(x), k] = amps[pos]
+        for amps in orb.eigenstates()[1]:
+            for pos, x in enumerate(orb.states):
+                vectors[x, k] = amps[pos]
             k += 1
     assert k == 1 << L
     gram = vectors.conj().T @ vectors
@@ -185,10 +182,10 @@ def _assert_floquet_map_matches_windows(circuit: FloquetCircuit):
     orbits = all_orbits(circuit)
     assert sorted(s for orb in orbits for s in orb.states) == list(range(1 << L))
     for orb in orbits:
-        for est in floquet_eigenstates(orb, circuit):
+        for beta, amps in zip(*orb.eigenstates()):
             vec = np.zeros(1 << L, dtype=complex)
-            vec[est.vector.subset.states] = est.vector.amplitudes
-            assert np.max(np.abs(product @ vec - np.exp(1j * est.beta) * vec)) < 1e-12
+            vec[list(orb.states)] = amps
+            assert np.max(np.abs(product @ vec - np.exp(1j * beta) * vec)) < 1e-12
 
 
 @settings(max_examples=8)

@@ -3,7 +3,6 @@ import pytest
 
 from scarforge.basis import (
     BasisSubset,
-    StateVector,
     bitstring,
     flip_index,
     mirror_index,
@@ -82,8 +81,10 @@ def test_subset_positions_and_uniqueness():
         BasisSubset([1, 1, 2], 4)
 
 
-def test_state_vector_normalization_flag():
-    sub = BasisSubset([0, 1], 4)
-    StateVector(sub, np.array([1.0, 0.0]), normalized=True)
-    with pytest.raises(ValueError):
-        StateVector(sub, np.array([1.0, 1.0]), normalized=True)
+def test_basis_vector_is_one_hot():
+    sub = BasisSubset([9, 3, 5], 4)
+    vec = sub.basis_vector(5)
+    assert vec.dtype == complex
+    assert vec.tolist() == [0.0, 1.0, 0.0]    # slot of 5 among the sorted states 3, 5, 9
+    with pytest.raises(KeyError):
+        sub.basis_vector(4)

@@ -239,13 +239,17 @@ def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-3"])
-def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, capsys):
+def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, monkeypatch, capsys):
+    from scarforge import hamiltonian
+
+    built = []
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", lambda *a, **k: built.append(a))
     out = tmp_path / "c2.csv"
     args = ["bch", "--model", "qmbs-c", "-L", "8", "--orders", "2", "--subspace", "krylov",
             "--bandwidth", bandwidth, "--out", str(out)]
     assert run(args) == EXIT_CONFIG
     assert "bandwidth must be positive" in capsys.readouterr().err
-    assert not out.exists()
+    assert built == [] and not out.exists()
 
 
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
@@ -332,6 +336,30 @@ def test_threads_applied_before_numpy_loads(tmp_path):
         assert not result["loaded_early"]
         assert result["code"] == EXIT_OK, flags
         assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, flags
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--threads", "0"], None, "--threads must be at least 1 (got 0)"),
+    (["--threads", "-2"], None, "--threads must be at least 1 (got -2)"),
+    (["--config", "zero.cfg"], None, "--threads must be at least 1 (got 0)"),
+    ([], "0", "SCARFORGE_THREADS must be at least 1 (got 0)"),
+], ids=["flag-0", "flag-negative", "config-0", "env-0"])
+def test_threads_below_one_refused(flags, env, message, tmp_path, monkeypatch, capsys):
+    # refused from the flag, a config file's threads= or SCARFORGE_THREADS,
+    # before any thread variable is exported
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.cfg").write_text("threads=0\n")
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in thread_vars:
+        monkeypatch.setenv(var, "7")
+    if env is None:
+        monkeypatch.delenv("SCARFORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SCARFORGE_THREADS", env)
+    assert run(flags + ["orbit", "--model", "pxp", "-L", "8", "--out", "orbit.json"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert all(os.environ[var] == "7" for var in thread_vars)
+    assert not (tmp_path / "orbit.json").exists()
 
 
 def test_exported_names_resolve():

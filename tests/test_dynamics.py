@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_phase_gate
 from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
-from scarforge.basis import BasisSubset, StateVector
+from scarforge.basis import BasisSubset
 from scarforge.dynamics import (
     CHEBYSHEV_BLOCK,
     COMPLEX_BYTES,
@@ -43,14 +43,14 @@ def pxp_chain():
 
 def test_time_zero_returns_initial(pxp_chain):
     chain, sub, m = pxp_chain
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 1.25, 0.5))
     assert np.allclose(res.amplitudes[0], psi0)
 
 
 def test_norm_conserved(pxp_chain):
     chain, sub, m = pxp_chain
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 50.25, 0.5))
     norms = np.linalg.norm(res.amplitudes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-8
@@ -83,7 +83,7 @@ def _history(sub, *rows) -> EvolutionResult:
 
 def test_participation_ratio_basics(pxp_chain):
     _, sub, _ = pxp_chain
-    basis_state = StateVector.from_basis_index(sub, int(sub.states[5])).amplitudes
+    basis_state = sub.basis_vector(int(sub.states[5]))
     uniform = np.full(sub.size, 1.0 / np.sqrt(sub.size))
     rng = np.random.default_rng(5)
     amps = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
@@ -100,8 +100,8 @@ def test_participation_ratio_basics(pxp_chain):
 
 def test_fidelity_basics(pxp_chain):
     _, sub, _ = pxp_chain
-    a = StateVector.from_basis_index(sub, int(sub.states[0])).amplitudes
-    b = StateVector.from_basis_index(sub, int(sub.states[1])).amplitudes
+    a = sub.basis_vector(int(sub.states[0]))
+    b = sub.basis_vector(int(sub.states[1]))
     fid = fidelity_trace(_history(sub, a, b, (a + 1j * b) / np.sqrt(2)), int(sub.states[0]))
     assert fid[0] == pytest.approx(1.0)
     assert fid[1] == 0.0
@@ -197,7 +197,7 @@ def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
     seed = m.orbit_seed(12)
-    psi0 = StateVector.from_basis_index(sub, seed).amplitudes
+    psi0 = sub.basis_vector(seed)
     res = prop.evolve(psi0, np.arange(0.0, 5.0, 1.0))
     series, z_mc = local_z_trace(prop, psi0, res, 2, energy_window=1e6)
     z = z_diagonal(sub, 2)
@@ -209,7 +209,7 @@ def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
 def test_local_z_trace_empty_window(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     res = prop.evolve(psi0, [0.0, 1.0])
     with pytest.raises(ValueError):
         local_z_trace(prop, psi0, res, 2, energy_window=-1.0)
@@ -321,7 +321,7 @@ def test_history_refused_before_allocation(pxp_chain, monkeypatch):
     # 4 MB available the call refuses before building it or any chunk
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 300.025, 0.05)
     monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
     tracemalloc.start()
@@ -344,7 +344,7 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
     (block,) = prop.blocks
     assert np.isrealobj(block.vectors) and block.vectors.shape == (sub.size, sub.size)
     rng = np.random.default_rng(11)
-    basis = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    basis = sub.basis_vector(m.orbit_seed(12))
     generic = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
     for psi0 in (basis, generic):
         tracemalloc.start()
@@ -366,7 +366,7 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
     assert prop.method == "iterative"
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 5.0, 0.05)
     need = (len(times) + CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
@@ -393,7 +393,7 @@ def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeyp
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
     assert prop.order == 6
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 300.025, 0.05)
     width = len(prop.sizes) * prop.order
     rows = dynamics.HISTORY_CHUNK // width
@@ -438,7 +438,7 @@ def test_local_z_trace_microcanonical_from_blocks(pxp_chain):
     # eigh's eigenvectors in the window
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
-    psi0 = StateVector.from_basis_index(sub, generic_comparison_state(sub, neel_orbit_states(m, 12), chain.h)).amplitudes
+    psi0 = sub.basis_vector(generic_comparison_state(sub, neel_orbit_states(m, 12), chain.h))
     res = prop.evolve(psi0, np.arange(0.0, 5.0, 1.0))
     tracemalloc.start()
     try:
@@ -489,7 +489,7 @@ def test_momentum_blocks_match_full_space_for_random_gates(seed):
 
 def test_evolution_reports_norm_drift(pxp_chain):
     chain, sub, m = pxp_chain
-    psi0 = StateVector.from_basis_index(sub, m.orbit_seed(12)).amplitudes
+    psi0 = sub.basis_vector(m.orbit_seed(12))
     res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 20.0, 0.5))
     drift = np.max(np.abs(np.linalg.norm(res.amplitudes, axis=1) - 1.0))
     assert res.norm_drift == drift

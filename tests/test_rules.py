@@ -13,12 +13,11 @@ from scarforge.gate import PermutationGate, gate_matrix, identity_gate, phased_c
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
-    RuleInstance,
     SearchConstraints,
-    _instance_arrays,
     _layout,
     _permutation_power,
     _span,
+    _span_words,
     _type1_hits,
     count_relevant_rules,
     enumerate_rule_instances,
@@ -39,25 +38,22 @@ def test_count_formula():
 def test_instance_enumeration_totals(models):
     for L in (8, 12, 16):
         m = models["qmbs-c"]
-        inst = enumerate_rule_instances(m.circuit(L), neel_orbit_states(m, L), 6)
-        assert len(inst) == 350
+        states, sites, powers = enumerate_rule_instances(m.circuit(L), neel_orbit_states(m, L), 6)
+        assert len(states) == len(sites) == len(powers) == 350
     pxp = models["pxp"]
     for L in (8, 12, 16):
-        inst = enumerate_rule_instances(pxp.circuit(L), neel_orbit_states(pxp, L), 3, "II")
-        assert len(inst) == 48
+        states, sites, powers = enumerate_rule_instances(pxp.circuit(L), neel_orbit_states(pxp, L), 3)
+        assert len(states) == len(sites) == len(powers) == 48
 
 
 def test_pxp_instance_composition(models):
     # 16 rules on the uniform state (one site class), 32 on the alternating one
     pxp = models["pxp"]
     L = 12
-    inst = enumerate_rule_instances(pxp.circuit(L), neel_orbit_states(pxp, L), 3, "II")
+    states, _, _ = enumerate_rule_instances(pxp.circuit(L), neel_orbit_states(pxp, L), 3)
     uniform = tile_pattern("1", L)
-    per_state = {}
-    for r in inst:
-        per_state[r.state_index] = per_state.get(r.state_index, 0) + 1
-    assert per_state[uniform] == 16
-    assert sum(v for k, v in per_state.items() if k != uniform) == 32
+    assert np.count_nonzero(states == uniform) == 16
+    assert np.count_nonzero(states != uniform) == 32
 
 
 def test_trivial_middle_power_always_passes(models):
@@ -65,8 +61,7 @@ def test_trivial_middle_power_always_passes(models):
     circuit = m.circuit(12)
     state = tile_pattern("10", 12)
     for s1, s3 in ((1, 0), (3, 2), (0, 5)):
-        rule = RuleInstance("I", 1, (s1, 0, s3), state)
-        assert rule_outcomes(circuit, [rule])[0]
+        assert rule_outcomes(circuit, ([state], [1], [(s1, 0, s3)]))[0]
 
 
 def test_identity_gate_rules_all_pass():
@@ -75,8 +70,7 @@ def test_identity_gate_rules_all_pass():
     report = rule_report(circuit, [state, translate_index(state, 1, 12)], 6, "I")
     assert report.satisfied == report.total == 350
     h = principal_log(identity_gate(4)).matrix
-    rule = RuleInstance("II", 1, (2, 1, 1), state)
-    assert rule_outcomes(circuit, [rule], h)[0] < 1e-12
+    assert rule_outcomes(circuit, ([state], [1], [(2, 1, 1)]), "II", h)[0] < 1e-12
 
 
 def test_table_rule_ratios(models):
@@ -119,11 +113,9 @@ def test_type1_inverse_gate_symmetry(rng):
         m = permutation_order(gate)
         ca = FloquetCircuit(gate, L, "stride4")
         cb = FloquetCircuit(gate_inv, L, "stride4")
-        rules, mirror_rules = [], []
-        for _ in range(10):
-            s1, s2, s3 = (int(v) for v in rng.integers(0, m, size=3))
-            rules.append(RuleInstance("I", 1, (s1, s2, s3), state))
-            mirror_rules.append(RuleInstance("I", 1, ((m - s1) % m, (m - s2) % m, (m - s3) % m), state))
+        powers = np.array([rng.integers(0, m, size=3) for _ in range(10)])
+        rules = ([state] * 10, [1] * 10, powers)
+        mirror_rules = ([state] * 10, [1] * 10, (m - powers) % m)
         assert np.array_equal(rule_outcomes(ca, rules), rule_outcomes(cb, mirror_rules))
 
 
@@ -241,7 +233,7 @@ def test_stacked_type1_matches_single_gate_calls(length, seed):
     circuits = [FloquetCircuit(g, length, "stride4") for g in gates]
     states = [tile_pattern("10", length), tile_pattern("01", length), int(rng.integers(1 << length))]
     instances = enumerate_rule_instances(circuits[0], states, 5)
-    words, powers = _instance_arrays(circuits[0], instances)
+    words, powers = _span_words(circuits[0], *instances[:2]), instances[2]
     perms = np.array([g.perm for g in gates])
     phases = np.array([g.phases for g in gates], dtype=complex)
     stacked = _type1_hits(_layout(*_span(circuits[0])), perms, phases, words, powers)
@@ -276,14 +268,13 @@ def _reference_outcomes(circuit: FloquetCircuit, instances, local: np.ndarray) -
     d, length = circuit.site_stride, circuit.length
     ops = {}
     out = []
-    for r in instances:
-        sites = [(r.site - 1 + k * d) % length + 1 for k in range(3)]
+    for state, site, (s1, s2, s3) in zip(*instances):
+        sites = [(site - 1 + k * d) % length + 1 for k in range(3)]
         for site in sites:
             if site not in ops:
                 ops[site] = window_operator(local, site, length)
         left, middle, right = (ops[site] for site in sites)
-        s1, s2, s3 = r.powers
-        lhs = rhs = np.eye(1, 1 << length, r.state_index, dtype=complex).ravel()
+        lhs = rhs = np.eye(1, 1 << length, state, dtype=complex).ravel()
         for op, power in ((middle, s2), (right, s3), (left, s1)):
             for _ in range(power):
                 lhs = op @ lhs
@@ -295,12 +286,12 @@ def _reference_outcomes(circuit: FloquetCircuit, instances, local: np.ndarray) -
 
 
 def _assert_engine_matches_reference(circuit: FloquetCircuit, states, n1: int, n2: int):
-    type1 = enumerate_rule_instances(circuit, states, n1, "I")
+    type1 = enumerate_rule_instances(circuit, states, n1)
     reference = _reference_outcomes(circuit, type1, gate_matrix(circuit.gate))
     assert np.array_equal(rule_outcomes(circuit, type1), reference < 1e-10)
-    type2 = enumerate_rule_instances(circuit, states, n2, "II")
+    type2 = enumerate_rule_instances(circuit, states, n2)
     local = principal_log(circuit.gate).matrix
-    assert np.allclose(rule_outcomes(circuit, type2), _reference_outcomes(circuit, type2, local),
+    assert np.allclose(rule_outcomes(circuit, type2, "II"), _reference_outcomes(circuit, type2, local),
                        rtol=0, atol=1e-10)
 
 
