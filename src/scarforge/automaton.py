@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import bitstring, set_window, window_value
-from .gate import PermutationGate, gate_matrix, phase_product, phased_cycles, walk_cycle
+from .gate import PermutationGate, gate_matrix, phase_product, walk_cycle
 from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
 
@@ -151,17 +151,3 @@ def orbit_of(circuit: FloquetCircuit, seed: int, l_max: int | None = None) -> Or
         raise CycleOverflowError(f"no recurrence within {l_max} applications")
     return _orbit_cycle(circuit.length, *cycle)
 
-
-def all_orbits(circuit: FloquetCircuit) -> list[OrbitCycle]:
-    """Decompose the full basis into disjoint cycles (small L only)."""
-    images, phases = floquet_map(circuit, np.arange(1 << circuit.length, dtype=np.int64))
-    return [_orbit_cycle(circuit.length, *c) for c in phased_cycles(images.tolist(), phases.tolist())]
-
-
-def floquet_matrix(circuit: FloquetCircuit) -> np.ndarray:
-    """Dense 2**L x 2**L matrix of U_F (testing aid, small L only)."""
-    dim = 1 << circuit.length
-    images, phases = floquet_map(circuit, np.arange(dim, dtype=np.int64))
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[images, np.arange(dim)] = phases
-    return mat

@@ -315,7 +315,7 @@ def cmd_rstat(args) -> int:
     import numpy as np
 
     from .dynamics import ResourceLimitError
-    from .hamiltonian import build_hamiltonian, project_sector, sector_basis
+    from .hamiltonian import build_hamiltonian, find_antiunitary, project_sector, sector_basis
     from .spectral import r_statistic
     from .tolerances import DENSE_GUARD
 
@@ -329,13 +329,16 @@ def cmd_rstat(args) -> int:
             f"more than {DENSE_GUARD}; pass a smaller sector or length"
         )
     chain = build_hamiltonian(model.circuit(args.length), subset)
-    hs, _ = project_sector(chain.h, subset, sector)
+    theta = find_antiunitary(chain.h, subset)
+    hs, _ = project_sector(chain.h, subset, sector, theta)
     evals = np.linalg.eigvalsh(hs)
     report = r_statistic(evals)
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
     params = _params(args, n_levels=len(evals), mean_r=report.mean)
     _emit_csv(args, params, ["r_bin_center", "density"], zip(centers, report.density))
-    print(f"levels={len(evals)} mean_r={report.mean:.6f}", file=sys.stderr)
+    solve = "real" if np.isrealobj(hs) else "complex"
+    print(f"levels={len(evals)} mean_r={report.mean:.6f} solve={solve} "
+          f"theta={theta[0] or 'none'} theta_dev={theta[2]:.2e}", file=sys.stderr)
     return EXIT_OK
 
 

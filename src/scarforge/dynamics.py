@@ -9,8 +9,14 @@ MOMENTUM_COMMUTE_TOL, H splits into the M momentum blocks of
 `hamiltonian.project_sector`; otherwise the group is the trivial one and its
 single block is the whole H.  When every assembled imaginary part of H is
 floating noise (at most ASSEMBLY_PRUNE, as for pxp, pxp-nophase and qmbs-c),
-only the momenta k <= M/2 are solved, as the -k block is the complex
-conjugate of the k block, and the k = 0 and M/2 blocks are real-symmetric.
+H is propagated as real.  When H has an antiunitary symmetry Theta = K P
+(`hamiltonian.find_antiunitary`: P the identity for a real H, or the spin
+flip F for qmbs-a and qmbs-b), the k = 0 and M/2 blocks are solved as
+real-symmetric matrices in the real basis of Theta and their vectors rotated
+back to the orbit sums.  As the identity and F commute with S2, Theta then
+maps the k block to the -k block, and only the momenta k <= M/2 are solved:
+the -k vectors are the complex conjugates of the k vectors, with rows
+permuted and signed by P.
 
 `evolve` takes the coefficients of psi0 in each block from one DFT over the
 S2 powers of every orbit, and skips blocks without weight: an S2-invariant
@@ -49,7 +55,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisSubset, bit_of
-from .hamiltonian import SectorBasis, SymmetrySector, operator_commutes, project_sector, s2_order
+from .hamiltonian import (
+    SectorBasis,
+    SymmetrySector,
+    find_antiunitary,
+    operator_commutes,
+    orbit_images,
+    project_sector,
+    s2_order,
+)
 from .tolerances import (
     ASSEMBLY_PRUNE,
     CHEBYSHEV_TAIL_TOL,
@@ -179,22 +193,32 @@ class Propagator:
                 symmetric = False
             # the trivial group when S2 does not apply: one block, the whole H
             self.order = s2_order(subset.length) if symmetric else 1
+            theta = find_antiunitary(h, subset)
+            name, slots, _ = theta
+            paired = name in ("identity", "F")    # Theta maps momentum k to -k
             self.blocks = []
-            for k in range(self.order // 2 + 1 if self.real else self.order):
+            for k in range(self.order // 2 + 1 if paired else self.order):
                 sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
-                block, basis = project_sector(h, subset, sector)
-                if not np.any(block.imag):
+                block, basis = project_sector(h, subset, sector, theta)
+                if np.iscomplexobj(block) and not np.any(block.imag):
                     block = block.real
                 energies, vectors = np.linalg.eigh(block)
+                if basis.rotation is not None:
+                    vectors = basis.rotation @ vectors    # the real eigenvectors in orbit sums
                 if k == 0:
                     self.orbit, self.shift, self.sizes = basis.orbit, basis.shift, basis.sizes
                 orbits, scaled = self.orbit[basis.reps], vectors / np.sqrt(basis.sizes)[:, None]
                 self.blocks.append(MomentumBlock(k, basis, orbits, energies, scaled))
-                # H_{-k} is the complex conjugate of H_k; kept next to it, so that
-                # evolve computes their shared phase block once
-                if self.real and 0 < 2 * k < self.order:
+                # Theta carries the k block's vectors to the -k block's: the
+                # conjugate of the vector row of P(r), times its sign, is row r
+                # (for a real H, P is the identity and that sign is 1).  Kept
+                # next to the k block, so that evolve computes their shared
+                # phase block once
+                if paired and 0 < 2 * k < self.order:
+                    image, phase = orbit_images(basis, slots)
+                    partner = (phase[:, None] * scaled[image]).conj()
                     self.blocks.append(MomentumBlock(self.order - k, replace(basis, sign=basis.sign.conj()),
-                                                     orbits, energies, scaled.conj()))
+                                                     orbits, energies, partner))
             levels = np.concatenate([b.energies for b in self.blocks])
             self._sorted = np.argsort(levels, kind="stable")
             self.energies = levels[self._sorted]

@@ -151,11 +151,6 @@ def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
     return GateOrder(out, True)
 
 
-def permutation_order(gate: PermutationGate) -> int:
-    """Order of the permutation part alone (phases ignored)."""
-    return lcm(*(len(values) for values in gate.value_cycles()))
-
-
 def gate_matrix(gate: PermutationGate) -> np.ndarray:
     """Dense 2**w x 2**w unitary: column v holds phases[v] at row perm[v]."""
     mat = np.zeros((gate.dim, gate.dim), dtype=complex)

@@ -16,12 +16,23 @@ an orbit survives only when every element fixing its representative has
 character 1, so momentum k keeps the orbits whose period p has k p = 0
 (mod M).  As S2^M = 1, an odd S2 character at L = 2 (mod 4) empties the
 sector.
+
+A complex H can still have a real form.  When Theta = K P commutes with H,
+for K complex conjugation and P one of the involutions identity (a real H),
+F (the global spin flip) or T1 M (mirror, then one-site translation), every
+sector with real characters has a basis of Theta-invariant vectors, in which
+H is real (Haake, Quantum Signatures of Chaos, ch. 2).  Theta takes orbit sum
+r to phi_r times orbit sum r' = P(r), phi_r = +1 or -1, and the real basis
+is (e_r + phi_r e_r') / sqrt(2) and i (e_r - phi_r e_r') / sqrt(2) for a pair
+r < r', and e_r or i e_r for an orbit P fixes with phi_r = +1 or -1.
+`project_sector` rotates such a sector sparsely and makes only the real part
+dense.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +47,7 @@ from .basis import (
     window_value,
 )
 from .logmap import principal_log
-from .tolerances import ASSEMBLY_PRUNE, HERMITICITY_TOL, SECTOR_COMMUTE_TOL
+from .tolerances import ANTIUNITARY_TOL, ASSEMBLY_PRUNE, HERMITICITY_TOL, SECTOR_COMMUTE_TOL
 
 
 class SubsetNotClosedError(ValueError):
@@ -172,7 +183,12 @@ class SectorBasis:
 
     Column k is the sum of sign[x] |x> / sqrt(sizes[k]) over the slots x with
     orbit[x] == k; reps[k] is the slot of its smallest state, and
-    S2^shift[x] USM^e maps slot x to its representative.
+    S2^shift[x] USM^e maps slot x to its representative.  A block that
+    `project_sector` solved in the real basis of an antiunitary symmetry
+    carries that basis as `rotation`, the sparse unitary W whose columns are
+    the real basis vectors in orbit-sum coordinates: a block eigenvector u
+    has orbit-sum amplitudes W u.  `rotation` is None for a block written in
+    the orbit sums themselves.
     """
 
     orbit: np.ndarray   # column of each slot, -1 where its orbit is dropped
@@ -181,6 +197,7 @@ class SectorBasis:
     reps: np.ndarray    # representative slot of each column
     sizes: np.ndarray   # orbit size of each column
     subset: BasisSubset
+    rotation: sp.csr_matrix | None = None
 
     @property
     def size(self) -> int:
@@ -188,16 +205,24 @@ class SectorBasis:
 
 
 def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
-    """Slot of the image of every subset state under a sector operator.
+    """Slot of the image of every subset state under a sector operator or
+    under the permutation of an antiunitary candidate.
 
-    S2 translates by two sites; USM mirrors about the center bond, translates
-    by one, then flips every spin.  Both act on basis states without phases.
+    S2 translates by two sites; T1M mirrors about the center bond, then
+    translates by one; USM is T1M followed by F, the flip of every spin.  All
+    act on basis states without phases.
     """
     states, length = subset.states, subset.length
+    if name == "identity":
+        return np.arange(subset.size)
     if name == "S2":
         images = translate_index(states, 2, length)
-    elif name == "USM":
-        images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
+    elif name == "F":
+        images = flip_index(states, length)
+    elif name in ("T1M", "USM"):
+        images = translate_index(mirror_index(states, length), 1, length)
+        if name == "USM":
+            images = flip_index(images, length)
     else:
         raise ValueError(f"unknown sector operator {name!r}")
     slots = subset.find(images)
@@ -213,6 +238,35 @@ def _conjugation_deviation(mat: sp.spmatrix, slots: np.ndarray) -> float:
 def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float:
     """Max-norm of [mat, P] for the permutation operator P (as deviation)."""
     return _conjugation_deviation(mat, _symmetry_slots(subset, name))
+
+
+ANTIUNITARY_CANDIDATES = ("identity", "F", "T1M")
+
+
+def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray | None, float]:
+    """The first P of ANTIUNITARY_CANDIDATES for which Theta = K P commutes
+    with `mat`, |P mat P - mat*| <= ANTIUNITARY_TOL: its name, its slot map
+    and that deviation.  When none does, (None, None, the smallest deviation
+    measured), infinite when the subset is invariant under no candidate.
+
+    Each candidate is an involution that maps S2 to S2 or its inverse and
+    USM to itself, so Theta^2 = 1 and Theta keeps every sector with real
+    characters; the identity and F commute with S2, so their Theta maps
+    momentum k to -k.
+    """
+    mat = sp.csr_matrix(mat)
+    least = math.inf
+    for name in ANTIUNITARY_CANDIDATES:
+        try:
+            slots = _symmetry_slots(subset, name)
+        except ValueError:
+            continue
+        image = mat if name == "identity" else mat[slots][:, slots]
+        dev = float(abs(image - mat.conj()).max())
+        if dev <= ANTIUNITARY_TOL:
+            return name, slots, dev
+        least = min(least, dev)
+    return None, None, least
 
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
@@ -270,11 +324,64 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorB
     return SectorBasis(orbit, sign, to_rep % rows, reps, sizes, subset)
 
 
-def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector) -> tuple[np.ndarray, SectorBasis]:
-    """Restrict an operator to the sector spanned by character-weighted orbit sums.
+def orbit_block(mat: sp.spmatrix, basis: SectorBasis) -> sp.csr_matrix:
+    """The operator in the orbit-sum basis, as CSR.
 
     Entry (a, b) is sum_x conj(sign[x]) mat[x, rep_b] sqrt(sizes[b] / sizes[a])
-    over the slots x of orbit a.
+    over the slots x of orbit a, added up from zero in the CSC order of
+    column rep_b.
+    """
+    cols = sp.csc_matrix(mat)[:, basis.reps]
+    b = np.repeat(np.arange(basis.size), np.diff(cols.indptr))
+    a = basis.orbit[cols.indices]
+    keep = a >= 0
+    a, b, rows = a[keep], b[keep], cols.indices[keep]
+    values = basis.sign[rows].conj() * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a])
+    n = basis.size
+    keys, at = np.unique(a * n + b, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=values.dtype)
+    np.add.at(sums, at, values)
+    return sp.csr_matrix((sums, (keys // n, keys % n)), shape=(n, n))
+
+
+def orbit_images(basis: SectorBasis, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and sign of the image of every column's representative under
+    the permutation with slot map `slots`."""
+    image = slots[basis.reps]
+    return basis.orbit[image], basis.sign[image]
+
+
+def _real_rotation(basis: SectorBasis, slots: np.ndarray) -> sp.csr_matrix:
+    """The unitary W of the module docstring, for Theta = K P and the slot
+    map of P: its columns are the real basis vectors of a sector with real
+    characters in orbit-sum coordinates, (e_r + phi_r e_r') / sqrt(2) in
+    column r and i (e_r - phi_r e_r') / sqrt(2) in column r' of a pair."""
+    partner, phi = orbit_images(basis, slots)
+    r = np.arange(basis.size)
+    fixed, pair = r[partner == r], r[r < partner]
+    mate, f, s = partner[pair], phi[pair], 1.0 / math.sqrt(2.0)
+    rows = np.concatenate([fixed, pair, mate, pair, mate])
+    cols = np.concatenate([fixed, pair, pair, mate, mate])
+    data = np.concatenate([np.where(phi[fixed] > 0, 1.0, 1j), np.full(len(pair), s), f * s,
+                           np.full(len(pair), 1j * s), -1j * s * f])
+    return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size), dtype=complex)
+
+
+def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector,
+                   antiunitary=None) -> tuple[np.ndarray, SectorBasis]:
+    """Restrict an operator to a sector, as a dense block.
+
+    The block is `orbit_block`, unless the sector's characters are real and
+    Theta = K P commutes with the operator for a P other than the identity
+    (`antiunitary`, as returned by `find_antiunitary`, which is called when
+    it is not given).  Then the orbit block is rotated sparsely into the
+    real basis W of Theta and, when its imaginary parts are at most
+    ANTIUNITARY_TOL, only the real part is made dense and W is returned as
+    `basis.rotation`.  Those parts add up over an orbit's members, so a
+    deviation just inside the tolerance can leave them above it; the orbit
+    block is then returned as it is.  A real operator (P the identity) keeps
+    its orbit block, real when the operator's dtype is, so its levels do not
+    move.
     """
     slots = _sector_slots(subset, sector)
     for name, p in slots.items():
@@ -282,11 +389,14 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
         if dev > SECTOR_COMMUTE_TOL:
             raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
     basis = _orbit_arrays(subset, sector, slots)
-    cols = mat.tocsc()[:, basis.reps]
-    b = np.repeat(np.arange(basis.size), np.diff(cols.indptr))
-    a = basis.orbit[cols.indices]
-    keep = a >= 0
-    a, b, rows = a[keep], b[keep], cols.indices[keep]
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    np.add.at(out, (a, b), basis.sign[rows].conj() * cols.data[keep] * np.sqrt(basis.sizes[b] / basis.sizes[a]))
-    return out, basis
+    block = orbit_block(mat, basis)
+    if np.iscomplexobj(basis.sign):
+        return block.toarray(), basis
+    name, theta, _ = find_antiunitary(mat, subset) if antiunitary is None else antiunitary
+    if name in (None, "identity"):
+        return block.toarray(), basis
+    rotation = _real_rotation(basis, theta)
+    rotated = rotation.conj().T @ block @ rotation
+    if np.max(np.abs(rotated.data.imag), initial=0.0) > ANTIUNITARY_TOL:
+        return block.toarray(), basis
+    return rotated.real.toarray(), replace(basis, rotation=rotation)

@@ -56,14 +56,29 @@ class ModelDefinition:
         return data
 
 
+class ModelFileError(ValueError):
+    """A model file lacks a key a model needs, or holds a value of the wrong type."""
+
+
+_MODEL_KEYS = ("name", "width", "cycles", "phases", "geometry", "orbit_seeds")
+
+
 def _from_json(data: dict) -> ModelDefinition:
-    return ModelDefinition(
-        name=data["name"],
-        gate=gate_from_json(data),
-        geometry=data["geometry"],
-        orbit_seed_pattern=data["orbit_seeds"][0],
-        expected=dict(data.get("expected", {})),
-    )
+    """A model from its JSON object.  A missing key raises ModelFileError
+    naming it; bad values are refused by the gate and circuit checks."""
+    for key in _MODEL_KEYS:
+        if key not in data:
+            raise ModelFileError(f"model file has no {key!r} key")
+    try:
+        return ModelDefinition(
+            name=data["name"],
+            gate=gate_from_json(data),
+            geometry=data["geometry"],
+            orbit_seed_pattern=data["orbit_seeds"][0],
+            expected=dict(data.get("expected", {})),
+        )
+    except (TypeError, IndexError) as exc:
+        raise ModelFileError(f"malformed model file: {exc}") from None
 
 
 def load_model(name: str) -> ModelDefinition:
@@ -73,7 +88,10 @@ def load_model(name: str) -> ModelDefinition:
         return _from_json(json.loads(text))
     path = Path(name)
     if path.suffix == ".json" and path.exists():
-        return _from_json(json.loads(path.read_text()))
+        try:
+            return _from_json(json.loads(path.read_text()))
+        except ModelFileError as exc:
+            raise ModelFileError(f"{path}: {exc}") from None
     raise UnknownModelError(name)
 
 
@@ -233,12 +251,6 @@ def sga_check(length: int, epsilon: float = np.pi) -> float:
         sl = slice(m.indptr[col], m.indptr[col + 1])
         worst = max(worst, float(np.linalg.norm(m.data[sl])))
     return worst
-
-
-def embedded_block_reference(length: int) -> np.ndarray:
-    """Pair-flip chain sum of (pi/2) X_{2j} X_{2j+1} - pi/2 on the anti-aligned states."""
-    subset = BasisSubset(anti_aligned_pair_states(length), length)
-    return window_sum(subset, range(2, length + 1, 2), 0.5 * np.pi * (_kron(X, X) - np.eye(4))).toarray()
 
 
 def neel_orbit_states(model: ModelDefinition, length: int) -> list[int]:

@@ -24,6 +24,9 @@ HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the
                               # dropped couplings grow by at most this times t in the amplitudes
+ANTIUNITARY_TOL = 1e-13       # max |P H P - H*| for which Theta = K P is a symmetry and a sector with
+                              # real characters is solved in its real basis; also the max |Im| of
+                              # that rotated block, above which the sector stays complex
 SPARSE_PRUNE = 1e-13          # series entries below this fraction of the largest are dropped
 
 # Spectra and dynamics

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phase_gate, window_operator
+from conftest import all_orbits, floquet_matrix
 from scarforge.automaton import (
     FloquetCircuit,
-    all_orbits,
     floquet_map,
-    floquet_matrix,
     orbit_of,
 )
 from scarforge.basis import set_window, tile_pattern, window_value

@@ -14,6 +14,7 @@ from scarforge.cli import (
     EXIT_UNKNOWN_MODEL,
     run,
 )
+from scarforge.models import load_model
 
 
 def test_unknown_model_exit_code(tmp_path):
@@ -163,7 +164,14 @@ def test_rstat_command(tmp_path, capsys):
     # without --out the same histogram goes to stdout
     capsys.readouterr()
     assert run(["rstat", "--model", "qmbs-b", "-L", "12", "--sector", "s2+1,usm+1"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == body
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == body
+    # the summary names the solve and the antiunitary deviation it measured:
+    # qmbs-b has Theta = K F and is solved real; pxp's H is real up to
+    # floating noise (Theta = K) and keeps its orbit-sum block
+    assert re.fullmatch(r"levels=119 mean_r=0\.\d{6} solve=real theta=F theta_dev=\d\.\d\de-1[5-9]\n", captured.err)
+    assert run(["rstat", "--model", "pxp", "-L", "12", "--sector", "s2+1"]) == EXIT_OK
+    assert re.search(r" solve=complex theta=identity theta_dev=", capsys.readouterr().err)
 
 
 def test_rstat_bad_sector():
@@ -205,6 +213,24 @@ def test_search_command(tmp_path, capsys):
     assert payload["results"][0]["satisfied"] >= payload["results"][1]["satisfied"]
     # the summary counts every gate scored, not only the --top ones written
     assert re.fullmatch(r"search: 764 of 40320 gates scored in \d+\.\d\d s\n", capsys.readouterr().err)
+
+
+def test_search_row_as_model_file_names_the_missing_key(tmp_path, capsys):
+    # a search row is no model file: loading one exits 2 and names the first
+    # key it lacks; a bad value is refused by the gate's own check
+    out = tmp_path / "results.json"
+    assert run(["search", "--order", "2", "--top", "1", "--out", str(out)]) == EXIT_OK
+    row = json.loads(out.read_text())["results"][0]
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(row))
+    capsys.readouterr()
+    assert run(["rules", "--model", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: model file has no 'name' key\n"
+    model = load_model("qmbs-b").to_json()
+    model["phases"] = model["phases"][:15]
+    path.write_text(json.dumps(model))
+    assert run(["rules", "--model", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: phase map must have 16 entries\n"
 
 
 def test_search_rejects_invalid_constraints(capsys):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_phase_gate
+from conftest import antiunitary_gate, near_antiunitary_hamiltonian, random_phase_gate
 from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset
@@ -286,6 +287,60 @@ def test_dense_propagator_matches_expm_for_random_gates(seed):
     psi0 /= np.linalg.norm(psi0)
     assert_propagator_matches_expm(h, sub, psi0)
     assert_propagator_matches_expm(h.real, sub, psi0)
+
+
+@pytest.mark.parametrize(("name", "length"), [("qmbs-a", 8), ("qmbs-b", 10), ("qmbs-b", 12)])
+def test_antiunitary_propagator_matches_expm(name, length):
+    # qmbs-a and qmbs-b have Theta = K F: the k = 0 and M/2 blocks are solved
+    # in their real basis and rotated back, the blocks k > M/2 come from
+    # k < M/2 through F.  Oracles: the action of the matrix exponential of
+    # the whole H (scipy's expm_multiply, no blocks) on a random state, which
+    # has weight in every block, and eigenpairs from the block vectors
+    m = load_model(name)
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    prop = Propagator(h, sub)
+    assert sorted(b.momentum for b in prop.blocks) == list(range(prop.order))
+    assert [b.basis.rotation is not None for b in prop.blocks] == [2 * b.momentum % prop.order == 0
+                                                                   for b in prop.blocks]
+    rng = np.random.default_rng(length)
+    psi0 = random_state(rng, sub.size)
+    times = np.array([0.0, 0.37, 2.5, 9.0])
+    for t, amps in zip(times, prop.evolve(psi0, times).amplitudes):
+        assert np.max(np.abs(amps - scipy.sparse.linalg.expm_multiply(-1j * t * h.tocsc(), psi0))) < 1e-10
+    modes = prop.modes
+    assert np.max(np.abs(h @ modes - modes * prop.energies)) < 1e-10
+    assert np.max(np.abs(modes.conj().T @ modes - np.eye(sub.size))) < 1e-10
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from(["F", "T1M"]))
+def test_antiunitary_propagator_matches_expm_for_random_gates(seed, p):
+    # on the L=8 full space (M = 4): Theta = K F maps k to -k, so k = 0, 1, 2
+    # are solved and k = 3 comes from k = 1; Theta = K T1M keeps every k, so
+    # all four are solved.  Either way k = 0 and 2 are solved real, and block
+    # evolution of a random state matches expm
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng, p), 8, "stride4"), sub).h
+    assume(abs(h.imag).max() > ASSEMBLY_PRUNE)
+    prop = Propagator(h, sub)
+    want = [0, 1, 3, 2] if p == "F" else [0, 1, 2, 3]
+    assert [b.momentum for b in prop.blocks] == want
+    assert [b.basis.rotation is not None for b in prop.blocks] == [k % 2 == 0 for k in want]
+    assert_evolution_matches_expm(prop, h.toarray(), random_state(rng, sub.size), np.array([0.37, 2.5]))
+
+
+def test_propagator_keeps_complex_block_the_rotation_leaves_complex():
+    # the k = 2 block of this H passes Theta detection but not the rotated
+    # block's imaginary check: it is solved complex, k = 0 real, and
+    # evolution still matches expm
+    h, sub = near_antiunitary_hamiltonian()
+    prop = Propagator(h, sub)
+    assert [(b.momentum, b.basis.rotation is not None) for b in prop.blocks] == [
+        (0, True), (1, False), (3, False), (2, False)]
+    rng = np.random.default_rng(5)
+    assert_evolution_matches_expm(prop, h.toarray(), random_state(rng, sub.size), np.array([0.37, 2.5]))
 
 
 def test_dense_propagator_matches_expm_pxp(pxp_chain):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_phase_gate
+from conftest import permutation_order, random_phase_gate
 from scarforge.basis import bitstring, set_window, window_value
 from scarforge.gate import (
     GateDefinitionError,
@@ -11,7 +11,6 @@ from scarforge.gate import (
     gate_to_json,
     identity_gate,
     parse_gate,
-    permutation_order,
 )
 
 

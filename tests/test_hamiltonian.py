@@ -6,8 +6,15 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import window_operator
-from scarforge.automaton import FloquetCircuit, floquet_matrix
+from conftest import (
+    antiunitary_gate,
+    embedded_block_reference,
+    floquet_matrix,
+    near_antiunitary_hamiltonian,
+    random_phase_gate,
+    window_operator,
+)
+from scarforge.automaton import FloquetCircuit
 from scarforge.basis import (
     BasisSubset,
     flip_index,
@@ -16,13 +23,15 @@ from scarforge.basis import (
     translate_index,
 )
 from scarforge.gate import identity_gate
-from scarforge.tolerances import ASSEMBLY_PRUNE
+from scarforge.tolerances import ANTIUNITARY_TOL, ASSEMBLY_PRUNE
 from scarforge.hamiltonian import (
     SubsetNotClosedError,
     SymmetrySector,
     build_hamiltonian,
+    find_antiunitary,
     krylov_subspace,
     operator_commutes,
+    orbit_block,
     project_sector,
     s2_order,
     sector_basis,
@@ -30,7 +39,6 @@ from scarforge.hamiltonian import (
 )
 from scarforge.models import (
     anti_aligned_pair_states,
-    embedded_block_reference,
     expected_krylov_dimension,
     working_subspace,
 )
@@ -197,6 +205,13 @@ def sector_vectors(basis):
     return vecs
 
 
+def real_form(block, basis):
+    """W^dagger block W for a sector solved in the real basis W of its
+    antiunitary symmetry; the block itself otherwise."""
+    w = basis.rotation
+    return block if w is None else w.conj().T @ block @ w
+
+
 def test_project_sector_counts_and_hermiticity(models):
     m = models["qmbs-a"]
     L = 12
@@ -229,7 +244,7 @@ def test_project_sector_spectrum_matches_direct_block(models):
     vecs = sector_vectors(basis)
     dense = chain.h.toarray()
     direct = vecs.conj().T @ dense @ vecs
-    assert np.max(np.abs(direct - hs)) < 1e-10
+    assert np.max(np.abs(real_form(direct, basis) - hs)) < 1e-10
     assert np.max(np.abs(np.linalg.eigvalsh(direct) - sector_evals)) < 1e-9
 
 
@@ -250,9 +265,11 @@ def project_sector_loop(mat, subset, basis):
 @pytest.mark.parametrize("length", [8, 12])
 @pytest.mark.parametrize("name", ["qmbs-a", "qmbs-b"])
 def test_project_sector_matches_signed_orbit_sums(models, name, length):
-    # oracles, in every S2 x USM character sector: the entry-by-entry loop
-    # (same arithmetic in the same order, so equal), and V^dagger H V with
-    # the sparse matrix V whose columns are the normalized signed orbit sums
+    # oracles, in every S2 x USM character sector, for the orbit-sum block:
+    # the entry-by-entry loop (same arithmetic in the same order, so equal),
+    # and V^dagger H V with the sparse matrix V whose columns are the
+    # normalized signed orbit sums.  qmbs-a and qmbs-b have Theta = K F, so
+    # the projection is real and equals W^dagger (V^dagger H V) W
     m = models[name]
     sub = working_subspace(m, length)
     h = build_hamiltonian(m.circuit(length), sub).h
@@ -261,9 +278,12 @@ def test_project_sector_matches_signed_orbit_sums(models, name, length):
             hs, basis = project_sector(h, sub, SymmetrySector((("S2", s2), ("USM", usm))))
             v = sp.csc_matrix(sector_vectors(basis))
             direct = (v.conj().T @ h @ v).toarray()
-            assert np.array_equal(hs, project_sector_loop(h, sub, basis))
-            assert hs.shape == direct.shape
-            assert np.max(np.abs(hs - direct), initial=0.0) < 1e-12
+            block = orbit_block(h, basis).toarray()
+            assert np.array_equal(block, project_sector_loop(h, sub, basis))
+            assert block.shape == direct.shape
+            assert np.max(np.abs(block - direct), initial=0.0) < 1e-12
+            assert np.isrealobj(hs) and basis.rotation is not None
+            assert np.max(np.abs(hs - real_form(direct, basis)), initial=0.0) < 1e-12
 
 
 def test_project_sector_rejects_noncommuting():
@@ -386,7 +406,7 @@ def test_momentum_sectors_split_the_operator(models, name, length):
         v[slots, basis.orbit[slots]] = basis.sign[slots] / np.sqrt(basis.sizes[basis.orbit[slots]])
         assert np.max(np.abs(v.conj().T @ v - np.eye(basis.size)), initial=0.0) < 1e-12
         assert np.max(np.abs(s2 @ v - np.exp(2j * np.pi * k / order) * v), initial=0.0) < 1e-12
-        assert np.max(np.abs(block - v.conj().T @ (h @ v)), initial=0.0) < 1e-12
+        assert np.max(np.abs(block - real_form(v.conj().T @ (h @ v), basis)), initial=0.0) < 1e-12
         levels.append(np.linalg.eigvalsh(block))
         count += basis.size
     assert count == sub.size
@@ -408,3 +428,60 @@ def test_momentum_sector_refusals():
 def test_sector_rejects_repeated_operator():
     with pytest.raises(ValueError, match="given twice"):
         SymmetrySector((("S2", 1), ("S2", -1)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from(["F", "T1M"]))
+def test_antiunitary_sectors_match_complex_path_for_random_gates(seed, p):
+    # oracle on the L=8 full space: a gate built so that P carries its core
+    # to the transpose has Theta = K P (or a real H, Theta = K).  For K P, in
+    # every sector its H allows (S2 x USM for F, S2 alone for T1M) and every
+    # momentum, the projection is real exactly when the characters are,
+    # equals W^dagger B W for the orbit-sum block B, and has B's complex
+    # spectrum; a real H keeps B itself.  A random phased gate breaks every
+    # candidate and keeps complex blocks with no rotation
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng, p), 8, "stride4"), sub).h
+    name, _, dev = find_antiunitary(h, sub)
+    assert name in ("identity", p) and dev <= ANTIUNITARY_TOL
+    assert (name == p) == (abs(h.imag).max() > ASSEMBLY_PRUNE)
+    specs = SECTOR_SPECS if p == "F" else [spec for spec in SECTOR_SPECS if len(spec) == 1 and spec[0][0] == "S2"]
+    sectors = [SymmetrySector(spec) for spec in specs]
+    sectors += [SymmetrySector(momentum=k) for k in range(s2_order(8))]
+    for sector in sectors:
+        hs, basis = project_sector(h, sub, sector)
+        block = orbit_block(h, basis).toarray()
+        real = not np.iscomplexobj(basis.sign) and name == p
+        assert np.isrealobj(hs) == real and (basis.rotation is not None) == real
+        assert np.max(np.abs(hs - real_form(block, basis)), initial=0.0) < 1e-12
+        assert np.max(np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(block)), initial=0.0) < 1e-10
+    broken = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
+    assert find_antiunitary(broken, sub)[0] is None
+    for k in range(s2_order(8)):
+        hs, basis = project_sector(broken, sub, SymmetrySector(momentum=k))
+        assert np.iscomplexobj(hs) and basis.rotation is None
+        assert np.array_equal(hs, orbit_block(broken, basis).toarray())
+
+
+def test_antiunitary_sector_left_complex_by_rotation_keeps_orbit_block():
+    # a deviation just inside ANTIUNITARY_TOL passes detection, but the
+    # rotated imaginary parts add up over orbit members and can exceed the
+    # tolerance: such a sector keeps its complex orbit block and its levels,
+    # the others are solved real
+    h, sub = near_antiunitary_hamiltonian()
+    theta = find_antiunitary(h, sub)
+    assert theta[0] == "F" and theta[2] <= ANTIUNITARY_TOL
+    sectors = [SymmetrySector(spec) for spec in SECTOR_SPECS]
+    sectors += [SymmetrySector(momentum=k) for k in range(s2_order(8))]
+    kept = []
+    for sector in sectors:
+        hs, basis = project_sector(h, sub, sector, theta)
+        block = orbit_block(h, basis).toarray()
+        if basis.rotation is None:
+            assert np.array_equal(hs, block)
+            kept.append(not np.iscomplexobj(basis.sign))
+        else:
+            assert np.isrealobj(hs)
+        assert np.max(np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(block)), initial=0.0) < 1e-10
+    assert sum(kept) == 4    # k = 2 and the three S2 = -1 sectors

@@ -100,7 +100,7 @@ def test_ratios_independent_of_length(models):
 def test_type1_inverse_gate_symmetry(rng):
     # phase-free rules are invariant under inverting the gate and negating all
     # powers modulo the gate's own order
-    from scarforge.gate import permutation_order
+    from conftest import permutation_order
 
     L = 12
     state = tile_pattern("10", L)
