@@ -9,21 +9,38 @@ where B_k are the Bernoulli numbers (B_1 = -1/2); the lone extra commutator
 absorbs the sign flip of B_1 for the Y argument.  Grading by powers of s
 turns this into an exact recursion for the homogeneous pieces Z_n built from
 nested commutators of lower pieces, with rational coefficients generated as
-exact fractions.  The degree-(n+1) piece maps back to the Hermitian series
-term C_n = i Z_{n+1}, with C_0 = A + B.
+exact fractions.
 
-All operands are anti-Hermitian, so each commutator costs one product:
-[P, Q] = PQ - (PQ)^dagger.  Every operand is held in CSR form, whatever
-kind of matrix the caller passes: the Floquet-Magnus terms are local, so
-they stay sparse.  Entries below 1e-13 of the largest magnitude are dropped
-per nesting level to stop noise fill-in.
+Grading.  Z_n is homogeneous of degree n in X and Y, so Z_n = (-i)^n Z~_n,
+where Z~_n is the same recursion run on the Hermitian parts A~ = (A + A^dagger)/2
+and B~ in place of X and Y: every coefficient is real, and each commutator
+of degree d carries the factor (-i)^d.  Z~_n is Hermitian for odd n and
+anti-Hermitian for even n, so a commutator of pieces whose degrees sum to d
+costs one product: [P, Q] = PQ - (-1)^d (PQ)^dagger.  The series term is
+C_n = i Z_{n+1} = (-i)^n Z~_{n+1}, and C_0 = A~ + B~ is the closed form.
 
-Before each order the series is admitted against the available memory: the
-CSR pieces it holds, plus the order's deg + 1 new pieces and three in-flight
-products, each sized as the largest piece held, must fit, else
-ResourceLimitError is raised before the order allocates.  The held pieces
-are already resident; counting them again keeps a margin as large as the
-series held.
+Parity.  When every imaginary part of A~ and B~ is at most ASSEMBLY_PRUNE
+(pxp, pxp-nophase and qmbs-c on their working subspaces, whose layers carry
+about 2e-16 of imaginary noise), the recursion runs on their real parts in
+float64, the same test the Propagator applies to a real H.  Then every
+Z~_n is real, and from order 1 on C_n is exactly real for even n and
+exactly imaginary for odd n (C_0 = A~ + B~ keeps the layers' noise); each
+product moves half the bytes of a complex one.
+
+Stacked products.  A table entry T(k, d) = sum_m [Z~_m, T(k-1, d-m)] is
+formed as one product hstack(Z~_m) @ vstack(T(k-1, d-m)), one graded
+adjoint and one prune.  Every operand is held in CSR form, whatever kind
+of matrix the caller passes: the Floquet-Magnus terms are local, so they
+stay sparse.  Entries below SPARSE_PRUNE of the largest magnitude are
+dropped from each table entry and each piece to stop noise fill-in.
+
+Pre-flight.  Before each order the series is admitted against the
+available memory: the CSR pieces it holds, plus the order's deg + 1 new
+pieces and three in-flight products, each sized as the largest piece held,
+plus the two stacked operands of the order's largest table entry, must
+fit, else ResourceLimitError is raised before the order allocates.  Real
+pieces count at their float64 size.  The held pieces are already resident;
+counting them again keeps a margin as large as the series held.
 """
 
 from __future__ import annotations
@@ -36,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dynamics
-from .tolerances import SPARSE_PRUNE
+from .tolerances import ASSEMBLY_PRUNE, SPARSE_PRUNE
 
 MAX_ORDER = 12
 
@@ -65,9 +82,15 @@ def _csr_bytes(mat) -> int:
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
-def _commutator(left, right) -> sp.csr_matrix:
-    prod = left @ right
-    return _prune(prod - prod.getH())
+def _commutator(prod, degree: int) -> sp.csr_matrix:
+    """[P, Q] from prod = PQ, for graded pieces whose degrees sum to `degree`.
+
+    The caller hands over prod: it is released before the prune."""
+    adjoint = prod.T.tocsr()
+    np.conjugate(adjoint.data, out=adjoint.data)
+    out = prod + adjoint if degree % 2 else prod - adjoint
+    del prod, adjoint
+    return _prune(out)
 
 
 @dataclass
@@ -84,7 +107,7 @@ class BchSeries:
 def bch_terms(a, b, n_orders: int) -> BchSeries:
     """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b.
 
-    a and b may be dense arrays or sparse matrices; the terms are CSR.
+    a and b may be dense arrays or sparse matrices; the terms are complex CSR.
     Raises ResourceLimitError before an order that would not fit in memory.
     """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -94,13 +117,16 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
 
     a = sp.csr_matrix(a, dtype=complex)
     b = sp.csr_matrix(b, dtype=complex)
-    # Enforce exact anti-Hermiticity of the generators.
-    x = (-0.5j * (a + a.getH())).tocsr()
-    y = (-0.5j * (b + b.getH())).tocsr()
+    # Enforce exact Hermiticity of the layers.
+    x = (0.5 * (a + a.getH())).tocsr()
+    y = (0.5 * (b + b.getH())).tocsr()
+    c0 = x + y
+    if all(np.all(np.abs(m.data.imag) <= ASSEMBLY_PRUNE) for m in (x, y)):
+        x, y = (sp.csr_matrix((m.data.real.copy(), m.indices, m.indptr), shape=m.shape) for m in (x, y))
     s = x + y
 
     bern = bernoulli_numbers(n_orders + 1)
-    z = [None, s]          # z[m] holds the degree-m piece
+    z = [None, s]          # z[m] holds the degree-m graded piece Z~_m
     table: dict[tuple[int, int], object] = {}
 
     def t_entry(k: int, d: int):
@@ -108,9 +134,15 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
             return s if d == 0 else None
         return table.get((k, d))
 
+    def operands(k: int, deg: int) -> list:
+        """(Z~_m, T(k-1, deg-m)) pairs of the table entry T(k, deg)."""
+        pairs = ((z[m], t_entry(k - 1, deg - m)) for m in range(1, deg - k + 2))
+        return [(left, right) for left, right in pairs if right is not None]
+
     for deg in range(1, n_orders + 1):
         held = [_csr_bytes(piece) for piece in (x, y, *z[1:], *table.values())]
-        need = sum(held) + (deg + 4) * max(held)
+        stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in range(1, deg + 1))
+        need = sum(held) + (deg + 4) * max(held) + stacked
         have = dynamics.available_bytes()
         if need > have:
             raise dynamics.ResourceLimitError(
@@ -118,16 +150,13 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
                 "lower the order or use a smaller subspace"
             )
         for k in range(1, deg + 1):
-            acc = None
-            for m in range(1, deg - k + 2):
-                lower = t_entry(k - 1, deg - m)
-                if lower is None:
-                    continue
-                term = _commutator(z[m], lower)
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                table[(k, deg)] = _prune(acc)
-        rhs = _commutator(z[deg], y)
+            pairs = operands(k, deg)
+            if pairs:
+                table[(k, deg)] = _commutator(
+                    sp.hstack([p for p, _ in pairs], format="csr") @ sp.vstack([q for _, q in pairs], format="csr"),
+                    deg + 1,
+                )
+        rhs = _commutator(z[deg] @ y, deg + 1)
         for k in range(1, deg + 1):
             coeff = bern[k]
             if coeff == 0:
@@ -138,7 +167,8 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
             rhs = rhs + (float(coeff) / factorial(k)) * entry
         z.append(_prune(rhs * (1.0 / (deg + 1))))
 
-    terms = [1j * z[n + 1] for n in range(n_orders + 1)]
+    table.clear()
+    terms = [c0] + [(-1j) ** n * z[n + 1] for n in range(1, n_orders + 1)]
     return BchSeries(terms, n_orders)
 
 

@@ -343,12 +343,14 @@ def cmd_rstat(args) -> int:
 
 
 def cmd_bch(args) -> int:
-    from .bch import bch_terms, fgr_rate, norm_profile
+    from .bch import MAX_ORDER, bch_terms, fgr_rate, norm_profile
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
     from .output import write_svg_lines
 
+    _require(0 <= args.orders <= MAX_ORDER, "--orders", f"lie in 0..{MAX_ORDER}", args.orders)
     _require(args.bandwidth is None or args.bandwidth > 0, "--bandwidth", "be positive", args.bandwidth)
+    _require(args.bandwidth is None or args.orders >= 2, "--orders", "be at least 2 with --bandwidth", args.orders)
     model = _load(args.model)
     subset = _subspace(model, args.length, args.subspace)
     chain = build_hamiltonian(model.circuit(args.length), subset)

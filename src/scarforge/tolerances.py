@@ -19,7 +19,8 @@ TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
 
 # Chain operators
 ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise; an assembled
-                              # H whose imaginary parts all are is propagated as real
+                              # H whose imaginary parts all are is propagated as real, and layers
+                              # whose Hermitian parts' imaginary parts all are give a real series
 HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the

@@ -98,6 +98,33 @@ def window_operator(local: np.ndarray, site: int, length: int) -> sp.csr_matrix:
 # Full-space oracles (small L only)
 
 
+def dense_bch_terms(a, b, n_orders: int) -> list:
+    """C_0..C_{n_orders} from the anti-Hermitian Bernoulli recursion on
+    X = -iA and Y = -iB, in dense complex arithmetic, with every commutator
+    formed as PQ - QP and nothing pruned."""
+    from scarforge.bch import bernoulli_numbers
+
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    x = -0.5j * (a + a.conj().T)
+    y = -0.5j * (b + b.conj().T)
+    zero = np.zeros_like(x)
+    bern = bernoulli_numbers(n_orders + 1)
+    z = [None, x + y]
+    table = {(0, 0): x + y}
+    for deg in range(1, n_orders + 1):
+        for k in range(1, deg + 1):
+            table[k, deg] = sum(
+                (z[m] @ table.get((k - 1, deg - m), zero) - table.get((k - 1, deg - m), zero) @ z[m]
+                 for m in range(1, deg - k + 2)),
+                zero,
+            )
+        rhs = z[deg] @ y - y @ z[deg]
+        for k in range(1, deg + 1):
+            rhs = rhs + float(bern[k]) / math.factorial(k) * table[k, deg]
+        z.append(rhs / (deg + 1))
+    return [1j * z[n + 1] for n in range(n_orders + 1)]
+
+
 def floquet_matrix(circuit) -> np.ndarray:
     """Dense 2**L x 2**L matrix of U_F."""
     dim = 1 << circuit.length

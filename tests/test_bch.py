@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_phase_gate
+from conftest import dense_bch_terms, random_phase_gate
 from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset
@@ -20,7 +20,7 @@ from scarforge.bch import (
     norm_profile,
 )
 from scarforge.hamiltonian import build_hamiltonian, krylov_subspace
-from scarforge.models import load_model, neel_orbit_states
+from scarforge.models import load_model, neel_orbit_states, working_subspace
 
 
 def test_bernoulli_numbers_exact():
@@ -101,6 +101,44 @@ def test_series_matches_log_for_random_gates(seed):
     target = 1j * la.logm(la.expm(-1j * eps * a) @ la.expm(-1j * eps * b))
     partial = sum(series.term(n).toarray() for n in range(11))
     assert np.max(np.abs(partial - target)) < 1e-9
+
+
+def _assert_matches_dense_recursion(a, b, n_orders):
+    series = bch_terms(a, b, n_orders)
+    for n, ref in enumerate(dense_bch_terms(a.toarray(), b.toarray(), n_orders)):
+        err = np.linalg.norm(series.term(n).toarray() - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref), (n, err)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_series_matches_dense_recursion_for_random_gates(seed):
+    # oracle: the anti-Hermitian recursion in dense complex arithmetic, on
+    # the L=8 full space of any phased gate, whose layers are complex
+    gate = random_phase_gate(np.random.default_rng(seed))
+    chain = build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), BasisSubset.full_space(8))
+    _assert_matches_dense_recursion(chain.a, chain.b, 6)
+
+
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-a", "qmbs-b", "qmbs-c"])
+def test_series_matches_dense_recursion_for_registry_models(models, name):
+    model = models[name]
+    chain = build_hamiltonian(model.circuit(8), working_subspace(model, 8))
+    _assert_matches_dense_recursion(chain.a, chain.b, 6)
+
+
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-c"])
+def test_real_layers_give_graded_parity(models, name):
+    # real layers: C_n = (-i)^n Z~_{n+1} with Z~ real, so from order 1 on
+    # the even terms are real and the odd ones imaginary, exactly; the qmbs-c
+    # layers commute on its working subspace, so there every term vanishes
+    model = models[name]
+    chain = build_hamiltonian(model.circuit(8), working_subspace(model, 8))
+    series = bch_terms(chain.a, chain.b, 8)
+    for n in range(1, 9):
+        term = series.term(n)
+        assert (term.nnz == 0) == (name == "qmbs-c"), n
+        assert np.all((term.data.imag if n % 2 == 0 else term.data.real) == 0), n
 
 
 def test_pxp_window_commutator_matrix_elements():

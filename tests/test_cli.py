@@ -278,6 +278,23 @@ def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, monkeypatch, cap
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--orders", "-1"], "--orders must lie in 0..12 (got -1)"),
+    (["--orders", "13"], "--orders must lie in 0..12 (got 13)"),
+    (["--orders", "1", "--bandwidth", "30"], "--orders must be at least 2 with --bandwidth (got 1)"),
+    (["--orders", "0", "--bandwidth", "30"], "--orders must be at least 2 with --bandwidth (got 0)"),
+])
+def test_bch_refuses_out_of_range_orders_before_building(flags, message, tmp_path, monkeypatch, capsys):
+    from scarforge import models
+
+    built = []
+    monkeypatch.setattr(models, "working_subspace", lambda *a, **k: built.append(a))
+    out = tmp_path / "norms.csv"
+    assert run(["bch", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
     # the qmbs-a series on the 256-state full space fills in: order 3 needs
     # about 9 MB, so 4 MB refuses it before the order allocates
