@@ -77,6 +77,23 @@ def set_window(index, site, width, length, value):
     return out
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of a 1-D integer array, ascending: one sort and an
+    adjacent-difference mask, where `np.unique` would build a hash table."""
+    out = np.sort(np.asarray(values))
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def sorted_find(sorted_values: np.ndarray, values) -> np.ndarray:
+    """Slot of each of `values` in the ascending array `sorted_values`, by
+    binary search; -1 where a value is absent."""
+    slots = np.searchsorted(sorted_values, values)
+    hit = len(sorted_values) and np.take(sorted_values, slots, mode="clip") == values
+    return np.where(hit, slots, -1)
+
+
 class BasisSubset:
     """An ordered set of basis states with binary-search lookup.
 
@@ -86,7 +103,7 @@ class BasisSubset:
     """
 
     def __init__(self, states, length: int):
-        arr = np.unique(np.asarray(states, dtype=np.int64))
+        arr = sorted_unique(np.asarray(states, dtype=np.int64))
         if len(arr) != len(states):
             raise ValueError("subset states must be unique")
         self.states = arr
@@ -105,10 +122,7 @@ class BasisSubset:
 
     def find(self, indices) -> np.ndarray:
         """Slots of the given state indices, -1 where a state is absent."""
-        indices = np.asarray(indices, dtype=np.int64)
-        slots = np.searchsorted(self.states, indices)
-        hit = self.size and np.take(self.states, slots, mode="clip") == indices
-        return np.where(hit, slots, -1)
+        return sorted_find(self.states, np.asarray(indices, dtype=np.int64))
 
     def __contains__(self, index) -> bool:
         return bool(self.find(int(index)) >= 0)

@@ -32,12 +32,14 @@ formed as one product hstack(Z~_m) @ vstack(T(k-1, d-m)), one graded
 adjoint and one prune.  Every operand is held in CSR form, whatever kind
 of matrix the caller passes: the Floquet-Magnus terms are local, so they
 stay sparse.  Entries below SPARSE_PRUNE of the largest magnitude are
-dropped from each table entry and each piece to stop noise fill-in.
+dropped from each table entry and each piece to stop noise fill-in.  The
+entries of the last order are read only by its right-hand side, so those
+whose B_k is zero (odd k >= 3) are not formed.
 
 Pre-flight.  Before each order the series is admitted against the
 available memory: the CSR pieces it holds, plus the order's deg + 1 new
 pieces and three in-flight products, each sized as the largest piece held,
-plus the two stacked operands of the order's largest table entry, must
+plus the two stacked operands of the largest table entry it forms, must
 fit, else ResourceLimitError is raised before the order allocates.  Real
 pieces count at their float64 size.  The held pieces are already resident;
 counting them again keeps a margin as large as the series held.
@@ -139,9 +141,14 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         pairs = ((z[m], t_entry(k - 1, deg - m)) for m in range(1, deg - k + 2))
         return [(left, right) for left, right in pairs if right is not None]
 
+    def formed(deg: int) -> list:
+        """The k of the table entries T(k, deg) to form: at the last order
+        only the right-hand side reads them, so those with B_k = 0 are skipped."""
+        return [k for k in range(1, deg + 1) if deg < n_orders or bern[k] != 0]
+
     for deg in range(1, n_orders + 1):
         held = [_csr_bytes(piece) for piece in (x, y, *z[1:], *table.values())]
-        stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in range(1, deg + 1))
+        stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in formed(deg))
         need = sum(held) + (deg + 4) * max(held) + stacked
         have = dynamics.available_bytes()
         if need > have:
@@ -149,7 +156,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
                 f"series order {deg} needs about {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; "
                 "lower the order or use a smaller subspace"
             )
-        for k in range(1, deg + 1):
+        for k in formed(deg):
             pairs = operands(k, deg)
             if pairs:
                 table[(k, deg)] = _commutator(

@@ -6,6 +6,13 @@ set, or a symmetry sector).  `window_sum` builds every such sum of one local
 matrix over windows, and drops entries at or below 1e-13: window entries are
 exact combinations of pi-scale constants, so anything smaller is noise.
 
+The Krylov closure of a seed is its connected component in the graph whose
+edges are the window hops v -> vp with |h[vp, v]| above that cut.  The hop
+table is made symmetric, so the graph is undirected and a breadth-first
+level k has all its neighbours in levels k - 1, k and k + 1: each new level
+is found against the two levels before it alone, with no growing set of
+every state seen.
+
 Symmetry sectors use the group of S2 (translation by two sites, of order
 M = L / gcd(L, 2)) and USM (mirror, one-site translation, spin flip),
 elements S2^j USM^e with character chi(S2)^j chi(USM)^e.  chi(USM) is +1 or
@@ -43,6 +50,8 @@ from .basis import (
     flip_index,
     mirror_index,
     set_window,
+    sorted_find,
+    sorted_unique,
     translate_index,
     window_value,
 )
@@ -78,7 +87,8 @@ def _window_moves(states: np.ndarray, site: int, length: int, keep: np.ndarray):
     (v, vp, u) order, so the targets of one (v, vp) run ascend."""
     width = len(keep).bit_length() - 1
     values = window_value(states, site, width, length)
-    order = np.argsort(values, kind="stable")
+    # a stable sort of values cast to the smallest type that holds them is a radix sort
+    order = np.argsort(values.astype(np.min_scalar_type(len(keep) - 1)), kind="stable")
     bounds = np.searchsorted(values[order], np.arange(len(keep) + 1))
     v, vp = np.nonzero(keep.T)
     counts = bounds[v + 1] - bounds[v]
@@ -127,16 +137,25 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
 
 def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
     """Breadth-first closure of the seed under nonzero window matrix elements,
-    expanded one whole level of states at a time."""
+    expanded one whole level of states at a time.
+
+    `hops | hops.T` changes nothing for a Hermitian log and makes the state
+    graph undirected, so two levels are enough: the targets of level k,
+    deduplicated by one sort, less those found by binary search in levels k
+    and k - 1, are level k + 1.  The levels are joined once, at the end.
+    """
     hops = np.abs(principal_log(circuit.gate).matrix) > ASSEMBLY_PRUNE
+    hops |= hops.T
     np.fill_diagonal(hops, False)    # hops[vp, v]: window value v reaches vp
     length = circuit.length
-    seen = frontier = np.array([seed], dtype=np.int64)
-    while len(frontier):
-        reached = [_window_moves(frontier, site, length, hops)[3] for site in circuit.window_sites]
-        frontier = np.setdiff1d(np.unique(np.concatenate(reached)), seen, assume_unique=True)
-        seen = np.union1d(seen, frontier)
-    return BasisSubset(seen, length)
+    levels = [np.empty(0, dtype=np.int64), np.array([seed], dtype=np.int64)]
+    while len(levels[-1]):
+        moves = [_window_moves(levels[-1], site, length, hops)[3] for site in circuit.window_sites]
+        reached = sorted_unique(np.concatenate(moves))
+        for level in levels[-2:]:
+            reached = reached[sorted_find(level, reached) < 0]
+        levels.append(reached)
+    return BasisSubset(np.concatenate(levels), length)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +274,19 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
     momentum k to -k.
     """
     mat = sp.csr_matrix(mat)
+    if not mat.has_canonical_format:    # one stored entry per position, without touching the caller's arrays
+        mat = mat.copy()
+        mat.sum_duplicates()
     least = math.inf
     for name in ANTIUNITARY_CANDIDATES:
         try:
             slots = _symmetry_slots(subset, name)
         except ValueError:
             continue
-        image = mat if name == "identity" else mat[slots][:, slots]
-        dev = float(abs(image - mat.conj()).max())
+        if name == "identity":    # (a + ib) - (a - ib) is 2ib exactly in floating point
+            dev = 2.0 * float(np.max(np.abs(mat.data.imag), initial=0.0))
+        else:
+            dev = float(abs(mat[slots][:, slots] - mat.conj()).max())
         if dev <= ANTIUNITARY_TOL:
             return name, slots, dev
         least = min(least, dev)

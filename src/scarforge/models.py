@@ -279,7 +279,9 @@ def working_subspace(model: ModelDefinition, length: int) -> BasisSubset:
         return subset
     local = principal_log(circuit.gate).matrix
     live = np.max(np.abs(local), axis=0) > ASSEMBLY_PRUNE
-    complement = np.setdiff1d(np.arange(1 << length, dtype=np.int64), subset.states)
+    outside = np.ones(1 << length, dtype=bool)
+    outside[subset.states] = False
+    complement = np.flatnonzero(outside)
     width = circuit.gate.width
     for site in circuit.window_sites:
         if np.any(live[window_value(complement, site, width, length)]):

@@ -13,9 +13,9 @@ rule's first site on (the whole ring when L < 2d + w).  The three windows act
 on no other bit, so the rest of the chain is a spectator that both orderings
 leave as it was: their results agree on the chain exactly when they agree on
 the span word, and differ by a vector of the same norm.  Gate powers become
-index and phase tables over the 2^m words, window-Hamiltonian powers the
-sparse operators `hamiltonian.window_sum` builds on the full space of span
-words, and every instance of a report is evaluated at once.
+index and phase tables over the 2^m words, window-Hamiltonian powers sparse
+operators on the 2^m words read off the same tables, and every instance of
+a report is evaluated at once.
 
 Instances are enumerated once per translation-equivalence class: shifting a
 rule by any lattice translation that maps window positions to window
@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .automaton import FloquetCircuit
-from .basis import BasisSubset, set_window, tile_pattern, translate_index, window_value
+from .basis import set_window, tile_pattern, translate_index, window_value
 from .gate import identity_gate
-from .hamiltonian import window_sum
 from .logmap import principal_log
-from .tolerances import RULE_PHASE_TOL, TYPE2_TOL
+from .tolerances import ASSEMBLY_PRUNE, RULE_PHASE_TOL, TYPE2_TOL
 
 
 @dataclass
@@ -187,11 +187,29 @@ def _ordered_products(block: np.ndarray, column: np.ndarray, steps, n: int) -> n
     return block[:, column]
 
 
+def _span_operators(layout, h_local: np.ndarray) -> list[sp.csr_matrix]:
+    """`h_local` on the left, middle and right rule windows, as CSR over the
+    span words with sorted column indices: row t holds h_local[vp, v], for
+    vp the window value of t, at the word t with v in that window.  Entries
+    at or below ASSEMBLY_PRUNE are dropped.  These are the operators
+    `hamiltonian.window_sum` builds on the full space of span words, read
+    off the `_layout` tables."""
+    values, cleared, spread = layout
+    keep = np.abs(h_local) > ASSEMBLY_PRUNE
+    dim = values.shape[1]
+    ops = []
+    for k in range(3):
+        t, v = np.nonzero(keep[values[k]])
+        cols = cleared[k, t] | spread[k, v]
+        order = np.lexsort((cols, t))
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)[values[k]])))
+        ops.append(sp.csr_matrix((h_local[values[k, t], v][order], cols[order], indptr), shape=(dim, dim)))
+    return ops
+
+
 def _type2_residuals(circuit: FloquetCircuit, h_local: np.ndarray, words, powers) -> np.ndarray:
     """Two-norm of the difference of both orderings of window-Hamiltonian powers."""
-    stride, _, m = _span(circuit)
-    words_space = BasisSubset.full_space(m)
-    left, middle, right = (window_sum(words_space, [1 + k * stride], h_local) for k in range(3))
+    left, middle, right = _span_operators(_layout(*_span(circuit)), h_local)
     n = int(powers.max(initial=0)) + 1
     starts, column = np.unique(words, return_inverse=True)
     block = np.zeros((left.shape[0], len(starts)), dtype=complex)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scarforge.basis import (
     BasisSubset,
@@ -7,6 +8,8 @@ from scarforge.basis import (
     flip_index,
     mirror_index,
     set_window,
+    sorted_find,
+    sorted_unique,
     tile_pattern,
     translate_index,
     window_value,
@@ -77,8 +80,44 @@ def test_subset_positions_and_uniqueness():
     assert list(sub.states) == [1, 3, 7]
     assert sub.position(3) == 1
     assert 7 in sub and 2 not in sub
-    with pytest.raises(ValueError):
-        BasisSubset([1, 1, 2], 4)
+    for states in ([1, 1, 2], [5, 2, 5], np.array([9, 0, 3, 0], dtype=np.int64), [4, 4]):
+        with pytest.raises(ValueError, match="unique"):
+            BasisSubset(states, 4)
+    assert BasisSubset([], 4).size == 0
+
+
+_values = st.lists(st.integers(-40, 40), max_size=30)
+
+
+@given(values=_values)
+def test_sorted_unique_matches_python_set(values):
+    out = sorted_unique(np.array(values, dtype=np.int64))
+    assert out.dtype == np.int64
+    assert out.tolist() == sorted(set(values))
+
+
+@given(haystack=_values, needles=_values)
+def test_sorted_find_matches_python_set(haystack, needles):
+    # duplicates in the needles, absent values on both sides of the range,
+    # and an empty haystack or needle list all come up
+    table = sorted_unique(np.array(haystack, dtype=np.int64))
+    slots = sorted_find(table, np.array(needles, dtype=np.int64))
+    assert slots.shape == (len(needles),)
+    for needle, slot in zip(needles, slots.tolist()):
+        if needle in set(haystack):
+            assert table[slot] == needle
+        else:
+            assert slot == -1
+
+
+def test_sorted_helpers_edge_cases():
+    empty = np.array([], dtype=np.int64)
+    assert sorted_unique(empty).tolist() == []
+    assert sorted_unique(np.array([7])).tolist() == [7]
+    assert sorted_unique(np.array([3, 3, 3])).tolist() == [3]
+    assert sorted_find(empty, np.array([1, 2])).tolist() == [-1, -1]
+    assert sorted_find(np.array([4]), np.array([4, 3, 5, 4])).tolist() == [0, -1, -1, 0]
+    assert sorted_find(np.array([1, 5, 9]), empty).tolist() == []
 
 
 def test_basis_vector_is_one_hot():

@@ -141,6 +141,21 @@ def test_real_layers_give_graded_parity(models, name):
         assert np.all((term.data.imag if n % 2 == 0 else term.data.real) == 0), n
 
 
+@pytest.mark.parametrize("name", ["pxp", "qmbs-b"])
+def test_last_order_skips_zero_bernoulli_entries_exactly(models, name):
+    # the last order does not form T(k, N) for B_k = 0 (odd k >= 3); a longer
+    # series forms them, and its terms through order N agree bit for bit
+    model = models[name]
+    chain = build_hamiltonian(model.circuit(8), working_subspace(model, 8))
+    longer = bch_terms(chain.a, chain.b, 7)
+    for n_orders in (3, 4, 6):
+        series = bch_terms(chain.a, chain.b, n_orders)
+        for n in range(n_orders + 1):
+            term, ref = series.term(n), longer.term(n)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(term, part), getattr(ref, part)), (n_orders, n, part)
+
+
 def test_pxp_window_commutator_matrix_elements():
     # the commutator of adjacent window terms moves exactly one adjacent pair
     m = load_model("pxp")

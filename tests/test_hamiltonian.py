@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
@@ -23,6 +24,7 @@ from scarforge.basis import (
     translate_index,
 )
 from scarforge.gate import identity_gate
+from scarforge.logmap import NonPeriodicGateError, principal_log
 from scarforge.tolerances import ANTIUNITARY_TOL, ASSEMBLY_PRUNE
 from scarforge.hamiltonian import (
     SubsetNotClosedError,
@@ -83,9 +85,8 @@ def test_krylov_dimensions_match_formulas(models):
 
 def test_krylov_subspace_is_connected_component_of_full_h(models):
     # oracle: the seed's component in the nonzero graph of the full-space H
-    from scipy.sparse.csgraph import connected_components
-
     for m in models.values():
+        _assert_hops_symmetric(principal_log(m.gate).matrix)
         for L in (4, 6, 8, 10, 12):
             circuit = m.circuit(L)
             seed = m.orbit_seed(L)
@@ -93,6 +94,37 @@ def test_krylov_subspace_is_connected_component_of_full_h(models):
             _, label = connected_components(abs(h) > 0, directed=False)
             component = np.flatnonzero(label == label[seed])
             assert np.array_equal(krylov_subspace(circuit, seed).states, component)
+
+
+def _phase_gate_log(seed):
+    """A drawn stride4 phased gate and its window Hamiltonian, or a rejected
+    example when the gate has no principal log."""
+    gate = random_phase_gate(np.random.default_rng(seed))
+    try:
+        return gate, principal_log(gate).matrix
+    except NonPeriodicGateError:
+        assume(False)
+
+
+def _assert_hops_symmetric(local):
+    # the closure's hops | hops.T then adds no hop
+    hops = np.abs(local) > ASSEMBLY_PRUNE
+    assert np.array_equal(hops, hops.T)
+
+
+@settings(max_examples=20)
+@given(length=st.sampled_from([8, 12]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_krylov_subspace_is_connected_component_for_random_gates(length, seed, data):
+    # oracle: the seed's component in the graph of the off-diagonal entries
+    # of either layer, each of which comes from one window hop
+    gate, local = _phase_gate_log(seed)
+    _assert_hops_symmetric(local)
+    circuit = FloquetCircuit(gate, length, "stride4")
+    start = data.draw(st.integers(0, (1 << length) - 1), label="start")
+    chain = build_hamiltonian(circuit, BasisSubset.full_space(length))
+    _, label = connected_components((abs(chain.a) + abs(chain.b)) > 0, directed=False)
+    component = np.flatnonzero(label == label[start])
+    assert np.array_equal(krylov_subspace(circuit, start).states, component)
 
 
 def test_qmbs_a_component_misses_only_inert_states(models):
@@ -485,3 +517,43 @@ def test_antiunitary_sector_left_complex_by_rotation_keeps_orbit_block():
             assert np.isrealobj(hs)
         assert np.max(np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(block)), initial=0.0) < 1e-10
     assert sum(kept) == 4    # k = 2 and the three S2 = -1 sectors
+
+
+def _assert_identity_deviation_exact(h, length):
+    # On the lowest quarter of the states neither F (0 -> 1...1) nor T1M
+    # (1 -> the site-2 state) maps the subset to itself, so the deviation
+    # `find_antiunitary` reports is the identity's, read off the imaginary
+    # parts; it must equal |H - H*| bit for bit
+    n = 1 << (length - 2)
+    block = sp.csr_matrix(h)[:n, :n]
+    reference = float(abs(block - block.conj()).max())
+    assert find_antiunitary(block, BasisSubset(np.arange(n), length))[2] == reference
+
+
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-a", "qmbs-b", "qmbs-c"])
+def test_identity_antiunitary_deviation_is_exact_for_models(models, name):
+    model = models[name]
+    chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
+    _assert_identity_deviation_exact(chain.h, 8)
+    h = build_hamiltonian(model.circuit(8), working_subspace(model, 8)).h
+    theta = find_antiunitary(h, working_subspace(model, 8))
+    if theta[0] == "identity":
+        assert theta[2] == float(abs(h - h.conj()).max())
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_identity_antiunitary_deviation_is_exact_for_random_gates(seed):
+    gate, _ = _phase_gate_log(seed)
+    _assert_identity_deviation_exact(build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), BasisSubset.full_space(8)).h, 8)
+
+
+def test_identity_antiunitary_deviation_sums_duplicate_entries():
+    # a CSR with two stored entries at one position is read as their sum,
+    # and the caller's arrays are left as they were
+    data = np.array([1.0 + 2e-14j, 3.0 - 1e-14j, 2.0 + 0.0j])
+    indices, indptr = np.array([1, 1, 0]), np.array([0, 2, 3])
+    mat = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(2, 2))
+    name, _, dev = find_antiunitary(mat, BasisSubset([0, 1], 2))
+    assert name == "identity" and dev == float(abs(mat - mat.conj()).max()) > 0
+    assert np.array_equal(mat.data, data) and np.array_equal(mat.indices, indices)

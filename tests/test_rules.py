@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_phase_gate, window_operator
 from scarforge.automaton import FloquetCircuit, orbit_of
-from scarforge.basis import tile_pattern, translate_index
+from scarforge.basis import BasisSubset, tile_pattern, translate_index
 from scarforge.gate import PermutationGate, gate_matrix, identity_gate, phased_cycles
+from scarforge.hamiltonian import window_sum
 from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
@@ -17,6 +18,7 @@ from scarforge.rules import (
     _layout,
     _permutation_power,
     _span,
+    _span_operators,
     _span_words,
     _type1_hits,
     count_relevant_rules,
@@ -313,3 +315,27 @@ def test_engine_matches_full_space_for_models(models):
         for length, irregular in ((4, 0b0110), (12, 0b011010011100)):
             states = neel_orbit_states(m, length) + [irregular]
             _assert_engine_matches_reference(m.circuit(length), states, 4, 3)
+
+
+def _assert_span_operators_match_window_sum(circuit: FloquetCircuit, local: np.ndarray):
+    stride, width, m = _span(circuit)
+    words = BasisSubset.full_space(m)
+    for k, op in enumerate(_span_operators(_layout(stride, width, m), local)):
+        ref = window_sum(words, [1 + k * stride], local)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, part), getattr(ref, part)), (k, part)
+
+
+def test_span_operators_match_window_sum_for_models(models):
+    # the type-II operators read off the layout tables are the full-space
+    # window sums on the span words, entry for entry and in CSR order
+    for m in models.values():
+        for length in (4, 6, 8, 12):
+            _assert_span_operators_match_window_sum(m.circuit(length), principal_log(m.gate).matrix)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([4, 8, 12]))
+def test_span_operators_match_window_sum_for_random_gates(seed, length):
+    gate = random_phase_gate(np.random.default_rng(seed))
+    _assert_span_operators_match_window_sum(FloquetCircuit(gate, length, "stride4"), principal_log(gate).matrix)
