@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import bitstring, set_window, window_value
-from .gate import PermutationGate, gate_matrix, phase_product, walk_cycle
+from .gate import PermutationGate, phase_product, walk_cycle
 from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
 
@@ -74,10 +74,29 @@ class FloquetCircuit:
 
 
 def _same_layer_gates_commute(gate: PermutationGate) -> bool:
-    """Whether the gate commutes with its copy two sites on."""
-    u, eye = gate_matrix(gate), np.eye(4)
-    first, second = np.kron(u, eye), np.kron(eye, u)
-    return bool(np.max(np.abs(first @ second - second @ first)) < WINDOW_COMMUTE_TOL)
+    """Whether the gate commutes with its copy two sites on, read off the
+    permutation and phase tables: on every value of the w + 2 sites, the two
+    orders of the windows reach the same value, with products of phases
+    within WINDOW_COMMUTE_TOL.  That is max |[U_1, U_3]| < WINDOW_COMMUTE_TOL
+    for the matrices kron(U, 1_4) and kron(1_4, U), without forming them."""
+    perm, phases = np.array(gate.perm), np.array(gate.phases)
+    low = gate.dim - 1
+    values = np.arange(gate.dim << 2)
+
+    def leading(v):  # the gate on the w leading sites
+        return (perm[v >> 2] << 2) | (v & 3), phases[v >> 2]
+
+    def trailing(v):  # its copy on the w trailing sites
+        return (v & ~low) | perm[v & low], phases[v & low]
+
+    def apply(first, then):
+        v, phase = first(values)
+        v, other = then(v)
+        return v, phase * other
+
+    one, phase_one = apply(trailing, leading)
+    two, phase_two = apply(leading, trailing)
+    return bool(np.array_equal(one, two) and np.max(np.abs(phase_one - phase_two)) < WINDOW_COMMUTE_TOL)
 
 
 def floquet_map(circuit: FloquetCircuit, index):

@@ -38,9 +38,11 @@ whose B_k is zero (odd k >= 3) are not formed.
 
 Pre-flight.  Before each order the series is admitted against the
 available memory: the CSR pieces it holds, plus the order's deg + 1 new
-pieces and three in-flight products, each sized as the largest piece held,
-plus the two stacked operands of the largest table entry it forms, must
-fit, else ResourceLimitError is raised before the order allocates.  Real
+pieces and three in-flight products, plus the two stacked operands of the
+largest table entry it forms, must fit, else ResourceLimitError is raised
+before the order allocates.  Fill-in grows the pieces from order to order,
+so each new piece is sized as the largest piece held times the growth of
+that largest piece over the last order, at most a full CSR matrix.  Real
 pieces count at their float64 size.  The held pieces are already resident;
 counting them again keeps a margin as large as the series held.
 """
@@ -146,10 +148,16 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         only the right-hand side reads them, so those with B_k = 0 are skipped."""
         return [k for k in range(1, deg + 1) if deg < n_orders or bern[k] != 0]
 
+    dim = x.shape[0]
+    full = dim * (dim * (x.data.itemsize + x.indices.itemsize) + x.indptr.itemsize)
+    largest = None
     for deg in range(1, n_orders + 1):
         held = [_csr_bytes(piece) for piece in (x, y, *z[1:], *table.values())]
+        growth = max(held) / largest if largest else 1.0
+        largest = max(held)
+        piece = min(max(growth, 1.0) * largest, full)
         stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in formed(deg))
-        need = sum(held) + (deg + 4) * max(held) + stacked
+        need = sum(held) + (deg + 4) * piece + stacked
         have = dynamics.available_bytes()
         if need > have:
             raise dynamics.ResourceLimitError(

@@ -23,7 +23,14 @@ S2 powers of every orbit, and skips blocks without weight: an S2-invariant
 start such as the Neel state touches the k = 0 block alone.  Over chunks of
 the time grid, each block maps its scaled phase block through its
 eigenvectors in one matrix product, and one inverse DFT over the momenta of
-each orbit returns the amplitudes of its members.  `energies` are sorted
+each orbit returns the amplitudes of its members; when only k = 0 has
+weight, every member carries its orbit's amplitude and the DFT is skipped.
+The phase block e^{-iE tau} over the offsets tau from a chunk's first time
+is computed once, for the first chunk, and reused by every chunk whose
+offsets match it to within 2 ulp of the largest time (every evenly spaced
+grid); e^{-iE t_0} of the chunk's first time scales the coefficients, and a
+chunk with other offsets computes its own block.  Each time point's norm is
+taken on its chunk as it is gathered.  `energies` are sorted
 over all blocks; `modes`, the eigenvectors in the subset basis (real for a
 real H, from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on
 first read.
@@ -34,13 +41,17 @@ the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
 times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW, the last one
 stretched to end the grid; each window runs one three-term recurrence from
 its start state and reads every output time in it off the same Chebyshev
-vectors (dense output), with Bessel-function coefficients.  The degree
-comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each window is
-at most CHEBYSHEV_TAIL_TOL in norm.
+vectors (dense output).  Their coefficients (2 - delta_k0) (-i)^k J_k(a t)
+are the Fourier coefficients of e^{-iat cos(theta)} (the Jacobi-Anger
+expansion), read off one FFT, and the products are added with numpy's
+matmul, so the path loads neither scipy.special nor scipy's BLAS.  The
+degree comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each
+window is at most CHEBYSHEV_TAIL_TOL in norm.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
-working block (one time chunk of the block evolution, or the Chebyshev
-vectors) would not fit in the available memory.  Unitarity is monitored
+working block (one time chunk of the block evolution with the cached phase
+blocks, or the Chebyshev vectors and the buffer of their products) would
+not fit in the available memory.  Unitarity is monitored
 along every trace, the worst drift is reported in the result, and drift
 beyond NORM_DRIFT_ABORT aborts.
 """
@@ -156,6 +167,31 @@ def chebyshev_degree(x: float) -> int:
         k += 1
 
 
+def chebyshev_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x) for k = 0..degree, one row per x >= 0.
+
+    By the Jacobi-Anger expansion e^{-ix cos(theta)} = sum_k (-i)^k J_k(x)
+    e^{ik theta}, these are the Fourier coefficients of e^{-ix cos(theta)},
+    doubled for k >= 1.  One FFT on n = 2 (degree + ceil(max x) + 32) points
+    reads them off: a coefficient of index k <= degree picks up aliases of
+    index at least n - degree > 2 max x + 64 apart, where |J| is far below
+    double precision.
+    """
+    x = np.asarray(x, dtype=float)
+    n = 2 * (degree + math.ceil(float(np.max(x))) + 32)
+    samples = np.exp(-1j * np.multiply.outer(x, np.cos((2.0 * np.pi / n) * np.arange(n))))
+    coeff = np.fft.fft(samples, axis=-1)[..., :degree + 1] / n
+    coeff[..., 1:] *= 2.0
+    return coeff
+
+
+def _phase_block(energies: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """e^{-iE tau} as an (n_levels, n_offsets) array."""
+    base = np.zeros((len(energies), len(offsets)), dtype=complex)
+    np.multiply.outer(-energies, offsets, out=base.imag)
+    return np.exp(base, out=base)
+
+
 @dataclass(frozen=True)
 class MomentumBlock:
     """Eigenpairs of H in one S2 momentum sector.
@@ -268,25 +304,26 @@ class Propagator:
             )
         psi0 = np.asarray(initial, dtype=complex)
         if self.method == "dense":
-            amps = self._evolve_dense(psi0, times)
+            amps, norms = self._evolve_dense(psi0, times)
         else:
-            amps = self._evolve_iterative(psi0, times)
-        norms = _by_rows(amps, lambda rows: np.linalg.norm(rows, axis=1))
+            amps, norms = self._evolve_iterative(psi0, times)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(times, amps, self.subset, drift)
 
     def _work_entries(self, n_times: int) -> int:
-        """Complex entries held beside the history: the Chebyshev vectors, or,
-        for one time chunk, the momentum array, its transform and the
-        gathered amplitudes, plus the shared phase block, the scaled one and
-        the product of the largest momentum block."""
+        """Complex entries held beside the history: the Chebyshev vectors and
+        the buffer of their products, or, for one time chunk, the momentum
+        array, its transform and the gathered amplitudes, the cached phase
+        block of every distinct energy set, plus a chunk's own phase block,
+        the scaled one and the product of the largest momentum block."""
         if self.method != "dense":
-            return CHEBYSHEV_BLOCK * self.subset.size
+            return 2 * CHEBYSHEV_BLOCK * self.subset.size
         width = len(self.sizes) * self.order
         rows = min(n_times, _chunk_rows(width))
-        return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks))
+        cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
+        return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks) + cached)
 
     def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
         """Coefficients of psi0 in the eigenvectors of each momentum block.
@@ -302,41 +339,67 @@ class Propagator:
     def _evolve_dense(self, psi0, times):
         """Block by block over time chunks, recombined by one DFT per orbit.
 
-        In each chunk every momentum block with weight scales the (n_k, chunk)
-        phase block e^{-iEt} by its coefficients and maps it through its
-        vectors in one GEMM (on the float64 view when they are real); the two
-        blocks of a conjugate pair share one phase block.  The products fill
-        the rows of a (momentum, orbit, chunk) array whose inverse DFT over
-        the momentum axis gives, for each orbit, the amplitude of the member
-        that S2^j takes to the representative at index j.  The history is
-        built as (dim, n_times) and returned as its (n_times, dim) transpose.
+        Every momentum block with weight takes e^{-iEt} on a chunk as
+        e^{-iE t_0} e^{-iE tau}, tau = t - t_0 the offsets from the chunk's
+        first time.  The phase block e^{-iE tau} is computed once per energy
+        set for the first chunk's offsets and reused by every chunk whose own
+        offsets match them to within 2 ulp of max|t| (every evenly spaced
+        grid); any other chunk computes its own.  e^{-iE t_0} is folded into
+        the block's coefficients, and the scaled phase block is mapped
+        through the block's vectors in one GEMM (on the float64 view when
+        they are real); the two blocks of a conjugate pair share one phase
+        block.  The products fill the rows of a (momentum, orbit, chunk)
+        array whose inverse DFT over the momentum axis, one (M, M) matrix
+        product, gives for each orbit the amplitude of the member that S2^j
+        takes to the representative at index j; when only momentum 0 has
+        weight, every member carries its orbit's amplitude and the DFT is
+        skipped.  Each time point's norm is taken on the gathered chunk.  The
+        history is built as (dim, n_times) and returned as its (n_times, dim)
+        transpose, with the norms.
         """
         active = [(b, c) for b, c in zip(self.blocks, self.block_coefficients(psi0)) if np.any(c)]
+        transform = any(b.momentum for b, _ in active)
         width = len(self.sizes) * self.order
         step = _chunk_rows(width)
         momenta = np.zeros((self.order, len(self.sizes), min(step, len(times))), dtype=complex)
         spectrum = np.empty_like(momenta)
         gather = self.shift * len(self.sizes) + self.orbit
+        powers = np.arange(self.order)
+        dft = np.exp((2j * np.pi / self.order) * (np.multiply.outer(powers, powers) % self.order))
+        first = times[:step] - times[0]
+        slack = 2.0 * np.spacing(np.max(np.abs(times)))
+        cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in active}
         amps = np.empty((self.subset.size, len(times)), dtype=complex)
+        norms = np.empty(len(times))
         for lo in range(0, len(times), step):
             t = times[lo:lo + step]
+            offsets = t - t[0]
+            reuse = np.max(np.abs(offsets - first[:len(t)])) <= slack
             energies = None
             for b, coeff in active:
                 if b.energies is not energies:
                     energies = b.energies
-                    base = np.zeros((len(energies), len(t)), dtype=complex)
-                    np.multiply.outer(-energies, t, out=base.imag)
-                    np.exp(base, out=base)
-                phases = base * coeff[:, None]
+                    base = cached[id(energies)][:, :len(t)] if reuse else _phase_block(energies, offsets)
+                    onset = np.exp(-1j * t[0] * energies)
+                phases = base * (coeff * onset)[:, None]
                 if np.isrealobj(b.vectors):
                     product = (b.vectors @ phases.view(np.float64)).view(complex)
                 else:
                     product = b.vectors @ phases
                 momenta[b.momentum, b.orbits, :len(t)] = product
-            out = spectrum[:, :, :len(t)]
-            np.fft.ifft(momenta[:, :, :len(t)], axis=0, norm="forward", out=out)
-            amps[:, lo:lo + len(t)] = out.reshape(width, len(t))[gather]
-        return amps.T
+            if transform:
+                np.matmul(dft, momenta.reshape(self.order, -1), out=spectrum.reshape(self.order, -1))
+                members = spectrum[:, :, :len(t)].reshape(width, len(t))[gather]
+            else:
+                members = momenta[0, :, :len(t)][self.orbit]
+            amps[:, lo:lo + len(t)] = members
+            # np.linalg.norm(members, axis=0), term for term, with its
+            # squared moduli written into the free transform buffer
+            square = spectrum.reshape(-1)[:members.size].reshape(members.shape)
+            np.multiply(np.conjugate(members, out=square), members, out=square)
+            norms[lo:lo + len(t)] = np.sqrt(np.add.reduce(square.real, axis=0))
+            del members  # before the next chunk gathers its own
+        return amps.T, norms
 
     def _evolve_iterative(self, psi0, times):
         """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid.
@@ -345,66 +408,81 @@ class Propagator:
         then the last output of the previous window) and covers the output
         times up to CHEBYSHEV_WINDOW / a after it, or the rest of the grid
         when that ends within CHEBYSHEV_STRETCH windows.  A longer gap is
-        crossed by whole windows that keep only their end state.
+        crossed by whole windows that keep only their end state.  Returns the
+        history and the norm of each of its rows, taken window by window.
         """
         if np.any(times < 0.0):
             raise ValueError("the Chebyshev path evolves forward from t = 0 only")
         amps = np.zeros((len(times), len(psi0)), dtype=complex)
-        block = np.empty((CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
+        norms = np.empty(len(times))
+        block = np.empty((2, CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
         reach = CHEBYSHEV_WINDOW / self.half_width
         psi, start, i = psi0, 0.0, 0
         while i < len(times):
             if times[-1] - start <= CHEBYSHEV_STRETCH * reach:
-                self._chebyshev_window(psi, times[i:] - start, amps[i:], block)
-                break
-            if times[i] - start > reach:
+                stop = len(times)
+            elif times[i] - start > reach:
                 hop = np.zeros((1, len(psi0)), dtype=complex)
                 self._chebyshev_window(psi, np.array([reach]), hop, block)
                 psi, start = hop[0], start + reach
                 continue
-            stop = int(np.searchsorted(times, start + reach, side="right"))
+            else:
+                stop = int(np.searchsorted(times, start + reach, side="right"))
             self._chebyshev_window(psi, times[i:stop] - start, amps[i:stop], block)
+            norms[i:stop] = _by_rows(amps[i:stop], lambda rows: np.linalg.norm(rows, axis=1))
             psi, start, i = amps[stop - 1], times[stop - 1], stop
-        return amps
+        return amps, norms
 
     def _chebyshev_window(self, psi, dts, out, block):
         """out[j] += e^{-iH dts[j]} psi for increasing dts within one (stretched) window.
 
         e^{-iHt} = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - b)/a).
-        The Chebyshev vectors T_k psi fill the rows of `block` in turn; each
-        time it is full, one matrix product of the coefficient columns with
-        the block adds those terms to every output time of the window.  The
-        product accumulates into `out` (C-contiguous rows) in place, through
-        its Fortran-ordered transpose, so no temporary of its size is made.
+        block[0] holds CHEBYSHEV_BLOCK Chebyshev vectors T_k psi, filled in
+        turn; each time it is full, one matrix product of the coefficient
+        columns with it, into block[1] for CHEBYSHEV_BLOCK output times at a
+        time, adds those terms to every output time of the window.
         """
-        from scipy.linalg.blas import zgemm
-        from scipy.special import jv
-
         degree = chebyshev_degree(self.half_width * dts[-1])
-        orders = np.arange(degree + 1)
-        coeff = jv(orders, self.half_width * dts[:, None]) * np.array([1, -1j, -1, 1j])[orders % 4]
-        coeff[:, 1:] *= 2.0
+        coeff = chebyshev_coefficients(self.half_width * dts, degree)
         coeff *= np.exp(-1j * self.centre * dts)[:, None]
+        vectors, work = block
+        rows = len(vectors)
 
         def add(lo, hi):
-            zgemm(1.0, block[: hi - lo].T, coeff[:, lo:hi].T, beta=1.0, c=out.T, overwrite_c=True)
+            for j in range(0, len(out), rows):
+                part = out[j:j + rows]
+                np.matmul(coeff[j:j + rows, lo:hi], vectors[: hi - lo], out=work[:len(part)])
+                part += work[:len(part)]
 
-        rows = len(block)
-        block[0] = psi
+        vectors[0] = psi
         for k in range(1, degree + 1):
             r = k % rows
             if r == 0:
                 add(k - rows, k)
             if k == 1:
-                np.multiply(self.scaled @ psi, 0.5, out=block[1])
+                np.multiply(self.scaled @ psi, 0.5, out=vectors[1])
             else:
-                block[r] = self.scaled @ block[r - 1] - block[r - 2]
+                vectors[r] = self.scaled @ vectors[r - 1] - vectors[r - 2]
         add(degree - degree % rows, degree + 1)
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
-    """Participation ratio of each history row."""
-    return _by_rows(result.amplitudes, lambda rows: np.sum((rows.real**2 + rows.imag**2) ** 2, axis=1))
+    """Participation ratio sum_x |psi_x(t)|^4 of each history row.
+
+    Works one chunk of rows at a time in two scratch arrays laid out as the
+    history is, reused from chunk to chunk, so each row sums in the order
+    one reduction over the whole history would.
+    """
+    amps = result.amplitudes
+    out = np.empty(len(amps))
+    step = _chunk_rows(amps.shape[1])
+    square, other = np.empty_like(amps[:step].real), np.empty_like(amps[:step].real)
+    for lo in range(0, len(amps), step):
+        rows = amps[lo:lo + step]
+        sq, im = square[:len(rows)], other[:len(rows)]
+        np.add(np.square(rows.real, out=sq), np.square(rows.imag, out=im), out=sq)
+        out[lo:lo + step] = np.sum(np.square(sq, out=sq), axis=1)
+    return out
 
 
 def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:

@@ -8,11 +8,13 @@ from conftest import random_phase_gate, window_operator
 from conftest import all_orbits, floquet_matrix
 from scarforge.automaton import (
     FloquetCircuit,
+    _same_layer_gates_commute,
     floquet_map,
     orbit_of,
 )
 from scarforge.basis import set_window, tile_pattern, window_value
-from scarforge.gate import gate_matrix, identity_gate
+from scarforge.gate import PermutationGate, gate_matrix, identity_gate
+from scarforge.tolerances import WINDOW_COMMUTE_TOL
 
 
 def test_geometry_validation(models):
@@ -205,3 +207,78 @@ def test_floquet_map_matches_embedded_windows_stride2(models, name):
 @pytest.mark.parametrize("name", ["qmbs-a", "qmbs-b", "qmbs-c"])
 def test_floquet_map_matches_embedded_windows_stride4(models, name):
     _assert_floquet_map_matches_windows(models[name].circuit(8))
+
+
+def _windows_commute_by_matrix(gate) -> bool:
+    # oracle: the commutator of the gate and its copy two sites on, as
+    # kron-embedded matrices on the w + 2 sites
+    u, eye = gate_matrix(gate), np.eye(4)
+    first, second = np.kron(u, eye), np.kron(eye, u)
+    return bool(np.max(np.abs(first @ second - second @ first)) < WINDOW_COMMUTE_TOL)
+
+
+def _bit(v, j, width):
+    """Bit j of window value v, counted from the leading site."""
+    return (v >> (width - 1 - j)) & 1
+
+
+@st.composite
+def same_layer_candidates(draw):
+    """A phased gate of width 3 or 4 and whether its windows must commute.
+
+    "random" gates rarely commute.  "leading" gates permute the two leading
+    sites, which the copy two sites on does not touch, so they commute when
+    the phases read only those sites too; "phased" gives them phases on all
+    sites, "perturbed" moves such phases by 1e-14 or 1e-10.  "middle" gates
+    flip the second site controlled by the first and third, with phases on
+    those three, which commutes as well; "diagonal" gates always do.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["random", "leading", "phased", "perturbed", "middle", "diagonal"]))
+    dim, rest = 1 << width, width - 2
+    values = np.arange(dim)
+    roots = np.array((1, 1j, -1, -1j))
+    if kind == "random":
+        return random_phase_gate(rng, width), None
+    if kind in ("leading", "phased", "perturbed"):
+        pair = rng.permutation(4)
+        perm = (pair[values >> rest] << rest) | (values & ((1 << rest) - 1))
+        phases = rng.choice(roots, size=4)[values >> rest]
+        if kind == "phased":
+            phases = rng.choice(roots, size=dim)
+        if kind == "perturbed":
+            eps = draw(st.sampled_from([1e-14, 1e-10]))
+            phases = phases * np.exp(1j * eps * rng.normal(size=dim))
+        expected = {"leading": True, "phased": None, "perturbed": None}[kind]
+    elif kind == "middle":
+        control = rng.integers(0, 2, size=4)
+        flip = control[2 * _bit(values, 0, width) + _bit(values, 2, width)]
+        perm = values ^ (flip << (width - 2))
+        phases = rng.choice(roots, size=8)[values >> rest]
+        expected = True
+    else:
+        perm, phases = values, np.exp(2j * np.pi * rng.random(dim))
+        expected = True
+    return PermutationGate(width, tuple(int(v) for v in perm), tuple(complex(p) for p in phases)), expected
+
+
+@settings(max_examples=60)
+@given(candidate=same_layer_candidates())
+def test_same_layer_commutation_matches_matrix_commutator(candidate):
+    # the table check decides as the matrix commutator does, for gates that
+    # commute by construction, that fail in their images, and that fail or
+    # pass in their phases alone
+    gate, expected = candidate
+    got = _same_layer_gates_commute(gate)
+    assert got == _windows_commute_by_matrix(gate)
+    if expected is not None:
+        assert got == expected
+
+
+def test_same_layer_commutation_of_registry_gates(models):
+    # the stride2 registry gates commute with their shifted copies, the
+    # stride4 ones do not
+    for name, model in models.items():
+        assert _same_layer_gates_commute(model.gate) == (model.geometry == "stride2")
+        assert _windows_commute_by_matrix(model.gate) == (model.geometry == "stride2")

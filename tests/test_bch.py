@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -227,13 +228,39 @@ def test_fgr_rate_refuses_nonpositive_bandwidth(bandwidth):
 
 def test_series_refused_before_an_order_that_does_not_fit(monkeypatch):
     # qmbs-a on the 256-state full space: the order-2 admission counts about
-    # 2.5 MB and the order-3 one about 9 MB
+    # 8.8 MB (its traced peak is 5.3 MB) and the order-3 one about 12.9 MB
     model = load_model("qmbs-a")
     chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
-    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
     with pytest.raises(dynamics.ResourceLimitError, match="series order 3 needs"):
         bch_terms(chain.a, chain.b, 8)
     assert bch_terms(chain.a, chain.b, 2).max_order == 2
+
+
+def test_series_preflight_covers_the_order_it_admits(monkeypatch):
+    # qmbs-b on its 1366-state working subspace at L=12 fills in from order
+    # to order (the largest piece held grows 2.4-fold into order 5).  The
+    # traced peak from order 5's admission to the end of the series must lie
+    # within that admission's count: with one byte less than the peak
+    # available, order 5 is refused.  Sizing each new piece as the largest
+    # one held, without its growth, counted 206 MB against a 321 MB peak
+    model = load_model("qmbs-b")
+    chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
+
+    def admit():
+        tracemalloc.reset_peak()
+        return 1 << 50
+
+    monkeypatch.setattr(dynamics, "available_bytes", admit)
+    tracemalloc.start()
+    try:
+        bch_terms(chain.a, chain.b, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: peak - 1)
+    with pytest.raises(dynamics.ResourceLimitError, match="series order 5 needs"):
+        bch_terms(chain.a, chain.b, 5)
 
 
 def test_order_guard():

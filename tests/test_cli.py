@@ -297,10 +297,10 @@ def test_bch_refuses_out_of_range_orders_before_building(flags, message, tmp_pat
 
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
     # the qmbs-a series on the 256-state full space fills in: order 3 needs
-    # about 9 MB, so 4 MB refuses it before the order allocates
+    # about 12.9 MB, so 10 MB refuses it before the order allocates
     from scarforge import dynamics
 
-    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 << 20)
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
     out = tmp_path / "norms.csv"
     args = ["bch", "--model", "qmbs-a", "-L", "8", "--subspace", "full", "--out", str(out)]
     assert run(args) == EXIT_NUMERICAL

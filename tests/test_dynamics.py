@@ -20,6 +20,7 @@ from scarforge.dynamics import (
     NormDriftError,
     Propagator,
     ResourceLimitError,
+    chebyshev_coefficients,
     chebyshev_degree,
     fidelity_trace,
     first_revival_peak,
@@ -414,16 +415,17 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
 
 
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
-    # the iterative path holds the history and a block of CHEBYSHEV_BLOCK
-    # Chebyshev vectors: one byte short of both, the call refuses before
-    # building either; with exactly both available it runs
+    # the iterative path holds the history, a block of CHEBYSHEV_BLOCK
+    # Chebyshev vectors and a buffer of as many rows for their products:
+    # one byte short of all three, the call refuses before building any;
+    # with exactly that available it runs
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
     assert prop.method == "iterative"
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 5.0, 0.05)
-    need = (len(times) + CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
+    need = (len(times) + 2 * CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -440,8 +442,9 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
 def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeypatch):
     # the dense path holds the history and one time chunk of block work: the
     # (momentum, orbit, chunk) array, its transform and the gathered
-    # amplitudes, plus the shared and scaled phase blocks and the product of
-    # the largest block.  One byte short of that, the call refuses before
+    # amplitudes, the cached phase block of every distinct energy set, plus
+    # a chunk's own and scaled phase blocks and the product of the largest
+    # block.  One byte short of that, the call refuses before
     # building any of it; with exactly that available it runs, in several
     # chunks, and holds no more than that beyond a few O(dim) index and
     # coefficient arrays
@@ -454,7 +457,8 @@ def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeyp
     rows = dynamics.HISTORY_CHUNK // width
     assert 2 * rows < len(times)
     largest = max(len(b.energies) for b in prop.blocks)
-    need = (len(times) * sub.size + rows * (2 * width + sub.size + 3 * largest)) * COMPLEX_BYTES
+    cached = sum(len(e) for e in {id(b.energies): b.energies for b in prop.blocks}.values())
+    need = (len(times) * sub.size + rows * (2 * width + sub.size + 3 * largest + cached)) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -561,6 +565,100 @@ def test_chebyshev_degree_tail_within_tolerance():
         assert bound <= CHEBYSHEV_TAIL_TOL
         assert 2.0 * np.sum(np.abs(scipy.special.jv(k, x))) <= CHEBYSHEV_TAIL_TOL
     assert chebyshev_degree(0.0) == 0
+
+
+def test_chebyshev_coefficients_match_bessel_functions():
+    # (2 - delta_k0) (-i)^k J_k(x) from one FFT, against scipy's J_k: one
+    # x per call at its own degree, and all of them in one call at the
+    # degree of the largest, as a window asks for them
+    xs = np.array([0.0, 0.05, 1.0, 7.3, 25.0, 31.25])
+
+    def bessel(x, degree):
+        k = np.arange(degree + 1)
+        return np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4] * scipy.special.jv(k, x)
+
+    for x in xs:
+        degree = chebyshev_degree(x)
+        assert np.max(np.abs(chebyshev_coefficients(np.array([x]), degree)[0] - bessel(x, degree))) < 1e-14
+    degree = chebyshev_degree(xs[-1])
+    got = chebyshev_coefficients(xs, degree)
+    assert got.shape == (len(xs), degree + 1)
+    assert max(np.max(np.abs(row - bessel(x, degree))) for x, row in zip(xs, got)) < 1e-14
+
+
+def count_phase_blocks(monkeypatch) -> list:
+    """Record the level count of every phase block the dense path computes."""
+    made = []
+    compute = dynamics._phase_block
+
+    def spy(energies, offsets):
+        made.append(len(energies))
+        return compute(energies, offsets)
+
+    monkeypatch.setattr(dynamics, "_phase_block", spy)
+    return made
+
+
+def test_dense_chunks_with_unequal_offsets_match_expm(pxp_chain, monkeypatch):
+    # a grid of two spacings over chunks of 7 times: the chunks of the first
+    # spacing reuse the first chunk's phase blocks, those that straddle the
+    # change or lie past it compute their own, and every time matches expm
+    chain, sub, _ = pxp_chain
+    h = chain.h.tocsc()
+    prop = Propagator(chain.h, sub)
+    psi0 = random_state(np.random.default_rng(21), sub.size)
+    times = np.concatenate((np.arange(0.0, 2.1, 0.05), 2.1 + 0.13 * np.arange(21)))
+    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 7 * len(prop.sizes) * prop.order)
+    made = count_phase_blocks(monkeypatch)
+    res = prop.evolve(psi0, times)
+    sets = len({id(b.energies) for b in prop.blocks})
+    chunks = -(-len(times) // 7)
+    assert sets < len(made) < chunks * sets
+    for t, amps in zip(times, res.amplitudes):
+        assert np.max(np.abs(amps - scipy.sparse.linalg.expm_multiply(-1j * t * h, psi0))) < 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dense_arange_grid_over_many_chunks_matches_expm_for_random_gates(seed):
+    # a random phased gate's H on the L=8 full space and a 2000-point
+    # arange grid in chunks of 37 times: every chunk reuses the first
+    # chunk's phase blocks, and sampled times match expm
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h.toarray()
+    prop = Propagator(h, sub)
+    psi0 = random_state(rng, sub.size)
+    times = np.arange(0.0, 100.0, 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "HISTORY_CHUNK", 37 * len(prop.sizes) * prop.order)
+        made = count_phase_blocks(mp)
+        amps = prop.evolve(psi0, times).amplitudes
+    assert len(made) == len({id(b.energies) for b in prop.blocks})
+    for i in (*rng.choice(len(times), size=4, replace=False), len(times) - 1):
+        assert np.max(np.abs(amps[i] - scipy.linalg.expm(-1j * times[i] * h) @ psi0)) < 1e-11
+
+
+def test_neel_start_skips_the_momentum_transform_and_matches_expm(pxp_chain, monkeypatch):
+    # the Neel state is S2-invariant: only the k = 0 block has weight, its
+    # orbit amplitudes are the member amplitudes, the inverse DFT (the one
+    # explicit matmul of the dense path) never runs, and the history over
+    # several chunks matches expm
+    chain, sub, m = pxp_chain
+    h = chain.h.tocsc()
+    prop = Propagator(chain.h, sub)
+    psi0 = sub.basis_vector(m.orbit_seed(12))
+    assert [b.momentum for b, c in zip(prop.blocks, prop.block_coefficients(psi0)) if np.any(c)] == [0]
+    times = np.arange(0.0, 30.0, 0.05)
+    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 97 * len(prop.sizes) * prop.order)
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    amps = prop.evolve(psi0, times).amplitudes
+    monkeypatch.undo()
+    assert calls == []
+    for i in range(0, len(times), 25):
+        assert np.max(np.abs(amps[i] - scipy.sparse.linalg.expm_multiply(-1j * times[i] * h, psi0))) < 1e-12
 
 
 @st.composite
