@@ -19,13 +19,10 @@ anti-Hermitian for even n, so a commutator of pieces whose degrees sum to d
 costs one product: [P, Q] = PQ - (-1)^d (PQ)^dagger.  The series term is
 C_n = i Z_{n+1} = (-i)^n Z~_{n+1}, and C_0 = A~ + B~ is the closed form.
 
-Parity.  When every imaginary part of A~ and B~ is at most ASSEMBLY_PRUNE
-(pxp, pxp-nophase and qmbs-c on their working subspaces, whose layers carry
-about 2e-16 of imaginary noise), the recursion runs on their real parts in
-float64, the same test the Propagator applies to a real H.  Then every
-Z~_n is real, and from order 1 on C_n is exactly real for even n and
-exactly imaginary for odd n (C_0 = A~ + B~ keeps the layers' noise); each
-product moves half the bytes of a complex one.
+Parity.  Real layers (float64, as `hamiltonian.build_hamiltonian`
+assembles pxp, pxp-nophase and qmbs-c) run the recursion in float64.  Then
+every Z~_n is real, C_n is exactly real for even n and exactly imaginary for
+odd n, and each product moves half the bytes of a complex one.
 
 Stacked products.  A table entry T(k, d) = sum_m [Z~_m, T(k-1, d-m)] is
 formed as one product hstack(Z~_m) @ vstack(T(k-1, d-m)), one graded
@@ -57,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dynamics
-from .tolerances import ASSEMBLY_PRUNE, SPARSE_PRUNE
+from .tolerances import SPARSE_PRUNE
 
 MAX_ORDER = 12
 
@@ -111,22 +108,19 @@ class BchSeries:
 def bch_terms(a, b, n_orders: int) -> BchSeries:
     """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b.
 
-    a and b may be dense arrays or sparse matrices; the terms are complex CSR.
-    Raises ResourceLimitError before an order that would not fit in memory.
+    a and b may be dense arrays or sparse matrices; the terms are CSR, in
+    float64 for C_0 of real layers and complex otherwise.  Raises
+    ResourceLimitError before an order that would not fit in memory.
     """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("layer matrices must be square and of equal shape")
     if n_orders < 0 or n_orders > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
 
-    a = sp.csr_matrix(a, dtype=complex)
-    b = sp.csr_matrix(b, dtype=complex)
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
     # Enforce exact Hermiticity of the layers.
     x = (0.5 * (a + a.getH())).tocsr()
     y = (0.5 * (b + b.getH())).tocsr()
-    c0 = x + y
-    if all(np.all(np.abs(m.data.imag) <= ASSEMBLY_PRUNE) for m in (x, y)):
-        x, y = (sp.csr_matrix((m.data.real.copy(), m.indices, m.indptr), shape=m.shape) for m in (x, y))
     s = x + y
 
     bern = bernoulli_numbers(n_orders + 1)
@@ -183,7 +177,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         z.append(_prune(rhs * (1.0 / (deg + 1))))
 
     table.clear()
-    terms = [c0] + [(-1j) ** n * z[n + 1] for n in range(1, n_orders + 1)]
+    terms = [s] + [(-1j) ** n * z[n + 1] for n in range(1, n_orders + 1)]
     return BchSeries(terms, n_orders)
 
 

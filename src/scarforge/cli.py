@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
 (norm drift, non-closed subset, no recurrence) or resource limit (dense
-dimension guard, memory pre-flight), 4 unknown model.  Thread
-count comes from --threads (or a config file's threads= key), else from
-SCARFORGE_THREADS, must be at least 1, and is applied to the BLAS pool
-before numpy loads; it never changes results, only timing.  All emitted
+dimension guard, memory pre-flight, an allocation that failed), 4 unknown
+model.  Thread count comes from --threads (or a config file's threads= key),
+else from SCARFORGE_THREADS, must be at least 1, and is applied to the BLAS
+pool before numpy loads; it never changes results, only timing.  All emitted
 files are deterministic for a fixed configuration.
 """
 
@@ -314,19 +314,18 @@ def _parse_sector(spec: str):
 def cmd_rstat(args) -> int:
     import numpy as np
 
-    from .dynamics import ResourceLimitError
+    from .dynamics import ResourceLimitError, dense_fits
     from .hamiltonian import build_hamiltonian, find_antiunitary, project_sector, sector_basis
     from .spectral import r_statistic
-    from .tolerances import DENSE_GUARD
 
     model = _load(args.model)
     sector = _parse_sector(args.sector)
     subset = _subspace(model, args.length, "working")
     levels = sector_basis(subset, sector).size
-    if levels > DENSE_GUARD:
+    if not dense_fits(levels):
         raise ResourceLimitError(
             f"direct diagonalization refused: the sector has {levels} levels, "
-            f"more than {DENSE_GUARD}; pass a smaller sector or length"
+            "above the dense limit; pass a smaller sector or length"
         )
     chain = build_hamiltonian(model.circuit(args.length), subset)
     theta = find_antiunitary(chain.h, subset)
@@ -450,6 +449,10 @@ def run(argv=None) -> int:
         return EXIT_UNKNOWN_MODEL
     except (SubsetNotClosedError, NormDriftError, CycleOverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc or 'allocation failed'}); use a smaller length or subspace",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

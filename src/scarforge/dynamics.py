@@ -1,15 +1,16 @@
 """Time evolution, revival traces, and local-observable diagnostics.
 
 `Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
-Up to the dense dimension guard the propagator diagonalizes the
-(sub-)Hamiltonian once and evaluates e^{-iHt} exactly on the whole time grid,
-one S2 momentum block at a time.  When the subset is invariant under S2
-(translation by two sites, of order M = L / gcd(L, 2)) and [H, S2] is at most
-MOMENTUM_COMMUTE_TOL, H splits into the M momentum blocks of
-`hamiltonian.project_sector`; otherwise the group is the trivial one and its
-single block is the whole H.  When every assembled imaginary part of H is
-floating noise (at most ASSEMBLY_PRUNE, as for pxp, pxp-nophase and qmbs-c),
-H is propagated as real.  When H has an antiunitary symmetry Theta = K P
+`dense_fits` is the one dense limit, read by the propagator, by
+`spectral.analyze_spectrum` and by the `rstat` command.  Within it the
+propagator diagonalizes the (sub-)Hamiltonian once and evaluates e^{-iHt}
+exactly on the whole time grid, one S2 momentum block at a time.  When the
+subset is invariant under S2 (translation by two sites, of order
+M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, H splits into
+the M momentum blocks of `hamiltonian.project_sector`; otherwise the group is
+the trivial one and its single block is the whole H.  A float64 H
+(`hamiltonian.build_hamiltonian` assembles pxp, pxp-nophase and qmbs-c as
+real) is propagated as real.  When H has an antiunitary symmetry Theta = K P
 (`hamiltonian.find_antiunitary`: P the identity for a real H, or the spin
 flip F for qmbs-a and qmbs-b), the k = 0 and M/2 blocks are solved as
 real-symmetric matrices in the real basis of Theta and their vectors rotated
@@ -30,12 +31,12 @@ is computed once, for the first chunk, and reused by every chunk whose
 offsets match it to within 2 ulp of the largest time (every evenly spaced
 grid); e^{-iE t_0} of the chunk's first time scales the coefficients, and a
 chunk with other offsets computes its own block.  Each time point's norm is
-taken on its chunk as it is gathered.  `energies` are sorted
-over all blocks; `modes`, the eigenvectors in the subset basis (real for a
-real H, from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on
-first read.
+taken on its chunk as it is gathered.  `energies` are sorted over all
+blocks (`level_order` sorts the blocks' levels taken in turn); `modes`, the
+eigenvectors in the subset basis (real for a real H, from sqrt(2) Re and
+sqrt(2) Im of a momentum pair), are built on first read.
 
-Above the guard the propagator expands e^{-iHt} in Chebyshev polynomials of
+Above the limit the propagator expands e^{-iHt} in Chebyshev polynomials of
 the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
 3967 (1984)), where [b - a, b + a] is the Gershgorin interval of H.  Output
 times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW, the last one
@@ -76,7 +77,6 @@ from .hamiltonian import (
     s2_order,
 )
 from .tolerances import (
-    ASSEMBLY_PRUNE,
     CHEBYSHEV_TAIL_TOL,
     COUPLING_TOL,
     DENSE_GUARD,
@@ -99,6 +99,11 @@ class NormDriftError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A call would exceed the dense dimension guard or the available memory."""
+
+
+def dense_fits(levels: int) -> bool:
+    """Whether a dense eigensolve of `levels` levels is admitted: at most DENSE_GUARD."""
+    return levels <= DENSE_GUARD
 
 
 def available_bytes() -> int:
@@ -207,22 +212,27 @@ class MomentumBlock:
     energies: np.ndarray
     vectors: np.ndarray
 
+    def slot_amplitudes(self, slots, vectors: np.ndarray | None = None) -> np.ndarray:
+        """Amplitudes of `vectors` (default the block's own) on the subset
+        slots: sign[x] vectors[orbit[x]] on slot x, 0 where its orbit is dropped."""
+        vectors = self.vectors if vectors is None else vectors
+        orbit = self.basis.orbit[slots]
+        return np.where((orbit >= 0)[:, None], self.basis.sign[slots, None] * vectors[orbit], 0.0)
+
 
 class Propagator:
-    """Reusable e^{-iHt} evaluator over one subset; dense up to DENSE_GUARD."""
+    """Reusable e^{-iHt} evaluator over one subset; dense where `dense_fits`."""
 
     def __init__(self, hamiltonian, subset: BasisSubset):
         dim = hamiltonian.shape[0]
         if dim != subset.size:
             raise ValueError("Hamiltonian dimension does not match subset")
-        self.method = "dense" if dim <= DENSE_GUARD else "iterative"
+        self.method = "dense" if dense_fits(dim) else "iterative"
         self.subset = subset
         self._modes = None
         if self.method == "dense":
             h = sp.csr_matrix(hamiltonian)
-            self.real = bool(np.all(np.abs(h.data.imag) <= ASSEMBLY_PRUNE))
-            if self.real:
-                h = h.real
+            self.real = np.isrealobj(h)
             try:
                 symmetric = operator_commutes(h, subset, "S2") <= MOMENTUM_COMMUTE_TOL
             except ValueError:  # the subset is not S2-invariant
@@ -236,8 +246,6 @@ class Propagator:
             for k in range(self.order // 2 + 1 if paired else self.order):
                 sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
                 block, basis = project_sector(h, subset, sector, theta)
-                if np.iscomplexobj(block) and not np.any(block.imag):
-                    block = block.real
                 energies, vectors = np.linalg.eigh(block)
                 if basis.rotation is not None:
                     vectors = basis.rotation @ vectors    # the real eigenvectors in orbit sums
@@ -256,8 +264,8 @@ class Propagator:
                     self.blocks.append(MomentumBlock(self.order - k, replace(basis, sign=basis.sign.conj()),
                                                      orbits, energies, partner))
             levels = np.concatenate([b.energies for b in self.blocks])
-            self._sorted = np.argsort(levels, kind="stable")
-            self.energies = levels[self._sorted]
+            self.level_order = np.argsort(levels, kind="stable")
+            self.energies = levels[self.level_order]
         else:
             self.energies = None
             h = sp.csr_matrix(hamiltonian, dtype=complex)
@@ -283,12 +291,12 @@ class Propagator:
             start = 0
             for b in self.blocks:
                 slots = np.flatnonzero(b.basis.orbit >= 0)
-                vecs = b.vectors[b.basis.orbit[slots]] * b.basis.sign[slots, None]
+                vecs = b.slot_amplitudes(slots)
                 if self.real and np.iscomplexobj(vecs):
                     vecs = math.sqrt(2.0) * (vecs.real if 2 * b.momentum < self.order else vecs.imag)
                 modes[slots, start:start + len(b.energies)] = vecs
                 start += len(b.energies)
-            self._modes = modes[:, self._sorted]
+            self._modes = modes[:, self.level_order]
         return self._modes
 
     def evolve(self, initial: np.ndarray, times) -> EvolutionResult:

@@ -72,7 +72,8 @@ class SubsetNotClosedError(ValueError):
 
 @dataclass(frozen=True)
 class ChainHamiltonian:
-    """A, B and H = A + B as CSR operators over a shared subset."""
+    """A, B and H = A + B as CSR operators over a shared subset, float64
+    when `build_hamiltonian` found them real."""
 
     a: sp.csr_matrix
     b: sp.csr_matrix
@@ -122,12 +123,20 @@ def window_sum(subset: BasisSubset, sites, local: np.ndarray) -> sp.csr_matrix:
 
 
 def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHamiltonian:
-    """Assemble sparse A, B, H = A + B over a subset closed under the windows."""
+    """Assemble sparse A, B, H = A + B over a subset closed under the windows.
+
+    When every assembled imaginary part of A and B is at most ASSEMBLY_PRUNE
+    (pxp, pxp-nophase and qmbs-c, whose logs carry about 2e-16 of imaginary
+    noise), A, B and H are their float64 real parts: this is where the real
+    form is decided, and the propagator, the sector solves and the series
+    follow the dtype they are handed."""
     if subset.length != circuit.length:
         raise ValueError("subset length does not match circuit length")
     local = principal_log(circuit.gate).matrix
     a = window_sum(subset, circuit.second_layer_sites, local)
     b = window_sum(subset, circuit.first_layer_sites, local)
+    if max(np.max(np.abs(m.data.imag), initial=0.0) for m in (a, b)) <= ASSEMBLY_PRUNE:
+        a, b = (sp.csr_matrix((m.data.real.copy(), m.indices, m.indptr), shape=m.shape) for m in (a, b))
     for name, m in (("A", a), ("B", b)):
         dev = abs(m - m.getH()).max()
         if dev > HERMITICITY_TOL:

@@ -1,7 +1,10 @@
 """Built-in model registry with spin-representation and algebra checks.
 
-Models ship as JSON gate files (the same schema the search emits), each
-carrying its circuit geometry, protected orbit seed and expected diagnostics.
+Models ship as JSON files with the keys `name`, `width`, `cycles`,
+`phases`, `geometry`, `orbit_seeds` and, optionally, `expected`: the gate, its circuit
+geometry, protected orbit seeds and expected diagnostics.  A `search` result
+row is not a model file: it has `permutation_cycles` and the rule counts,
+and no name, width, phases, geometry or orbit seeds.
 `verify_spin_representation` rebuilds the window operator from an explicit
 spin-operator expression and compares it with the matrix-log construction;
 `sga_check` verifies the equally-spaced tower algebra of the exact model.

@@ -295,32 +295,27 @@ def lift_three_qubit_permutation(perm3) -> np.ndarray:
     return (2 * perm3[..., None] + np.arange(2)).reshape(*perm3.shape[:-1], 16)
 
 
-def _cycle_labels(perms3: np.ndarray) -> tuple[list, list]:
-    """Label cycles of each lifted gate (every nontrivial cycle of the
-    three-qubit permutation once per trailing bit) and the permutation
-    order, from one array walk over all powers of the stack."""
-    walk = [np.broadcast_to(np.arange(8), perms3.shape)]
-    for _ in range(8):
-        walk.append(np.take_along_axis(perms3, walk[-1], axis=1))
-    walk = np.stack(walk, axis=2)    # walk[g, v, t]: perm^t(v)
-    lengths = np.argmax(walk[:, :, 1:] == walk[:, :, :1], axis=2) + 1
+def _cycle_walk(perms3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """walk[g, v, t] = perm_g^t(v) for t = 0..8, from one array walk over
+    all powers of the stack, and the length of the cycle through each v,
+    both in the stack's dtype."""
+    walk = np.empty((*perms3.shape, 9), dtype=perms3.dtype)
+    walk[:, :, 0] = np.arange(8)
+    lengths = np.zeros(perms3.shape, dtype=perms3.dtype)
+    for t in range(1, 9):
+        walk[:, :, t] = np.take_along_axis(perms3, walk[:, :, t - 1], axis=1)
+        lengths[(lengths == 0) & (walk[:, :, t] == walk[:, :, 0])] = t
+    return walk, lengths
+
+
+def _cycle_labels(walk: np.ndarray, lengths: np.ndarray) -> list:
+    """Label cycles of each lifted gate of a `_cycle_walk`: every nontrivial
+    cycle of the three-qubit permutation once per trailing bit."""
     first = (walk.min(axis=2) == np.arange(8)) & (lengths > 1)    # started where phased_cycles starts
     odd, even = (2 * walk[first] + 1).tolist(), (2 * walk[first] + 2).tolist()
     cycles = [(tuple(o[:k]), tuple(e[:k])) for o, e, k in zip(odd, even, lengths[first].tolist())]
     ends = np.cumsum(first.sum(axis=1)).tolist()
-    labels = [sum(cycles[a:b], ()) for a, b in zip([0] + ends, ends)]
-    return labels, np.lcm.reduce(lengths, axis=1).tolist()
-
-
-def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise n-th power of a stack of permutation tables, by repeated squaring."""
-    result = np.broadcast_to(np.arange(perms.shape[1], dtype=perms.dtype), perms.shape).copy()
-    while n:
-        if n & 1:
-            result = np.take_along_axis(perms, result, axis=1)
-        perms = np.take_along_axis(perms, perms, axis=1)
-        n >>= 1
-    return result
+    return [sum(cycles[a:b], ()) for a, b in zip([0] + ends, ends)]
 
 
 # Gates scored per kernel call: the power trees of a block stay a few MB,
@@ -328,18 +323,19 @@ def _permutation_power(perms: np.ndarray, n: int) -> np.ndarray:
 _GATE_BLOCK = 128
 
 
-def _search_block(perms3, probe, neel, require_cycle, words, powers) -> list[SearchResult]:
-    """Search rows for one block of three-qubit permutations, in block order."""
+def _search_block(perms3, walk, lengths, probe, neel, require_cycle, words, powers) -> list[SearchResult]:
+    """Search rows for one block of three-qubit permutations, with the rows
+    of their `_cycle_walk`, in block order."""
     perms = lift_three_qubit_permutation(perms3)
     x, rows = np.repeat(neel[None], len(perms), axis=0), np.arange(len(perms))[:, None]
     for site in probe.first_layer_sites + probe.second_layer_sites:    # one period of the whole stack
         x = set_window(x, site, 4, probe.length, perms[rows, window_value(x, site, 4, probe.length)])
     is_cycle = np.all(x == neel[::-1], axis=1)    # the two Neel states swap
     if require_cycle:
-        perms3, perms, is_cycle = perms3[is_cycle], perms[is_cycle], is_cycle[is_cycle]
+        perms, walk, lengths, is_cycle = (a[is_cycle] for a in (perms, walk, lengths, is_cycle))
     satisfied = _type1_hits(_layout(*_span(probe)), perms, None, words, powers).sum(axis=1)
-    labels, orders = _cycle_labels(perms3)
-    scored = zip(labels, satisfied.tolist(), orders, is_cycle.tolist())
+    orders = np.lcm.reduce(lengths, axis=1).tolist()
+    scored = zip(_cycle_labels(walk, lengths), satisfied.tolist(), orders, is_cycle.tolist())
     return [SearchResult(cycles, hits, len(words), order, cycle) for cycles, hits, order, cycle in scored]
 
 
@@ -364,9 +360,11 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
     words = _span_words(probe, states, sites)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)
-    # the order filter in one array pass: perm^n is the identity exactly
-    # when the permutation's order divides n
-    perms = perms[np.all(_permutation_power(perms, constraints.order) == np.arange(8), axis=1)]
+    # the order filter: a permutation's order is the lcm of its cycle lengths
+    walk, lengths = _cycle_walk(perms)
+    keep = constraints.order % np.lcm.reduce(lengths, axis=1, dtype=np.int64) == 0
+    perms, walk, lengths = perms[keep], walk[keep], lengths[keep]
     args = (probe, neel, constraints.require_orbit_cycle, words, powers)
-    scored = [_search_block(perms[i:i + _GATE_BLOCK], *args) for i in range(0, len(perms), _GATE_BLOCK)]
+    scored = [_search_block(perms[i:i + _GATE_BLOCK], walk[i:i + _GATE_BLOCK], lengths[i:i + _GATE_BLOCK], *args)
+              for i in range(0, len(perms), _GATE_BLOCK)]
     return sorted((r for block in scored for r in block), key=lambda r: -r.satisfied)

@@ -1,4 +1,4 @@
-"""Eigen-analysis diagnostics: IPR scatter, scar flags, gap ratios, scaling.
+"""Eigen-analysis diagnostics: IPR scatter, scar flags, gap ratios.
 
 `analyze_spectrum` reads the momentum blocks of one dense `Propagator`, so
 IPR and overlaps need a stated eigenbasis inside degenerate eigenspaces.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSubset
-from .dynamics import MomentumBlock, Propagator, ResourceLimitError
-from .tolerances import DEGENERACY_TOL, DENSE_GUARD, TOWER_MERGE_TOL, REFERENCE_WEIGHT_TOL
+from .dynamics import MomentumBlock, Propagator, ResourceLimitError, dense_fits
+from .tolerances import DEGENERACY_TOL, TOWER_MERGE_TOL, REFERENCE_WEIGHT_TOL
 
 HISTOGRAM_BINS = 50
 FLAG_THRESHOLD = 0.02
@@ -44,28 +44,19 @@ def analyze_spectrum(hamiltonian, subset: BasisSubset, reference_states=(),
     overlaps, read off the momentum blocks of one dense `Propagator` in the
     eigenbasis convention of the module docstring; states overlapping any
     reference above the threshold are flagged as scar candidates."""
-    if subset.size > DENSE_GUARD:
-        raise ResourceLimitError(f"dense spectrum refused above dimension {DENSE_GUARD}; project to a sector first")
+    if not dense_fits(subset.size):
+        raise ResourceLimitError(f"dense spectrum refused at dimension {subset.size}; project to a sector first")
     prop = Propagator(hamiltonian, subset)
     refs = [subset.position(int(s)) for s in reference_states]
     ipr, overlaps = [], []
     for block in prop.blocks:
         vectors = _fixed_basis(block, refs)
-        # a vector's amplitude on slot x is sign[x] vectors[orbit[x]]
         ipr.append(1.0 / (block.basis.sizes @ np.abs(vectors) ** 4))
-        overlaps.append(np.abs(_reference_rows(block, refs, vectors)).T)
-    levels = np.concatenate([b.energies for b in prop.blocks])
-    order = np.argsort(levels, kind="stable")
+        overlaps.append(np.abs(block.slot_amplitudes(refs, vectors)).T)
+    order = prop.level_order
     overlaps = np.concatenate(overlaps)[order]
     flagged = np.any(overlaps > flag_threshold, axis=1)
-    return SpectrumAnalysis(levels[order], np.concatenate(ipr)[order], overlaps, flagged, subset, flag_threshold)
-
-
-def _reference_rows(block: MomentumBlock, refs, vectors: np.ndarray) -> np.ndarray:
-    """Amplitudes of the vectors on each reference slot, 0 where the
-    reference's orbit is dropped from the block."""
-    orbit = block.basis.orbit[refs]
-    return np.where((orbit >= 0)[:, None], block.basis.sign[refs, None] * vectors[orbit], 0.0)
+    return SpectrumAnalysis(prop.energies, np.concatenate(ipr)[order], overlaps, flagged, subset, flag_threshold)
 
 
 def _fixed_basis(block: MomentumBlock, refs) -> np.ndarray:
@@ -77,7 +68,7 @@ def _fixed_basis(block: MomentumBlock, refs) -> np.ndarray:
     cuts = np.flatnonzero(np.diff(block.energies) > DEGENERACY_TOL) + 1
     for group in np.split(np.arange(len(block.energies)), cuts):
         if len(group) > 1:
-            _, weight, vh = np.linalg.svd(_reference_rows(block, refs, vectors[:, group]))
+            _, weight, vh = np.linalg.svd(block.slot_amplitudes(refs, vectors[:, group]))
             rotated = vectors[:, group] @ vh.conj().T
             rest = rotated[:, np.count_nonzero(weight > REFERENCE_WEIGHT_TOL):]
             rest[:] = rest @ np.linalg.svd(tie * rest, full_matrices=False)[2].conj().T
@@ -120,39 +111,3 @@ def r_statistic(eigenvalues) -> RStatReport:
     r = np.minimum(gaps[1:], gaps[:-1]) / np.maximum(gaps[1:], gaps[:-1])
     density, edges = np.histogram(r, bins=HISTOGRAM_BINS, range=(0.0, 1.0), density=True)
     return RStatReport(r, edges, density, float(np.mean(r)))
-
-
-@dataclass
-class ScalingRow:
-    length: int
-    n_eff: int
-    pr_max: float
-    pr_min: float
-
-
-def scaling_scan(
-    model_name: str,
-    lengths,
-    t_window: tuple[float, float] = (10.0, 300.0),
-    dt: float = 0.05,
-) -> list[ScalingRow]:
-    """Extrema of the alternating-seed participation-ratio trace per length."""
-    from .dynamics import pr_trace
-    from .hamiltonian import build_hamiltonian
-    from .models import load_model, working_subspace
-
-    model = load_model(model_name)
-    rows = []
-    for length in lengths:
-        circuit = model.circuit(length)
-        seed = model.orbit_seed(length)
-        subset = working_subspace(model, length)
-        chain = build_hamiltonian(circuit, subset)
-        times = np.arange(0.0, t_window[1] + 0.5 * dt, dt)
-        psi0 = subset.basis_vector(seed)
-        trace = pr_trace(Propagator(chain.h, subset).evolve(psi0, times))
-        mask = (times > t_window[0]) & (times <= t_window[1])
-        rows.append(
-            ScalingRow(length, subset.size, float(trace[mask].max()), float(trace[mask].min()))
-        )
-    return rows

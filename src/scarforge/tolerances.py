@@ -18,9 +18,8 @@ RULE_PHASE_TOL = 1e-10        # phase difference of the two type-I orderings
 TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
 
 # Chain operators
-ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise; an assembled
-                              # H whose imaginary parts all are is propagated as real, and layers
-                              # whose Hermitian parts' imaginary parts all are give a real series
+ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise; when every
+                              # assembled imaginary part of A and B is, A, B and H are stored as float64
 HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the
@@ -38,4 +37,5 @@ TOWER_MERGE_TOL = 1e-8        # flagged energies closer than this form one tower
 COUPLING_TOL = 1e-8           # off-diagonal column norm of a coupled probe state
 NORM_DRIFT_ABORT = 1e-6       # norm drift that aborts a propagation
 CHEBYSHEV_TAIL_TOL = 1e-15    # bound on the dropped Chebyshev tail of one propagation window
-DENSE_GUARD = 6000            # largest dimension given to a dense eigensolver
+DENSE_GUARD = 6000            # largest dimension given to a dense eigensolver; read only by
+                              # dynamics.dense_fits, which Propagator, analyze_spectrum and rstat call

@@ -121,13 +121,28 @@ def test_rstat_dense_guard_exit():
     assert run(["rstat", "--model", "qmbs-b", "-L", "16", "--sector", "none"]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.42 GiB for an array", ""])
+def test_memory_error_exits_numerical_in_one_line(monkeypatch, capsys, message):
+    # an allocation that fails is a resource limit: exit 3 and one error
+    # line on stderr, not a traceback
+    from scarforge import models
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(models, "working_subspace", exhausted)
+    assert run(["ipr", "--model", "qmbs-a", "-L", "8"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_rstat_sector_guard_before_assembly(monkeypatch, capsys):
-    # a symmetry sector above DENSE_GUARD refuses before H is built: the
-    # qmbs-b L=12 sector s2+1,usm+1 has 119 levels
-    from scarforge import hamiltonian, tolerances
+    # a symmetry sector above the dense limit refuses before H is built:
+    # the qmbs-b L=12 sector s2+1,usm+1 has 119 levels
+    from scarforge import dynamics, hamiltonian
 
     built = []
-    monkeypatch.setattr(tolerances, "DENSE_GUARD", 100)
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 100)
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", lambda *a, **k: built.append(a))
     assert run(["rstat", "--model", "qmbs-b", "-L", "12", "--sector", "s2+1,usm+1"]) == EXIT_NUMERICAL
     assert built == []
@@ -167,11 +182,11 @@ def test_rstat_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == body
     # the summary names the solve and the antiunitary deviation it measured:
-    # qmbs-b has Theta = K F and is solved real; pxp's H is real up to
-    # floating noise (Theta = K) and keeps its orbit-sum block
+    # qmbs-b has Theta = K F and is solved real; pxp's H is assembled real
+    # (Theta = K) and solves its real orbit-sum block
     assert re.fullmatch(r"levels=119 mean_r=0\.\d{6} solve=real theta=F theta_dev=\d\.\d\de-1[5-9]\n", captured.err)
     assert run(["rstat", "--model", "pxp", "-L", "12", "--sector", "s2+1"]) == EXIT_OK
-    assert re.search(r" solve=complex theta=identity theta_dev=", capsys.readouterr().err)
+    assert re.search(r" solve=real theta=identity theta_dev=0\.00e\+00\n", capsys.readouterr().err)
 
 
 def test_rstat_bad_sector():

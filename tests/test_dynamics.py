@@ -241,6 +241,18 @@ def test_generic_state_is_deterministic_and_coupled():
     assert g == int("100000100010", 2)
 
 
+def test_qmbs_c_exact_revivals_l8():
+    # the exact model revives perfectly: on the 16-state L=8 working
+    # subspace the orbit seed's participation ratio returns to 1
+    m = load_model("qmbs-c")
+    sub = working_subspace(m, 8)
+    assert sub.size == 2 ** 4
+    times = np.arange(0.0, 60.0 + 0.125, 0.25)
+    psi0 = sub.basis_vector(m.orbit_seed(8))
+    trace = pr_trace(Propagator(build_hamiltonian(m.circuit(8), sub).h, sub).evolve(psi0, times))
+    assert trace[times > 10.0].max() > 1 - 1e-8
+
+
 @pytest.mark.parametrize("length", [8, 12])
 @pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-c", "qmbs-a", "qmbs-b"])
 def test_propagator_dtype_follows_hamiltonian(name, length):

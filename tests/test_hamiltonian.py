@@ -557,3 +557,40 @@ def test_identity_antiunitary_deviation_sums_duplicate_entries():
     name, _, dev = find_antiunitary(mat, BasisSubset([0, 1], 2))
     assert name == "identity" and dev == float(abs(mat - mat.conj()).max()) > 0
     assert np.array_equal(mat.data, data) and np.array_equal(mat.indices, indices)
+
+
+def _complex_layers(circuit, subset):
+    """A and B as the complex window sums, before any real form is taken."""
+    local = principal_log(circuit.gate).matrix
+    return (window_sum(subset, circuit.second_layer_sites, local),
+            window_sum(subset, circuit.first_layer_sites, local))
+
+
+@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-c", "qmbs-a", "qmbs-b"])
+def test_build_hamiltonian_decides_the_real_form(models, name, length):
+    # pxp, pxp-nophase and qmbs-c assemble float64 A, B and H equal bit for
+    # bit to the real parts of the complex assembly; qmbs-a and qmbs-b stay
+    # complex and equal to it
+    model = models[name]
+    circuit, sub = model.circuit(length), working_subspace(model, length)
+    chain = build_hamiltonian(circuit, sub)
+    a, b = _complex_layers(circuit, sub)
+    real = name in ("pxp", "pxp-nophase", "qmbs-c")
+    for got, ref in ((chain.a, a), (chain.b, b), (chain.h, a + b)):
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert (got != (ref.real if real else ref)).nnz == 0
+
+
+@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-c"])
+def test_real_sector_levels_match_complex_solve(models, name):
+    # the levels rstat solves from the real orbit block match a complex
+    # eigvalsh of the orbit block of the complex assembly
+    model, length = models[name], 16
+    circuit, sub = model.circuit(length), working_subspace(model, length)
+    sector = SymmetrySector((("S2", 1),))
+    block, basis = project_sector(build_hamiltonian(circuit, sub).h, sub, sector)
+    assert block.dtype == np.float64
+    a, b = _complex_layers(circuit, sub)
+    reference = np.linalg.eigvalsh(orbit_block(a + b, basis).toarray())
+    assert np.max(np.abs(np.linalg.eigvalsh(block) - reference)) < 1e-12

@@ -15,8 +15,8 @@ from scarforge.logmap import principal_log
 from scarforge.models import neel_orbit_states
 from scarforge.rules import (
     SearchConstraints,
+    _cycle_walk,
     _layout,
-    _permutation_power,
     _span,
     _span_operators,
     _span_words,
@@ -181,9 +181,11 @@ def test_order_filter_matches_cycle_walk():
         math.lcm(*(len(values) for values, _, _ in phased_cycles(tuple(p), (1,) * 8)))
         for p in perms.tolist()
     ])
+    walk, lengths = _cycle_walk(perms.astype(np.int8))
+    walked = np.lcm.reduce(lengths, axis=1)
+    assert np.array_equal(walk[:, :, 1], perms)
     for n in range(13):
-        keep = np.all(_permutation_power(perms, n) == np.arange(8), axis=1)
-        assert np.array_equal(keep, n % orders == 0)
+        assert np.array_equal(n % walked == 0, n % orders == 0)
     assert np.count_nonzero(4 % orders == 0) == 6224
 
 

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phase_gate
-from scarforge import spectral
+from scarforge import dynamics, spectral
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset, tile_pattern
-from scarforge.dynamics import Propagator
+from scarforge.dynamics import Propagator, ResourceLimitError
 from scarforge.hamiltonian import build_hamiltonian
 from scarforge.models import load_model, working_subspace
 from scarforge.spectral import (
     analyze_spectrum,
     flagged_tower_energies,
     r_statistic,
-    scaling_scan,
 )
 from scarforge.tolerances import DEGENERACY_TOL
 
@@ -177,11 +176,16 @@ def test_histogram_normalized(rng):
     assert np.sum(report.density * widths) == pytest.approx(1.0)
 
 
-def test_scaling_scan_qmbs_c_exact_revivals():
-    rows = scaling_scan("qmbs-c", [8, 12], t_window=(10.0, 60.0), dt=0.25)
-    for row in rows:
-        assert row.pr_max > 1 - 1e-8
-        assert row.n_eff == 2 ** (row.length // 2)
+def test_one_dense_limit_for_propagator_and_spectrum(monkeypatch):
+    # the dense limit is read in one place: patched below the subset size,
+    # the propagator goes iterative and the spectrum refuses
+    m = load_model("pxp")
+    sub = working_subspace(m, 8)
+    h = build_hamiltonian(m.circuit(8), sub).h
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", sub.size - 1)
+    assert Propagator(h, sub).method == "iterative"
+    with pytest.raises(ResourceLimitError):
+        analyze_spectrum(h, sub)
 
 
 def test_dimension_mismatch_rejected():
