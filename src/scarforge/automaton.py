@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import bitstring, set_window, window_value
-from .gate import PermutationGate, phase_product, walk_cycle
+from .gate import PermutationGate, walk_cycle
 from .logmap import cycle_eigenphases, cycle_eigenvectors, wrap_angle
 from .tolerances import WINDOW_COMMUTE_TOL
 
@@ -99,20 +99,17 @@ def _same_layer_gates_commute(gate: PermutationGate) -> bool:
     return bool(np.array_equal(one, two) and np.max(np.abs(phase_one - phase_two)) < WINDOW_COMMUTE_TOL)
 
 
-def floquet_map(circuit: FloquetCircuit, index):
-    """One Floquet period, first layer then second, on a state index (a
-    Python int) or on an int64 array of them: the image and the product of
-    window phases, multiplied in site order."""
+def floquet_map(circuit: FloquetCircuit, index: int) -> tuple[int, complex]:
+    """One Floquet period, first layer then second, on a state index: the
+    image and the product of window phases, multiplied in site order."""
     if not circuit.is_brickwork:
         raise ValueError("automaton application needs complete layers (L divisible by 4)")
     gate, length = circuit.gate, circuit.length
-    array = isinstance(index, np.ndarray)
-    perm, phases = (np.array(gate.perm), np.array(gate.phases)) if array else (gate.perm, gate.phases)
-    phase = np.ones(index.shape, complex) if array else 1.0 + 0.0j
+    phase = 1.0 + 0.0j
     for site in circuit.first_layer_sites + circuit.second_layer_sites:
         v = window_value(index, site, gate.width, length)
-        index = set_window(index, site, gate.width, length, perm[v])
-        phase = phase_product(phase, phases[v]) if array else phase * phases[v]
+        index = set_window(index, site, gate.width, length, gate.perm[v])
+        phase = phase * gate.phases[v]
     return index, phase
 
 

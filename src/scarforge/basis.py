@@ -117,9 +117,6 @@ class BasisSubset:
     def size(self) -> int:
         return len(self.states)
 
-    def __len__(self):
-        return self.size
-
     def find(self, indices) -> np.ndarray:
         """Slots of the given state indices, -1 where a state is absent."""
         return sorted_find(self.states, np.asarray(indices, dtype=np.int64))

@@ -99,10 +99,10 @@ class BchSeries:
     """Series terms C_0..C_N over a fixed basis subset."""
 
     terms: list
-    max_order: int
 
-    def term(self, n: int):
-        return self.terms[n]
+    @property
+    def max_order(self) -> int:
+        return len(self.terms) - 1
 
 
 def bch_terms(a, b, n_orders: int) -> BchSeries:
@@ -178,7 +178,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
 
     table.clear()
     terms = [s] + [(-1j) ** n * z[n + 1] for n in range(1, n_orders + 1)]
-    return BchSeries(terms, n_orders)
+    return BchSeries(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,6 @@ def augmented_hamiltonian(series: BchSeries, order: int):
 @dataclass
 class DecayEstimate:
     rate: float
-    leakage_c2: float
-    n_eff: int
-    cycle_length: int
-    chain_length: int
-    bandwidth: float
 
 
 def fgr_rate(series: BchSeries, orbit_positions, chain_length: int, bandwidth: float) -> DecayEstimate:
@@ -264,4 +259,4 @@ def fgr_rate(series: BchSeries, orbit_positions, chain_length: int, bandwidth: f
     n_eff = series.terms[0].shape[0]
     _, leak_sq, _ = _block_norms(series.terms[2], orb)
     rate = 2.0 * np.pi * (2.0 * n_eff / (chain_length * bandwidth)) * leak_sq / (n_eff * l)
-    return DecayEstimate(float(rate), float(np.sqrt(leak_sq)), n_eff, l, chain_length, bandwidth)
+    return DecayEstimate(float(rate))

@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
 dimension guard, memory pre-flight, an allocation that failed), 4 unknown
 model.  Thread count comes from --threads (or a config file's threads= key),
 else from SCARFORGE_THREADS, must be at least 1, and is applied to the BLAS
-pool before numpy loads; it never changes results, only timing.  All emitted
-files are deterministic for a fixed configuration.
+pool before numpy loads.  All outputs are byte-identical for a fixed
+configuration and thread count; another thread count can move the last
+printed digits, as threaded BLAS/LAPACK sums in another order.
 """
 
 from __future__ import annotations
@@ -249,12 +250,12 @@ def cmd_revivals(args) -> int:
     _require(args.tmax >= 0, "--tmax", "be at least 0", args.tmax)
     _require(args.site is None or 1 <= args.site <= args.length, "--site", f"lie in 1..{args.length}", args.site)
     model = _load(args.model)
+    # the orbit first: a stride4 length of 2 mod 4 has an H but no automaton
+    orbit = neel_orbit_states(model, args.length) if args.state == "generic" else None
     subset = _subspace(model, args.length, "working")
     chain = build_hamiltonian(model.circuit(args.length), subset)
-    if args.state == "generic":
-        seed = generic_comparison_state(subset, neel_orbit_states(model, args.length), chain.h)
-    else:
-        seed = _seed_index(args.state, model, args.length)
+    seed = (_seed_index(args.state, model, args.length) if orbit is None
+            else generic_comparison_state(subset, orbit, chain.h))
     prop = Propagator(chain.h, subset)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
     psi0 = subset.basis_vector(seed)
@@ -351,10 +352,10 @@ def cmd_bch(args) -> int:
     _require(args.bandwidth is None or args.bandwidth > 0, "--bandwidth", "be positive", args.bandwidth)
     _require(args.bandwidth is None or args.orders >= 2, "--orders", "be at least 2 with --bandwidth", args.orders)
     model = _load(args.model)
+    orbit = neel_orbit_states(model, args.length)    # before building, as in cmd_revivals
     subset = _subspace(model, args.length, args.subspace)
     chain = build_hamiltonian(model.circuit(args.length), subset)
     series = bch_terms(chain.a, chain.b, args.orders)
-    orbit = neel_orbit_states(model, args.length)
     positions = [subset.position(s) for s in orbit]
     profile = norm_profile(series, positions)
     params = _params(args, n_eff=subset.size)

@@ -120,7 +120,8 @@ def available_bytes() -> int:
 
 @dataclass
 class EvolutionResult:
-    times: np.ndarray
+    """The amplitude history of one evolved state over the subset basis."""
+
     amplitudes: np.ndarray  # shape (n_times, dim)
     subset: BasisSubset
     norm_drift: float  # worst | ||psi(t)|| - ||psi0|| | along the trace
@@ -318,7 +319,7 @@ class Propagator:
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
-        return EvolutionResult(times, amps, self.subset, drift)
+        return EvolutionResult(amps, self.subset, drift)
 
     def _work_entries(self, n_times: int) -> int:
         """Complex entries held beside the history: the Chebyshev vectors and
@@ -475,22 +476,10 @@ class Propagator:
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
-    """Participation ratio sum_x |psi_x(t)|^4 of each history row.
-
-    Works one chunk of rows at a time in two scratch arrays laid out as the
-    history is, reused from chunk to chunk, so each row sums in the order
-    one reduction over the whole history would.
-    """
-    amps = result.amplitudes
-    out = np.empty(len(amps))
-    step = _chunk_rows(amps.shape[1])
-    square, other = np.empty_like(amps[:step].real), np.empty_like(amps[:step].real)
-    for lo in range(0, len(amps), step):
-        rows = amps[lo:lo + step]
-        sq, im = square[:len(rows)], other[:len(rows)]
-        np.add(np.square(rows.real, out=sq), np.square(rows.imag, out=im), out=sq)
-        out[lo:lo + step] = np.sum(np.square(sq, out=sq), axis=1)
-    return out
+    """Participation ratio sum_x |psi_x(t)|^4 of each history row, one chunk
+    of rows at a time (`_by_rows`); each row sums as one reduction over the
+    whole history would."""
+    return _by_rows(result.amplitudes, lambda rows: np.sum((rows.real ** 2 + rows.imag ** 2) ** 2, axis=1))
 
 
 def fidelity_trace(result: EvolutionResult, ref_index: int) -> np.ndarray:

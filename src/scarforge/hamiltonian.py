@@ -78,8 +78,6 @@ class ChainHamiltonian:
     a: sp.csr_matrix
     b: sp.csr_matrix
     h: sp.csr_matrix
-    subset: BasisSubset
-    circuit: FloquetCircuit
 
 
 def _window_moves(states: np.ndarray, site: int, length: int, keep: np.ndarray):
@@ -141,7 +139,7 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
         dev = abs(m - m.getH()).max()
         if dev > HERMITICITY_TOL:
             raise RuntimeError(f"{name} lost hermiticity during assembly ({dev:.2e})")
-    return ChainHamiltonian(a, b, (a + b).tocsr(), subset, circuit)
+    return ChainHamiltonian(a, b, (a + b).tocsr())
 
 
 def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:

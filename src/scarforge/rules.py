@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import dynamics
 from .automaton import FloquetCircuit
 from .basis import set_window, tile_pattern, translate_index, window_value
 from .gate import identity_gate
@@ -323,6 +324,18 @@ def _cycle_labels(walk: np.ndarray, lengths: np.ndarray) -> list:
 _GATE_BLOCK = 128
 
 
+def _search_bytes(probe: FloquetCircuit, neel: np.ndarray, order: int) -> int:
+    """Bytes a search of this order holds at once: one gate block's two int64
+    power trees of order^3 nodes per gate and distinct span word and their
+    agreement mask, and per rule instance seven int64 columns (state, site,
+    three powers, span word and its index), the block's hit flags and the
+    Python power triple (72 bytes) it is listed from."""
+    states, sites = np.array(_state_site_classes(probe, neel.tolist()), dtype=np.int64).T
+    nodes = order ** 3 * _GATE_BLOCK * len(np.unique(_span_words(probe, states, sites)))
+    rows = len(states) * (order - 1) * (order * order - 1)
+    return (2 * 8 + 1) * nodes + rows * (7 * 8 + _GATE_BLOCK + 72)
+
+
 def _search_block(perms3, walk, lengths, probe, neel, require_cycle, words, powers) -> list[SearchResult]:
     """Search rows for one block of three-qubit permutations, with the rows
     of their `_cycle_walk`, in block order."""
@@ -349,14 +362,20 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     rule span, which gives every longer chain's ratios.  The rule instances
     on the alternating orbit do not depend on the gate: their span words and
     powers are built once, and the survivors are scored on them in
-    fixed-size blocks, one array pass per block.  The search runs in this
-    process; `workers` is accepted for callers that still pass it and must be 1.
+    fixed-size blocks, one array pass per block; a search whose
+    `_search_bytes` exceed the available memory raises ResourceLimitError
+    before the instances are listed.  The search runs in this process;
+    `workers` is accepted for callers that still pass it and must be 1.
     """
     if workers != 1:
         raise ValueError(f"the search runs in one process (got workers={workers})")
     length = 8
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
+    need, have = _search_bytes(probe, neel, constraints.order), dynamics.available_bytes()
+    if need > have:
+        raise dynamics.ResourceLimitError(f"search order {constraints.order} needs about {need / 1e9:.2f} GB, "
+                                          f"{have / 1e9:.2f} GB available; lower the order")
     states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
     words = _span_words(probe, states, sites)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)

@@ -128,16 +128,16 @@ def dense_bch_terms(a, b, n_orders: int) -> list:
 def floquet_matrix(circuit) -> np.ndarray:
     """Dense 2**L x 2**L matrix of U_F."""
     dim = 1 << circuit.length
-    images, phases = floquet_map(circuit, np.arange(dim, dtype=np.int64))
+    images, phases = zip(*(floquet_map(circuit, x) for x in range(dim)))
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[images, np.arange(dim)] = phases
+    mat[list(images), np.arange(dim)] = phases
     return mat
 
 
 def all_orbits(circuit) -> list:
     """Decompose the full basis into disjoint cycles of U_F."""
-    images, phases = floquet_map(circuit, np.arange(1 << circuit.length, dtype=np.int64))
-    return [_orbit_cycle(circuit.length, *c) for c in phased_cycles(images.tolist(), phases.tolist())]
+    images, phases = zip(*(floquet_map(circuit, x) for x in range(1 << circuit.length)))
+    return [_orbit_cycle(circuit.length, *c) for c in phased_cycles(list(images), list(phases))]
 
 
 def embedded_block_reference(length: int) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_criterion_05_low_order_closed_forms():
     reference = _assemble_low_order_reference(subset, length)
     assert np.max(np.abs(computed - reference)) < 1e-9
 
-    c1 = series.term(1)
+    c1 = series.terms[1]
     c1 = c1.toarray() if sp.issparse(c1) else c1
     positions = [subset.position(s) for s in neel_orbit_states(m, length)]
     assert np.linalg.norm(c1[:, positions]) < 1e-10

@@ -48,11 +48,11 @@ def pxp_layers():
 def test_low_orders_match_closed_forms(pxp_layers):
     a, b, _, _ = pxp_layers
     series = bch_terms(a, b, 2)
-    assert np.array_equal(series.term(0).toarray(), a + b)
+    assert np.array_equal(series.terms[0].toarray(), a + b)
     comm = a @ b - b @ a
-    assert np.max(np.abs(series.term(1).toarray() + 0.5j * comm)) < 1e-13
+    assert np.max(np.abs(series.terms[1].toarray() + 0.5j * comm)) < 1e-13
     c2 = -(1.0 / 12.0) * ((a @ comm - comm @ a) - (b @ comm - comm @ b))
-    assert np.max(np.abs(series.term(2).toarray() - c2)) < 1e-13
+    assert np.max(np.abs(series.terms[2].toarray() - c2)) < 1e-13
 
 
 def test_commuting_layers_truncate():
@@ -60,7 +60,7 @@ def test_commuting_layers_truncate():
     b = np.diag([0.5, -1.0, 2.5]).astype(complex)
     series = bch_terms(a, b, 6)
     for n in range(1, 7):
-        assert np.max(np.abs(series.term(n))) < 1e-14
+        assert np.max(np.abs(series.terms[n])) < 1e-14
 
 
 def test_scaled_series_matches_dense_log(pxp_layers):
@@ -69,7 +69,7 @@ def test_scaled_series_matches_dense_log(pxp_layers):
     eps = 0.12
     series = bch_terms(eps * a, eps * b, 10)
     target = 1j * la.logm(la.expm(-1j * eps * a) @ la.expm(-1j * eps * b))
-    partial = sum(series.term(n) for n in range(11))
+    partial = sum(series.terms[n] for n in range(11))
     assert np.max(np.abs(partial - target)) < 1e-9
 
 
@@ -78,14 +78,14 @@ def test_degree_homogeneity(pxp_layers):
     base = bch_terms(a, b, 5)
     scaled = bch_terms(2.0 * a, 2.0 * b, 5)
     for n in range(6):
-        assert np.max(np.abs(scaled.term(n) - 2.0 ** (n + 1) * base.term(n))) < 1e-9
+        assert np.max(np.abs(scaled.terms[n] - 2.0 ** (n + 1) * base.terms[n])) < 1e-9
 
 
 def test_terms_are_hermitian(pxp_layers):
     a, b, _, _ = pxp_layers
     series = bch_terms(a, b, 6)
     for n in range(7):
-        t = series.term(n)
+        t = series.terms[n]
         assert np.max(np.abs(t - t.conj().T)) < 1e-9
 
 
@@ -100,14 +100,14 @@ def test_series_matches_log_for_random_gates(seed):
     eps = 0.25 / (np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
     series = bch_terms(eps * a, eps * b, 10)
     target = 1j * la.logm(la.expm(-1j * eps * a) @ la.expm(-1j * eps * b))
-    partial = sum(series.term(n).toarray() for n in range(11))
+    partial = sum(series.terms[n].toarray() for n in range(11))
     assert np.max(np.abs(partial - target)) < 1e-9
 
 
 def _assert_matches_dense_recursion(a, b, n_orders):
     series = bch_terms(a, b, n_orders)
     for n, ref in enumerate(dense_bch_terms(a.toarray(), b.toarray(), n_orders)):
-        err = np.linalg.norm(series.term(n).toarray() - ref)
+        err = np.linalg.norm(series.terms[n].toarray() - ref)
         assert err <= 1e-12 * np.linalg.norm(ref), (n, err)
 
 
@@ -137,7 +137,7 @@ def test_real_layers_give_graded_parity(models, name):
     chain = build_hamiltonian(model.circuit(8), working_subspace(model, 8))
     series = bch_terms(chain.a, chain.b, 8)
     for n in range(1, 9):
-        term = series.term(n)
+        term = series.terms[n]
         assert (term.nnz == 0) == (name == "qmbs-c"), n
         assert np.all((term.data.imag if n % 2 == 0 else term.data.real) == 0), n
 
@@ -152,7 +152,7 @@ def test_last_order_skips_zero_bernoulli_entries_exactly(models, name):
     for n_orders in (3, 4, 6):
         series = bch_terms(chain.a, chain.b, n_orders)
         for n in range(n_orders + 1):
-            term, ref = series.term(n), longer.term(n)
+            term, ref = series.terms[n], longer.terms[n]
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(term, part), getattr(ref, part)), (n_orders, n, part)
 
@@ -165,7 +165,7 @@ def test_pxp_window_commutator_matrix_elements():
     sub = krylov_subspace(circuit, m.orbit_seed(L))
     chain = build_hamiltonian(circuit, sub)
     series = bch_terms(chain.a, chain.b, 1)
-    c1 = series.term(1)
+    c1 = series.terms[1]
     c1 = c1.toarray() if sp.issparse(c1) else c1
     x = sub.position(int("101111111111", 2))
     y = sub.position(int("110111111111", 2))
@@ -179,7 +179,7 @@ def test_pxp_window_commutator_matrix_elements():
 def test_norm_profile_zero_operator():
     sub_dim = 6
     zero = np.zeros((sub_dim, sub_dim), dtype=complex)
-    series = BchSeries([zero, zero], 1)
+    series = BchSeries([zero, zero])
     prof = norm_profile(series, [0, 1])
     assert np.all(prof.orbit_norm == 0)
     assert np.all(prof.leakage_norm == 0)
@@ -189,7 +189,7 @@ def test_norm_profile_zero_operator():
 def test_norm_profile_block_accounting(rng):
     dim, l = 12, 3
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    series = BchSeries([mat], 0)
+    series = BchSeries([mat])
     orb = [0, 4, 7]
     prof = norm_profile(series, orb)
     rest = [i for i in range(dim) if i not in orb]
@@ -205,7 +205,7 @@ def test_augmented_hamiltonian_partial_sums(pxp_layers):
     a, b, _, _ = pxp_layers
     series = bch_terms(a, b, 3)
     assert np.array_equal(augmented_hamiltonian(series, 0).toarray(), a + b)
-    total = series.term(0) + series.term(1) + series.term(2) + series.term(3)
+    total = series.terms[0] + series.terms[1] + series.terms[2] + series.terms[3]
     assert np.max(np.abs(augmented_hamiltonian(series, 3).toarray() - total.toarray())) < 1e-14
     with pytest.raises(ValueError):
         augmented_hamiltonian(series, 4)
@@ -214,7 +214,7 @@ def test_augmented_hamiltonian_partial_sums(pxp_layers):
 def test_fgr_rate_zero_for_vanishing_coupling():
     dim = 8
     zero = np.zeros((dim, dim), dtype=complex)
-    series = BchSeries([zero, zero, zero], 2)
+    series = BchSeries([zero, zero, zero])
     est = fgr_rate(series, [0, 1], 8, 30.0)
     assert est.rate == 0.0
 
@@ -223,7 +223,7 @@ def test_fgr_rate_zero_for_vanishing_coupling():
 def test_fgr_rate_refuses_nonpositive_bandwidth(bandwidth):
     zero = np.zeros((8, 8), dtype=complex)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
-        fgr_rate(BchSeries([zero, zero, zero], 2), [0, 1], 8, bandwidth)
+        fgr_rate(BchSeries([zero, zero, zero]), [0, 1], 8, bandwidth)
 
 
 def test_series_refused_before_an_order_that_does_not_fit(monkeypatch):

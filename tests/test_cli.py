@@ -253,6 +253,26 @@ def test_search_rejects_invalid_constraints(capsys):
     assert "order must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, available", [("6", 1 << 19), ("1000", None)])
+def test_search_memory_refusal_before_enumerating(order, available, tmp_path, monkeypatch, capsys):
+    # order 6 counts about 1.03 MB and 1000 about 4.9 TB: each is refused
+    # before its instances are listed or any gate is scored
+    from scarforge import dynamics, rules
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the search went past its pre-flight")
+
+    if available is not None:
+        monkeypatch.setattr(dynamics, "available_bytes", lambda: available)
+    monkeypatch.setattr(rules, "enumerate_rule_instances", reached)
+    monkeypatch.setattr(rules, "_type1_hits", reached)
+    out = tmp_path / "results.json"
+    assert run(["search", "--order", order, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: search order {order} needs about ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_search_rejects_top_below_one(top, tmp_path, capsys):
     out = tmp_path / "results.json"
@@ -308,6 +328,25 @@ def test_bch_refuses_out_of_range_orders_before_building(flags, message, tmp_pat
     assert run(["bch", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["bch", "--model", "qmbs-b", "-L", "14", "--orders", "6"],
+    ["bch", "--model", "qmbs-a", "-L", "10"],
+    ["revivals", "--model", "qmbs-b", "-L", "10", "--state", "generic"],
+])
+def test_stride4_length_without_automaton_refused_before_building(args, tmp_path, monkeypatch, capsys):
+    # at L = 2 mod 4 a stride4 model has an H but no automaton, so no orbit
+    from scarforge import models
+
+    def built(*a, **k):
+        raise AssertionError("the subset was built before the orbit")
+
+    monkeypatch.setattr(models, "working_subspace", built)
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: automaton application needs complete layers (L divisible by 4)\n"
+    assert not out.exists()
 
 
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):

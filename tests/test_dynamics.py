@@ -80,7 +80,7 @@ def test_eigenstate_has_constant_pr(pxp_chain):
 
 def _history(sub, *rows) -> EvolutionResult:
     """A history whose rows are the given amplitude vectors."""
-    return EvolutionResult(np.arange(float(len(rows))), np.array(rows, dtype=complex), sub, 0.0)
+    return EvolutionResult(np.array(rows, dtype=complex), sub, 0.0)
 
 
 def test_participation_ratio_basics(pxp_chain):
