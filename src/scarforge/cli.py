@@ -241,7 +241,8 @@ def cmd_revivals(args) -> int:
     import numpy as np
 
     from .basis import bitstring
-    from .dynamics import Propagator, fidelity_trace, generic_comparison_state, local_z_trace, pr_trace
+    from .dynamics import (Propagator, ResourceLimitError, dense_fits, fidelity_trace, generic_comparison_state,
+                           local_z_trace, pr_trace)
     from .hamiltonian import build_hamiltonian
     from .models import neel_orbit_states
     from .output import write_svg_lines
@@ -253,9 +254,16 @@ def cmd_revivals(args) -> int:
     # the orbit first: a stride4 length of 2 mod 4 has an H but no automaton
     orbit = neel_orbit_states(model, args.length) if args.state == "generic" else None
     subset = _subspace(model, args.length, "working")
+    if orbit is None:
+        seed = _seed_index(args.state, model, args.length)
+        _require(seed in subset, "--state", f"lie in the working subspace of {model.name} at L={args.length}",
+                 args.state)
+    if args.site is not None and not dense_fits(subset.size):
+        raise ResourceLimitError(f"--site needs a dense eigensolve, refused at dimension {subset.size}; "
+                                 "drop --site or use a smaller length")
     chain = build_hamiltonian(model.circuit(args.length), subset)
-    seed = (_seed_index(args.state, model, args.length) if orbit is None
-            else generic_comparison_state(subset, orbit, chain.h))
+    if orbit is not None:
+        seed = generic_comparison_state(subset, orbit, chain.h)
     prop = Propagator(chain.h, subset)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
     psi0 = subset.basis_vector(seed)

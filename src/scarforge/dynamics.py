@@ -2,13 +2,13 @@
 
 `Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
 `dense_fits` is the one dense limit, read by the propagator, by
-`spectral.analyze_spectrum` and by the `rstat` command.  Within it the
-propagator diagonalizes the (sub-)Hamiltonian once and evaluates e^{-iHt}
-exactly on the whole time grid, one S2 momentum block at a time.  When the
-subset is invariant under S2 (translation by two sites, of order
-M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, H splits into
-the M momentum blocks of `hamiltonian.project_sector`; otherwise the group is
-the trivial one and its single block is the whole H.  A float64 H
+`spectral.analyze_spectrum` and by the `rstat` and `revivals --site`
+commands.  Within it the propagator diagonalizes the (sub-)Hamiltonian once
+and evaluates e^{-iHt} exactly on the whole time grid, one S2 momentum block
+at a time.  When the subset is invariant under S2 (translation by two sites,
+of order M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, H
+splits into the M momentum blocks of `hamiltonian.project_sector`; otherwise
+the group is the trivial one and its single block is the whole H.  A float64 H
 (`hamiltonian.build_hamiltonian` assembles pxp, pxp-nophase and qmbs-c as
 real) is propagated as real.  When H has an antiunitary symmetry Theta = K P
 (`hamiltonian.find_antiunitary`: P the identity for a real H, or the spin
@@ -34,7 +34,7 @@ chunk with other offsets computes its own block.  Each time point's norm is
 taken on its chunk as it is gathered.  `energies` are sorted over all
 blocks (`level_order` sorts the blocks' levels taken in turn); `modes`, the
 eigenvectors in the subset basis (real for a real H, from sqrt(2) Re and
-sqrt(2) Im of a momentum pair), are built on first read.
+sqrt(2) Im of a momentum pair), are built on each read.
 
 Above the limit the propagator expands e^{-iHt} in Chebyshev polynomials of
 the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
@@ -230,7 +230,6 @@ class Propagator:
             raise ValueError("Hamiltonian dimension does not match subset")
         self.method = "dense" if dense_fits(dim) else "iterative"
         self.subset = subset
-        self._modes = None
         if self.method == "dense":
             h = sp.csr_matrix(hamiltonian)
             self.real = np.isrealobj(h)
@@ -283,22 +282,22 @@ class Propagator:
     @property
     def modes(self) -> np.ndarray | None:
         """Eigenvectors of H in the subset basis, one column per entry of
-        `energies`; built from the blocks on first read.  Real H has real
-        modes: of a conjugate pair of momenta k < M/2 and M - k, the first
-        contributes sqrt(2) Re and the second sqrt(2) Im of its vectors."""
-        if self._modes is None and self.method == "dense":
-            dim = self.subset.size
-            modes = np.zeros((dim, dim), dtype=float if self.real else complex)
-            start = 0
-            for b in self.blocks:
-                slots = np.flatnonzero(b.basis.orbit >= 0)
-                vecs = b.slot_amplitudes(slots)
-                if self.real and np.iscomplexobj(vecs):
-                    vecs = math.sqrt(2.0) * (vecs.real if 2 * b.momentum < self.order else vecs.imag)
-                modes[slots, start:start + len(b.energies)] = vecs
-                start += len(b.energies)
-            self._modes = modes[:, self.level_order]
-        return self._modes
+        `energies`, built from the blocks on each read and not kept.  Real H
+        has real modes: of a conjugate pair of momenta k < M/2 and M - k, the
+        first contributes sqrt(2) Re and the second sqrt(2) Im of its vectors."""
+        if self.method != "dense":
+            return None
+        dim = self.subset.size
+        modes = np.zeros((dim, dim), dtype=float if self.real else complex)
+        start = 0
+        for b in self.blocks:
+            slots = np.flatnonzero(b.basis.orbit >= 0)
+            vecs = b.slot_amplitudes(slots)
+            if self.real and np.iscomplexobj(vecs):
+                vecs = math.sqrt(2.0) * (vecs.real if 2 * b.momentum < self.order else vecs.imag)
+            modes[slots, start:start + len(b.energies)] = vecs
+            start += len(b.energies)
+        return modes[:, self.level_order]
 
     def evolve(self, initial: np.ndarray, times) -> EvolutionResult:
         times = np.asarray(times, dtype=float)

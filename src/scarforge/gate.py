@@ -91,18 +91,13 @@ def phased_cycles(perm, phases) -> list[tuple[list[int], list[complex], complex]
 
 def phase_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise a * b of complex arrays, rounded as scalar complex
-    arithmetic rounds it.  Vectorised complex multiplication may fuse a
-    multiply with an add, which moves a product of phases that are not exact
-    binary fractions by an ulp; this keeps array and scalar walks equal."""
+    arithmetic rounds it.  numpy's vectorised `a * b` picks a SIMD kernel by
+    CPU, and the AVX-512 one fuses a multiply with an add: on such a CPU it
+    moves a product of phases that are not exact binary fractions by an ulp
+    for about half of the cycle-eigenvector arrays of random phased gates.
+    Forming the four real products apart pins `logmap.cycle_eigenvectors`,
+    and so the bits of `principal_log`, to the scalar formula on any CPU."""
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-@dataclass(frozen=True)
-class GateOrder:
-    """Smallest n with gate**n acting as the identity with total phase one."""
-
-    n: int
-    found: bool
 
 
 def identity_gate(width: int) -> PermutationGate:
@@ -129,7 +124,7 @@ def parse_gate(cycles, phases, width: int = 4) -> PermutationGate:
     return PermutationGate(width, tuple(perm), phase_tuple)
 
 
-def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
+def gate_order(gate: PermutationGate, n_max: int = 64) -> int | None:
     """Smallest n with gate**n == identity, found cycle by cycle.
 
     A cycle of length l returns every one of its labels to itself after l
@@ -137,7 +132,7 @@ def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
     the identity after l * k steps, k the order of that product.  The gate
     order is the lcm over all cycles, fixed points included.  Phase products
     that are not roots of unity of order at most n_max (e.g. irrational
-    phases) prevent a finite order, reported as found=False.
+    phases) prevent a finite order, reported as None.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -146,9 +141,9 @@ def gate_order(gate: PermutationGate, n_max: int = 64) -> GateOrder:
     for values, _, product in phased_cycles(gate.perm, gate.phases):
         hits = np.flatnonzero(np.abs(product**powers - 1.0) < ORDER_PHASE_TOL)
         if len(hits) == 0:
-            return GateOrder(0, False)
+            return None
         out = lcm(out, len(values) * int(powers[hits[0]]))
-    return GateOrder(out, True)
+    return out
 
 
 def gate_matrix(gate: PermutationGate) -> np.ndarray:

@@ -181,10 +181,10 @@ def s2_order(length: int) -> int:
 class SymmetrySector:
     """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1)), or an S2 momentum.
 
-    `momentum=k` asks for S2 = omega^k with omega = e^{2 pi i / M}, in place
-    of an S2 entry among the operators.  USM maps k to -k, so it labels only
-    k = 0 and, for even M, k = M/2.  No operator at all is the trivial group:
-    every state its own orbit.
+    `momentum=k` asks for S2 = omega^k with omega = e^{2 pi i / M} and takes
+    no operator: USM maps k to -k, so it labels only k = 0 and M/2, where
+    the S2 = +1 and -1 signs ask for the same sectors.  No operator at all
+    is the trivial group: every state its own orbit.
     """
 
     operators: tuple[tuple[str, int], ...] = ()
@@ -199,8 +199,9 @@ class SymmetrySector:
                 raise ValueError(f"unknown sector operator {name!r}")
             if val not in (1, -1):
                 raise ValueError("sector eigenvalues must be +1 or -1")
-        if self.momentum is not None and "S2" in names:
-            raise ValueError("sector operator S2 given twice (as a momentum and a sign)")
+        if self.momentum is not None and names:
+            raise ValueError("a momentum sector takes no other operator; "
+                             "for k = 0 or M/2 with USM, ask for S2 = +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,6 @@ class SectorBasis:
     shift: np.ndarray   # power of S2 taking each slot to its representative
     reps: np.ndarray    # representative slot of each column
     sizes: np.ndarray   # orbit size of each column
-    subset: BasisSubset
     rotation: sp.csr_matrix | None = None
 
     @property
@@ -326,9 +326,6 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorB
     turns = {name: 0 if val == 1 else order for name, val in sector.operators}
     if sector.momentum is not None:
         turns["S2"] = 2 * sector.momentum
-        if "USM" in turns and (2 * sector.momentum) % order:
-            raise ValueError(f"USM maps momentum {sector.momentum} to {-sector.momentum}; "
-                             "it labels only k = 0 and k = M/2")
     table, chars = [np.arange(subset.size)], [0]
     for _ in range(order if "S2" in turns else 0):
         table.append(slots["S2"][table[-1]])
@@ -352,7 +349,7 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorB
         sign = np.where(chars == 0, 1, -1)
     else:
         sign = np.exp(1j * np.pi * chars / order)
-    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes, subset)
+    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes)
 
 
 def orbit_block(mat: sp.spmatrix, basis: SectorBasis) -> sp.csr_matrix:

@@ -59,7 +59,6 @@ class LocalHamiltonian:
     """Hermitian window Hamiltonian with exp(-i h) equal to the source gate."""
 
     matrix: np.ndarray
-    gate: PermutationGate
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,6 @@ class PowerDecomposition:
     order: int
     coefficients: np.ndarray
     reconstruction_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.order,
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            "reconstruction_error": self.reconstruction_error,
-        }
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,7 @@ def principal_log(gate: PermutationGate) -> LocalHamiltonian:
     cycle phase angle comes from that product, not from a floating log of
     matrix elements.
     """
-    order = gate_order(gate)
-    if not order.found:
+    if gate_order(gate) is None:
         raise NonPeriodicGateError(
             "gate has no finite order (accumulated phases are not a root of unity)"
         )
@@ -107,7 +98,7 @@ def principal_log(gate: PermutationGate) -> LocalHamiltonian:
         betas, amplitudes = cycle_eigenvectors(walk, wrap_angle(np.angle(total)))
         for beta, vec in zip(betas, amplitudes):
             h[block] -= wrap_angle(beta) * np.outer(vec, vec.conj())
-    return LocalHamiltonian(h, gate)
+    return LocalHamiltonian(h)
 
 
 def decomposition_coefficients(n: int) -> np.ndarray:
@@ -127,7 +118,7 @@ def decomposition_coefficients(n: int) -> np.ndarray:
 def power_decomposition(gate: PermutationGate) -> PowerDecomposition:
     """Decompose h0 = i log(gate) as sum_k c_k gate**k, k = 0..n-1."""
     h = principal_log(gate).matrix
-    n = gate_order(gate).n
+    n = gate_order(gate)
     coeffs = decomposition_coefficients(n)
     u = gate_matrix(gate)
     recon = np.zeros_like(h)

@@ -34,7 +34,6 @@ class SpectrumAnalysis:
     ipr: np.ndarray
     overlaps: np.ndarray       # (n_states, n_reference) overlap amplitudes
     flagged: np.ndarray        # overlap amplitude above the flag threshold
-    flag_threshold: float = FLAG_THRESHOLD
 
 
 def analyze_spectrum(hamiltonian, subset: BasisSubset, reference_states=(),
@@ -55,7 +54,7 @@ def analyze_spectrum(hamiltonian, subset: BasisSubset, reference_states=(),
     order = prop.level_order
     overlaps = np.concatenate(overlaps)[order]
     flagged = np.any(overlaps > flag_threshold, axis=1)
-    return SpectrumAnalysis(prop.energies, np.concatenate(ipr)[order], overlaps, flagged, flag_threshold)
+    return SpectrumAnalysis(prop.energies, np.concatenate(ipr)[order], overlaps, flagged)
 
 
 def _fixed_basis(block: MomentumBlock, refs) -> np.ndarray:

@@ -299,6 +299,32 @@ def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--model", "qmbs-c", "--state", "polarized"], EXIT_CONFIG,
+     "--state must lie in the working subspace of qmbs-c at L=8 (got polarized)"),
+    (["--model", "pxp", "--state", "00000000"], EXIT_CONFIG,
+     "--state must lie in the working subspace of pxp at L=8 (got 00000000)"),
+    (["--model", "pxp", "--site", "2"], EXIT_NUMERICAL, "--site needs a dense eigensolve, refused at dimension"),
+])
+def test_revivals_refuses_unusable_state_or_site_before_building(flags, code, message, tmp_path, monkeypatch,
+                                                                 capsys):
+    # a start state outside the working subspace, or a <Z_site> trace whose
+    # microcanonical average needs a dense solve above the limit, refuses
+    # before H is built, let alone evolved
+    from scarforge import dynamics, hamiltonian
+
+    def reached(*args, **kwargs):
+        raise AssertionError("H was built")
+
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 10)
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", reached)
+    out = tmp_path / "trace.csv"
+    assert run(["revivals", "-L", "8", "--out", str(out)] + flags) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bandwidth", ["0", "-3"])
 def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, monkeypatch, capsys):
     from scarforge import hamiltonian

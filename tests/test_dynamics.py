@@ -203,7 +203,8 @@ def test_local_z_trace_wide_window_is_trace_average(pxp_chain):
     res = prop.evolve(psi0, np.arange(0.0, 5.0, 1.0))
     series, z_mc = local_z_trace(prop, psi0, res, 2, energy_window=1e6)
     z = z_diagonal(sub, 2)
-    expected = float(np.mean([np.sum(np.abs(prop.modes[:, k]) ** 2 * z) for k in range(sub.size)]))
+    modes = prop.modes    # built on each read: once here, not once per level
+    expected = float(np.mean([np.sum(np.abs(modes[:, k]) ** 2 * z) for k in range(sub.size)]))
     assert z_mc == pytest.approx(expected)
     assert series[0] == pytest.approx(z[sub.position(seed)])
 

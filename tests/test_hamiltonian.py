@@ -232,7 +232,7 @@ def sector_vectors(basis):
     """Dense matrix whose columns are the normalized signed orbit sums."""
     slots = np.flatnonzero(basis.orbit >= 0)
     cols = basis.orbit[slots]
-    vecs = np.zeros((basis.subset.size, basis.size))
+    vecs = np.zeros((len(basis.orbit), basis.size))
     vecs[slots, cols] = basis.sign[slots] / np.sqrt(basis.sizes[cols])
     return vecs
 
@@ -448,13 +448,12 @@ def test_momentum_sectors_split_the_operator(models, name, length):
 
 
 def test_momentum_sector_refusals():
-    sub = BasisSubset.full_space(8)
-    with pytest.raises(ValueError, match="given twice"):
-        SymmetrySector((("S2", 1),), momentum=0)
-    # USM maps k to -k: it labels k = 0 and k = M/2 = 2 only
-    sector_basis(sub, SymmetrySector((("USM", 1),), momentum=2))
-    with pytest.raises(ValueError, match="USM maps momentum"):
-        sector_basis(sub, SymmetrySector((("USM", 1),), momentum=1))
+    # S2 would be asked twice; USM maps k to -k, and at k = 0 and M/2 the
+    # S2 = +1 and -1 signs already ask for the sectors it labels
+    for operators in ((("S2", 1),), (("USM", 1),)):
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError, match="momentum sector takes no other operator"):
+                SymmetrySector(operators, momentum=k)
 
 
 def test_sector_rejects_repeated_operator():

@@ -52,13 +52,13 @@ def test_registry_table_rows(models):
     nophase = models["pxp-nophase"]
     assert nophase.gate.perm == pxp.gate.perm
     assert np.allclose(nophase.gate.phases, 1.0)
-    assert gate_order(nophase.gate).n == 2
+    assert gate_order(nophase.gate) == 2
 
 
 def test_expected_orders(models):
     for name in MODEL_NAMES:
         m = models[name]
-        assert gate_order(m.gate).n == m.expected["n"]
+        assert gate_order(m.gate) == m.expected["n"]
 
 
 def test_spin_representations(models):

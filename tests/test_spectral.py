@@ -110,7 +110,7 @@ def test_convention_fixes_degenerate_groups(name, length, full, rng):
     analysis = analyze_spectrum(h, sub, refs)
     assert_rotation_invariant(analysis, h, sub, refs, rng)
     if name == "qmbs-c":
-        assert np.count_nonzero(np.any(analysis.overlaps[:, :2] > analysis.flag_threshold, axis=1)) == length // 2 + 1
+        assert np.count_nonzero(np.any(analysis.overlaps[:, :2] > spectral.FLAG_THRESHOLD, axis=1)) == length // 2 + 1
 
 
 def test_qmbs_c_flagged_tower_spacing_pi():
@@ -209,7 +209,7 @@ def test_pxp_scar_branch_approximately_equidistant():
     analysis = analyze_spectrum(chain.h, sub, refs)
     best = analysis.overlaps.max(axis=1)
     branch = np.sort(analysis.eigenvalues[np.argsort(best)[-(L + 1):]])
-    assert np.all(best[np.argsort(best)[-(L + 1):]] > analysis.flag_threshold)
+    assert np.all(best[np.argsort(best)[-(L + 1):]] > spectral.FLAG_THRESHOLD)
     # the scar branch is far less spread out than typical eigenstates
     assert np.median(analysis.ipr[np.argsort(best)[-(L + 1):]]) < 0.5 * np.median(analysis.ipr)
     clusters = [[branch[0]]]
