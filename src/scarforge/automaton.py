@@ -38,6 +38,8 @@ class FloquetCircuit:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        if self.length < self.gate.width:
+            raise ValueError(f"chain length L={self.length} is shorter than the gate width {self.gate.width}")
         if self.length % 2 != 0:
             raise ValueError("circuits need even L")
         if self.geometry == "stride2" and not _same_layer_gates_commute(self.gate):
@@ -113,10 +115,6 @@ def floquet_map(circuit: FloquetCircuit, index: int) -> tuple[int, complex]:
     return index, phase
 
 
-class CycleOverflowError(RuntimeError):
-    """The seed did not recur within the allowed number of periods."""
-
-
 @dataclass(frozen=True)
 class OrbitCycle:
     """A cycle of basis states under U_F with its accumulated phase angle.
@@ -158,12 +156,8 @@ def _orbit_cycle(length: int, states, walk, total) -> OrbitCycle:
     return OrbitCycle(tuple(states), tuple(walk), float(wrap_angle(np.angle(total))), length)
 
 
-def orbit_of(circuit: FloquetCircuit, seed: int, l_max: int | None = None) -> OrbitCycle:
-    """Iterate U_F from the seed index until it recurs, recording phases exactly."""
-    if l_max is None:
-        l_max = 1 << circuit.length
-    cycle = walk_cycle(lambda index: floquet_map(circuit, index), int(seed), l_max)
-    if cycle is None:
-        raise CycleOverflowError(f"no recurrence within {l_max} applications")
-    return _orbit_cycle(circuit.length, *cycle)
+def orbit_of(circuit: FloquetCircuit, seed: int) -> OrbitCycle:
+    """Iterate U_F from the seed index until it recurs, recording phases
+    exactly.  The Floquet map permutes the 2^L states, so every seed recurs."""
+    return _orbit_cycle(circuit.length, *walk_cycle(lambda index: floquet_map(circuit, index), int(seed)))
 

@@ -56,24 +56,23 @@ class PermutationGate:
         return [[v + 1 for v in values] for values in self.value_cycles() if len(values) > 1]
 
 
-def walk_cycle(step, start: int, limit: int | None = None):
-    """Follow step(v) = (image, phase) from `start` until it returns.
+def walk_cycle(step, start: int):
+    """Follow step(v) = (image, phase) from `start` until it returns; `step`
+    must permute a finite set, so that it does.
 
     Returns the cycle's values in walk order, the walk phases (walk[k] is the
     product of the phases picked up on the way from `start` to values[k]) and
-    the total phase of one full turn; None when `start` does not recur within
-    `limit` steps.
+    the total phase of one full turn.
     """
     values, walk = [], []
     v, acc = start, 1.0 + 0.0j
-    while len(values) != limit:
+    while True:
         values.append(v)
         walk.append(acc)
         v, phase = step(v)
         acc = acc * phase
         if v == start:
             return values, walk, acc
-    return None
 
 
 def phased_cycles(perm, phases) -> list[tuple[list[int], list[complex], complex]]:

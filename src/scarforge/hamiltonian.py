@@ -273,7 +273,7 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
     """The first P of ANTIUNITARY_CANDIDATES for which Theta = K P commutes
     with `mat`, |P mat P - mat*| <= ANTIUNITARY_TOL: its name, its slot map
     and that deviation.  When none does, (None, None, the smallest deviation
-    measured), infinite when the subset is invariant under no candidate.
+    measured), which is finite: the identity candidate applies to every subset.
 
     Each candidate is an involution that maps S2 to S2 or its inverse and
     USM to itself, so Theta^2 = 1 and Theta keeps every sector with real

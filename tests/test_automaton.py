@@ -75,16 +75,6 @@ def test_pxp_protected_cycle(models):
     assert abs(orb.phi) < 1e-12
 
 
-def test_orbit_overflow(models):
-    from scarforge.automaton import CycleOverflowError
-
-    c = models["pxp"].circuit(8)
-    for l_max in (0, 2):
-        with pytest.raises(CycleOverflowError):
-            orbit_of(c, tile_pattern("1", 8), l_max=l_max)  # the cycle has length 3
-    assert orbit_of(c, tile_pattern("1", 8), l_max=3).cycle_length == 3
-
-
 def test_eigenphase_ladder(models):
     L = 12
     c = models["pxp"].circuit(L)
