@@ -152,12 +152,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         piece = min(max(growth, 1.0) * largest, full)
         stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in formed(deg))
         need = sum(held) + (deg + 4) * piece + stacked
-        have = dynamics.available_bytes()
-        if need > have:
-            raise dynamics.ResourceLimitError(
-                f"series order {deg} needs about {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; "
-                "lower the order or use a smaller subspace"
-            )
+        dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
         for k in formed(deg):
             pairs = operands(k, deg)
             if pairs:

@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error (a chain length L shorter than
-the gate width included), 3 numerical-guard violation (norm drift,
-non-closed subset) or resource limit (dense dimension guard, checked by
-`ipr` and `rstat` before H is built, memory pre-flight, an allocation that
-failed), 4 unknown model.  Thread count comes from --threads (or a config
-file's threads= key), else from SCARFORGE_THREADS, must be at least 1, and
-is applied to the BLAS pool before numpy loads: this module imports no
-numpy, and `run` loads the handlers of `scarforge.commands` only after the
-thread variables are exported.  All outputs are byte-identical for a fixed
-configuration and thread count; another thread count can move the last
-printed digits, as threaded BLAS/LAPACK sums in another order.
+Exit codes: 0 success, 2 configuration error (an L shorter than the gate
+width, an out-of-range flag such as revivals' --dt, --tmax, --site or
+--window, refused before anything is built), 3 numerical-guard violation (norm
+drift, non-closed subset) or resource limit (dense dimension guard, checked by
+`ipr` and `rstat` before H is built, memory pre-flight, a failed allocation),
+4 unknown model.  --threads and --config may stand before or after the
+subcommand.  The thread count, from --threads, else a config file's threads=,
+else SCARFORGE_THREADS, must be at least 1 and is applied to the BLAS pool
+before numpy loads: this module imports no numpy, and `run` loads
+`scarforge.commands` only after the thread variables are exported.  All
+outputs are byte-identical for a fixed configuration and thread count; another
+thread count can move the last printed digits, as threaded BLAS/LAPACK sums in
+another order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ EXIT_NUMERICAL = 3
 EXIT_UNKNOWN_MODEL = 4
 
 
-def _read_config_file(path) -> dict:
+def _config_flags(path) -> tuple[list[str], str | None]:
+    """A config file's key=value lines as flags, its threads= apart; config= is skipped."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -35,13 +38,19 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        values[key.strip().replace("_", "-")] = value.strip()
+    threads = values.pop("threads", None)
+    values.pop("config", None)
+    flags = []
+    for key, value in values.items():
+        flag = "-L" if key in ("L", "length") else "--" + key
+        flags += {"true": [flag], "false": []}.get(value.lower(), [flag, value])
+    return flags, threads
 
 
 def _top_options() -> argparse.ArgumentParser:
-    """The options that precede the subcommand."""
-    top = argparse.ArgumentParser(add_help=False)
+    """The options that may stand before or after the subcommand."""
+    top = argparse.ArgumentParser(prog="scarforge", add_help=False, allow_abbrev=False)
     top.add_argument("--threads", type=int, default=None, help="BLAS/worker thread count")
     top.add_argument("--config", default=None, help="key=value file of defaults")
     return top
@@ -113,28 +122,19 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise ValueError(f"{flag} must {rule} (got {value})")
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """argv with the --config file's keys spliced in as flags: keys that name
-    top-level options go before the subcommand and the rest right after it,
-    so explicitly passed flags, which come later, still win."""
-    top = _top_options()
-    split = argparse.ArgumentParser(add_help=False, exit_on_error=False, parents=[top])
-    split.add_argument("command", nargs="?")
-    split.add_argument("rest", nargs=argparse.REMAINDER)
-    try:
-        known, _ = split.parse_known_args(argv)
-    except argparse.ArgumentError:
-        return argv  # the full parser reports it
-    if not known.config or known.command is None:
-        return argv
-    top_keys = vars(top.parse_args([]))
-    head, tail = [], []
-    for key, value in _read_config_file(known.config).items():
-        flag = "-L" if key in ("L", "length") else "--" + key.replace("_", "-")
-        words = {"true": [flag], "false": []}.get(value.lower(), [flag, value])
-        (head if key in top_keys else tail).extend(words)
-    cut = len(argv) - len(known.rest)
-    return head + argv[:cut] + tail + argv[cut:]
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """argv with --threads and --config taken wherever they stand, by their
+    full names; the config file's flags go right after the subcommand, so
+    explicit flags, which come later, still win."""
+    top, rest = _top_options().parse_known_args(argv)
+    parser = build_parser()
+    flags, file_threads = _config_flags(top.config) if top.config else ([], None)
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cut = next((i + 1 for i, word in enumerate(rest) if word in commands), None)
+    args = parser.parse_args(rest if cut is None else rest[:cut] + flags + rest[cut:])
+    _require(args.config is None, "--config", "be spelled in full", args.config)
+    args.threads = next((t for t in (top.threads, args.threads, file_threads) if t is not None), None)
+    return args
 
 
 def _export_threads(args) -> None:
@@ -152,9 +152,8 @@ def _export_threads(args) -> None:
 
 
 def run(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        args = _parse_args(argv)
         _export_threads(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

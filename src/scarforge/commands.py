@@ -122,6 +122,7 @@ def cmd_revivals(args) -> int:
     _require(args.dt > 0, "--dt", "be positive", args.dt)
     _require(args.tmax >= 0, "--tmax", "be at least 0", args.tmax)
     _require(args.site is None or 1 <= args.site <= args.length, "--site", f"lie in 1..{args.length}", args.site)
+    _require(args.site is None or args.window > 0, "--window", "be positive", args.window)
     model = models.load_model(args.model)
     circuit = model.circuit(args.length)
     # the orbit first: a stride4 length of 2 mod 4 has an H but no automaton

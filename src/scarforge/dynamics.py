@@ -118,6 +118,13 @@ def available_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def admit(need: int, what: str, advice: str) -> None:
+    """Raise ResourceLimitError when `need` bytes exceed `available_bytes()`."""
+    have = available_bytes()
+    if need > have:
+        raise ResourceLimitError(f"{what} {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; {advice}")
+
+
 @dataclass
 class EvolutionResult:
     """The amplitude history of one evolved state over the subset basis."""
@@ -304,12 +311,7 @@ class Propagator:
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
         need = (len(times) * self.subset.size + self._work_entries(len(times))) * COMPLEX_BYTES
-        have = available_bytes()
-        if need > have:
-            raise ResourceLimitError(
-                f"evolution holds {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; "
-                "shorten the time grid"
-            )
+        admit(need, "evolution holds", "shorten the time grid")
         psi0 = np.asarray(initial, dtype=complex)
         if self.method == "dense":
             amps, norms = self._evolve_dense(psi0, times)

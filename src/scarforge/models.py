@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .automaton import FloquetCircuit
+from .automaton import FloquetCircuit, orbit_of
 from .basis import BasisSubset, set_window, tile_pattern, window_value
 from .gate import PermutationGate, gate_from_json, gate_matrix, gate_to_json
 from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log, window_sum
@@ -258,8 +258,6 @@ def sga_check(length: int, epsilon: float = np.pi) -> float:
 
 def neel_orbit_states(model: ModelDefinition, length: int) -> list[int]:
     """The protected orbit of the model's seed, as state indices."""
-    from .automaton import orbit_of
-
     orbit = orbit_of(model.circuit(length), model.orbit_seed(length))
     return list(orbit.states)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 
 def format_value(x) -> str:
     if isinstance(x, bool):
@@ -70,8 +72,6 @@ COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 def write_svg_lines(path, title: str, x, series: dict) -> None:
     """Self-contained line plot on a log y axis; series maps label -> values."""
-    import numpy as np
-
     width, height, pad = 640, 420, 50
     x = np.asarray(x, dtype=float)
     parts = _svg_header(width, height, title)
@@ -103,8 +103,6 @@ def write_svg_lines(path, title: str, x, series: dict) -> None:
 
 def write_svg_scatter(path, title: str, x, y, flagged) -> None:
     """Scatter plot on a log y axis with flagged points visually distinguished."""
-    import numpy as np
-
     width, height, pad = 640, 420, 50
     x = np.asarray(x, dtype=float)
     y = np.log10(np.maximum(np.asarray(y, dtype=float), 1e-16))

@@ -372,10 +372,8 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     length = 8
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
-    need, have = _search_bytes(probe, neel, constraints.order), dynamics.available_bytes()
-    if need > have:
-        raise dynamics.ResourceLimitError(f"search order {constraints.order} needs about {need / 1e9:.2f} GB, "
-                                          f"{have / 1e9:.2f} GB available; lower the order")
+    need = _search_bytes(probe, neel, constraints.order)
+    dynamics.admit(need, f"search order {constraints.order} needs about", "lower the order")
     states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
     words = _span_words(probe, states, sites)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)

@@ -307,12 +307,18 @@ def test_search_rejects_top_below_one(top, tmp_path, capsys):
     (["--dt", "0"], "--dt must be positive (got 0.0)"),
     (["--dt", "-0.1"], "--dt must be positive (got -0.1)"),
     (["--tmax", "-1"], "--tmax must be at least 0 (got -1.0)"),
+    (["--site", "2", "--window", "0"], "--window must be positive (got 0.0)"),
 ])
 def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp_path, monkeypatch, capsys):
     from scarforge import hamiltonian
 
     built = []
-    monkeypatch.setattr(hamiltonian, "build_hamiltonian", lambda *a, **k: built.append(a))
+
+    def reached(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("H was built")
+
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", reached)
     out = tmp_path / "trace.csv"
     assert run(["revivals", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -439,6 +445,8 @@ def test_every_subcommand_has_a_handler():
 
 
 def test_config_file_defaults(tmp_path):
+    # the same defaults whether --config stands before or after the
+    # subcommand; a config= key inside the file is skipped
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=qmbs-c\nlength=8\ntype=I\n")
     out = tmp_path / "rules.json"
@@ -446,6 +454,13 @@ def test_config_file_defaults(tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["total"] == 350
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(cfg.read_text() + "config=elsewhere.cfg\n")
+    after = tmp_path / "after.json"
+    assert run(["rules", "--out", str(after), "--config", str(nested)]) == EXIT_OK
+    assert after.read_bytes() == out.read_bytes()
+    # only the full name is taken, so an abbreviation is refused, not ignored
+    assert run(["--conf", str(cfg), "rules", "--model", "qmbs-c", "--out", str(after)]) == EXIT_CONFIG
 
 
 def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch):
@@ -481,42 +496,49 @@ class NumpyImportProbe:
 sys.meta_path.insert(0, NumpyImportProbe())
 import scarforge.cli
 loaded_early = "numpy" in sys.modules
-code = scarforge.cli.run(json.loads(sys.argv[1]) + ["orbit", "--model", "pxp", "-L", "8", "--out", os.devnull])
+code = scarforge.cli.run(json.loads(sys.argv[1]))
 print(json.dumps({"loaded_early": loaded_early, "code": code, "seen": NumpyImportProbe.seen}))
 """
 
 
 def test_threads_applied_before_numpy_loads(tmp_path):
     # the count comes from the flag, from a config file's threads= key, or
-    # from the flag over a config file that names another count
+    # from the flag over a config file that names another count, with the
+    # flags before or after the subcommand
+    one, three = str(tmp_path / "one.cfg"), str(tmp_path / "three.cfg")
     (tmp_path / "one.cfg").write_text("threads=1\n")
     (tmp_path / "three.cfg").write_text("threads=3\n")
+    orbit = ["orbit", "--model", "pxp", "-L", "8", "--out", os.devnull]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.pop("SCARFORGE_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for flags in (["--threads", "1"], ["--config", str(tmp_path / "one.cfg")],
-                  ["--config", str(tmp_path / "three.cfg"), "--threads", "1"]):
+    for argv in (["--threads", "1"] + orbit, ["--config", one] + orbit, ["--config", three, "--threads", "1"] + orbit,
+                 orbit + ["--threads", "1"], orbit + ["--config", one], orbit + ["--config", three, "--threads", "1"],
+                 ["--config", three] + orbit + ["--threads", "1"]):
         proc = subprocess.run(
-            [sys.executable, "-c", THREAD_PROBE, json.dumps(flags)], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", THREAD_PROBE, json.dumps(argv)], env=env, capture_output=True, text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert not result["loaded_early"]
-        assert result["code"] == EXIT_OK, flags
-        assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, flags
+        assert result["code"] == EXIT_OK, argv
+        assert result["seen"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, argv
 
 
-@pytest.mark.parametrize("flags, env, message", [
-    (["--threads", "0"], None, "--threads must be at least 1 (got 0)"),
-    (["--threads", "-2"], None, "--threads must be at least 1 (got -2)"),
-    (["--config", "zero.cfg"], None, "--threads must be at least 1 (got 0)"),
-    ([], "0", "SCARFORGE_THREADS must be at least 1 (got 0)"),
-], ids=["flag-0", "flag-negative", "config-0", "env-0"])
-def test_threads_below_one_refused(flags, env, message, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flags, after, env, message", [
+    (["--threads", "0"], False, None, "--threads must be at least 1 (got 0)"),
+    (["--threads", "-2"], False, None, "--threads must be at least 1 (got -2)"),
+    (["--config", "zero.cfg"], False, None, "--threads must be at least 1 (got 0)"),
+    ([], False, "0", "SCARFORGE_THREADS must be at least 1 (got 0)"),
+    (["--threads", "0"], True, None, "--threads must be at least 1 (got 0)"),
+    (["--config", "zero.cfg"], True, None, "--threads must be at least 1 (got 0)"),
+], ids=["flag-0", "flag-negative", "config-0", "env-0", "flag-0-after", "config-0-after"])
+def test_threads_below_one_refused(flags, after, env, message, tmp_path, monkeypatch, capsys):
     # refused from the flag, a config file's threads= or SCARFORGE_THREADS,
-    # before any thread variable is exported
+    # before any thread variable is exported, with the flags before or after
+    # the subcommand
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zero.cfg").write_text("threads=0\n")
     thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -526,7 +548,8 @@ def test_threads_below_one_refused(flags, env, message, tmp_path, monkeypatch, c
         monkeypatch.delenv("SCARFORGE_THREADS", raising=False)
     else:
         monkeypatch.setenv("SCARFORGE_THREADS", env)
-    assert run(flags + ["orbit", "--model", "pxp", "-L", "8", "--out", "orbit.json"]) == EXIT_CONFIG
+    orbit = ["orbit", "--model", "pxp", "-L", "8", "--out", "orbit.json"]
+    assert run(orbit + flags if after else flags + orbit) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert all(os.environ[var] == "7" for var in thread_vars)
     assert not (tmp_path / "orbit.json").exists()
