@@ -138,10 +138,3 @@ class BasisSubset:
         if np.any(slots < 0):
             raise KeyError(int(np.asarray(indices, dtype=np.int64)[slots < 0][0]))
         return slots
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisSubset)
-            and self.length == other.length
-            and np.array_equal(self.states, other.states)
-        )

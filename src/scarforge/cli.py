@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 configuration error (an L shorter than the gate
 width, an out-of-range flag such as revivals' --dt, --tmax, --site or
 --window, refused before anything is built), 3 numerical-guard violation (norm
 drift, non-closed subset) or resource limit (dense dimension guard, checked by
-`ipr` and `rstat` before H is built, memory pre-flight, a failed allocation),
-4 unknown model.  --threads and --config may stand before or after the
-subcommand.  The thread count, from --threads, else a config file's threads=,
+`ipr` and `rstat` before H is built, search work bound, memory pre-flight, a
+failed allocation), 4 unknown model.  --threads and --config may stand before
+or after the subcommand.  The thread count, from --threads, else a config file's threads=,
 else SCARFORGE_THREADS, must be at least 1 and is applied to the BLAS pool
 before numpy loads: this module imports no numpy, and `run` loads
 `scarforge.commands` only after the thread variables are exported.  All

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,16 +107,29 @@ def dense_fits(levels: int) -> bool:
     return levels <= DENSE_GUARD
 
 
-def available_bytes() -> int:
-    """The kernel's MemAvailable estimate, else total physical memory."""
+def _proc_bytes(path: str, key: str) -> int | None:
+    """The `key: N kB` line of a /proc file in bytes, or None."""
     try:
-        with open("/proc/meminfo") as fh:
+        with open(path) as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(key):
                     return int(line.split()[1]) * 1024
     except OSError:
         pass
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return None
+
+
+def available_bytes() -> int:
+    """The kernel's MemAvailable estimate, else total physical memory; under
+    a finite RLIMIT_AS soft limit, at most that limit less this process's
+    VmSize, the address space it may still map."""
+    have = _proc_bytes("/proc/meminfo", "MemAvailable:")
+    if have is None:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if cap != resource.RLIM_INFINITY:
+        have = min(have, cap - (_proc_bytes("/proc/self/status", "VmSize:") or 0))
+    return have
 
 
 def admit(need: int, what: str, advice: str) -> None:

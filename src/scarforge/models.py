@@ -24,7 +24,8 @@ import scipy.sparse as sp
 from .automaton import FloquetCircuit, orbit_of
 from .basis import BasisSubset, set_window, tile_pattern, window_value
 from .gate import PermutationGate, gate_from_json, gate_matrix, gate_to_json
-from .hamiltonian import build_hamiltonian, krylov_subspace, principal_log, window_sum
+from .hamiltonian import build_hamiltonian, krylov_subspace, window_sum
+from .logmap import principal_log
 from .tolerances import ASSEMBLY_PRUNE
 
 MODEL_NAMES = ("qmbs-a", "qmbs-b", "qmbs-c", "pxp", "pxp-nophase")

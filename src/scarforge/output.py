@@ -18,8 +18,6 @@ def format_value(x) -> str:
         return "1" if x else "0"
     if isinstance(x, float):
         return f"{x:.12g}"
-    if isinstance(x, complex):
-        return f"{x.real:.12g}{x.imag:+.12g}j"
     return str(x)
 
 

@@ -38,7 +38,7 @@ from .automaton import FloquetCircuit
 from .basis import set_window, tile_pattern, translate_index, window_value
 from .gate import identity_gate
 from .logmap import principal_log
-from .tolerances import ASSEMBLY_PRUNE, RULE_PHASE_TOL, TYPE2_TOL
+from .tolerances import ASSEMBLY_PRUNE, RULE_PHASE_TOL, SEARCH_NODE_GUARD, TYPE2_TOL
 
 
 @dataclass
@@ -324,28 +324,24 @@ def _cycle_labels(walk: np.ndarray, lengths: np.ndarray) -> list:
 _GATE_BLOCK = 128
 
 
-def _search_bytes(probe: FloquetCircuit, neel: np.ndarray, order: int) -> int:
-    """Bytes a search of this order holds at once: one gate block's two int64
-    power trees of order^3 nodes per gate and distinct span word and their
-    agreement mask, and per rule instance seven int64 columns (state, site,
-    three powers, span word and its index), the block's hit flags and the
-    Python power triple (72 bytes) it is listed from."""
+def _search_cost(probe: FloquetCircuit, neel: np.ndarray, order: int, gates: int) -> tuple[int, int]:
+    """Bytes a search of this order holds at once, and the power-tree nodes
+    it visits scoring `gates` gates: two trees of order^3 nodes per gate and
+    distinct span word.  The bytes are one gate block's two int64 trees and
+    their agreement mask, and per rule instance seven int64 columns (state,
+    site, three powers, span word and its index), the block's hit flags and
+    the Python power triple (72 bytes) it is listed from."""
     states, sites = np.array(_state_site_classes(probe, neel.tolist()), dtype=np.int64).T
-    nodes = order ** 3 * _GATE_BLOCK * len(np.unique(_span_words(probe, states, sites)))
+    trees = order ** 3 * len(np.unique(_span_words(probe, states, sites)))
     rows = len(states) * (order - 1) * (order * order - 1)
-    return (2 * 8 + 1) * nodes + rows * (7 * 8 + _GATE_BLOCK + 72)
+    need = (2 * 8 + 1) * trees * _GATE_BLOCK + rows * (7 * 8 + _GATE_BLOCK + 72)
+    return need, 2 * trees * gates
 
 
-def _search_block(perms3, walk, lengths, probe, neel, require_cycle, words, powers) -> list[SearchResult]:
-    """Search rows for one block of three-qubit permutations, with the rows
-    of their `_cycle_walk`, in block order."""
-    perms = lift_three_qubit_permutation(perms3)
-    x, rows = np.repeat(neel[None], len(perms), axis=0), np.arange(len(perms))[:, None]
-    for site in probe.first_layer_sites + probe.second_layer_sites:    # one period of the whole stack
-        x = set_window(x, site, 4, probe.length, perms[rows, window_value(x, site, 4, probe.length)])
-    is_cycle = np.all(x == neel[::-1], axis=1)    # the two Neel states swap
-    if require_cycle:
-        perms, walk, lengths, is_cycle = (a[is_cycle] for a in (perms, walk, lengths, is_cycle))
+def _search_block(perms, walk, lengths, is_cycle, probe, words, powers) -> list[SearchResult]:
+    """Search rows for one block of lifted permutation tables, with the rows
+    of their `_cycle_walk` and whether their Neel orbit is a 2-cycle, in
+    block order."""
     satisfied = _type1_hits(_layout(*_span(probe)), perms, None, words, powers).sum(axis=1)
     orders = np.lcm.reduce(lengths, axis=1).tolist()
     scored = zip(_cycle_labels(walk, lengths), satisfied.tolist(), orders, is_cycle.tolist())
@@ -356,15 +352,17 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     """Exhaustively score the 8! trailing-qubit-trivial phase-free gates.
 
     Gates whose permutation order does not divide the order filter are
-    skipped; survivors are ranked by satisfied rules (descending), ties kept
+    skipped, and with `require_orbit_cycle` gates whose Neel orbit is no
+    2-cycle; survivors are ranked by satisfied rules (descending), ties kept
     in the lexicographic enumeration order of the underlying permutations, so
     the output is deterministic.  Rules are scored at L = 8, the stride4
     rule span, which gives every longer chain's ratios.  The rule instances
     on the alternating orbit do not depend on the gate: their span words and
     powers are built once, and the survivors are scored on them in
-    fixed-size blocks, one array pass per block; a search whose
-    `_search_bytes` exceed the available memory raises ResourceLimitError
-    before the instances are listed.  The search runs in this process;
+    fixed-size blocks, one array pass per block.  A search whose
+    `_search_cost` visits more than SEARCH_NODE_GUARD tree nodes, or holds
+    more bytes than are available, raises ResourceLimitError after these
+    filters and before the instances are listed.  The search runs in this process;
     `workers` is accepted for callers that still pass it and must be 1.
     """
     if workers != 1:
@@ -372,16 +370,25 @@ def search_models(constraints: SearchConstraints = SearchConstraints(), workers:
     length = 8
     probe = FloquetCircuit(identity_gate(4), length, "stride4")
     neel = np.array([tile_pattern(p, length) for p in ("10", "01")])
-    need = _search_bytes(probe, neel, constraints.order)
-    dynamics.admit(need, f"search order {constraints.order} needs about", "lower the order")
-    states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
-    words = _span_words(probe, states, sites)
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(8))), np.int8).reshape(-1, 8)
     # the order filter: a permutation's order is the lcm of its cycle lengths
     walk, lengths = _cycle_walk(perms)
     keep = constraints.order % np.lcm.reduce(lengths, axis=1, dtype=np.int64) == 0
-    perms, walk, lengths = perms[keep], walk[keep], lengths[keep]
-    args = (probe, neel, constraints.require_orbit_cycle, words, powers)
-    scored = [_search_block(perms[i:i + _GATE_BLOCK], walk[i:i + _GATE_BLOCK], lengths[i:i + _GATE_BLOCK], *args)
-              for i in range(0, len(perms), _GATE_BLOCK)]
+    perms, walk, lengths = lift_three_qubit_permutation(perms[keep]), walk[keep], lengths[keep]
+    x, rows = np.repeat(neel[None], len(perms), axis=0), np.arange(len(perms))[:, None]
+    for site in probe.first_layer_sites + probe.second_layer_sites:    # one period of the whole stack
+        x = set_window(x, site, 4, probe.length, perms[rows, window_value(x, site, 4, probe.length)])
+    is_cycle = np.all(x == neel[::-1], axis=1)    # the two Neel states swap
+    if constraints.require_orbit_cycle:
+        perms, walk, lengths, is_cycle = (a[is_cycle] for a in (perms, walk, lengths, is_cycle))
+    what = f"search order {constraints.order} needs about"
+    need, nodes = _search_cost(probe, neel, constraints.order, len(perms))
+    if nodes > SEARCH_NODE_GUARD:
+        raise dynamics.ResourceLimitError(
+            f"{what} {nodes:.2g} power-tree nodes, above the bound of {SEARCH_NODE_GUARD:.0e}; lower the order")
+    dynamics.admit(need, what, "lower the order")
+    states, sites, powers = enumerate_rule_instances(probe, neel.tolist(), constraints.order)
+    words = _span_words(probe, states, sites)
+    blocks = [slice(i, i + _GATE_BLOCK) for i in range(0, len(perms), _GATE_BLOCK)]
+    scored = [_search_block(perms[b], walk[b], lengths[b], is_cycle[b], probe, words, powers) for b in blocks]
     return sorted((r for block in scored for r in block), key=lambda r: -r.satisfied)

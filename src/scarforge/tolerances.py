@@ -39,3 +39,5 @@ NORM_DRIFT_ABORT = 1e-6       # norm drift that aborts a propagation
 CHEBYSHEV_TAIL_TOL = 1e-15    # bound on the dropped Chebyshev tail of one propagation window
 DENSE_GUARD = 6000            # largest dimension given to a dense eigensolver; read only by
                               # dynamics.dense_fits, which Propagator, analyze_spectrum and rstat call
+SEARCH_NODE_GUARD = 5 * 10**9  # most power-tree nodes a gate search visits, 2 order^3 per distinct span
+                              # word per gate scored: admits order 40, refuses 60

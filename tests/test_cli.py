@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,13 +54,22 @@ def test_orbit_bad_seed():
     assert run(["orbit", "--model", "pxp", "-L", "8", "--seed", "21"]) == EXIT_CONFIG
 
 
+def assert_line_svgs(svg1, svg2, series):
+    # two runs write byte-identical SVG that parses as XML, one polyline per series
+    assert svg1.read_bytes() == svg2.read_bytes()
+    root = ET.parse(svg1).getroot()
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == series
+
+
 def test_revivals_deterministic(tmp_path):
     args = ["revivals", "--model", "qmbs-c", "-L", "8", "--state", "neel",
             "--tmax", "10", "--dt", "0.5"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(args + ["--out", str(out1)]) == EXIT_OK
-    assert run(args + ["--out", str(out2)]) == EXIT_OK
+    svg1, svg2 = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run(args + ["--out", str(out1), "--svg", str(svg1)]) == EXIT_OK
+    assert run(args + ["--out", str(out2), "--svg", str(svg2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    assert_line_svgs(svg1, svg2, 2)
     lines = out1.read_text().splitlines()
     assert lines[0].startswith("# scarforge")
     assert lines[2].startswith("# config=")
@@ -221,9 +232,11 @@ def test_rstat_repeated_sector_operator(capsys):
 
 def test_bch_command(tmp_path):
     out = tmp_path / "norms.csv"
-    code = run(["bch", "--model", "qmbs-c", "-L", "8", "--orders", "3",
-                "--subspace", "krylov", "--out", str(out)])
-    assert code == EXIT_OK
+    args = ["bch", "--model", "qmbs-c", "-L", "8", "--orders", "3", "--subspace", "krylov", "--out", str(out)]
+    svg1, svg2 = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run(args + ["--svg", str(svg1)]) == EXIT_OK
+    assert run(args + ["--svg", str(svg2)]) == EXIT_OK
+    assert_line_svgs(svg1, svg2, 3)
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "n,orbit_norm,leakage_norm,generic_norm"
     assert len(body) == 5
@@ -250,6 +263,24 @@ def test_search_command(tmp_path, capsys):
     assert re.fullmatch(r"search: 764 of 40320 gates scored in \d+\.\d\d s\n", capsys.readouterr().err)
 
 
+def test_search_require_cycle_keeps_the_cycle_rows(tmp_path, capsys):
+    # --require-cycle keeps the 44 gates whose Neel orbit is a 2-cycle, in
+    # the rank order of the unfiltered search, in the four rule classes
+    from scarforge.rules import SearchConstraints, search_models
+
+    out = tmp_path / "results.json"
+    assert run(["search", "--require-cycle", "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 44 and all(r["orbit_is_cycle"] for r in rows)
+    assert Counter(r["satisfied"] for r in rows) == {350: 36, 70: 4, 254: 2, 246: 2}
+    assert rows == [r.to_json() for r in search_models(SearchConstraints()) if r.orbit_is_cycle]
+    # the work bound counts the gates scored: order 60 alone is refused, but
+    # with the cycle filter it scores 76 gates and runs
+    capsys.readouterr()
+    assert run(["search", "--order", "60", "--require-cycle", "--top", "1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err.startswith("search: 76 of 40320 gates scored")
+
+
 def test_search_row_as_model_file_names_the_missing_key(tmp_path, capsys):
     # a search row is no model file: loading one exits 2 and names the first
     # key it lacks; a bad value is refused by the gate's own check
@@ -273,10 +304,12 @@ def test_search_rejects_invalid_constraints(capsys):
     assert "order must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order, available", [("6", 1 << 19), ("1000", None)])
+@pytest.mark.parametrize("order, available", [("6", 1 << 19), ("1000", None), ("60", None), ("100", None)])
 def test_search_memory_refusal_before_enumerating(order, available, tmp_path, monkeypatch, capsys):
-    # order 6 counts about 1.03 MB and 1000 about 4.9 TB: each is refused
-    # before its instances are listed or any gate is scored
+    # order 6 counts about 1.03 MB and 1000 about 4.9 TB; orders 60 and 100
+    # fit in memory but visit 2.6e10 and 4.6e10 power-tree nodes, above
+    # SEARCH_NODE_GUARD: each is refused before its instances are listed or
+    # any gate is scored
     from scarforge import dynamics, rules
 
     def reached(*args, **kwargs):
@@ -553,12 +586,3 @@ def test_threads_below_one_refused(flags, after, env, message, tmp_path, monkeyp
     assert message in capsys.readouterr().err
     assert all(os.environ[var] == "7" for var in thread_vars)
     assert not (tmp_path / "orbit.json").exists()
-
-
-def test_exported_names_resolve():
-    # a stale entry of the lazy export table would fail only at first use
-    import scarforge
-
-    for name in scarforge.__all__:
-        if name != "__version__":
-            assert scarforge.__getattr__(name) is getattr(scarforge, name)

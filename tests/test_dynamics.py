@@ -1,4 +1,5 @@
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -402,6 +403,24 @@ def test_history_refused_before_allocation(pxp_chain, monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert prop.evolve(psi0, times[:50]).amplitudes.shape == (50, sub.size)
+
+
+def test_available_bytes_respects_address_space_limit(pxp_chain, monkeypatch):
+    # under a finite RLIMIT_AS soft limit the estimate is at most the address
+    # space the process may still map, the limit less its VmSize: with 4 MB
+    # left, the 31 MB history of a 6001-point grid is refused
+    chain, sub, m = pxp_chain
+    uncapped = dynamics.available_bytes()
+    cap = dynamics._proc_bytes("/proc/self/status", "VmSize:") + (4 << 20)
+
+    def getrlimit(which):
+        assert which == resource.RLIMIT_AS
+        return cap, resource.RLIM_INFINITY
+
+    monkeypatch.setattr(resource, "getrlimit", getrlimit)
+    assert 0 < dynamics.available_bytes() <= 4 << 20 < uncapped
+    with pytest.raises(ResourceLimitError, match="GB available"):
+        Propagator(chain.h, sub).evolve(sub.basis_vector(m.orbit_seed(12)), np.arange(0.0, 300.025, 0.05))
 
 
 def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
