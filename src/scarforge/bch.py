@@ -15,9 +15,10 @@ Grading.  Z_n is homogeneous of degree n in X and Y, so Z_n = (-i)^n Z~_n,
 where Z~_n is the same recursion run on the Hermitian parts A~ = (A + A^dagger)/2
 and B~ in place of X and Y: every coefficient is real, and each commutator
 of degree d carries the factor (-i)^d.  Z~_n is Hermitian for odd n and
-anti-Hermitian for even n, so a commutator of pieces whose degrees sum to d
-costs one product: [P, Q] = PQ - (-1)^d (PQ)^dagger.  The series term is
-C_n = i Z_{n+1} = (-i)^n Z~_{n+1}, and C_0 = A~ + B~ is the closed form.
+anti-Hermitian for even n, so on whole matrices a commutator of pieces
+whose degrees sum to d costs one product: [P, Q] = PQ - (-1)^d (PQ)^dagger.
+The series term is C_n = i Z_{n+1} = (-i)^n Z~_{n+1}, and C_0 = A~ + B~ is
+the closed form.
 
 Parity.  Real layers (float64, as `hamiltonian.build_hamiltonian`
 assembles pxp, pxp-nophase and qmbs-c) run the recursion in float64.  Then
@@ -25,23 +26,44 @@ every Z~_n is real, C_n is exactly real for even n and exactly imaginary for
 odd n, and each product moves half the bytes of a complex one.
 
 Stacked products.  A table entry T(k, d) = sum_m [Z~_m, T(k-1, d-m)] is
-formed as one product hstack(Z~_m) @ vstack(T(k-1, d-m)), one graded
-adjoint and one prune.  Every operand is held in CSR form, whatever kind
-of matrix the caller passes: the Floquet-Magnus terms are local, so they
-stay sparse.  Entries below SPARSE_PRUNE of the largest magnitude are
-dropped from each table entry and each piece to stop noise fill-in.  The
-entries of the last order are read only by its right-hand side, so those
-whose B_k is zero (odd k >= 3) are not formed.
+formed from stacked operands, hstack(Z~_m) @ vstack(T(k-1, d-m)), and one
+prune.  T(d, d) = ad_s^d(s) is zero and is not formed.  Every operand is
+held in CSR form, whatever kind of matrix the caller passes: the
+Floquet-Magnus terms are local, so they stay sparse.  Entries below
+SPARSE_PRUNE of the largest magnitude are dropped from each table entry and
+each piece to stop noise fill-in.  The entries of the last order are read
+only by its right-hand side, so those whose B_k is zero (odd k >= 3) are
+not formed.
+
+Representative rows.  The layers `hamiltonian.build_hamiltonian` returns
+are tagged with their subset and window period p, and commute with the
+translation T by p sites, a group of order G = L / gcd(L, p) (7 for pxp at
+L = 14).  Then so does every piece, and a piece is held as its rows at the
+orbit representatives of `hamiltonian.layer_orbits`, about 1/G of it.  The
+rows of [P, Q] are P_rep @ Q - Q_rep @ P, two products of representative
+rows with full operators, and each prune acts on those rows, whose largest
+entry is the largest of the full matrix.  The full operator a later product
+reads is expanded from the rows through the translation's slot images: row
+x is the row of its orbit's representative r with each column c moved to
+T^-s c, for T^s x = r.  The terms C_n are expanded once, at the end.
+`bch_terms` confirms that each tagged layer commutes with its translation,
+within SECTOR_COMMUTE_TOL, before any product, and raises ValueError if not.
+Untagged matrices, or layers whose subset the translation does not keep,
+run the same recursion on the trivial group: every row is a representative,
+a piece is its own full operator, and the second product is the graded
+adjoint of the first, [P, Q] = PQ - (-1)^d (PQ)^dagger.
 
 Pre-flight.  Before each order the series is admitted against the
-available memory: the CSR pieces it holds, plus the order's deg + 1 new
-pieces and three in-flight products, plus the two stacked operands of the
-largest table entry it forms, must fit, else ResourceLimitError is raised
-before the order allocates.  Fill-in grows the pieces from order to order,
-so each new piece is sized as the largest piece held times the growth of
-that largest piece over the last order, at most a full CSR matrix.  Real
-pieces count at their float64 size.  The held pieces are already resident;
-counting them again keeps a margin as large as the series held.
+available memory, else ResourceLimitError is raised before the order
+allocates.  The count is what the series holds (the representative rows,
+the expansions later orders still read, the layers and the orbit tables),
+plus the order's new pieces, their expansions and one expansion's index
+arrays, three in-flight products, the stacked operands of the largest
+commutator, and at the last order the complex terms.  Each new piece is
+sized as the largest piece held times that piece's growth over the last
+order (at order 1, the mean entries per row of s), at most a full set of
+rows.  Each product is bounded row by row: a row of P_rep @ Q has no more
+entries than the rows of Q it reaches, nor than the dimension.
 """
 
 from __future__ import annotations
@@ -49,11 +71,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import dynamics
+from .hamiltonian import SectorBasis, layer_orbits
 from .tolerances import SPARSE_PRUNE
 
 MAX_ORDER = 12
@@ -71,11 +95,15 @@ def bernoulli_numbers(count: int) -> list[Fraction]:
 
 
 def _prune(mat) -> sp.csr_matrix:
+    """Drop the entries below SPARSE_PRUNE of the largest, keeping only the
+    rest: `eliminate_zeros` can leave views of the longer arrays."""
     mat = mat.tocsr()
     if mat.nnz:
         cut = SPARSE_PRUNE * np.abs(mat.data).max()
         mat.data[np.abs(mat.data) < cut] = 0.0
         mat.eliminate_zeros()
+        if mat.data.base is not None:
+            mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
 
 
@@ -94,42 +122,104 @@ def _commutator(prod, degree: int) -> sp.csr_matrix:
     return _prune(out)
 
 
+def _expand(rows, basis: SectorBasis, images: np.ndarray) -> sp.csr_matrix:
+    """The translation-invariant operator whose rows at the orbit
+    representatives are `rows`: row x is the row of its orbit with each
+    column c moved to T^-s c, for T^s the power taking x to its
+    representative; images[j] holds the slot images under T^j, j = 0..G."""
+    full = rows[basis.orbit]
+    back = np.repeat((len(images) - 1 - basis.shift).astype(np.int32), np.diff(full.indptr))    # T^(G - s) = T^-s
+    full.indices = images[back, full.indices].astype(full.indices.dtype, copy=False)
+    full.has_sorted_indices = False
+    return full
+
+
 @dataclass
 class BchSeries:
-    """Series terms C_0..C_N over a fixed basis subset."""
+    """Series terms C_0..C_N over a fixed basis subset, and the translation
+    group whose representative rows the recursion ran on (order 1 and every
+    row when it ran on the whole matrices)."""
 
     terms: list
+    group_order: int = 1
+    rows: int | None = None
 
     @property
     def max_order(self) -> int:
         return len(self.terms) - 1
 
 
+class _Piece(NamedTuple):
+    """A piece of the recursion: its rows at the orbit representatives, and
+    the full operator where a later product reads it (the same matrix when
+    the group is trivial)."""
+
+    rows: sp.csr_matrix
+    full: sp.csr_matrix | None
+
+
+def _stacked_product(side) -> sp.csr_matrix:
+    """The sum of rows(P) @ full(Q) over the (P, Q) pieces of `side`, as one
+    product of stacked operands."""
+    return (sp.hstack([p.rows for p, _ in side], format="csr")
+            @ sp.vstack([q.full for _, q in side], format="csr"))
+
+
 def bch_terms(a, b, n_orders: int) -> BchSeries:
     """Compute C_0..C_{n_orders} for the two layer Hamiltonians a and b.
 
     a and b may be dense arrays or sparse matrices; the terms are CSR, in
-    float64 for C_0 of real layers and complex otherwise.  Raises
-    ResourceLimitError before an order that would not fit in memory.
+    float64 for C_0 of real layers and complex otherwise.  Layers tagged by
+    `build_hamiltonian` run on the rows of their translation group's orbit
+    representatives; a tag whose translation does not commute with its layer
+    raises ValueError.  Raises ResourceLimitError before an order that would
+    not fit in memory.
     """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("layer matrices must be square and of equal shape")
     if n_orders < 0 or n_orders > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
 
+    orbits = layer_orbits(a, b)
     a, b = sp.csr_matrix(a), sp.csr_matrix(b)
     # Enforce exact Hermiticity of the layers.
     x = (0.5 * (a + a.getH())).tocsr()
     y = (0.5 * (b + b.getH())).tocsr()
     s = x + y
+    dim = x.shape[0]
+    basis, images = orbits if orbits is not None and orbits[0].size < dim else (None, None)
+    if basis is not None:
+        images = images.astype(x.indices.dtype)    # column indices of an operator of this dimension
+    reps = dim if basis is None else basis.size
+
+    def piece(rows, read_later: bool = True) -> _Piece:
+        if basis is None:
+            return _Piece(rows, rows)
+        return _Piece(rows, _expand(rows, basis, images) if read_later else None)
+
+    def sides(pairs) -> list:
+        """The (left, right) operand pairs of a commutator's products: rows
+        of P with full Q, and for a reduced run rows of Q with full P."""
+        return [pairs] if basis is None else [pairs, [(q, p) for p, q in pairs]]
+
+    def commutator(pairs, degree: int) -> sp.csr_matrix:
+        """Representative rows of the sum of [P, Q] over the (P, Q) pieces of
+        `pairs`, whose degrees sum to `degree`."""
+        if basis is None:
+            return _commutator(_stacked_product(pairs), degree)
+        first, second = (_stacked_product(side) for side in sides(pairs))
+        out = first - second
+        del first, second
+        return _prune(out)
 
     bern = bernoulli_numbers(n_orders + 1)
-    z = [None, s]          # z[m] holds the degree-m graded piece Z~_m
-    table: dict[tuple[int, int], object] = {}
+    y_piece = _Piece(y if basis is None else y[basis.reps], y)
+    z = [None, _Piece(s if basis is None else s[basis.reps], s)]    # z[m] holds the degree-m graded piece Z~_m
+    table: dict[tuple[int, int], _Piece] = {}
 
     def t_entry(k: int, d: int):
         if k == 0:
-            return s if d == 0 else None
+            return z[1] if d == 0 else None
         return table.get((k, d))
 
     def operands(k: int, deg: int) -> list:
@@ -138,29 +228,64 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         return [(left, right) for left, right in pairs if right is not None]
 
     def formed(deg: int) -> list:
-        """The k of the table entries T(k, deg) to form: at the last order
-        only the right-hand side reads them, so those with B_k = 0 are skipped."""
-        return [k for k in range(1, deg + 1) if deg < n_orders or bern[k] != 0]
+        """The k of the table entries T(k, deg) to form.  T(deg, deg) is
+        ad_s^deg(s) = 0, and at the last order only the right-hand side reads
+        the entries, so those with B_k = 0 are skipped."""
+        return [k for k in range(1, deg) if deg < n_orders or bern[k] != 0]
 
-    dim = x.shape[0]
-    full = dim * (dim * (x.data.itemsize + x.indices.itemsize) + x.indptr.itemsize)
-    largest = None
+    def read_later(k: int, deg: int) -> bool:
+        """Whether a later order reads T(k, deg) as a right operand."""
+        return any(k + 1 in formed(later) for later in range(deg + 1, n_orders + 1))
+
+    def stacked_bytes(pairs) -> int:
+        return sum(_csr_bytes(left.rows) + _csr_bytes(right.full) for side in sides(pairs) for left, right in side)
+
+    def product_bytes(pairs) -> int:
+        """At most the bytes of a commutator's larger product: row i of
+        rows(P) @ full(Q) has no more entries than dim, nor than the entries
+        of the rows of Q that row i of P reaches."""
+        out = 0
+        for side in sides(pairs):
+            reach = 0
+            for left, right in side:
+                ends = np.concatenate([[0], np.cumsum(np.diff(right.full.indptr)[left.rows.indices])])
+                reach = reach + ends[left.rows.indptr[1:]] - ends[left.rows.indptr[:-1]]
+            size = max(max(left.rows.data.itemsize, right.full.data.itemsize) for left, right in side)
+            out = max(out, int(np.minimum(reach, dim).sum()) * (size + idx))
+        return out + reps * x.indptr.itemsize
+
+    itemsize, idx = x.data.itemsize, x.indices.itemsize
+    full_rows = reps * (dim * (itemsize + idx) + x.indptr.itemsize)
+    expansion = dim / reps    # bytes of a full operator per byte of its rows
+    resident = _csr_bytes(x) + (0 if basis is None else images.nbytes + sum(
+        arr.nbytes for arr in (basis.orbit, basis.sign, basis.shift, basis.reps, basis.sizes)))
+    largest = []
     for deg in range(1, n_orders + 1):
-        held = [_csr_bytes(piece) for piece in (x, y, *z[1:], *table.values())]
-        growth = max(held) / largest if largest else 1.0
-        largest = max(held)
-        piece = min(max(growth, 1.0) * largest, full)
-        stacked = max(sum(_csr_bytes(p) + _csr_bytes(q) for p, q in operands(k, deg)) for k in formed(deg))
-        need = sum(held) + (deg + 4) * piece + stacked
+        pieces = [y_piece, *z[1:], *table.values()]
+        rows = [_csr_bytes(p.rows) for p in pieces]
+        held = resident + sum(rows)
+        if basis is not None:
+            held += sum(_csr_bytes(p.full) for p in pieces if p.full is not None)
+        largest.append(max(rows))
+        # before any growth is seen, a first product spreads each entry over a row of s
+        growth = s.nnz / dim if deg == 1 else largest[-1] / max(largest[-2], 1)
+        new = min(max(growth, 1.0) * largest[-1], full_rows)
+        entries = formed(deg)
+        commutators = [operands(k, deg) for k in entries] + [[(z[deg], y_piece)]]
+        stacked = max(stacked_bytes(pairs) for pairs in commutators)
+        product = max(product_bytes(pairs) for pairs in commutators)
+        need = held + (len(entries) + 1) * new + 3 * product + stacked
+        if basis is not None:
+            expansions = sum(read_later(k, deg) for k in entries) + 1
+            need += (expansions + (4 + idx) / (itemsize + idx)) * new * expansion
+        if deg == n_orders:    # the terms, complex copies of every expanded piece
+            need += (16 + idx) / (itemsize + idx) * (sum(_csr_bytes(p.full) for p in z[2:]) + new * expansion)
         dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
-        for k in formed(deg):
+        for k in entries:
             pairs = operands(k, deg)
             if pairs:
-                table[(k, deg)] = _commutator(
-                    sp.hstack([p for p, _ in pairs], format="csr") @ sp.vstack([q for _, q in pairs], format="csr"),
-                    deg + 1,
-                )
-        rhs = _commutator(z[deg] @ y, deg + 1)
+                table[(k, deg)] = piece(commutator(pairs, deg + 1), read_later(k, deg))
+        rhs = commutator([(z[deg], y_piece)], deg + 1)
         for k in range(1, deg + 1):
             coeff = bern[k]
             if coeff == 0:
@@ -168,12 +293,19 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
             entry = t_entry(k, deg)
             if entry is None:
                 continue
-            rhs = rhs + (float(coeff) / factorial(k)) * entry
-        z.append(_prune(rhs * (1.0 / (deg + 1))))
+            rhs = rhs + (float(coeff) / factorial(k)) * entry.rows
+        z.append(piece(_prune(rhs * (1.0 / (deg + 1))), deg < n_orders))
+        del rhs
 
     table.clear()
-    terms = [s] + [(-1j) ** n * z[n + 1] for n in range(1, n_orders + 1)]
-    return BchSeries(terms)
+    terms = [s]
+    for n in range(1, n_orders + 1):
+        p, z[n + 1] = z[n + 1], None    # each piece is released as its term is made
+        terms.append((-1j) ** n * (p.full if p.full is not None else _expand(p.rows, basis, images)))
+        del p
+    if basis is None:
+        return BchSeries(terms)
+    return BchSeries(terms, len(images) - 1, basis.size)
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,25 @@ class SubsetNotClosedError(ValueError):
         )
 
 
+class LayerMatrix(sp.csr_matrix):
+    """A layer Hamiltonian in CSR form, tagged with the subset it acts on and
+    the period of its windows, the translation it commutes with when the
+    subset allows.  Both tags are None at class level: scipy builds every
+    matrix it derives from a layer (scaled, sliced, summed) afresh, so only
+    the layers `build_hamiltonian` returns carry them."""
+
+    subset: BasisSubset | None = None
+    period: int | None = None
+
+
 @dataclass(frozen=True)
 class ChainHamiltonian:
     """A, B and H = A + B as CSR operators over a shared subset, float64
-    when `build_hamiltonian` found them real."""
+    when `build_hamiltonian` found them real.  A and B are tagged
+    `LayerMatrix`es."""
 
-    a: sp.csr_matrix
-    b: sp.csr_matrix
+    a: LayerMatrix
+    b: LayerMatrix
     h: sp.csr_matrix
 
 
@@ -127,14 +139,22 @@ def build_hamiltonian(circuit: FloquetCircuit, subset: BasisSubset) -> ChainHami
     (pxp, pxp-nophase and qmbs-c, whose logs carry about 2e-16 of imaginary
     noise), A, B and H are their float64 real parts: this is where the real
     form is decided, and the propagator, the sector solves and the series
-    follow the dtype they are handed."""
+    follow the dtype they are handed.
+
+    Each layer is tagged with the subset and with its window spacing (4 for
+    stride4, 2 for stride2) when that spacing divides L, so that its windows
+    are permuted among themselves by the translation."""
     if subset.length != circuit.length:
         raise ValueError("subset length does not match circuit length")
     local = principal_log(circuit.gate).matrix
-    a = window_sum(subset, circuit.second_layer_sites, local)
-    b = window_sum(subset, circuit.first_layer_sites, local)
-    if max(np.max(np.abs(m.data.imag), initial=0.0) for m in (a, b)) <= ASSEMBLY_PRUNE:
-        a, b = (sp.csr_matrix((m.data.real.copy(), m.indices, m.indptr), shape=m.shape) for m in (a, b))
+    layers = [window_sum(subset, sites, local) for sites in (circuit.second_layer_sites, circuit.first_layer_sites)]
+    real = max(np.max(np.abs(m.data.imag), initial=0.0) for m in layers) <= ASSEMBLY_PRUNE
+    period = 2 * circuit.site_stride
+    a, b = (LayerMatrix((m.data.real.copy() if real else m.data, m.indices, m.indptr), shape=m.shape)
+            for m in layers)
+    if circuit.length % period == 0:
+        for m in (a, b):
+            m.subset, m.period = subset, period
     for name, m in (("A", a), ("B", b)):
         dev = abs(m - m.getH()).max()
         if dev > HERMITICITY_TOL:
@@ -302,7 +322,7 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
     """Orbits of the subset states under the sector group, characters attached."""
-    return _orbit_arrays(subset, sector, _sector_slots(subset, sector))
+    return _orbit_arrays(subset, sector, _sector_slots(subset, sector))[0]
 
 
 def _sector_slots(subset: BasisSubset, sector: SymmetrySector) -> dict[str, np.ndarray]:
@@ -312,17 +332,22 @@ def _sector_slots(subset: BasisSubset, sector: SymmetrySector) -> dict[str, np.n
     return {name: _symmetry_slots(subset, name) for name in names}
 
 
-def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorBasis:
-    """Row g of the group table holds the slot images under S2^j USM^e, with
+def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
+                  period: int = 2) -> tuple[SectorBasis, np.ndarray]:
+    """The sector basis, and the slot images under each power S2^j, j = 0..M.
+
+    Row g of the group table holds the slot images under S2^j USM^e, with
     j = 0..M so that S2^M = 1 carries its character; a slot's representative
-    is the minimum of its column.
+    is the minimum of its column.  S2 is the translation whose slot map is
+    slots["S2"]: by two sites in a sector, by `period` sites for a layer
+    group, of order M = L / gcd(L, period).
 
     Characters are e^{2 pi i n / 2M}, kept as the integer n: S2 = -1 and
     USM = -1 are n = M, momentum k is n = 2k.  Integers make "every element
     fixing the representative has character 1" exact, and an S2 sign of -1
     at odd M then empties the sector.
     """
-    order = s2_order(subset.length)
+    order = subset.length // math.gcd(subset.length, period)
     turns = {name: 0 if val == 1 else order for name, val in sector.operators}
     if sector.momentum is not None:
         turns["S2"] = 2 * sector.momentum
@@ -349,7 +374,29 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots) -> SectorB
         sign = np.where(chars == 0, 1, -1)
     else:
         sign = np.exp(1j * np.pi * chars / order)
-    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes)
+    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes), table[:rows]
+
+
+def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray] | None:
+    """The orbits of the translation both layers are tagged with, and the
+    slot images under each of its powers, as `_orbit_arrays` returns them.
+
+    None, the trivial group, when a layer is untagged, the two tags differ
+    or the subset is not invariant under the translation.  A layer that does
+    not commute with its translation, beyond SECTOR_COMMUTE_TOL, raises
+    ValueError: its tag is false.
+    """
+    subset, period = getattr(a, "subset", None), getattr(a, "period", None)
+    if subset is None or getattr(b, "subset", None) is not subset or getattr(b, "period", None) != period:
+        return None
+    slots = subset.find(translate_index(subset.states, period, subset.length))
+    if np.any(slots < 0):
+        return None
+    for name, layer in (("A", a), ("B", b)):
+        dev = _conjugation_deviation(layer, slots)
+        if dev > SECTOR_COMMUTE_TOL:
+            raise ValueError(f"layer {name} does not commute with translation by {period} sites (dev {dev:.2e})")
+    return _orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots}, period)
 
 
 def orbit_block(mat: sp.spmatrix, basis: SectorBasis) -> sp.csr_matrix:
@@ -416,7 +463,7 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
         dev = _conjugation_deviation(mat, p)
         if dev > SECTOR_COMMUTE_TOL:
             raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
-    basis = _orbit_arrays(subset, sector, slots)
+    basis, _ = _orbit_arrays(subset, sector, slots)
     block = orbit_block(mat, basis)
     if np.iscomplexobj(basis.sign):
         return block.toarray(), basis

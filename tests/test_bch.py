@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_bch_terms, random_phase_gate
-from scarforge import dynamics
+from scarforge import bch, dynamics
 from scarforge.automaton import FloquetCircuit
-from scarforge.basis import BasisSubset
+from scarforge.basis import BasisSubset, tile_pattern
 from scarforge.bch import (
     BchSeries,
     augmented_hamiltonian,
@@ -20,7 +21,8 @@ from scarforge.bch import (
     fgr_rate,
     norm_profile,
 )
-from scarforge.hamiltonian import build_hamiltonian, krylov_subspace
+from scarforge.gate import PermutationGate
+from scarforge.hamiltonian import LayerMatrix, build_hamiltonian, krylov_subspace
 from scarforge.models import load_model, neel_orbit_states, working_subspace
 
 
@@ -157,6 +159,83 @@ def test_last_order_skips_zero_bernoulli_entries_exactly(models, name):
                 assert np.array_equal(getattr(term, part), getattr(ref, part)), (n_orders, n, part)
 
 
+def _assert_matches_whole_matrices(chain, n_orders):
+    # the representative-row recursion of the tagged layers against the same
+    # recursion on untagged dense copies, which runs on every row
+    series = bch_terms(chain.a, chain.b, n_orders)
+    whole = bch_terms(chain.a.toarray(), chain.b.toarray(), n_orders)
+    assert whole.group_order == 1 and whole.rows is None
+    for n, (term, ref) in enumerate(zip(series.terms, whole.terms)):
+        err = spla.norm(term - ref)
+        assert err <= 1e-12 * spla.norm(ref), (n, err)
+    return series
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_representative_rows_match_whole_matrices_on_the_full_space(seed):
+    gate = random_phase_gate(np.random.default_rng(seed))
+    chain = build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), BasisSubset.full_space(8))
+    series = _assert_matches_whole_matrices(chain, 4)
+    assert (series.group_order, series.rows) == (2, 136)    # T^4 on 256 states
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), swaps=st.integers(3, 5), pattern=st.integers(0, 15))
+def test_representative_rows_match_whole_matrices_on_krylov_subsets(seed, swaps, pattern):
+    # a phased gate that swaps a few pairs of window states has a sparse log,
+    # and the closure of a seed of period 4 is a T^4-invariant subset of
+    # anywhere from one state to nearly all 4096
+    rng = np.random.default_rng(seed)
+    perm = np.arange(16)
+    for x, y in rng.permutation(16).reshape(8, 2)[:swaps]:
+        perm[x], perm[y] = y, x
+    phases = rng.choice(np.array([1, 1j, -1, -1j]), size=16)
+    circuit = FloquetCircuit(PermutationGate(4, tuple(int(v) for v in perm), tuple(phases)), 12, "stride4")
+    subset = krylov_subspace(circuit, tile_pattern(format(pattern, "04b"), 12))
+    series = _assert_matches_whole_matrices(build_hamiltonian(circuit, subset), 4)
+    assert series.group_order in (1, 3)
+
+
+@pytest.mark.parametrize("name, length", [("pxp", 12), ("pxp-nophase", 12), ("qmbs-a", 8), ("qmbs-b", 12),
+                                          ("qmbs-c", 12)])
+def test_representative_rows_match_whole_matrices_for_registry_models(models, name, length):
+    model = models[name]
+    chain = build_hamiltonian(model.circuit(length), working_subspace(model, length))
+    series = _assert_matches_whole_matrices(chain, 3)
+    assert series.group_order == length // (2 if model.circuit(length).geometry == "stride2" else 4)
+
+
+def test_matrices_derived_from_a_layer_run_the_trivial_group(models):
+    model = models["pxp"]
+    chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
+    assert (chain.a.subset, chain.a.period) == (chain.b.subset, 2)
+    tagged = bch_terms(chain.a, chain.b, 3)
+    assert (tagged.group_order, tagged.rows) == (6, 60)
+    for derived in (1.0 * chain.a, chain.a[np.arange(chain.a.shape[0])], chain.a.toarray()):
+        assert getattr(derived, "subset", None) is None
+        series = bch_terms(derived, chain.b, 3)
+        assert series.group_order == 1 and series.rows is None
+        for term, ref in zip(series.terms, tagged.terms):
+            assert spla.norm(term - ref) <= 1e-12 * spla.norm(ref)
+
+
+def test_false_translation_tag_refused_before_any_product(models, monkeypatch):
+    # qmbs-b's stride4 layers commute with T^4, not with T^2, which swaps them
+    model = models["qmbs-b"]
+    chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
+    layers = [LayerMatrix(m) for m in (chain.a, chain.b)]
+    for layer in layers:
+        layer.subset, layer.period = chain.a.subset, 2
+
+    def product(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(bch, "_stacked_product", product)
+    with pytest.raises(ValueError, match="layer A does not commute with translation by 2 sites"):
+        bch_terms(*layers, 2)
+
+
 def test_pxp_window_commutator_matrix_elements():
     # the commutator of adjacent window terms moves exactly one adjacent pair
     m = load_model("pxp")
@@ -228,7 +307,7 @@ def test_fgr_rate_refuses_nonpositive_bandwidth(bandwidth):
 
 def test_series_refused_before_an_order_that_does_not_fit(monkeypatch):
     # qmbs-a on the 256-state full space: the order-2 admission counts about
-    # 8.8 MB (its traced peak is 5.3 MB) and the order-3 one about 12.9 MB
+    # 8.0 MB (its traced peak is 5.1 MB) and the order-3 one about 13.8 MB
     model = load_model("qmbs-a")
     chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
     monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
@@ -261,6 +340,37 @@ def test_series_preflight_covers_the_order_it_admits(monkeypatch):
     monkeypatch.setattr(dynamics, "available_bytes", lambda: peak - 1)
     with pytest.raises(dynamics.ResourceLimitError, match="series order 5 needs"):
         bch_terms(chain.a, chain.b, 5)
+
+
+@pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 16, 8)])
+def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders):
+    # each admission's count is at least the traced peak from it to the next
+    # admission, or to the end of the series after the last one
+    model = load_model(name)
+    chain = build_hamiltonian(model.circuit(length), working_subspace(model, length))
+    needs, peaks = [], []
+    admit = dynamics.admit
+
+    def counted(need, what, advice):
+        needs.append(need)
+        admit(need, what, advice)
+
+    def available():
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return 1 << 50
+
+    monkeypatch.setattr(dynamics, "admit", counted)
+    monkeypatch.setattr(dynamics, "available_bytes", available)
+    tracemalloc.start()
+    try:
+        bch_terms(chain.a, chain.b, n_orders)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == n_orders
+    for order, (need, peak) in enumerate(zip(needs, peaks[1:]), start=1):
+        assert need >= peak, (order, need, peak)
 
 
 def test_order_guard():

@@ -244,6 +244,12 @@ def test_bch_command(tmp_path):
     assert max(leak[1:]) < 1e-10  # exact model: no leakage beyond order zero
 
 
+def test_bch_reports_its_translation_group(tmp_path, capsys):
+    out = tmp_path / "norms.csv"
+    assert run(["bch", "--model", "pxp", "-L", "12", "--orders", "2", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "bch: translation group of order 6, 60 of 322 rows\n"
+
+
 def test_sga_and_spinrep_commands(capsys):
     assert run(["sga-check", "-L", "8"]) == EXIT_OK
     assert "residual" in capsys.readouterr().out
@@ -436,7 +442,7 @@ def test_stride4_length_without_automaton_refused_before_building(args, tmp_path
 
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
     # the qmbs-a series on the 256-state full space fills in: order 3 needs
-    # about 12.9 MB, so 10 MB refuses it before the order allocates
+    # about 13.8 MB, so 10 MB refuses it before the order allocates
     from scarforge import dynamics
 
     monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
