@@ -48,10 +48,11 @@ x is the row of its orbit's representative r with each column c moved to
 T^-s c, for T^s x = r.  The terms C_n are expanded once, at the end.
 `bch_terms` confirms that each tagged layer commutes with its translation,
 within SECTOR_COMMUTE_TOL, before any product, and raises ValueError if not.
-Untagged matrices, or layers whose subset the translation does not keep,
-run the same recursion on the trivial group: every row is a representative,
-a piece is its own full operator, and the second product is the graded
-adjoint of the first, [P, Q] = PQ - (-1)^d (PQ)^dagger.
+Untagged matrices, layers whose subset the translation does not keep, and
+subsets whose every state the translation fixes run the same recursion on
+the trivial group, G = 1: every row is a representative, so a piece's rows
+are its full operator, and the second product is the graded adjoint of the
+first, QP = (-1)^d (PQ)^dagger.
 
 Pre-flight.  Before each order the series is admitted against the
 available memory, else ResourceLimitError is raised before the order
@@ -60,9 +61,10 @@ the expansions later orders still read, the layers and the orbit tables),
 plus the order's new pieces, their expansions and one expansion's index
 arrays, three in-flight products, the stacked operands of the largest
 commutator, and at the last order the complex terms.  Each new piece is
-sized as the largest piece held times that piece's growth over the last
-order (at order 1, the mean entries per row of s), at most a full set of
-rows.  Each product is bounded row by row: a row of P_rep @ Q has no more
+sized as the largest piece held times the larger of its growths over the
+last two orders (at order 1, the mean entries per row of s), at most a full
+set of rows: in pxp the pieces of alternate degree double every other
+order.  Each product is bounded row by row: a row of P_rep @ Q has no more
 entries than the rows of Q it reaches, nor than the dimension.
 """
 
@@ -111,22 +113,24 @@ def _csr_bytes(mat) -> int:
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
-def _commutator(prod, degree: int) -> sp.csr_matrix:
-    """[P, Q] from prod = PQ, for graded pieces whose degrees sum to `degree`.
-
-    The caller hands over prod: it is released before the prune."""
-    adjoint = prod.T.tocsr()
-    np.conjugate(adjoint.data, out=adjoint.data)
-    out = prod + adjoint if degree % 2 else prod - adjoint
-    del prod, adjoint
-    return _prune(out)
+def _graded_adjoint(prod, degree: int) -> sp.csr_matrix:
+    """QP = (-1)^degree (PQ)^dagger from prod = PQ, for graded pieces whose
+    degrees sum to `degree`."""
+    out = prod.T.tocsr()
+    np.conjugate(out.data, out=out.data)
+    if degree % 2:
+        np.negative(out.data, out=out.data)
+    return out
 
 
 def _expand(rows, basis: SectorBasis, images: np.ndarray) -> sp.csr_matrix:
     """The translation-invariant operator whose rows at the orbit
     representatives are `rows`: row x is the row of its orbit with each
     column c moved to T^-s c, for T^s the power taking x to its
-    representative; images[j] holds the slot images under T^j, j = 0..G."""
+    representative; images[j] holds the slot images under T^j, j = 0..G.
+    The rows of the trivial group, every state's, are the operator itself."""
+    if rows.shape[0] == rows.shape[1]:
+        return rows
     full = rows[basis.orbit]
     back = np.repeat((len(images) - 1 - basis.shift).astype(np.int32), np.diff(full.indptr))    # T^(G - s) = T^-s
     full.indices = images[back, full.indices].astype(full.indices.dtype, copy=False)
@@ -136,13 +140,13 @@ def _expand(rows, basis: SectorBasis, images: np.ndarray) -> sp.csr_matrix:
 
 @dataclass
 class BchSeries:
-    """Series terms C_0..C_N over a fixed basis subset, and the translation
-    group whose representative rows the recursion ran on (order 1 and every
-    row when it ran on the whole matrices)."""
+    """Series terms C_0..C_N over a fixed basis subset, and the order of the
+    translation group whose representative rows the recursion ran on and the
+    number of those rows (order 1 and every row for the trivial group)."""
 
     terms: list
     group_order: int = 1
-    rows: int | None = None
+    rows: int | None = None    # set by bch_terms
 
     @property
     def max_order(self) -> int:
@@ -151,8 +155,8 @@ class BchSeries:
 
 class _Piece(NamedTuple):
     """A piece of the recursion: its rows at the orbit representatives, and
-    the full operator where a later product reads it (the same matrix when
-    the group is trivial)."""
+    the full operator where a later product reads it (the same matrix for
+    the trivial group)."""
 
     rows: sp.csr_matrix
     full: sp.csr_matrix | None
@@ -180,41 +184,35 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     if n_orders < 0 or n_orders > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
 
-    orbits = layer_orbits(a, b)
+    basis, images = layer_orbits(a, b)
     a, b = sp.csr_matrix(a), sp.csr_matrix(b)
     # Enforce exact Hermiticity of the layers.
     x = (0.5 * (a + a.getH())).tocsr()
     y = (0.5 * (b + b.getH())).tocsr()
     s = x + y
-    dim = x.shape[0]
-    basis, images = orbits if orbits is not None and orbits[0].size < dim else (None, None)
-    if basis is not None:
-        images = images.astype(x.indices.dtype)    # column indices of an operator of this dimension
-    reps = dim if basis is None else basis.size
+    dim, reps = x.shape[0], basis.size
+    images = images.astype(x.indices.dtype)    # column indices of an operator of this dimension
 
     def piece(rows, read_later: bool = True) -> _Piece:
-        if basis is None:
-            return _Piece(rows, rows)
         return _Piece(rows, _expand(rows, basis, images) if read_later else None)
 
     def sides(pairs) -> list:
         """The (left, right) operand pairs of a commutator's products: rows
-        of P with full Q, and for a reduced run rows of Q with full P."""
-        return [pairs] if basis is None else [pairs, [(q, p) for p, q in pairs]]
+        of P with full Q, and rows of Q with full P."""
+        return [pairs, [(q, p) for p, q in pairs]]
 
     def commutator(pairs, degree: int) -> sp.csr_matrix:
         """Representative rows of the sum of [P, Q] over the (P, Q) pieces of
         `pairs`, whose degrees sum to `degree`."""
-        if basis is None:
-            return _commutator(_stacked_product(pairs), degree)
-        first, second = (_stacked_product(side) for side in sides(pairs))
+        first = _stacked_product(pairs)
+        second = _graded_adjoint(first, degree) if reps == dim else _stacked_product(sides(pairs)[1])
         out = first - second
         del first, second
         return _prune(out)
 
     bern = bernoulli_numbers(n_orders + 1)
-    y_piece = _Piece(y if basis is None else y[basis.reps], y)
-    z = [None, _Piece(s if basis is None else s[basis.reps], s)]    # z[m] holds the degree-m graded piece Z~_m
+    y_piece = _Piece(y[basis.reps], y)
+    z = [None, _Piece(s[basis.reps], s)]    # z[m] holds the degree-m graded piece Z~_m
     table: dict[tuple[int, int], _Piece] = {}
 
     def t_entry(k: int, d: int):
@@ -257,27 +255,25 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     itemsize, idx = x.data.itemsize, x.indices.itemsize
     full_rows = reps * (dim * (itemsize + idx) + x.indptr.itemsize)
     expansion = dim / reps    # bytes of a full operator per byte of its rows
-    resident = _csr_bytes(x) + (0 if basis is None else images.nbytes + sum(
-        arr.nbytes for arr in (basis.orbit, basis.sign, basis.shift, basis.reps, basis.sizes)))
+    resident = _csr_bytes(x) + images.nbytes + sum(
+        arr.nbytes for arr in (basis.orbit, basis.sign, basis.shift, basis.reps, basis.sizes))
     largest = []
     for deg in range(1, n_orders + 1):
         pieces = [y_piece, *z[1:], *table.values()]
         rows = [_csr_bytes(p.rows) for p in pieces]
-        held = resident + sum(rows)
-        if basis is not None:
-            held += sum(_csr_bytes(p.full) for p in pieces if p.full is not None)
+        held = resident + sum(rows) + sum(_csr_bytes(p.full) for p in pieces if p.full is not None)
         largest.append(max(rows))
         # before any growth is seen, a first product spreads each entry over a row of s
-        growth = s.nnz / dim if deg == 1 else largest[-1] / max(largest[-2], 1)
+        last = largest[-3:]
+        growth = s.nnz / dim if deg == 1 else max(after / max(before, 1) for before, after in zip(last, last[1:]))
         new = min(max(growth, 1.0) * largest[-1], full_rows)
         entries = formed(deg)
         commutators = [operands(k, deg) for k in entries] + [[(z[deg], y_piece)]]
         stacked = max(stacked_bytes(pairs) for pairs in commutators)
         product = max(product_bytes(pairs) for pairs in commutators)
-        need = held + (len(entries) + 1) * new + 3 * product + stacked
-        if basis is not None:
-            expansions = sum(read_later(k, deg) for k in entries) + 1
-            need += (expansions + (4 + idx) / (itemsize + idx)) * new * expansion
+        expansions = sum(read_later(k, deg) for k in entries) + 1
+        need = (held + (len(entries) + 1) * new + 3 * product + stacked
+                + (expansions + (4 + idx) / (itemsize + idx)) * new * expansion)
         if deg == n_orders:    # the terms, complex copies of every expanded piece
             need += (16 + idx) / (itemsize + idx) * (sum(_csr_bytes(p.full) for p in z[2:]) + new * expansion)
         dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
@@ -303,9 +299,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         p, z[n + 1] = z[n + 1], None    # each piece is released as its term is made
         terms.append((-1j) ** n * (p.full if p.full is not None else _expand(p.rows, basis, images)))
         del p
-    if basis is None:
-        return BchSeries(terms)
-    return BchSeries(terms, len(images) - 1, basis.size)
+    return BchSeries(terms, len(images) - 1, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def cmd_bch(args) -> int:
     chain = hamiltonian.build_hamiltonian(circuit, subset)
     series = bch_terms(chain.a, chain.b, args.orders)
     print(f"bch: translation group of order {series.group_order}, "
-          f"{series.rows or subset.size} of {subset.size} rows", file=sys.stderr)
+          f"{series.rows} of {subset.size} rows", file=sys.stderr)
     positions = [subset.position(s) for s in orbit]
     profile = norm_profile(series, positions)
     params = _params(args, n_eff=subset.size)

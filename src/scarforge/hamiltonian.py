@@ -377,26 +377,31 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
     return SectorBasis(orbit, sign, to_rep % rows, reps, sizes), table[:rows]
 
 
-def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray] | None:
+def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray]:
     """The orbits of the translation both layers are tagged with, and the
     slot images under each of its powers, as `_orbit_arrays` returns them.
 
-    None, the trivial group, when a layer is untagged, the two tags differ
-    or the subset is not invariant under the translation.  A layer that does
-    not commute with its translation, beyond SECTOR_COMMUTE_TOL, raises
+    The trivial group, every state its own orbit and G = 1, when a layer is
+    untagged, the two tags differ, the subset is not invariant under the
+    translation or the translation fixes every state.  A layer that does not
+    commute with its translation, beyond SECTOR_COMMUTE_TOL, raises
     ValueError: its tag is false.
     """
+    dim = a.shape[0]
+    states, ones = np.arange(dim), np.ones(dim, dtype=int)
+    trivial = SectorBasis(states, ones, np.zeros(dim, dtype=int), states, ones), np.stack([states, states])
     subset, period = getattr(a, "subset", None), getattr(a, "period", None)
     if subset is None or getattr(b, "subset", None) is not subset or getattr(b, "period", None) != period:
-        return None
+        return trivial
     slots = subset.find(translate_index(subset.states, period, subset.length))
     if np.any(slots < 0):
-        return None
+        return trivial
     for name, layer in (("A", a), ("B", b)):
         dev = _conjugation_deviation(layer, slots)
         if dev > SECTOR_COMMUTE_TOL:
             raise ValueError(f"layer {name} does not commute with translation by {period} sites (dev {dev:.2e})")
-    return _orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots}, period)
+    basis, images = _orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots}, period)
+    return (basis, images) if basis.size < dim else trivial
 
 
 def orbit_block(mat: sp.spmatrix, basis: SectorBasis) -> sp.csr_matrix:

@@ -8,6 +8,7 @@ symmetry-sector spectra) are built once per session.
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from scarforge.basis import BasisSubset, tile_pattern, window_bit_shifts
@@ -306,10 +307,15 @@ def test_criterion_10_sector_spectra_and_gap_ratios(rng):
         [r_statistic(np.sort(rng.uniform(0, 1, 2000))).mean for _ in range(500)]
     )
     assert abs(poisson - 0.386) <= 0.01
+    # GOE spectra from the Dumitriu-Edelman tridiagonal beta = 1 model (J. Math.
+    # Phys. 43, 5830 (2002)): diagonal N(0, 1), off-diagonals chi_{n-1}, ...,
+    # chi_1 over sqrt(2), whose eigenvalues have the law of those of
+    # (g + g^T) / 2 for a Gaussian g
     goe_means = []
     for _ in range(100):
-        g = rng.normal(size=(1000, 1000))
-        evals = np.linalg.eigvalsh((g + g.T) / 2.0)
+        diag = rng.normal(size=1000)
+        off = np.sqrt(rng.chisquare(np.arange(999, 0, -1)) / 2.0)
+        evals = la.eigvalsh_tridiagonal(diag, off)
         goe_means.append(r_statistic(evals[250:750]).mean)
     goe = float(np.mean(goe_means))
     assert abs(goe - 0.531) <= 0.01

@@ -164,7 +164,7 @@ def _assert_matches_whole_matrices(chain, n_orders):
     # recursion on untagged dense copies, which runs on every row
     series = bch_terms(chain.a, chain.b, n_orders)
     whole = bch_terms(chain.a.toarray(), chain.b.toarray(), n_orders)
-    assert whole.group_order == 1 and whole.rows is None
+    assert (whole.group_order, whole.rows) == (1, chain.a.shape[0])
     for n, (term, ref) in enumerate(zip(series.terms, whole.terms)):
         err = spla.norm(term - ref)
         assert err <= 1e-12 * spla.norm(ref), (n, err)
@@ -215,7 +215,7 @@ def test_matrices_derived_from_a_layer_run_the_trivial_group(models):
     for derived in (1.0 * chain.a, chain.a[np.arange(chain.a.shape[0])], chain.a.toarray()):
         assert getattr(derived, "subset", None) is None
         series = bch_terms(derived, chain.b, 3)
-        assert series.group_order == 1 and series.rows is None
+        assert (series.group_order, series.rows) == (1, chain.a.shape[0])
         for term, ref in zip(series.terms, tagged.terms):
             assert spla.norm(term - ref) <= 1e-12 * spla.norm(ref)
 
@@ -342,12 +342,21 @@ def test_series_preflight_covers_the_order_it_admits(monkeypatch):
         bch_terms(chain.a, chain.b, 5)
 
 
-@pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 16, 8)])
+@pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 14, 8), ("pxp", 16, 8),
+                                                     ("random", 8, 8)])
 def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders):
     # each admission's count is at least the traced peak from it to the next
-    # admission, or to the end of the series after the last one
-    model = load_model(name)
-    chain = build_hamiltonian(model.circuit(length), working_subspace(model, length))
+    # admission, or to the end of the series after the last one, for the
+    # tagged layers and for untagged copies, which run the trivial group.
+    # pxp's pieces of alternate degree double every other order; the random
+    # phased gate's pieces fill the L=8 full space by order 3
+    if name == "random":
+        circuit = FloquetCircuit(random_phase_gate(np.random.default_rng(2)), length, "stride4")
+        subset = BasisSubset.full_space(length)
+    else:
+        model = load_model(name)
+        circuit, subset = model.circuit(length), working_subspace(model, length)
+    chain = build_hamiltonian(circuit, subset)
     needs, peaks = [], []
     admit = dynamics.admit
 
@@ -362,15 +371,18 @@ def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders
 
     monkeypatch.setattr(dynamics, "admit", counted)
     monkeypatch.setattr(dynamics, "available_bytes", available)
-    tracemalloc.start()
-    try:
-        bch_terms(chain.a, chain.b, n_orders)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert len(needs) == n_orders
-    for order, (need, peak) in enumerate(zip(needs, peaks[1:]), start=1):
-        assert need >= peak, (order, need, peak)
+    for tagged, layers in ((True, (chain.a, chain.b)), (False, (sp.csr_matrix(chain.a), sp.csr_matrix(chain.b)))):
+        needs.clear()
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            bch_terms(*layers, n_orders)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == n_orders
+        for order, (need, peak) in enumerate(zip(needs, peaks[1:]), start=1):
+            assert need >= peak, (tagged, order, need, peak)
 
 
 def test_order_guard():
