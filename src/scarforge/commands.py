@@ -160,6 +160,7 @@ def cmd_revivals(args) -> int:
 
 
 def cmd_ipr(args) -> int:
+    _require(0 <= args.flag_threshold < 1, "--flag-threshold", "lie in [0, 1)", args.flag_threshold)
     model = models.load_model(args.model)
     circuit = model.circuit(args.length)
     mode = args.subspace or ("full" if model.name == "qmbs-c" else "working")

@@ -11,13 +11,13 @@ splits into the M momentum blocks of `hamiltonian.project_sector`; otherwise
 the group is the trivial one and its single block is the whole H.  A float64 H
 (`hamiltonian.build_hamiltonian` assembles pxp, pxp-nophase and qmbs-c as
 real) is propagated as real.  When H has an antiunitary symmetry Theta = K P
-(`hamiltonian.find_antiunitary`: P the identity for a real H, or the spin
-flip F for qmbs-a and qmbs-b), the k = 0 and M/2 blocks are solved as
+(`hamiltonian.find_antiunitary`: complex conjugation K for a real H, with a
+spin flip for qmbs-a and qmbs-b), the k = 0 and M/2 blocks are solved as
 real-symmetric matrices in the real basis of Theta and their vectors rotated
-back to the orbit sums.  As the identity and F commute with S2, Theta then
-maps the k block to the -k block, and only the momenta k <= M/2 are solved:
-the -k vectors are the complex conjugates of the k vectors, with rows
-permuted and signed by P.
+back to the orbit sums.  As P commutes with S2, Theta then maps the k block
+to the -k block, and only the momenta k <= M/2 are solved: the -k vectors
+are the complex conjugates of the k vectors, with rows permuted and signed
+by P.
 
 `evolve` takes the coefficients of psi0 in each block from one DFT over the
 S2 powers of every orbit, and skips blocks without weight: an S2-invariant
@@ -262,7 +262,7 @@ class Propagator:
             self.order = s2_order(subset.length) if symmetric else 1
             theta = find_antiunitary(h, subset)
             name, slots, _ = theta
-            paired = name in ("identity", "F")    # Theta maps momentum k to -k
+            paired = name is not None    # Theta maps momentum k to -k
             self.blocks = []
             for k in range(self.order // 2 + 1 if paired else self.order):
                 sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
@@ -276,7 +276,7 @@ class Propagator:
                 self.blocks.append(MomentumBlock(k, basis, orbits, energies, scaled))
                 # Theta carries the k block's vectors to the -k block's: the
                 # conjugate of the vector row of P(r), times its sign, is row r
-                # (for a real H, P is the identity and that sign is 1).  Kept
+                # (for a real H, P(r) = r and that sign is 1).  Kept
                 # next to the k block, so that evolve computes their shared
                 # phase block once
                 if paired and 0 < 2 * k < self.order:

@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-from .tolerances import ORDER_PHASE_TOL, UNIT_MODULUS_TOL
+from .tolerances import ORDER_PHASE_TOL, PHASE_ORDER_MAX, UNIT_MODULUS_TOL
 
 
 class GateDefinitionError(ValueError):
@@ -123,19 +123,17 @@ def parse_gate(cycles, phases, width: int = 4) -> PermutationGate:
     return PermutationGate(width, tuple(perm), phase_tuple)
 
 
-def gate_order(gate: PermutationGate, n_max: int = 64) -> int | None:
+def gate_order(gate: PermutationGate) -> int | None:
     """Smallest n with gate**n == identity, found cycle by cycle.
 
     A cycle of length l returns every one of its labels to itself after l
     steps, multiplied by the product of the phases along the cycle; it is
     the identity after l * k steps, k the order of that product.  The gate
     order is the lcm over all cycles, fixed points included.  Phase products
-    that are not roots of unity of order at most n_max (e.g. irrational
-    phases) prevent a finite order, reported as None.
+    that are not roots of unity of order at most PHASE_ORDER_MAX (e.g.
+    irrational phases) prevent a finite order, reported as None.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    powers = np.arange(1, n_max + 1)
+    powers = np.arange(1, PHASE_ORDER_MAX + 1)
     out = 1
     for values, _, product in phased_cycles(gate.perm, gate.phases):
         hits = np.flatnonzero(np.abs(product**powers - 1.0) < ORDER_PHASE_TOL)

@@ -24,14 +24,14 @@ character 1, so momentum k keeps the orbits whose period p has k p = 0
 (mod M).  As S2^M = 1, an odd S2 character at L = 2 (mod 4) empties the
 sector.
 
-A complex H can still have a real form.  When Theta = K P commutes with H,
-for K complex conjugation and P one of the involutions identity (a real H),
-F (the global spin flip) or T1 M (mirror, then one-site translation), every
-sector with real characters has a basis of Theta-invariant vectors, in which
-H is real (Haake, Quantum Signatures of Chaos, ch. 2).  Theta takes orbit sum
-r to phi_r times orbit sum r' = P(r), phi_r = +1 or -1, and the real basis
-is (e_r + phi_r e_r') / sqrt(2) and i (e_r - phi_r e_r') / sqrt(2) for a pair
-r < r', and e_r or i e_r for an orbit P fixes with phi_r = +1 or -1.
+A complex H can still have a real form.  When Theta = K F commutes with H,
+for K complex conjugation and F the global spin flip, every sector with real
+characters has a basis of Theta-invariant vectors, in which H is real
+(Haake, Quantum Signatures of Chaos, ch. 2); a float64 H, the real form
+`build_hamiltonian` chose, has Theta = K alone.  Theta takes orbit sum r to
+phi_r times orbit sum r' = F(r), phi_r = +1 or -1, and the real basis is
+(e_r + phi_r e_r') / sqrt(2) and i (e_r - phi_r e_r') / sqrt(2) for a pair
+r < r', and e_r or i e_r for an orbit F fixes with phi_r = +1 or -1.
 `project_sector` rotates such a sector sparsely and makes only the real part
 dense.
 """
@@ -252,23 +252,18 @@ class SectorBasis:
 
 def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
     """Slot of the image of every subset state under a sector operator or
-    under the permutation of an antiunitary candidate.
+    under the spin flip F of the antiunitary Theta = K F.
 
-    S2 translates by two sites; T1M mirrors about the center bond, then
-    translates by one; USM is T1M followed by F, the flip of every spin.  All
-    act on basis states without phases.
+    S2 translates by two sites; USM mirrors about the center bond, translates
+    by one and flips every spin (F).  All act on basis states without phases.
     """
     states, length = subset.states, subset.length
-    if name == "identity":
-        return np.arange(subset.size)
     if name == "S2":
         images = translate_index(states, 2, length)
     elif name == "F":
         images = flip_index(states, length)
-    elif name in ("T1M", "USM"):
-        images = translate_index(mirror_index(states, length), 1, length)
-        if name == "USM":
-            images = flip_index(images, length)
+    elif name == "USM":
+        images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
     else:
         raise ValueError(f"unknown sector operator {name!r}")
     slots = subset.find(images)
@@ -286,38 +281,26 @@ def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float
     return _conjugation_deviation(mat, _symmetry_slots(subset, name))
 
 
-ANTIUNITARY_CANDIDATES = ("identity", "F", "T1M")
-
-
 def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray | None, float]:
-    """The first P of ANTIUNITARY_CANDIDATES for which Theta = K P commutes
-    with `mat`, |P mat P - mat*| <= ANTIUNITARY_TOL: its name, its slot map
-    and that deviation.  When none does, (None, None, the smallest deviation
-    measured), which is finite: the identity candidate applies to every subset.
+    """The antiunitary Theta = K P that commutes with `mat`: P's name, its
+    slot map and the deviation |P mat P - mat*|.
 
-    Each candidate is an involution that maps S2 to S2 or its inverse and
-    USM to itself, so Theta^2 = 1 and Theta keeps every sector with real
-    characters; the identity and F commute with S2, so their Theta maps
-    momentum k to -k.
+    A float64 `mat` is the real form `build_hamiltonian` chose, so P is the
+    identity, ("identity", every slot, 0.0).  A complex `mat` is checked
+    against the spin flip F alone: ("F", its slots, dev) when dev <=
+    ANTIUNITARY_TOL, else (None, None, dev), with dev = inf when the subset
+    is not F-invariant.  Both P are involutions that commute with S2 and
+    USM, so Theta^2 = 1, Theta keeps every sector with real characters and
+    maps momentum k to -k.
     """
-    mat = sp.csr_matrix(mat)
-    if not mat.has_canonical_format:    # one stored entry per position, without touching the caller's arrays
-        mat = mat.copy()
-        mat.sum_duplicates()
-    least = math.inf
-    for name in ANTIUNITARY_CANDIDATES:
-        try:
-            slots = _symmetry_slots(subset, name)
-        except ValueError:
-            continue
-        if name == "identity":    # (a + ib) - (a - ib) is 2ib exactly in floating point
-            dev = 2.0 * float(np.max(np.abs(mat.data.imag), initial=0.0))
-        else:
-            dev = float(abs(mat[slots][:, slots] - mat.conj()).max())
-        if dev <= ANTIUNITARY_TOL:
-            return name, slots, dev
-        least = min(least, dev)
-    return None, None, least
+    if not np.iscomplexobj(mat):
+        return "identity", np.arange(subset.size), 0.0
+    try:
+        slots = _symmetry_slots(subset, "F")
+    except ValueError:
+        return None, None, math.inf
+    dev = float(abs(sp.csr_matrix(mat)[slots][:, slots] - mat.conj()).max())
+    return ("F", slots, dev) if dev <= ANTIUNITARY_TOL else (None, None, dev)
 
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
@@ -432,8 +415,8 @@ def orbit_images(basis: SectorBasis, slots: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _real_rotation(basis: SectorBasis, slots: np.ndarray) -> sp.csr_matrix:
-    """The unitary W of the module docstring, for Theta = K P and the slot
-    map of P: its columns are the real basis vectors of a sector with real
+    """The unitary W of the module docstring, for Theta = K F and the slot
+    map of F: its columns are the real basis vectors of a sector with real
     characters in orbit-sum coordinates, (e_r + phi_r e_r') / sqrt(2) in
     column r and i (e_r - phi_r e_r') / sqrt(2) in column r' of a pair."""
     partner, phi = orbit_images(basis, slots)
@@ -452,16 +435,15 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
     """Restrict an operator to a sector, as a dense block.
 
     The block is `orbit_block`, unless the sector's characters are real and
-    Theta = K P commutes with the operator for a P other than the identity
-    (`antiunitary`, as returned by `find_antiunitary`, which is called when
-    it is not given).  Then the orbit block is rotated sparsely into the
-    real basis W of Theta and, when its imaginary parts are at most
-    ANTIUNITARY_TOL, only the real part is made dense and W is returned as
-    `basis.rotation`.  Those parts add up over an orbit's members, so a
-    deviation just inside the tolerance can leave them above it; the orbit
-    block is then returned as it is.  A real operator (P the identity) keeps
-    its orbit block, real when the operator's dtype is, so its levels do not
-    move.
+    Theta = K F commutes with the operator (`antiunitary`, as returned by
+    `find_antiunitary`, which is called when it is not given).  Then the
+    orbit block is rotated sparsely into the real basis W of Theta and, when
+    its imaginary parts are at most ANTIUNITARY_TOL, only the real part is
+    made dense and W is returned as `basis.rotation`.  Those parts add up
+    over an orbit's members, so a deviation just inside the tolerance can
+    leave them above it; the orbit block is then returned as it is.  A
+    float64 operator (Theta = K) keeps its orbit block, real, so its levels
+    do not move.
     """
     slots = _sector_slots(subset, sector)
     for name, p in slots.items():

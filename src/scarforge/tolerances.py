@@ -6,6 +6,7 @@ Values are absolute unless the comment says otherwise.
 # Gates and states
 UNIT_MODULUS_TOL = 1e-12      # | |phase| - 1 | of gate phases and phased basis states
 ORDER_PHASE_TOL = 1e-10       # a cycle's phase product counts as a root of unity
+PHASE_ORDER_MAX = 64          # highest root-of-unity order tried for a cycle's phase product
 WINDOW_COMMUTE_TOL = 1e-12    # max |[U_1, U_3]| of two same-layer stride2 windows
 
 # Matrix log of a gate

@@ -37,15 +37,15 @@ def random_phase_gate(rng, width=4, phase_choices=(1, 1j, -1, -1j)):
     return PermutationGate(width, tuple(int(v) for v in perm), tuple(phases))
 
 
-def antiunitary_gate(rng, p):
+def antiunitary_gate(rng):
     """A random trailing-qubit-trivial gate with fourth-root phases whose H
-    has Theta = K P, for P = "F" or "T1M".
+    has Theta = K F, for F the global spin flip (or is real, Theta = K).
 
-    Its three-qubit core is u = c sigma, for c the local image of P (the
-    flip v -> 7 - v, or the bit reversal) and a random involution sigma, with
-    phases constant on the orbits of sigma, so that c u c = u^T.  For F,
-    sigma also commutes with the mirror-and-flip b of the three bits and the
-    phases are constant on the orbits of b too, so H commutes with USM."""
+    Its three-qubit core is u = c sigma, for c the local flip v -> 7 - v and
+    a random involution sigma, with phases constant on the orbits of sigma,
+    so that c u c = u^T.  sigma also commutes with the mirror-and-flip b of
+    the three bits and the phases are constant on the orbits of b too, so H
+    commutes with USM."""
     from scarforge.gate import PermutationGate
     from scarforge.rules import lift_three_qubit_permutation
 
@@ -56,11 +56,10 @@ def antiunitary_gate(rng, p):
         sigma = np.arange(8)
         for x, y in rng.permutation(8).reshape(4, 2)[:rng.integers(1, 5)]:
             sigma[x], sigma[y] = y, x
-        if p == "T1M" or np.array_equal(b[sigma[b]], sigma):
+        if np.array_equal(b[sigma[b]], sigma):
             break
-    orbit = [np.arange(8), sigma] + ([b, sigma[b]] if p == "F" else [])
-    phases = rng.choice(np.array((1, 1j, -1, -1j)), size=8)[np.minimum.reduce(orbit)]
-    perm = lift_three_qubit_permutation((flip if p == "F" else rev)[sigma])
+    phases = rng.choice(np.array((1, 1j, -1, -1j)), size=8)[np.minimum.reduce([np.arange(8), sigma, b, sigma[b]])]
+    perm = lift_three_qubit_permutation(flip[sigma])
     return PermutationGate(4, tuple(perm.tolist()), tuple(np.repeat(phases, 2)))
 
 
@@ -76,7 +75,7 @@ def near_antiunitary_hamiltonian(length=8, seed=3):
 
     rng = np.random.default_rng(seed)
     sub = BasisSubset.full_space(length)
-    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng, "F"), length, "stride4"), sub).h
+    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng), length, "stride4"), sub).h
     broken = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), length, "stride4"), sub).h
     slots = find_antiunitary(h, sub)[1]
     scale = 0.9 * ANTIUNITARY_TOL / abs(broken[slots][:, slots] - broken.conj()).max()

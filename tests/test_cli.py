@@ -364,6 +364,23 @@ def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["-1", "1", "1.5", "nan"])
+def test_ipr_refuses_flag_threshold_outside_unit_interval_before_building(threshold, tmp_path, monkeypatch, capsys):
+    # an overlap threshold below 0 flags every level and one of 1 or more
+    # (or nan) flags none: refused before H is built
+    from scarforge import hamiltonian
+
+    def reached(*args, **kwargs):
+        raise AssertionError("H was built")
+
+    monkeypatch.setattr(hamiltonian, "build_hamiltonian", reached)
+    out = tmp_path / "ipr.csv"
+    flags = ["ipr", "--model", "qmbs-c", "-L", "8", "--flag-threshold", threshold, "--out", str(out)]
+    assert run(flags) == EXIT_CONFIG
+    assert f"--flag-threshold must lie in [0, 1) (got {float(threshold)})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (["--model", "qmbs-c", "--state", "polarized"], EXIT_CONFIG,
      "--state must lie in the working subspace of qmbs-c at L=8 (got polarized)"),

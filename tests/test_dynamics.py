@@ -266,8 +266,9 @@ def test_propagator_dtype_follows_hamiltonian(name, length):
     real = name in ("pxp", "pxp-nophase", "qmbs-c")
     assert (abs(h.imag).max() <= ASSEMBLY_PRUNE) == real
     if (name, length) == ("qmbs-a", 12):
-        # the 4096-state full space: its complex eigensolve alone takes
-        # minutes (criterion 09 runs it), so only its H is checked here
+        # the 4096-state full space: its block eigensolve takes about 1.7 s
+        # and `modes` another 1.4 s at a 680 MB peak (2 cores), and criterion
+        # 09 runs it already, so only its H is checked here
         return
     prop = Propagator(h, sub)
     assert prop.modes.dtype == (np.float64 if real else np.complex128)
@@ -329,20 +330,18 @@ def test_antiunitary_propagator_matches_expm(name, length):
 
 
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from(["F", "T1M"]))
-def test_antiunitary_propagator_matches_expm_for_random_gates(seed, p):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_antiunitary_propagator_matches_expm_for_random_gates(seed):
     # on the L=8 full space (M = 4): Theta = K F maps k to -k, so k = 0, 1, 2
-    # are solved and k = 3 comes from k = 1; Theta = K T1M keeps every k, so
-    # all four are solved.  Either way k = 0 and 2 are solved real, and block
-    # evolution of a random state matches expm
+    # are solved and k = 3 comes from k = 1; k = 0 and 2 are solved real,
+    # and block evolution of a random state matches expm
     rng = np.random.default_rng(seed)
     sub = BasisSubset.full_space(8)
-    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng, p), 8, "stride4"), sub).h
+    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng), 8, "stride4"), sub).h
     assume(abs(h.imag).max() > ASSEMBLY_PRUNE)
     prop = Propagator(h, sub)
-    want = [0, 1, 3, 2] if p == "F" else [0, 1, 2, 3]
-    assert [b.momentum for b in prop.blocks] == want
-    assert [b.basis.rotation is not None for b in prop.blocks] == [k % 2 == 0 for k in want]
+    assert [b.momentum for b in prop.blocks] == [0, 1, 3, 2]
+    assert [b.basis.rotation is not None for b in prop.blocks] == [True, False, False, True]
     assert_evolution_matches_expm(prop, h.toarray(), random_state(rng, sub.size), np.array([0.37, 2.5]))
 
 

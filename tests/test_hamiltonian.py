@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     antiunitary_gate,
@@ -462,29 +462,29 @@ def test_sector_rejects_repeated_operator():
 
 
 @settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from(["F", "T1M"]))
-def test_antiunitary_sectors_match_complex_path_for_random_gates(seed, p):
-    # oracle on the L=8 full space: a gate built so that P carries its core
-    # to the transpose has Theta = K P (or a real H, Theta = K).  For K P, in
-    # every sector its H allows (S2 x USM for F, S2 alone for T1M) and every
-    # momentum, the projection is real exactly when the characters are,
-    # equals W^dagger B W for the orbit-sum block B, and has B's complex
-    # spectrum; a real H keeps B itself.  A random phased gate breaks every
-    # candidate and keeps complex blocks with no rotation
+@example(seed=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_antiunitary_sectors_match_complex_path_for_random_gates(seed):
+    # oracle on the L=8 full space: a gate built so that F carries its core
+    # to the transpose has Theta = K F, or a real H (seed 12), Theta = K.  In
+    # every sector of S2 x USM and every momentum, the projection is real
+    # exactly when the characters are and Theta = K F or H is real; it is
+    # rotated exactly when the characters are real and Theta = K F, equals
+    # W^dagger B W for the orbit-sum block B, and has B's spectrum.  A random
+    # phased gate breaks F and keeps complex blocks with no rotation
     rng = np.random.default_rng(seed)
     sub = BasisSubset.full_space(8)
-    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng, p), 8, "stride4"), sub).h
+    h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng), 8, "stride4"), sub).h
     name, _, dev = find_antiunitary(h, sub)
-    assert name in ("identity", p) and dev <= ANTIUNITARY_TOL
-    assert (name == p) == (abs(h.imag).max() > ASSEMBLY_PRUNE)
-    specs = SECTOR_SPECS if p == "F" else [spec for spec in SECTOR_SPECS if len(spec) == 1 and spec[0][0] == "S2"]
-    sectors = [SymmetrySector(spec) for spec in specs]
+    assert name == ("F" if np.iscomplexobj(h) else "identity") and dev <= ANTIUNITARY_TOL
+    sectors = [SymmetrySector(spec) for spec in SECTOR_SPECS]
     sectors += [SymmetrySector(momentum=k) for k in range(s2_order(8))]
     for sector in sectors:
         hs, basis = project_sector(h, sub, sector)
         block = orbit_block(h, basis).toarray()
-        real = not np.iscomplexobj(basis.sign) and name == p
-        assert np.isrealobj(hs) == real and (basis.rotation is not None) == real
+        real_characters = not np.iscomplexobj(basis.sign)
+        assert np.isrealobj(hs) == (real_characters and (name == "F" or np.isrealobj(h)))
+        assert (basis.rotation is not None) == (real_characters and name == "F")
         assert np.max(np.abs(hs - real_form(block, basis)), initial=0.0) < 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(block)), initial=0.0) < 1e-10
     broken = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
@@ -518,44 +518,28 @@ def test_antiunitary_sector_left_complex_by_rotation_keeps_orbit_block():
     assert sum(kept) == 4    # k = 2 and the three S2 = -1 sectors
 
 
-def _assert_identity_deviation_exact(h, length):
-    # On the lowest quarter of the states neither F (0 -> 1...1) nor T1M
-    # (1 -> the site-2 state) maps the subset to itself, so the deviation
-    # `find_antiunitary` reports is the identity's, read off the imaginary
-    # parts; it must equal |H - H*| bit for bit
-    n = 1 << (length - 2)
-    block = sp.csr_matrix(h)[:n, :n]
-    reference = float(abs(block - block.conj()).max())
-    assert find_antiunitary(block, BasisSubset(np.arange(n), length))[2] == reference
-
-
-@pytest.mark.parametrize("name", ["pxp", "pxp-nophase", "qmbs-a", "qmbs-b", "qmbs-c"])
-def test_identity_antiunitary_deviation_is_exact_for_models(models, name):
-    model = models[name]
-    chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
-    _assert_identity_deviation_exact(chain.h, 8)
-    h = build_hamiltonian(model.circuit(8), working_subspace(model, 8)).h
-    theta = find_antiunitary(h, working_subspace(model, 8))
-    if theta[0] == "identity":
-        assert theta[2] == float(abs(h - h.conj()).max())
-
-
-@settings(max_examples=10)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_identity_antiunitary_deviation_is_exact_for_random_gates(seed):
-    gate, _ = _phase_gate_log(seed)
-    _assert_identity_deviation_exact(build_hamiltonian(FloquetCircuit(gate, 8, "stride4"), BasisSubset.full_space(8)).h, 8)
-
-
-def test_identity_antiunitary_deviation_sums_duplicate_entries():
-    # a CSR with two stored entries at one position is read as their sum,
-    # and the caller's arrays are left as they were
-    data = np.array([1.0 + 2e-14j, 3.0 - 1e-14j, 2.0 + 0.0j])
-    indices, indptr = np.array([1, 1, 0]), np.array([0, 2, 3])
-    mat = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(2, 2))
-    name, _, dev = find_antiunitary(mat, BasisSubset([0, 1], 2))
-    assert name == "identity" and dev == float(abs(mat - mat.conj()).max()) > 0
-    assert np.array_equal(mat.data, data) and np.array_equal(mat.indices, indices)
+@pytest.mark.parametrize("length", [8, 12])
+def test_find_antiunitary_reads_real_form_and_checks_flip_for_models(models, length):
+    # a float64 H (pxp, pxp-nophase and qmbs-c on their working subspaces)
+    # has Theta = K at deviation 0; qmbs-a and qmbs-b are complex with
+    # Theta = K F; qmbs-c on the full space is complex and has neither, and a
+    # subset F does not keep has no Theta, at deviation inf
+    for name, m in models.items():
+        sub = working_subspace(m, length)
+        h = build_hamiltonian(m.circuit(length), sub).h
+        theta, slots, dev = find_antiunitary(h, sub)
+        if name in ("qmbs-a", "qmbs-b"):
+            assert np.iscomplexobj(h) and theta == "F" and dev <= 1e-14
+            assert np.array_equal(slots, sub.find(flip_index(sub.states, length)))
+        else:
+            assert h.dtype == np.float64 and theta == "identity" and dev == 0.0
+            assert np.array_equal(slots, np.arange(sub.size))
+    full = BasisSubset.full_space(length)
+    h = build_hamiltonian(models["qmbs-c"].circuit(length), full).h
+    theta, slots, dev = find_antiunitary(h, full)
+    assert np.iscomplexobj(h) and theta is None and slots is None and dev > ANTIUNITARY_TOL
+    n = 1 << (length - 2)    # the lowest quarter: F takes state 0 to 1...1, outside it
+    assert find_antiunitary(h[:n, :n], BasisSubset(np.arange(n), length)) == (None, None, np.inf)
 
 
 def _complex_layers(circuit, subset):

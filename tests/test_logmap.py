@@ -38,7 +38,7 @@ def test_reconstruction_with_branch_cut_eigenphase():
     phases = [1.0] * 16
     phases[0] = -1.0
     g = parse_gate([[2, 3], [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]], phases)
-    order = gate_order(g, 64)
+    order = gate_order(g)
     assert order is not None and order % 2 == 0
     d = power_decomposition(g)
     assert d.reconstruction_error < 1e-9
