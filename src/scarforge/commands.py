@@ -21,8 +21,8 @@ from .automaton import orbit_of
 from .basis import BasisSubset, bitstring, tile_pattern
 from .bch import MAX_ORDER, bch_terms, fgr_rate, norm_profile
 from .cli import EXIT_OK, _require
-from .dynamics import (Propagator, ResourceLimitError, dense_fits, fidelity_trace, generic_comparison_state,
-                       local_z_trace, pr_trace)
+from .dynamics import (COMPLEX_BYTES, Propagator, ResourceLimitError, admit, dense_fits, fidelity_trace,
+                       generic_comparison_state, local_z_trace, pr_trace)
 from .logmap import closing_relation, principal_log
 from .output import format_value, metadata_object, write_csv, write_svg_lines, write_svg_scatter
 from .rules import SearchConstraints, rule_report, search_models
@@ -121,6 +121,8 @@ def cmd_search(args) -> int:
 def cmd_revivals(args) -> int:
     _require(args.dt > 0, "--dt", "be positive", args.dt)
     _require(args.tmax >= 0, "--tmax", "be at least 0", args.tmax)
+    for flag, value in (("--dt", args.dt), ("--tmax", args.tmax)):
+        _require(math.isfinite(value), flag, "be finite", value)
     _require(args.site is None or 1 <= args.site <= args.length, "--site", f"lie in 1..{args.length}", args.site)
     _require(args.site is None or args.window > 0, "--window", "be positive", args.window)
     model = models.load_model(args.model)
@@ -128,6 +130,8 @@ def cmd_revivals(args) -> int:
     # the orbit first: a stride4 length of 2 mod 4 has an H but no automaton
     orbit = models.neel_orbit_states(model, args.length) if args.state == "generic" else None
     subset = _subspace(model, args.length, "working")
+    points = float(np.ceil(args.tmax / args.dt + 0.5))    # the length of the arange grid below, or inf
+    admit(points * subset.size * COMPLEX_BYTES, f"a history of {points:.4g} times holds", "shorten the time grid")
     if orbit is None:
         seed = _seed_index(args.state, model, args.length)
         _require(seed in subset, "--state", f"lie in the working subspace of {model.name} at L={args.length}",
@@ -223,6 +227,7 @@ def cmd_rstat(args) -> int:
 def cmd_bch(args) -> int:
     _require(0 <= args.orders <= MAX_ORDER, "--orders", f"lie in 0..{MAX_ORDER}", args.orders)
     _require(args.bandwidth is None or args.bandwidth > 0, "--bandwidth", "be positive", args.bandwidth)
+    _require(args.bandwidth is None or math.isfinite(args.bandwidth), "--bandwidth", "be finite", args.bandwidth)
     _require(args.bandwidth is None or args.orders >= 2, "--orders", "be at least 2 with --bandwidth", args.orders)
     model = models.load_model(args.model)
     circuit = model.circuit(args.length)
@@ -249,6 +254,7 @@ def cmd_bch(args) -> int:
 
 def cmd_sga_check(args) -> int:
     eps = args.epsilon if args.epsilon is not None else float(np.pi)
+    _require(math.isfinite(eps), "--epsilon", "be finite", eps)
     residual = models.sga_check(args.length, eps)
     print(f"sga residual (L={args.length}, epsilon={eps:.12g}): {residual:.3e}")
     return EXIT_OK

@@ -49,12 +49,27 @@ matmul, so the path loads neither scipy.special nor scipy's BLAS.  The
 degree comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each
 window is at most CHEBYSHEV_TAIL_TOL in norm.
 
+A start that leaves at least one S2 momentum exactly empty (every orbit sum
+of that momentum zero, as for the Neel state, which lies in k = 0 alone)
+runs in the momentum blocks it occupies, when the subset is S2-invariant
+and [H, S2] is at most MOMENTUM_COMMUTE_TOL; a start with weight in every
+momentum, such as a basis state of full period, runs the whole-space
+recurrence.  The S2 orbits are found on the first evolve, [H, S2] is
+checked on the first start that leaves a momentum empty, and each occupied
+block is built once, as the CSR `hamiltonian.orbit_block` of
+`hamiltonian.sector_basis`, and kept.  Each block runs its own recurrence
+on its own Gershgorin interval, carrying its orbit-sum state from window to
+window, over the windows of the widest interval; the block amplitudes reach
+the history through the same inverse DFT and gather as the dense path's,
+window by window.
+
 Before allocating, `evolve` refuses a call whose amplitude history and
-working block (one time chunk of the block evolution with the cached phase
-blocks, or the Chebyshev vectors and the buffer of their products) would
-not fit in the available memory.  Unitarity is monitored
-along every trace, the worst drift is reported in the result, and drift
-beyond NORM_DRIFT_ABORT aborts.
+working set (one time chunk of the dense block evolution with the cached
+phase blocks; the Chebyshev vectors and the buffer of their products; for
+the block recurrence also every block's outputs over the longest window and
+one chunk of their recombination) would not fit in the available memory.
+Unitarity is monitored along every trace, the worst drift is reported in
+the result, and drift beyond NORM_DRIFT_ABORT aborts.
 """
 
 from __future__ import annotations
@@ -73,9 +88,11 @@ from .hamiltonian import (
     SymmetrySector,
     find_antiunitary,
     operator_commutes,
+    orbit_block,
     orbit_images,
     project_sector,
     s2_order,
+    sector_basis,
 )
 from .tolerances import (
     CHEBYSHEV_TAIL_TOL,
@@ -136,7 +153,7 @@ def admit(need: int, what: str, advice: str) -> None:
     """Raise ResourceLimitError when `need` bytes exceed `available_bytes()`."""
     have = available_bytes()
     if need > have:
-        raise ResourceLimitError(f"{what} {need / 1e9:.2f} GB, {have / 1e9:.2f} GB available; {advice}")
+        raise ResourceLimitError(f"{what} {need / 1e9:.3g} GB, {have / 1e9:.2f} GB available; {advice}")
 
 
 @dataclass
@@ -219,20 +236,101 @@ def _phase_block(energies: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.exp(base, out=base)
 
 
+def _chebyshev_windows(times: np.ndarray, reach: float):
+    """(start, lo, hi) for each Chebyshev window along a grid of times >= 0.
+
+    A window runs one recurrence from the state at `start` and reads the
+    outputs times[lo:hi]: those up to `reach` after its start, or the rest of
+    the grid when that ends within CHEBYSHEV_STRETCH windows.  The next
+    window starts at its last output.  A longer gap is crossed by hops of
+    `reach`, lo == hi, that keep only their end state.
+    """
+    start, i = 0.0, 0
+    while i < len(times):
+        if times[-1] - start <= CHEBYSHEV_STRETCH * reach:
+            stop = len(times)
+        elif times[i] - start > reach:
+            yield start, i, i
+            start += reach
+            continue
+        else:
+            stop = int(np.searchsorted(times, start + reach, side="right"))
+        yield start, i, stop
+        start, i = times[stop - 1], stop
+
+
+@dataclass(frozen=True)
+class ChebyshevOperator:
+    """2 (H - b) / a, the operator of the recurrence T_{k+1} = 2X T_k - T_{k-1},
+    for the Gershgorin interval [b - a, b + a] of a Hermitian H."""
+
+    scaled: sp.csr_matrix
+    centre: float
+    half_width: float
+
+    @classmethod
+    def of(cls, hamiltonian) -> ChebyshevOperator:
+        h = sp.csr_matrix(hamiltonian, dtype=complex)
+        # Gershgorin: every eigenvalue of a Hermitian H lies in [b - a, b + a]
+        diag = h.diagonal()
+        radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+        lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
+        centre = float(hi + lo) / 2.0
+        half_width = float(hi - lo) / 2.0 or 1.0  # H = b: any a > 0 bounds it
+        scaled = ((h - centre * sp.identity(h.shape[0], dtype=complex, format="csr"))
+                  * (2.0 / half_width)).tocsr()
+        return cls(scaled, centre, half_width)
+
+    def window(self, psi, dts, out, block):
+        """out[j] += e^{-iH dts[j]} psi for increasing dts within one (stretched) window.
+
+        e^{-iHt} = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - b)/a).
+        block[0] holds CHEBYSHEV_BLOCK Chebyshev vectors T_k psi, filled in
+        turn; each time it is full, one matrix product of the coefficient
+        columns with it, into block[1] for CHEBYSHEV_BLOCK output times at a
+        time, adds those terms to every output time of the window.
+        """
+        degree = chebyshev_degree(self.half_width * dts[-1])
+        coeff = chebyshev_coefficients(self.half_width * dts, degree)
+        coeff *= np.exp(-1j * self.centre * dts)[:, None]
+        vectors, work = block
+        rows = len(vectors)
+
+        def add(lo, hi):
+            for j in range(0, len(out), rows):
+                part = out[j:j + rows]
+                np.matmul(coeff[j:j + rows, lo:hi], vectors[: hi - lo], out=work[:len(part)])
+                part += work[:len(part)]
+
+        vectors[0] = psi
+        for k in range(1, degree + 1):
+            r = k % rows
+            if r == 0:
+                add(k - rows, k)
+            if k == 1:
+                np.multiply(self.scaled @ psi, 0.5, out=vectors[1])
+            else:
+                vectors[r] = self.scaled @ vectors[r - 1] - vectors[r - 2]
+        add(degree - degree % rows, degree + 1)
+
+
 @dataclass(frozen=True)
 class MomentumBlock:
-    """Eigenpairs of H in one S2 momentum sector.
+    """H in one S2 momentum sector.
 
-    `vectors` holds the sector eigenvectors as amplitudes on the orbit
-    representatives, the block eigenvectors with row r divided by
-    sqrt(sizes[r]); `orbits` numbers each block column among all orbits.
+    `orbits` numbers each block column among all orbits.  A dense
+    propagator keeps the sector's eigenpairs: `vectors` holds the sector
+    eigenvectors as amplitudes on the orbit representatives, the block
+    eigenvectors with row r divided by sqrt(sizes[r]).  An iterative one
+    keeps the block's own `chebyshev` operator in the orbit-sum basis.
     """
 
     momentum: int
     basis: SectorBasis
     orbits: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
+    energies: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+    chebyshev: ChebyshevOperator | None = None
 
     def slot_amplitudes(self, slots, vectors: np.ndarray | None = None) -> np.ndarray:
         """Amplitudes of `vectors` (default the block's own) on the subset
@@ -240,6 +338,45 @@ class MomentumBlock:
         vectors = self.vectors if vectors is None else vectors
         orbit = self.basis.orbit[slots]
         return np.where((orbit >= 0)[:, None], self.basis.sign[slots, None] * vectors[orbit], 0.0)
+
+
+class _OrbitGather:
+    """The amplitudes of every subset slot from the orbit amplitudes of the
+    momentum blocks, one chunk of at most `rows` times at a time.
+
+    `momenta[k, r, j]` holds the momentum-k part of the amplitude on the
+    representative of orbit r at the chunk's j-th time.  Its inverse DFT over
+    the momentum axis, one (M, M) matrix product, gives for each orbit the
+    amplitude of the member that S2^j takes to the representative at index
+    j; when only momentum 0 has weight (`transform` false), every member
+    carries its orbit's amplitude and the DFT is skipped.
+    """
+
+    def __init__(self, prop: Propagator, transform: bool, rows: int):
+        order, orbits = prop.order, len(prop.sizes)
+        self.momenta = np.zeros((order, orbits, rows), dtype=complex)
+        self.spectrum = np.empty_like(self.momenta)
+        self.transform = transform
+        self.orbit = prop.orbit
+        self.gather = prop.shift * orbits + prop.orbit
+        powers = np.arange(order)
+        self.dft = np.exp((2j * np.pi / order) * (np.multiply.outer(powers, powers) % order))
+
+    def emit(self, out: np.ndarray, norms: np.ndarray) -> None:
+        """The (dim, n) amplitudes `out` and their n norms from the first n
+        times of `momenta`; each norm is taken on the gathered chunk."""
+        order, n = len(self.momenta), len(norms)
+        if self.transform:
+            np.matmul(self.dft, self.momenta.reshape(order, -1), out=self.spectrum.reshape(order, -1))
+            members = self.spectrum[:, :, :n].reshape(-1, n)[self.gather]
+        else:
+            members = self.momenta[0, :, :n][self.orbit]
+        out[...] = members
+        # np.linalg.norm(members, axis=0), term for term, with its
+        # squared moduli written into the free transform buffer
+        square = self.spectrum.reshape(-1)[:members.size].reshape(members.shape)
+        np.multiply(np.conjugate(members, out=square), members, out=square)
+        norms[:] = np.sqrt(np.add.reduce(square.real, axis=0))
 
 
 class Propagator:
@@ -289,16 +426,13 @@ class Propagator:
             self.energies = levels[self.level_order]
         else:
             self.energies = None
-            h = sp.csr_matrix(hamiltonian, dtype=complex)
-            # Gershgorin: every eigenvalue of a Hermitian H lies in [b - a, b + a]
-            diag = h.diagonal()
-            radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-            lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
-            self.centre = float(hi + lo) / 2.0
-            self.half_width = float(hi - lo) / 2.0 or 1.0  # H = b: any a > 0 bounds it
-            # 2 (H - b) / a, the operator of the recurrence T_{k+1} = 2X T_k - T_{k-1}
-            self.scaled = ((h - self.centre * sp.identity(dim, dtype=complex, format="csr"))
-                           * (2.0 / self.half_width)).tocsr()
+            self.hamiltonian = sp.csr_matrix(hamiltonian)
+            self.chebyshev = ChebyshevOperator.of(self.hamiltonian)
+            # set by _occupied_blocks: the S2 orbits on the first evolve, the
+            # check of [H, S2] and the blocks on the first start they serve
+            self.order = None
+            self.symmetric = None
+            self.blocks = []
 
     @property
     def modes(self) -> np.ndarray | None:
@@ -324,11 +458,16 @@ class Propagator:
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        need = (len(times) * self.subset.size + self._work_entries(len(times))) * COMPLEX_BYTES
-        admit(need, "evolution holds", "shorten the time grid")
+        if self.method != "dense" and np.any(times < 0.0):
+            raise ValueError("the Chebyshev path evolves forward from t = 0 only")
         psi0 = np.asarray(initial, dtype=complex)
+        occupied = self._occupied_blocks(psi0) if self.method != "dense" else None
+        need = (len(times) * self.subset.size + self._work_entries(times, occupied)) * COMPLEX_BYTES
+        admit(need, "evolution holds", "shorten the time grid")
         if self.method == "dense":
             amps, norms = self._evolve_dense(psi0, times)
+        elif occupied:
+            amps, norms = self._evolve_blocks(times, occupied)
         else:
             amps, norms = self._evolve_iterative(psi0, times)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
@@ -336,32 +475,97 @@ class Propagator:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(amps, self.subset, drift)
 
-    def _work_entries(self, n_times: int) -> int:
-        """Complex entries held beside the history: the Chebyshev vectors and
-        the buffer of their products, or, for one time chunk, the momentum
-        array, its transform and the gathered amplitudes, the cached phase
-        block of every distinct energy set, plus a chunk's own phase block,
-        the scaled one and the product of the largest momentum block."""
-        if self.method != "dense":
+    def _occupied_blocks(self, psi0: np.ndarray) -> list[tuple[MomentumBlock, np.ndarray]] | None:
+        """The momentum blocks psi0 has weight in, each with the orbit-sum
+        coefficients of psi0 there, when it leaves at least one S2 momentum
+        empty and H commutes with S2; None for the whole space.
+
+        The S2 orbits are found on the first call, and the trivial group,
+        one momentum, applies when the subset is not S2-invariant.  Momentum
+        k keeps the orbits whose period p has k p = 0 (mod M), and has weight
+        when psi0 has a nonzero orbit sum there.  On the first start that
+        leaves a momentum empty, |[H, S2]| is checked against
+        MOMENTUM_COMMUTE_TOL, as the dense path does; each occupied block is
+        built once, as CSR, and kept.
+        """
+        if self.order is None:
+            try:
+                self.zero_basis = sector_basis(self.subset, SymmetrySector(momentum=0))
+            except ValueError:  # the subset is not S2-invariant
+                self.order = 1
+            else:
+                self.order = s2_order(self.subset.length)
+                self.orbit, self.shift, self.sizes = (self.zero_basis.orbit, self.zero_basis.shift,
+                                                      self.zero_basis.sizes)
+        if self.order == 1:
+            return None
+        sums = self._momentum_sums(psi0)
+        kept = [np.flatnonzero(k * self.sizes % self.order == 0) for k in range(self.order)]
+        occupied = [k for k in range(self.order) if np.any(sums[kept[k], k])]
+        if len(occupied) == self.order:
+            return None
+        if self.symmetric is None:
+            self.symmetric = operator_commutes(self.hamiltonian, self.subset, "S2") <= MOMENTUM_COMMUTE_TOL
+        if not self.symmetric:
+            return None
+        built = {b.momentum: b for b in self.blocks}
+        for k in occupied:
+            if k not in built:
+                basis = self.zero_basis if k == 0 else sector_basis(self.subset, SymmetrySector(momentum=k))
+                built[k] = MomentumBlock(k, basis, self.orbit[basis.reps], chebyshev=ChebyshevOperator.of(
+                    orbit_block(self.hamiltonian, basis)))
+                self.blocks.append(built[k])
+        blocks = [built[k] for k in occupied]
+        return [(b, sums[b.orbits, b.momentum] / np.sqrt(b.basis.sizes)) for b in blocks]
+
+    def _work_entries(self, times: np.ndarray, occupied) -> int:
+        """Complex entries held beside the history.
+
+        Dense: for one time chunk, the momentum array, its transform and the
+        gathered amplitudes, the cached phase block of every distinct energy
+        set, plus a chunk's own phase block, the scaled one and the product
+        of the largest momentum block.  Iterative over the whole space: the
+        Chebyshev vectors and the buffer of their products.  Over momentum
+        blocks: those two for the largest block, every block's outputs of the
+        longest window, and for one chunk of that window the momentum array,
+        its transform, the gathered amplitudes and one block's scaled rows.
+        """
+        if self.method == "dense":
+            width = len(self.sizes) * self.order
+            rows = min(len(times), _chunk_rows(width))
+            cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
+            return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks) + cached)
+        if not occupied:
             return 2 * CHEBYSHEV_BLOCK * self.subset.size
         width = len(self.sizes) * self.order
-        rows = min(n_times, _chunk_rows(width))
-        cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
-        return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks) + cached)
+        sizes = [b.basis.size for b, _ in occupied]
+        longest = max(hi - lo for _, lo, hi in self._block_windows(times, occupied)[1])
+        rows = min(longest, _chunk_rows(width))
+        return (2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes)
+                + rows * (2 * width + self.subset.size + max(sizes)))
 
-    def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
-        """Coefficients of psi0 in the eigenvectors of each momentum block.
+    @staticmethod
+    def _block_windows(times, occupied) -> tuple[float, list[tuple[float, int, int]]]:
+        """The reach and the windows of the block path, set by the widest
+        block interval."""
+        reach = CHEBYSHEV_WINDOW / max(b.chebyshev.half_width for b, _ in occupied)
+        return reach, list(_chebyshev_windows(times, reach))
 
-        The orbit sums sum_{x in r} conj(chi_k(x)) psi0[x] of every orbit r and
-        momentum k come from one DFT over the S2 power of each slot.
-        """
+    def _momentum_sums(self, psi0: np.ndarray) -> np.ndarray:
+        """sum_{x in r} conj(chi_k(x)) psi0[x] for every orbit r (rows) and
+        momentum k (columns), from one DFT over the S2 power of each slot."""
         split = np.zeros((len(self.sizes), self.order), dtype=complex)
         split[self.orbit, self.shift] = psi0
-        sums = np.fft.fft(split, axis=1)
+        return np.fft.fft(split, axis=1)
+
+    def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
+        """Coefficients of psi0 in the eigenvectors of each momentum block,
+        from its orbit sums (`_momentum_sums`)."""
+        sums = self._momentum_sums(psi0)
         return [_adjoint_times(b.vectors, sums[b.orbits, b.momentum]) for b in self.blocks]
 
     def _evolve_dense(self, psi0, times):
-        """Block by block over time chunks, recombined by one DFT per orbit.
+        """Block by block over time chunks, recombined by `_OrbitGather`.
 
         Every momentum block with weight takes e^{-iEt} on a chunk as
         e^{-iE t_0} e^{-iE tau}, tau = t - t_0 the offsets from the chunk's
@@ -372,24 +576,13 @@ class Propagator:
         the block's coefficients, and the scaled phase block is mapped
         through the block's vectors in one GEMM (on the float64 view when
         they are real); the two blocks of a conjugate pair share one phase
-        block.  The products fill the rows of a (momentum, orbit, chunk)
-        array whose inverse DFT over the momentum axis, one (M, M) matrix
-        product, gives for each orbit the amplitude of the member that S2^j
-        takes to the representative at index j; when only momentum 0 has
-        weight, every member carries its orbit's amplitude and the DFT is
-        skipped.  Each time point's norm is taken on the gathered chunk.  The
+        block.  The products fill the momentum rows of the gather.  The
         history is built as (dim, n_times) and returned as its (n_times, dim)
         transpose, with the norms.
         """
         active = [(b, c) for b, c in zip(self.blocks, self.block_coefficients(psi0)) if np.any(c)]
-        transform = any(b.momentum for b, _ in active)
-        width = len(self.sizes) * self.order
-        step = _chunk_rows(width)
-        momenta = np.zeros((self.order, len(self.sizes), min(step, len(times))), dtype=complex)
-        spectrum = np.empty_like(momenta)
-        gather = self.shift * len(self.sizes) + self.orbit
-        powers = np.arange(self.order)
-        dft = np.exp((2j * np.pi / self.order) * (np.multiply.outer(powers, powers) % self.order))
+        step = _chunk_rows(len(self.sizes) * self.order)
+        gather = _OrbitGather(self, any(b.momentum for b, _ in active), min(step, len(times)))
         first = times[:step] - times[0]
         slack = 2.0 * np.spacing(np.max(np.abs(times)))
         cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in active}
@@ -410,84 +603,66 @@ class Propagator:
                     product = (b.vectors @ phases.view(np.float64)).view(complex)
                 else:
                     product = b.vectors @ phases
-                momenta[b.momentum, b.orbits, :len(t)] = product
-            if transform:
-                np.matmul(dft, momenta.reshape(self.order, -1), out=spectrum.reshape(self.order, -1))
-                members = spectrum[:, :, :len(t)].reshape(width, len(t))[gather]
-            else:
-                members = momenta[0, :, :len(t)][self.orbit]
-            amps[:, lo:lo + len(t)] = members
-            # np.linalg.norm(members, axis=0), term for term, with its
-            # squared moduli written into the free transform buffer
-            square = spectrum.reshape(-1)[:members.size].reshape(members.shape)
-            np.multiply(np.conjugate(members, out=square), members, out=square)
-            norms[lo:lo + len(t)] = np.sqrt(np.add.reduce(square.real, axis=0))
-            del members  # before the next chunk gathers its own
+                gather.momenta[b.momentum, b.orbits, :len(t)] = product
+            gather.emit(amps[:, lo:lo + len(t)], norms[lo:lo + len(t)])
         return amps.T, norms
 
     def _evolve_iterative(self, psi0, times):
-        """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid.
-
-        Each window starts from the state at its start time (psi0 at t = 0,
-        then the last output of the previous window) and covers the output
-        times up to CHEBYSHEV_WINDOW / a after it, or the rest of the grid
-        when that ends within CHEBYSHEV_STRETCH windows.  A longer gap is
-        crossed by whole windows that keep only their end state.  Returns the
-        history and the norm of each of its rows, taken window by window.
-        """
-        if np.any(times < 0.0):
-            raise ValueError("the Chebyshev path evolves forward from t = 0 only")
+        """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid
+        (`_chebyshev_windows`) over the whole space.  Returns the history and
+        the norm of each of its rows, taken window by window."""
         amps = np.zeros((len(times), len(psi0)), dtype=complex)
         norms = np.empty(len(times))
         block = np.empty((2, CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
-        reach = CHEBYSHEV_WINDOW / self.half_width
-        psi, start, i = psi0, 0.0, 0
-        while i < len(times):
-            if times[-1] - start <= CHEBYSHEV_STRETCH * reach:
-                stop = len(times)
-            elif times[i] - start > reach:
+        reach = CHEBYSHEV_WINDOW / self.chebyshev.half_width
+        psi = psi0
+        for start, lo, hi in _chebyshev_windows(times, reach):
+            if lo == hi:
                 hop = np.zeros((1, len(psi0)), dtype=complex)
-                self._chebyshev_window(psi, np.array([reach]), hop, block)
-                psi, start = hop[0], start + reach
+                self.chebyshev.window(psi, np.array([reach]), hop, block)
+                psi = hop[0]
                 continue
-            else:
-                stop = int(np.searchsorted(times, start + reach, side="right"))
-            self._chebyshev_window(psi, times[i:stop] - start, amps[i:stop], block)
-            norms[i:stop] = _by_rows(amps[i:stop], lambda rows: np.linalg.norm(rows, axis=1))
-            psi, start, i = amps[stop - 1], times[stop - 1], stop
+            self.chebyshev.window(psi, times[lo:hi] - start, amps[lo:hi], block)
+            norms[lo:hi] = _by_rows(amps[lo:hi], lambda rows: np.linalg.norm(rows, axis=1))
+            psi = amps[hi - 1]
         return amps, norms
 
-    def _chebyshev_window(self, psi, dts, out, block):
-        """out[j] += e^{-iH dts[j]} psi for increasing dts within one (stretched) window.
+    def _evolve_blocks(self, times, occupied):
+        """Chebyshev windows in each occupied momentum block, recombined by
+        `_OrbitGather`.
 
-        e^{-iHt} = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - b)/a).
-        block[0] holds CHEBYSHEV_BLOCK Chebyshev vectors T_k psi, filled in
-        turn; each time it is full, one matrix product of the coefficient
-        columns with it, into block[1] for CHEBYSHEV_BLOCK output times at a
-        time, adds those terms to every output time of the window.
+        Each block carries its orbit-sum state from window to window and runs
+        its own recurrence on its own Gershgorin interval; the windows are
+        those of the widest interval, so that every block covers each of them
+        in one recurrence.  A window's block outputs, divided by the square
+        roots of the orbit sizes, fill the momentum rows of the gather in
+        chunks of times.  Returns the history, (n_times, dim) and C-ordered
+        as the whole-space path's, and its norms.
         """
-        degree = chebyshev_degree(self.half_width * dts[-1])
-        coeff = chebyshev_coefficients(self.half_width * dts, degree)
-        coeff *= np.exp(-1j * self.centre * dts)[:, None]
-        vectors, work = block
-        rows = len(vectors)
-
-        def add(lo, hi):
-            for j in range(0, len(out), rows):
-                part = out[j:j + rows]
-                np.matmul(coeff[j:j + rows, lo:hi], vectors[: hi - lo], out=work[:len(part)])
-                part += work[:len(part)]
-
-        vectors[0] = psi
-        for k in range(1, degree + 1):
-            r = k % rows
-            if r == 0:
-                add(k - rows, k)
-            if k == 1:
-                np.multiply(self.scaled @ psi, 0.5, out=vectors[1])
-            else:
-                vectors[r] = self.scaled @ vectors[r - 1] - vectors[r - 2]
-        add(degree - degree % rows, degree + 1)
+        reach, windows = self._block_windows(times, occupied)
+        step = _chunk_rows(len(self.sizes) * self.order)
+        longest = max(hi - lo for _, lo, hi in windows)
+        gather = _OrbitGather(self, any(b.momentum for b, _ in occupied), min(step, longest))
+        buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _ in occupied), dtype=complex)
+        scales = [1.0 / np.sqrt(b.basis.sizes)[:, None] for b, _ in occupied]
+        states = [coeff for _, coeff in occupied]
+        amps = np.empty((len(times), self.subset.size), dtype=complex)
+        norms = np.empty(len(times))
+        for start, lo, hi in windows:
+            dts = times[lo:hi] - start if hi > lo else np.array([reach])
+            outs = []
+            for j, (b, _) in enumerate(occupied):
+                out = np.zeros((len(dts), b.basis.size), dtype=complex)
+                block = buffer[:2 * CHEBYSHEV_BLOCK * b.basis.size].reshape(2, CHEBYSHEV_BLOCK, -1)
+                b.chebyshev.window(states[j], dts, out, block)
+                states[j] = out[-1].copy()
+                outs.append(out)
+            for c in range(lo, hi, step):
+                n = min(step, hi - c)
+                for (b, _), out, scale in zip(occupied, outs, scales):
+                    gather.momenta[b.momentum, b.orbits, :n] = out[c - lo:c - lo + n].T * scale
+                gather.emit(amps[c:c + n].T, norms[c:c + n])
+        return amps, norms
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:

@@ -248,13 +248,9 @@ def sga_check(length: int, epsilon: float = np.pi) -> float:
     chain = build_hamiltonian(circuit, subset)
     q = ladder_operator(length)
     m = (chain.h @ q - q @ chain.h - epsilon * q).tocsc()
-    w_states = anti_aligned_pair_states(length)
-    worst = 0.0
-    for x in w_states:
-        col = int(x)
-        sl = slice(m.indptr[col], m.indptr[col + 1])
-        worst = max(worst, float(np.linalg.norm(m.data[sl])))
-    return worst
+    # np.max, not Python's max, so that a NaN column norm is the residual
+    norms = [np.linalg.norm(m.data[m.indptr[x]:m.indptr[x + 1]]) for x in anti_aligned_pair_states(length)]
+    return float(np.max(norms, initial=0.0))
 
 
 def neel_orbit_states(model: ModelDefinition, length: int) -> list[int]:

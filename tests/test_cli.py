@@ -250,6 +250,14 @@ def test_bch_reports_its_translation_group(tmp_path, capsys):
     assert capsys.readouterr().err == "bch: translation group of order 6, 60 of 322 rows\n"
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_sga_check_refuses_non_finite_epsilon(epsilon, capsys):
+    # nan gave a NaN residual that the column fold dropped, printing 0
+    assert run(["sga-check", "-L", "8", "--epsilon", epsilon]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --epsilon must be finite (got {float(epsilon)})\n" and captured.out == ""
+
+
 def test_sga_and_spinrep_commands(capsys):
     assert run(["sga-check", "-L", "8"]) == EXIT_OK
     assert "residual" in capsys.readouterr().out
@@ -347,8 +355,17 @@ def test_search_rejects_top_below_one(top, tmp_path, capsys):
     (["--dt", "-0.1"], "--dt must be positive (got -0.1)"),
     (["--tmax", "-1"], "--tmax must be at least 0 (got -1.0)"),
     (["--site", "2", "--window", "0"], "--window must be positive (got 0.0)"),
+    (["--tmax", "inf"], "--tmax must be finite (got inf)"),
+    (["--tmax", "nan"], "--tmax must be at least 0 (got nan)"),
+    (["--dt", "inf"], "--dt must be finite (got inf)"),
+    (["--dt", "nan"], "--dt must be positive (got nan)"),
+    (["--dt", "1e-300"], "a history of 3e+302 times holds"),
+    (["--tmax", "1e12"], "a history of 2e+13 times holds"),
+    (["--dt", "1e-320"], "a history of inf times holds"),
 ])
 def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp_path, monkeypatch, capsys):
+    # a time grid too long for memory is refused (exit 3) once the subset
+    # is known, before H is built
     from scarforge import hamiltonian
 
     built = []
@@ -359,8 +376,10 @@ def test_revivals_refuses_out_of_range_flags_before_building(flags, message, tmp
 
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", reached)
     out = tmp_path / "trace.csv"
-    assert run(["revivals", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    code = EXIT_NUMERICAL if "history" in message else EXIT_CONFIG
+    assert run(["revivals", "--model", "pxp", "-L", "8", "--out", str(out)] + flags) == code
+    err = capsys.readouterr().err
+    assert message in err and (code == EXIT_CONFIG or err.rstrip().endswith("shorten the time grid"))
     assert built == [] and not out.exists()
 
 
@@ -426,6 +445,8 @@ def test_bch_refuses_nonpositive_bandwidth(bandwidth, tmp_path, monkeypatch, cap
     (["--orders", "13"], "--orders must lie in 0..12 (got 13)"),
     (["--orders", "1", "--bandwidth", "30"], "--orders must be at least 2 with --bandwidth (got 1)"),
     (["--orders", "0", "--bandwidth", "30"], "--orders must be at least 2 with --bandwidth (got 0)"),
+    (["--orders", "2", "--bandwidth", "inf"], "--bandwidth must be finite (got inf)"),
+    (["--orders", "2", "--bandwidth", "nan"], "--bandwidth must be positive (got nan)"),
 ])
 def test_bch_refuses_out_of_range_orders_before_building(flags, message, tmp_path, monkeypatch, capsys):
     from scarforge import models

@@ -30,7 +30,7 @@ from scarforge.dynamics import (
     pr_trace,
     z_diagonal,
 )
-from scarforge.hamiltonian import build_hamiltonian, krylov_subspace
+from scarforge.hamiltonian import SymmetrySector, build_hamiltonian, krylov_subspace, sector_basis
 from scarforge.models import load_model, neel_orbit_states, working_subspace
 from scarforge.tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL
 
@@ -446,15 +446,16 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
 
 
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
-    # the iterative path holds the history, a block of CHEBYSHEV_BLOCK
-    # Chebyshev vectors and a buffer of as many rows for their products:
-    # one byte short of all three, the call refuses before building any;
-    # with exactly that available it runs
+    # the whole-space recurrence holds the history, a block of
+    # CHEBYSHEV_BLOCK Chebyshev vectors and a buffer of as many rows for
+    # their products: one byte short of all three, the call refuses before
+    # building any; with exactly that available it runs.  The start has
+    # weight in every momentum, so no momentum block serves it
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
     assert prop.method == "iterative"
-    psi0 = sub.basis_vector(m.orbit_seed(12))
+    psi0 = random_state(np.random.default_rng(5), sub.size)
     times = np.arange(0.0, 5.0, 0.05)
     need = (len(times) + 2 * CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
@@ -468,6 +469,7 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     assert peak < CHEBYSHEV_BLOCK * sub.size * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
     assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)
+    assert prop.blocks == []
 
 
 def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeypatch):
@@ -748,16 +750,171 @@ def test_chebyshev_last_window_takes_the_rest_of_the_grid(pxp_chain, monkeypatch
     chain, sub, _ = pxp_chain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "DENSE_GUARD", 0)
-        reach = dynamics.CHEBYSHEV_WINDOW / Propagator(chain.h, sub).half_width
+        reach = dynamics.CHEBYSHEV_WINDOW / Propagator(chain.h, sub).chebyshev.half_width
     spans = []
-    run_window = Propagator._chebyshev_window
+    run_window = dynamics.ChebyshevOperator.window
 
     def spy(self, psi, dts, out, block):
         spans.append(dts[-1])
         run_window(self, psi, dts, out, block)
 
-    monkeypatch.setattr(Propagator, "_chebyshev_window", spy)
+    monkeypatch.setattr(dynamics.ChebyshevOperator, "window", spy)
     times = np.linspace(0.0, end * reach, 41)
     assert_chebyshev_matches_dense(chain.h, sub, random_state(np.random.default_rng(7), sub.size), times)
     assert len(spans) == windows
     assert spans[-1] <= dynamics.CHEBYSHEV_STRETCH * reach
+
+
+def short_period_state(rng, sub, period):
+    """A random state on the subset states whose S2 orbit period divides
+    `period`: momentum k has weight only when k * period = 0 (mod M), and
+    every other momentum is exactly empty."""
+    basis = sector_basis(sub, SymmetrySector(momentum=0))
+    slots = np.flatnonzero(period % basis.sizes[basis.orbit] == 0)
+    psi0 = np.zeros(sub.size, dtype=complex)
+    psi0[slots] = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+    return psi0 / np.linalg.norm(psi0)
+
+
+def assert_blocks_match_dense(h, sub, psi0, times, momenta):
+    """The iterative propagator runs psi0 in the blocks of `momenta` alone,
+    and its history matches the dense full-space propagator to 1e-10."""
+    dense = Propagator(h, sub)
+    assert dense.method == "dense"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        prop = Propagator(h, sub)
+    got = prop.evolve(psi0, times)
+    assert sorted(b.momentum for b in prop.blocks) == momenta
+    assert np.max(np.abs(got.amplitudes - dense.evolve(psi0, times).amplitudes)) < 1e-10
+    assert got.norm_drift < 1e-10
+    return prop
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)), times=irregular_grids())
+def test_momentum_block_chebyshev_matches_dense_for_random_gates(seed, length, times):
+    # a truly complex H on the full space (M = 4 or 6) and a start on the
+    # orbits of one proper divisor period of M: the blocks of the momenta
+    # k with k * period = 0 (mod M) run their own recurrences, gathered in
+    # chunks of 7 times, on grids with gaps of dozens of windows
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(length)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), length, "stride4"), sub).h
+    order = length // 2
+    period = int(rng.choice([p for p in range(1, order) if order % p == 0]))
+    momenta = [k for k in range(order) if k * period % order == 0]
+    width = len(sector_basis(sub, SymmetrySector(momentum=0)).sizes) * order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "HISTORY_CHUNK", 7 * width)
+        assert_blocks_match_dense(h, sub, short_period_state(rng, sub, period), times, momenta)
+
+
+@pytest.mark.parametrize("name, length", [
+    ("pxp", 12), ("pxp-nophase", 12), ("qmbs-a", 8), ("qmbs-b", 12), ("qmbs-c", 12),
+])
+def test_momentum_block_chebyshev_matches_dense_for_models(name, length):
+    # the Neel state lies in k = 0 alone; a start on the orbits of period
+    # M/2 has weight in k = 0 and 2 (real and complex characters alike)
+    m = load_model(name)
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    times = np.arange(0.0, 30.0, 0.05)
+    assert_blocks_match_dense(h, sub, sub.basis_vector(m.orbit_seed(length)), times, [0])
+    order = length // 2
+    psi0 = short_period_state(np.random.default_rng(length), sub, order // 2)
+    assert_blocks_match_dense(h, sub, psi0, times, [k for k in range(order) if k * (order // 2) % order == 0])
+
+
+def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch):
+    # the S2 check and the k = 0 block are made on the first Neel evolve
+    # and kept: a second evolve repeats the history bit for bit
+    chain, sub, m = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(chain.h, sub)
+    checks, built = [], []
+    commutes, block = dynamics.operator_commutes, dynamics.orbit_block
+    monkeypatch.setattr(dynamics, "operator_commutes", lambda *a: checks.append(a[2]) or commutes(*a))
+    monkeypatch.setattr(dynamics, "orbit_block", lambda *a: built.append(a[1].size) or block(*a))
+    psi0 = sub.basis_vector(m.orbit_seed(12))
+    times = np.arange(0.0, 20.0, 0.05)
+    first = prop.evolve(psi0, times).amplitudes
+    assert prop.evolve(psi0, times).amplitudes.tobytes() == first.tobytes()
+    zero = sector_basis(sub, SymmetrySector(momentum=0))
+    assert [b.momentum for b in prop.blocks] == [0] and prop.blocks[0].basis.size == zero.size == 60
+    assert checks == ["S2"] and built == [60]
+
+
+def test_start_in_every_momentum_runs_the_whole_space_recurrence(pxp_chain, monkeypatch):
+    # every window runs on the whole-space operator, and neither the S2
+    # check nor any block is made
+    chain, sub, _ = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(chain.h, sub)
+    ran = []
+    window = dynamics.ChebyshevOperator.window
+    monkeypatch.setattr(dynamics.ChebyshevOperator, "window", lambda self, *a: ran.append(self) or window(self, *a))
+    psi0 = random_state(np.random.default_rng(11), sub.size)
+    times = np.arange(0.0, 20.0, 0.05)
+    got = prop.evolve(psi0, times).amplitudes
+    assert ran and all(op is prop.chebyshev for op in ran)
+    assert prop.blocks == [] and prop.symmetric is None and prop.order == 6
+    monkeypatch.undo()
+    assert np.max(np.abs(got - Propagator(chain.h, sub).evolve(psi0, times).amplitudes)) < 1e-10
+
+
+def test_momentum_blocks_fall_back_to_the_whole_space():
+    # the S2-invariant state 0 on an H whose field breaks S2 by 2e-7, and on
+    # a subset that S2 does not preserve, runs over the whole space and
+    # matches expm; the block path would miss the field by about 1e-6
+    rng = np.random.default_rng(4)
+    full = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), full).h.toarray()
+    h += np.diag(1e-7 * z_diagonal(full, 3))
+    part = BasisSubset(np.arange(40), 8)
+    g = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    times = np.array([0.0, 0.37, 2.5, 9.0])
+    for ham, sub, order in ((h, full, 4), ((g + g.conj().T) / 2, part, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "DENSE_GUARD", 0)
+            prop = Propagator(ham, sub)
+        assert_evolution_matches_expm(prop, ham, sub.basis_vector(0), times)
+        assert prop.order == order and prop.blocks == []
+    assert prop.symmetric is None
+    assert Propagator(h, full).order == 1    # the dense path's check agrees
+
+
+def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypatch):
+    # the block path holds the history, the Chebyshev vectors and product
+    # buffer of its largest block, every block's outputs over the longest
+    # window, and one chunk of that window's momentum array, transform,
+    # gathered amplitudes and scaled block rows.  One entry short, a fresh
+    # propagator makes its k = 0 block and refuses before any of the rest;
+    # with exactly that available it runs
+    chain, sub, m = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(chain.h, sub)
+    psi0 = sub.basis_vector(m.orbit_seed(12))
+    times = np.arange(0.0, 5.0, 0.05)
+    zero = sector_basis(sub, SymmetrySector(momentum=0))
+    size = zero.size
+    half_width = dynamics.ChebyshevOperator.of(dynamics.orbit_block(chain.h, zero)).half_width
+    windows = list(dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / half_width))
+    longest = max(hi - lo for _, lo, hi in windows)
+    assert len(windows) == 4
+    width = len(zero.sizes) * 6
+    rows = min(longest, dynamics.HISTORY_CHUNK // width)
+    work = 2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (2 * width + sub.size + size)
+    need = (len(times) * sub.size + work) * COMPLEX_BYTES
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            prop.evolve(psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [b.momentum for b in prop.blocks] == [0]
+    assert peak < len(times) * sub.size * COMPLEX_BYTES / 4
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
+    assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)

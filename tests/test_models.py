@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_sga_residual_small():
 def test_sga_wrong_ladder_spacing_fails():
     assert sga_check(8, epsilon=3.0) > 0.1
     assert sga_check(8, epsilon=0.0) > 0.1
+
+
+def test_sga_residual_propagates_nan():
+    # a NaN column norm is the residual, not dropped from the fold
+    assert math.isnan(sga_check(8, epsilon=float("nan")))
 
 
 @pytest.mark.parametrize("length", [4, 8])
