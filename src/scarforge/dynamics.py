@@ -1,14 +1,30 @@
 """Time evolution, revival traces, and local-observable diagnostics.
 
 `Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
-`dense_fits` is the one dense limit, read by the propagator, by
-`spectral.analyze_spectrum` and by the `rstat` and `revivals --site`
-commands.  Within it the propagator diagonalizes the (sub-)Hamiltonian once
-and evaluates e^{-iHt} exactly on the whole time grid, one S2 momentum block
-at a time.  When the subset is invariant under S2 (translation by two sites,
-of order M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, H
-splits into the M momentum blocks of `hamiltonian.project_sector`; otherwise
-the group is the trivial one and its single block is the whole H.  A float64 H
+The propagator decides its group once, at construction.  When the subset is
+invariant under S2 (translation by two sites, of order M = L / gcd(L, 2))
+and [H, S2] is at most MOMENTUM_COMMUTE_TOL, the group is S2 and H splits
+into the M momentum blocks of `hamiltonian.project_sector` (Sandvik,
+arXiv:1101.3281); otherwise the group is the trivial one, of order 1, and
+its single block is the whole H.  The group's orbits, with their sizes and
+the S2 power taking each slot to its representative, are its momentum-0
+sector basis (`group`).  `evolve` takes the orbit sums of psi0 in every
+momentum from one DFT over the S2 powers of each orbit.  A momentum is
+occupied when the norm of psi0's part in it exceeds MOMENTUM_COMMUTE_TOL
+||psi0||, and the blocks of the other momenta are skipped: an S2-invariant
+start such as the Neel state touches the k = 0 block alone.  Block
+amplitudes on the orbit representatives come back to the subset slots
+through one inverse DFT over the momenta of each orbit (`_OrbitGather`);
+when only k = 0 has weight, every member carries its orbit's amplitude and
+the DFT is skipped.  Each time point's norm is taken on its chunk as it is
+gathered, its squared moduli summed pairwise.
+
+The two methods differ in how a block evolves.  `dense_fits` is the one
+dense limit, read by the propagator, by `spectral.analyze_spectrum` and by
+the `rstat` and `revivals --site` commands.
+
+Within it, the propagator diagonalizes every block once and evaluates
+e^{-iHt} exactly on the whole time grid.  A float64 H
 (`hamiltonian.build_hamiltonian` assembles pxp, pxp-nophase and qmbs-c as
 real) is propagated as real.  When H has an antiunitary symmetry Theta = K P
 (`hamiltonian.find_antiunitary`: complex conjugation K for a real H, with a
@@ -17,59 +33,43 @@ real-symmetric matrices in the real basis of Theta and their vectors rotated
 back to the orbit sums.  As P commutes with S2, Theta then maps the k block
 to the -k block, and only the momenta k <= M/2 are solved: the -k vectors
 are the complex conjugates of the k vectors, with rows permuted and signed
-by P.
-
-`evolve` takes the coefficients of psi0 in each block from one DFT over the
-S2 powers of every orbit, and skips blocks without weight: an S2-invariant
-start such as the Neel state touches the k = 0 block alone.  Over chunks of
-the time grid, each block maps its scaled phase block through its
-eigenvectors in one matrix product, and one inverse DFT over the momenta of
-each orbit returns the amplitudes of its members; when only k = 0 has
-weight, every member carries its orbit's amplitude and the DFT is skipped.
-The phase block e^{-iE tau} over the offsets tau from a chunk's first time
-is computed once, for the first chunk, and reused by every chunk whose
-offsets match it to within 2 ulp of the largest time (every evenly spaced
-grid); e^{-iE t_0} of the chunk's first time scales the coefficients, and a
-chunk with other offsets computes its own block.  Each time point's norm is
-taken on its chunk as it is gathered.  `energies` are sorted over all
+by P.  Over chunks of the time grid, each occupied block maps its scaled
+phase block through its eigenvectors in one matrix product.  The phase
+block e^{-iE tau} over the offsets tau from a chunk's first time is
+computed once, for the first chunk, and reused by every chunk whose offsets
+match it to within 2 ulp of the largest time (every evenly spaced grid);
+e^{-iE t_0} of the chunk's first time scales the coefficients, and a chunk
+with other offsets computes its own block.  `energies` are sorted over all
 blocks (`level_order` sorts the blocks' levels taken in turn); `modes`, the
 eigenvectors in the subset basis (real for a real H, from sqrt(2) Re and
 sqrt(2) Im of a momentum pair), are built on each read.
 
-Above the limit the propagator expands e^{-iHt} in Chebyshev polynomials of
-the rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-3967 (1984)), where [b - a, b + a] is the Gershgorin interval of H.  Output
-times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW, the last one
-stretched to end the grid; each window runs one three-term recurrence from
-its start state and reads every output time in it off the same Chebyshev
-vectors (dense output).  Their coefficients (2 - delta_k0) (-i)^k J_k(a t)
-are the Fourier coefficients of e^{-iat cos(theta)} (the Jacobi-Anger
-expansion), read off one FFT, and the products are added with numpy's
-matmul, so the path loads neither scipy.special nor scipy's BLAS.  The
-degree comes from |J_k(x)| <= (x/2)^k / k!, so the dropped tail of each
-window is at most CHEBYSHEV_TAIL_TOL in norm.
-
-A start that leaves at least one S2 momentum exactly empty (every orbit sum
-of that momentum zero, as for the Neel state, which lies in k = 0 alone)
-runs in the momentum blocks it occupies, when the subset is S2-invariant
-and [H, S2] is at most MOMENTUM_COMMUTE_TOL; a start with weight in every
-momentum, such as a basis state of full period, runs the whole-space
-recurrence.  The S2 orbits are found on the first evolve, [H, S2] is
-checked on the first start that leaves a momentum empty, and each occupied
-block is built once, as the CSR `hamiltonian.orbit_block` of
-`hamiltonian.sector_basis`, and kept.  Each block runs its own recurrence
-on its own Gershgorin interval, carrying its orbit-sum state from window to
-window, over the windows of the widest interval; the block amplitudes reach
-the history through the same inverse DFT and gather as the dense path's,
-window by window.
+Above the limit, each block expands e^{-iHt} in Chebyshev polynomials of
+its rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+3967 (1984)), where [b - a, b + a] is the block's Gershgorin interval.  A
+start that occupies some momenta but not all runs in the momentum blocks it
+occupies, each built on first use, as the CSR `hamiltonian.orbit_block` of
+`hamiltonian.sector_basis`, and kept.  A start that occupies every
+momentum, and every start under the trivial group, runs in the trivial
+group's block, whose operator is the whole H, built with the propagator.
+Output times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW for the
+widest interval, the last one stretched to end the grid; each block runs
+one three-term recurrence per window from its orbit-sum state and reads
+every output time in it off the same Chebyshev vectors (dense output).
+Their coefficients (2 - delta_k0) (-i)^k J_k(a t) are the Fourier
+coefficients of e^{-iat cos(theta)} (the Jacobi-Anger expansion), read off
+one FFT, and the products are added with numpy's matmul, so the path loads
+neither scipy.special nor scipy's BLAS.  The degree comes from |J_k(x)| <=
+(x/2)^k / k!, so the dropped tail of each window is at most
+CHEBYSHEV_TAIL_TOL in norm.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
 working set (one time chunk of the dense block evolution with the cached
-phase blocks; the Chebyshev vectors and the buffer of their products; for
-the block recurrence also every block's outputs over the longest window and
-one chunk of their recombination) would not fit in the available memory.
-Unitarity is monitored along every trace, the worst drift is reported in
-the result, and drift beyond NORM_DRIFT_ABORT aborts.
+phase blocks; for the Chebyshev blocks the vectors and the buffer of their
+products, every block's outputs over the longest window and one chunk of
+their recombination) would not fit in the available memory.  Unitarity is
+monitored along every trace, the worst drift is reported in the result, and
+drift beyond NORM_DRIFT_ABORT aborts.
 """
 
 from __future__ import annotations
@@ -316,13 +316,14 @@ class ChebyshevOperator:
 
 @dataclass(frozen=True)
 class MomentumBlock:
-    """H in one S2 momentum sector.
+    """H in one momentum sector of a group: an S2 momentum, or the one
+    sector of the trivial group, the whole H.
 
-    `orbits` numbers each block column among all orbits.  A dense
-    propagator keeps the sector's eigenpairs: `vectors` holds the sector
-    eigenvectors as amplitudes on the orbit representatives, the block
-    eigenvectors with row r divided by sqrt(sizes[r]).  An iterative one
-    keeps the block's own `chebyshev` operator in the orbit-sum basis.
+    `orbits` numbers each block column among all orbits of the group.  A
+    dense propagator keeps the sector's eigenpairs: `vectors` holds the
+    sector eigenvectors as amplitudes on the orbit representatives, the
+    block eigenvectors with row r divided by sqrt(sizes[r]).  An iterative
+    one keeps the block's own `chebyshev` operator in the orbit-sum basis.
     """
 
     momentum: int
@@ -342,7 +343,9 @@ class MomentumBlock:
 
 class _OrbitGather:
     """The amplitudes of every subset slot from the orbit amplitudes of the
-    momentum blocks, one chunk of at most `rows` times at a time.
+    momentum blocks of a group of order M, one chunk of at most `rows` times
+    at a time.  `group` is the group's momentum-0 sector basis: its orbits,
+    their sizes and the S2 power taking each slot to its representative.
 
     `momenta[k, r, j]` holds the momentum-k part of the amplitude on the
     representative of orbit r at the chunk's j-th time.  Its inverse DFT over
@@ -352,13 +355,13 @@ class _OrbitGather:
     carries its orbit's amplitude and the DFT is skipped.
     """
 
-    def __init__(self, prop: Propagator, transform: bool, rows: int):
-        order, orbits = prop.order, len(prop.sizes)
+    def __init__(self, order: int, group: SectorBasis, transform: bool, rows: int):
+        orbits = len(group.sizes)
         self.momenta = np.zeros((order, orbits, rows), dtype=complex)
         self.spectrum = np.empty_like(self.momenta)
         self.transform = transform
-        self.orbit = prop.orbit
-        self.gather = prop.shift * orbits + prop.orbit
+        self.orbit = group.orbit
+        self.gather = group.shift * orbits + group.orbit
         powers = np.arange(order)
         self.dft = np.exp((2j * np.pi / order) * (np.multiply.outer(powers, powers) % order))
 
@@ -372,11 +375,15 @@ class _OrbitGather:
         else:
             members = self.momenta[0, :, :n][self.orbit]
         out[...] = members
-        # np.linalg.norm(members, axis=0), term for term, with its
-        # squared moduli written into the free transform buffer
+        # np.linalg.norm(members.T, axis=1), term for term: the squared
+        # moduli, written into the free transform buffer, are copied so that
+        # each time's fill one contiguous row of the spent `members`, and the
+        # reduction along it sums them pairwise
         square = self.spectrum.reshape(-1)[:members.size].reshape(members.shape)
         np.multiply(np.conjugate(members, out=square), members, out=square)
-        norms[:] = np.sqrt(np.add.reduce(square.real, axis=0))
+        rows = members.reshape(-1).view(np.float64)[:members.size].reshape(n, -1)
+        np.copyto(rows, square.real.T)
+        norms[:] = np.sqrt(np.add.reduce(rows, axis=1))
 
 
 class Propagator:
@@ -388,28 +395,27 @@ class Propagator:
             raise ValueError("Hamiltonian dimension does not match subset")
         self.method = "dense" if dense_fits(dim) else "iterative"
         self.subset = subset
+        h = sp.csr_matrix(hamiltonian)
+        try:
+            symmetric = operator_commutes(h, subset, "S2") <= MOMENTUM_COMMUTE_TOL
+        except ValueError:  # the subset is not S2-invariant
+            symmetric = False
+        # the trivial group when S2 does not apply: one block, the whole H
+        self.order = s2_order(subset.length) if symmetric else 1
+        self.group = sector_basis(subset, SymmetrySector(momentum=0) if symmetric else SymmetrySector())
+        self.blocks = []
         if self.method == "dense":
-            h = sp.csr_matrix(hamiltonian)
             self.real = np.isrealobj(h)
-            try:
-                symmetric = operator_commutes(h, subset, "S2") <= MOMENTUM_COMMUTE_TOL
-            except ValueError:  # the subset is not S2-invariant
-                symmetric = False
-            # the trivial group when S2 does not apply: one block, the whole H
-            self.order = s2_order(subset.length) if symmetric else 1
             theta = find_antiunitary(h, subset)
             name, slots, _ = theta
             paired = name is not None    # Theta maps momentum k to -k
-            self.blocks = []
             for k in range(self.order // 2 + 1 if paired else self.order):
                 sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
                 block, basis = project_sector(h, subset, sector, theta)
                 energies, vectors = np.linalg.eigh(block)
                 if basis.rotation is not None:
                     vectors = basis.rotation @ vectors    # the real eigenvectors in orbit sums
-                if k == 0:
-                    self.orbit, self.shift, self.sizes = basis.orbit, basis.shift, basis.sizes
-                orbits, scaled = self.orbit[basis.reps], vectors / np.sqrt(basis.sizes)[:, None]
+                orbits, scaled = self.group.orbit[basis.reps], vectors / np.sqrt(basis.sizes)[:, None]
                 self.blocks.append(MomentumBlock(k, basis, orbits, energies, scaled))
                 # Theta carries the k block's vectors to the -k block's: the
                 # conjugate of the vector row of P(r), times its sign, is row r
@@ -426,13 +432,11 @@ class Propagator:
             self.energies = levels[self.level_order]
         else:
             self.energies = None
-            self.hamiltonian = sp.csr_matrix(hamiltonian)
-            self.chebyshev = ChebyshevOperator.of(self.hamiltonian)
-            # set by _occupied_blocks: the S2 orbits on the first evolve, the
-            # check of [H, S2] and the blocks on the first start they serve
-            self.order = None
-            self.symmetric = None
-            self.blocks = []
+            # the trivial group's block, the whole H; the momentum blocks
+            # are built from H on the first start that occupies each
+            self.hamiltonian = h
+            trivial = self.group if self.order == 1 else sector_basis(subset, SymmetrySector())
+            self.whole = MomentumBlock(0, trivial, trivial.reps, chebyshev=ChebyshevOperator.of(h))
 
     @property
     def modes(self) -> np.ndarray | None:
@@ -461,83 +465,78 @@ class Propagator:
         if self.method != "dense" and np.any(times < 0.0):
             raise ValueError("the Chebyshev path evolves forward from t = 0 only")
         psi0 = np.asarray(initial, dtype=complex)
-        occupied = self._occupied_blocks(psi0) if self.method != "dense" else None
-        need = (len(times) * self.subset.size + self._work_entries(times, occupied)) * COMPLEX_BYTES
+        plan = self._occupied_blocks(psi0) if self.method != "dense" else None
+        need = (len(times) * self.subset.size + self._work_entries(times, plan)) * COMPLEX_BYTES
         admit(need, "evolution holds", "shorten the time grid")
         if self.method == "dense":
             amps, norms = self._evolve_dense(psi0, times)
-        elif occupied:
-            amps, norms = self._evolve_blocks(times, occupied)
         else:
-            amps, norms = self._evolve_iterative(psi0, times)
+            amps, norms = self._evolve_blocks(times, *plan)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if drift > NORM_DRIFT_ABORT:
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(amps, self.subset, drift)
 
-    def _occupied_blocks(self, psi0: np.ndarray) -> list[tuple[MomentumBlock, np.ndarray]] | None:
-        """The momentum blocks psi0 has weight in, each with the orbit-sum
-        coefficients of psi0 there, when it leaves at least one S2 momentum
-        empty and H commutes with S2; None for the whole space.
+    def _momentum_parts(self, psi0: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The orbit sums of psi0 (`_momentum_sums`) and the momenta it occupies.
 
-        The S2 orbits are found on the first call, and the trivial group,
-        one momentum, applies when the subset is not S2-invariant.  Momentum
-        k keeps the orbits whose period p has k p = 0 (mod M), and has weight
-        when psi0 has a nonzero orbit sum there.  On the first start that
-        leaves a momentum empty, |[H, S2]| is checked against
-        MOMENTUM_COMMUTE_TOL, as the dense path does; each occupied block is
-        built once, as CSR, and kept.
+        Momentum k keeps the orbits whose period p has k p = 0 (mod M), and
+        psi0's part in it has the orbit-sum coefficients sums[r, k] / sqrt(p)
+        on them.  k is occupied when the norm of that part exceeds
+        MOMENTUM_COMMUTE_TOL ||psi0||, so that roundoff left in a momentum
+        by a numerical projection does not count as weight.
         """
-        if self.order is None:
-            try:
-                self.zero_basis = sector_basis(self.subset, SymmetrySector(momentum=0))
-            except ValueError:  # the subset is not S2-invariant
-                self.order = 1
-            else:
-                self.order = s2_order(self.subset.length)
-                self.orbit, self.shift, self.sizes = (self.zero_basis.orbit, self.zero_basis.shift,
-                                                      self.zero_basis.sizes)
-        if self.order == 1:
-            return None
         sums = self._momentum_sums(psi0)
-        kept = [np.flatnonzero(k * self.sizes % self.order == 0) for k in range(self.order)]
-        occupied = [k for k in range(self.order) if np.any(sums[kept[k], k])]
-        if len(occupied) == self.order:
-            return None
-        if self.symmetric is None:
-            self.symmetric = operator_commutes(self.hamiltonian, self.subset, "S2") <= MOMENTUM_COMMUTE_TOL
-        if not self.symmetric:
-            return None
-        built = {b.momentum: b for b in self.blocks}
-        for k in occupied:
-            if k not in built:
-                basis = self.zero_basis if k == 0 else sector_basis(self.subset, SymmetrySector(momentum=k))
-                built[k] = MomentumBlock(k, basis, self.orbit[basis.reps], chebyshev=ChebyshevOperator.of(
-                    orbit_block(self.hamiltonian, basis)))
-                self.blocks.append(built[k])
-        blocks = [built[k] for k in occupied]
-        return [(b, sums[b.orbits, b.momentum] / np.sqrt(b.basis.sizes)) for b in blocks]
+        sizes = self.group.sizes[:, None]
+        kept = np.arange(self.order) * sizes % self.order == 0
+        weight = np.sqrt(np.sum(np.abs(sums) ** 2 / sizes, axis=0, where=kept))
+        cut = MOMENTUM_COMMUTE_TOL * np.linalg.norm(psi0)
+        return sums, [k for k in range(self.order) if weight[k] > cut]
 
-    def _work_entries(self, times: np.ndarray, occupied) -> int:
+    def _occupied_blocks(self, psi0: np.ndarray) -> tuple[int, SectorBasis, list]:
+        """The order and momentum-0 sector basis of the group psi0 runs in,
+        and its Chebyshev blocks psi0 occupies, each paired with the
+        orbit-sum coefficients of psi0 there.
+
+        A start that occupies some momenta but not all runs in the S2
+        momentum blocks it occupies; any other start, and every start under
+        the trivial group, runs in the trivial group's block, the whole H,
+        with psi0 itself as its coefficients.  Each momentum block is built
+        once, as CSR, and kept.
+        """
+        sums, occupied = self._momentum_parts(psi0)
+        if 0 < len(occupied) < self.order:
+            built = {b.momentum: b for b in self.blocks}
+            for k in occupied:
+                if k not in built:
+                    basis = self.group if k == 0 else sector_basis(self.subset, SymmetrySector(momentum=k))
+                    operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis))
+                    built[k] = MomentumBlock(k, basis, self.group.orbit[basis.reps], chebyshev=operator)
+                    self.blocks.append(built[k])
+            blocks = [built[k] for k in occupied]
+            return self.order, self.group, [(b, sums[b.orbits, k] / np.sqrt(b.basis.sizes))
+                                            for b, k in zip(blocks, occupied)]
+        return 1, self.whole.basis, [(self.whole, psi0)]
+
+    def _work_entries(self, times: np.ndarray, plan) -> int:
         """Complex entries held beside the history.
 
         Dense: for one time chunk, the momentum array, its transform and the
         gathered amplitudes, the cached phase block of every distinct energy
         set, plus a chunk's own phase block, the scaled one and the product
-        of the largest momentum block.  Iterative over the whole space: the
-        Chebyshev vectors and the buffer of their products.  Over momentum
-        blocks: those two for the largest block, every block's outputs of the
-        longest window, and for one chunk of that window the momentum array,
-        its transform, the gathered amplitudes and one block's scaled rows.
+        of the largest momentum block.  Chebyshev: the vectors and the buffer
+        of their products for the largest block of the plan
+        (`_occupied_blocks`), every block's outputs of the longest window,
+        and for one chunk of that window the momentum array, its transform,
+        the gathered amplitudes and one block's scaled rows.
         """
         if self.method == "dense":
-            width = len(self.sizes) * self.order
+            width = len(self.group.sizes) * self.order
             rows = min(len(times), _chunk_rows(width))
             cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
             return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks) + cached)
-        if not occupied:
-            return 2 * CHEBYSHEV_BLOCK * self.subset.size
-        width = len(self.sizes) * self.order
+        order, group, occupied = plan
+        width = len(group.sizes) * order
         sizes = [b.basis.size for b, _ in occupied]
         longest = max(hi - lo for _, lo, hi in self._block_windows(times, occupied)[1])
         rows = min(longest, _chunk_rows(width))
@@ -546,16 +545,16 @@ class Propagator:
 
     @staticmethod
     def _block_windows(times, occupied) -> tuple[float, list[tuple[float, int, int]]]:
-        """The reach and the windows of the block path, set by the widest
-        block interval."""
+        """The reach and the windows of the Chebyshev blocks, set by the
+        widest block interval."""
         reach = CHEBYSHEV_WINDOW / max(b.chebyshev.half_width for b, _ in occupied)
         return reach, list(_chebyshev_windows(times, reach))
 
     def _momentum_sums(self, psi0: np.ndarray) -> np.ndarray:
         """sum_{x in r} conj(chi_k(x)) psi0[x] for every orbit r (rows) and
         momentum k (columns), from one DFT over the S2 power of each slot."""
-        split = np.zeros((len(self.sizes), self.order), dtype=complex)
-        split[self.orbit, self.shift] = psi0
+        split = np.zeros((len(self.group.sizes), self.order), dtype=complex)
+        split[self.group.orbit, self.group.shift] = psi0
         return np.fft.fft(split, axis=1)
 
     def block_coefficients(self, psi0: np.ndarray) -> list[np.ndarray]:
@@ -567,7 +566,7 @@ class Propagator:
     def _evolve_dense(self, psi0, times):
         """Block by block over time chunks, recombined by `_OrbitGather`.
 
-        Every momentum block with weight takes e^{-iEt} on a chunk as
+        Every occupied momentum block takes e^{-iEt} on a chunk as
         e^{-iE t_0} e^{-iE tau}, tau = t - t_0 the offsets from the chunk's
         first time.  The phase block e^{-iE tau} is computed once per energy
         set for the first chunk's offsets and reused by every chunk whose own
@@ -580,9 +579,11 @@ class Propagator:
         history is built as (dim, n_times) and returned as its (n_times, dim)
         transpose, with the norms.
         """
-        active = [(b, c) for b, c in zip(self.blocks, self.block_coefficients(psi0)) if np.any(c)]
-        step = _chunk_rows(len(self.sizes) * self.order)
-        gather = _OrbitGather(self, any(b.momentum for b, _ in active), min(step, len(times)))
+        sums, occupied = self._momentum_parts(psi0)
+        active = [(b, _adjoint_times(b.vectors, sums[b.orbits, b.momentum]))
+                  for b in self.blocks if b.momentum in occupied]
+        step = _chunk_rows(len(self.group.sizes) * self.order)
+        gather = _OrbitGather(self.order, self.group, any(b.momentum for b, _ in active), min(step, len(times)))
         first = times[:step] - times[0]
         slack = 2.0 * np.spacing(np.max(np.abs(times)))
         cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in active}
@@ -607,42 +608,22 @@ class Propagator:
             gather.emit(amps[:, lo:lo + len(t)], norms[lo:lo + len(t)])
         return amps.T, norms
 
-    def _evolve_iterative(self, psi0, times):
-        """Chebyshev windows of a*dt <= CHEBYSHEV_WINDOW along the grid
-        (`_chebyshev_windows`) over the whole space.  Returns the history and
-        the norm of each of its rows, taken window by window."""
-        amps = np.zeros((len(times), len(psi0)), dtype=complex)
-        norms = np.empty(len(times))
-        block = np.empty((2, CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
-        reach = CHEBYSHEV_WINDOW / self.chebyshev.half_width
-        psi = psi0
-        for start, lo, hi in _chebyshev_windows(times, reach):
-            if lo == hi:
-                hop = np.zeros((1, len(psi0)), dtype=complex)
-                self.chebyshev.window(psi, np.array([reach]), hop, block)
-                psi = hop[0]
-                continue
-            self.chebyshev.window(psi, times[lo:hi] - start, amps[lo:hi], block)
-            norms[lo:hi] = _by_rows(amps[lo:hi], lambda rows: np.linalg.norm(rows, axis=1))
-            psi = amps[hi - 1]
-        return amps, norms
-
-    def _evolve_blocks(self, times, occupied):
-        """Chebyshev windows in each occupied momentum block, recombined by
-        `_OrbitGather`.
+    def _evolve_blocks(self, times, order, group, occupied):
+        """Chebyshev windows in each occupied block of the group of `order`
+        and momentum-0 basis `group`, recombined by `_OrbitGather`.
 
         Each block carries its orbit-sum state from window to window and runs
         its own recurrence on its own Gershgorin interval; the windows are
         those of the widest interval, so that every block covers each of them
         in one recurrence.  A window's block outputs, divided by the square
         roots of the orbit sizes, fill the momentum rows of the gather in
-        chunks of times.  Returns the history, (n_times, dim) and C-ordered
-        as the whole-space path's, and its norms.
+        chunks of times.  Returns the history, (n_times, dim) and C-ordered,
+        and its norms.
         """
         reach, windows = self._block_windows(times, occupied)
-        step = _chunk_rows(len(self.sizes) * self.order)
+        step = _chunk_rows(len(group.sizes) * order)
         longest = max(hi - lo for _, lo, hi in windows)
-        gather = _OrbitGather(self, any(b.momentum for b, _ in occupied), min(step, longest))
+        gather = _OrbitGather(order, group, any(b.momentum for b, _ in occupied), min(step, longest))
         buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _ in occupied), dtype=complex)
         scales = [1.0 / np.sqrt(b.basis.sizes)[:, None] for b, _ in occupied]
         states = [coeff for _, coeff in occupied]
@@ -705,7 +686,7 @@ def local_z_trace(
     coeffs = prop.block_coefficients(np.asarray(initial, dtype=complex))
     mean_energy = float(sum(np.sum(np.abs(c) ** 2 * b.energies) for b, c in zip(prop.blocks, coeffs)))
     # <v|Z|v> of a block eigenvector: sum_r |vectors[r, n]|^2 times the sum of z over orbit r
-    z_orbit = np.bincount(prop.orbit, weights=z)
+    z_orbit = np.bincount(prop.group.orbit, weights=z)
     z_levels = np.concatenate([
         z_orbit[b.orbits] @ np.abs(b.vectors[:, np.abs(b.energies - mean_energy) <= energy_window / 2.0]) ** 2
         for b in prop.blocks

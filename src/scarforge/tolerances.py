@@ -24,7 +24,9 @@ ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noi
 HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the
-                              # dropped couplings grow by at most this times t in the amplitudes
+                              # dropped couplings grow by at most this times t in the amplitudes.
+                              # Relative to ||psi0||, also the largest norm of a start's part in a
+                              # momentum that still counts that momentum as empty
 ANTIUNITARY_TOL = 1e-13       # max |P H P - H*| for which Theta = K P is a symmetry and a sector with
                               # real characters is solved in its real basis; also the max |Im| of
                               # that rotated block, above which the sector stays complex

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import antiunitary_gate, near_antiunitary_hamiltonian, random_phase_gate
 from scarforge import dynamics
 from scarforge.automaton import FloquetCircuit
-from scarforge.basis import BasisSubset
+from scarforge.basis import BasisSubset, translate_index
 from scarforge.dynamics import (
     CHEBYSHEV_BLOCK,
     COMPLEX_BYTES,
@@ -446,18 +446,26 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
 
 
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
-    # the whole-space recurrence holds the history, a block of
-    # CHEBYSHEV_BLOCK Chebyshev vectors and a buffer of as many rows for
-    # their products: one byte short of all three, the call refuses before
-    # building any; with exactly that available it runs.  The start has
-    # weight in every momentum, so no momentum block serves it
+    # a start with weight in every momentum runs in the trivial group's
+    # block, built with the propagator.  The call holds the history, the
+    # block's Chebyshev vectors and the buffer of their products, its
+    # outputs over the longest window, and one chunk of that window's
+    # momentum array, transform, gathered amplitudes and scaled rows, all
+    # over the whole space: one entry short of that, it refuses before
+    # building any; with exactly that available it runs
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
     assert prop.method == "iterative"
     psi0 = random_state(np.random.default_rng(5), sub.size)
     times = np.arange(0.0, 5.0, 0.05)
-    need = (len(times) + 2 * CHEBYSHEV_BLOCK) * sub.size * COMPLEX_BYTES
+    half_width = dynamics.ChebyshevOperator.of(chain.h).half_width
+    windows = list(dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / half_width))
+    longest = max(hi - lo for _, lo, hi in windows)
+    assert len(windows) == 4
+    rows = min(longest, dynamics.HISTORY_CHUNK // sub.size)
+    work = 2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 4 * sub.size
+    need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -486,7 +494,7 @@ def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeyp
     assert prop.order == 6
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 300.025, 0.05)
-    width = len(prop.sizes) * prop.order
+    width = len(prop.group.sizes) * prop.order
     rows = dynamics.HISTORY_CHUNK // width
     assert 2 * rows < len(times)
     largest = max(len(b.energies) for b in prop.blocks)
@@ -568,7 +576,7 @@ def test_momentum_blocks_match_full_space_for_random_gates(seed):
         levels = np.sort(np.concatenate([b.energies for b in prop.blocks]))
         assert np.max(np.abs(levels - np.linalg.eigvalsh(dense))) < 1e-10
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "HISTORY_CHUNK", 2 * len(prop.sizes) * prop.order)
+            mp.setattr(dynamics, "HISTORY_CHUNK", 2 * len(prop.group.sizes) * prop.order)
             assert_evolution_matches_expm(prop, dense, psi0, times)
         modes = prop.modes
         assert np.isrealobj(modes) == np.isrealobj(dense)
@@ -580,12 +588,20 @@ def test_momentum_blocks_match_full_space_for_random_gates(seed):
 
 
 def test_evolution_reports_norm_drift(pxp_chain):
+    # on both methods, for a Neel start and one with weight in every
+    # momentum, the reported drift is the history's own, bit for bit: each
+    # row's squared moduli summed pairwise along the row
     chain, sub, m = pxp_chain
-    psi0 = sub.basis_vector(m.orbit_seed(12))
-    res = Propagator(chain.h, sub).evolve(psi0, np.arange(0.0, 20.0, 0.5))
-    drift = np.max(np.abs(np.linalg.norm(res.amplitudes, axis=1) - 1.0))
-    assert res.norm_drift == drift
-    assert 0.0 <= res.norm_drift < 1e-12
+    times = np.arange(0.0, 20.0, 0.5)
+    for guard in (dynamics.DENSE_GUARD, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "DENSE_GUARD", guard)
+            prop = Propagator(chain.h, sub)
+        for psi0 in (sub.basis_vector(m.orbit_seed(12)), random_state(np.random.default_rng(3), sub.size)):
+            res = prop.evolve(psi0, times)
+            norms = np.linalg.norm(np.ascontiguousarray(res.amplitudes), axis=1)
+            assert res.norm_drift == np.max(np.abs(norms - np.linalg.norm(psi0)))
+            assert 0.0 <= res.norm_drift < 1e-12
 
 
 def test_chebyshev_degree_tail_within_tolerance():
@@ -641,7 +657,7 @@ def test_dense_chunks_with_unequal_offsets_match_expm(pxp_chain, monkeypatch):
     prop = Propagator(chain.h, sub)
     psi0 = random_state(np.random.default_rng(21), sub.size)
     times = np.concatenate((np.arange(0.0, 2.1, 0.05), 2.1 + 0.13 * np.arange(21)))
-    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 7 * len(prop.sizes) * prop.order)
+    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 7 * len(prop.group.sizes) * prop.order)
     made = count_phase_blocks(monkeypatch)
     res = prop.evolve(psi0, times)
     sets = len({id(b.energies) for b in prop.blocks})
@@ -664,7 +680,7 @@ def test_dense_arange_grid_over_many_chunks_matches_expm_for_random_gates(seed):
     psi0 = random_state(rng, sub.size)
     times = np.arange(0.0, 100.0, 0.05)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "HISTORY_CHUNK", 37 * len(prop.sizes) * prop.order)
+        mp.setattr(dynamics, "HISTORY_CHUNK", 37 * len(prop.group.sizes) * prop.order)
         made = count_phase_blocks(mp)
         amps = prop.evolve(psi0, times).amplitudes
     assert len(made) == len({id(b.energies) for b in prop.blocks})
@@ -683,7 +699,7 @@ def test_neel_start_skips_the_momentum_transform_and_matches_expm(pxp_chain, mon
     psi0 = sub.basis_vector(m.orbit_seed(12))
     assert [b.momentum for b, c in zip(prop.blocks, prop.block_coefficients(psi0)) if np.any(c)] == [0]
     times = np.arange(0.0, 30.0, 0.05)
-    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 97 * len(prop.sizes) * prop.order)
+    monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 97 * len(prop.group.sizes) * prop.order)
     calls = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
@@ -750,7 +766,7 @@ def test_chebyshev_last_window_takes_the_rest_of_the_grid(pxp_chain, monkeypatch
     chain, sub, _ = pxp_chain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "DENSE_GUARD", 0)
-        reach = dynamics.CHEBYSHEV_WINDOW / Propagator(chain.h, sub).chebyshev.half_width
+        reach = dynamics.CHEBYSHEV_WINDOW / Propagator(chain.h, sub).whole.chebyshev.half_width
     spans = []
     run_window = dynamics.ChebyshevOperator.window
 
@@ -827,15 +843,17 @@ def test_momentum_block_chebyshev_matches_dense_for_models(name, length):
 
 
 def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch):
-    # the S2 check and the k = 0 block are made on the first Neel evolve
-    # and kept: a second evolve repeats the history bit for bit
+    # the S2 check is made once, at construction; the k = 0 block on the
+    # first Neel evolve, and kept: a second evolve repeats the history bit
+    # for bit and checks nothing again
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
-    prop = Propagator(chain.h, sub)
     checks, built = [], []
     commutes, block = dynamics.operator_commutes, dynamics.orbit_block
     monkeypatch.setattr(dynamics, "operator_commutes", lambda *a: checks.append(a[2]) or commutes(*a))
     monkeypatch.setattr(dynamics, "orbit_block", lambda *a: built.append(a[1].size) or block(*a))
+    prop = Propagator(chain.h, sub)
+    assert checks == ["S2"] and built == [] and prop.order == 6
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 20.0, 0.05)
     first = prop.evolve(psi0, times).amplitudes
@@ -845,9 +863,41 @@ def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch)
     assert checks == ["S2"] and built == [60]
 
 
+def whole_space_history(h, psi0, times):
+    """The whole-space Chebyshev recurrence, window by window along the grid:
+    the reference the trivial group's block reproduces bit for bit."""
+    op = dynamics.ChebyshevOperator.of(h)
+    reach = dynamics.CHEBYSHEV_WINDOW / op.half_width
+    amps = np.zeros((len(times), len(psi0)), dtype=complex)
+    block = np.empty((2, CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
+    psi = psi0
+    for start, lo, hi in dynamics._chebyshev_windows(times, reach):
+        if lo == hi:
+            hop = np.zeros((1, len(psi0)), dtype=complex)
+            op.window(psi, np.array([reach]), hop, block)
+            psi = hop[0]
+        else:
+            op.window(psi, times[lo:hi] - start, amps[lo:hi], block)
+            psi = amps[hi - 1]
+    return amps
+
+
+def assert_whole_space_recurrence(h, sub, psi0, times):
+    """The iterative propagator runs psi0 in the trivial group's block alone,
+    builds no momentum block, and repeats the reference byte for byte."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        prop = Propagator(h, sub)
+    got = prop.evolve(np.asarray(psi0, dtype=complex), times).amplitudes
+    assert got.tobytes() == whole_space_history(h, np.asarray(psi0, dtype=complex), times).tobytes()
+    assert prop.blocks == [] and prop.whole.basis.size == sub.size
+    return prop
+
+
 def test_start_in_every_momentum_runs_the_whole_space_recurrence(pxp_chain, monkeypatch):
-    # every window runs on the whole-space operator, and neither the S2
-    # check nor any block is made
+    # every window runs on the trivial group's block, whose operator is
+    # the whole H, and no momentum block is made; the history is the
+    # whole-space recurrence's, byte for byte
     chain, sub, _ = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
@@ -857,16 +907,53 @@ def test_start_in_every_momentum_runs_the_whole_space_recurrence(pxp_chain, monk
     psi0 = random_state(np.random.default_rng(11), sub.size)
     times = np.arange(0.0, 20.0, 0.05)
     got = prop.evolve(psi0, times).amplitudes
-    assert ran and all(op is prop.chebyshev for op in ran)
-    assert prop.blocks == [] and prop.symmetric is None and prop.order == 6
+    assert ran and all(op is prop.whole.chebyshev for op in ran)
+    assert prop.blocks == [] and prop.whole.basis.size == sub.size and prop.order == 6
     monkeypatch.undo()
+    assert got.tobytes() == whole_space_history(chain.h, psi0, times).tobytes()
     assert np.max(np.abs(got - Propagator(chain.h, sub).evolve(psi0, times).amplitudes)) < 1e-10
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), times=irregular_grids())
+def test_start_in_every_momentum_repeats_the_whole_space_recurrence_for_random_gates(seed, times):
+    # a truly complex H on the L=8 full space, grids with long gaps
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(8)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
+    assert_whole_space_recurrence(h, sub, random_state(rng, sub.size), times)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)))
+def test_start_projected_onto_two_momenta_builds_their_blocks_alone(seed, length):
+    # a random state projected with numpy onto two S2 momenta keeps
+    # roundoff in the others, far below MOMENTUM_COMMUTE_TOL: it builds
+    # exactly the two blocks and matches the dense propagator
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(length)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), length, "stride4"), sub).h
+    order = length // 2
+    momenta = sorted(int(k) for k in rng.choice(order, size=2, replace=False))
+    shift = sub.find(translate_index(sub.states, 2, length))
+    psi = random_state(rng, sub.size)
+    psi0 = np.zeros(sub.size, dtype=complex)
+    for j in range(order):    # sum_k P_k psi, P_k = (1/M) sum_j e^{2 pi i j k / M} S2^j
+        psi0 += sum(np.exp(2j * np.pi * j * k / order) for k in momenta) / order * psi
+        psi = psi[shift]
+    psi0 /= np.linalg.norm(psi0)
+    times = np.arange(0.0, 10.0, 0.05)
+    prop = assert_blocks_match_dense(h, sub, psi0, times, momenta)
+    kept = np.arange(order) * prop.group.sizes[:, None] % order == 0
+    left = np.delete(prop._momentum_sums(psi0) * kept, momenta, axis=1)
+    assert np.any(left)    # the other momenta are not exactly empty
 
 
 def test_momentum_blocks_fall_back_to_the_whole_space():
     # the S2-invariant state 0 on an H whose field breaks S2 by 2e-7, and on
-    # a subset that S2 does not preserve, runs over the whole space and
-    # matches expm; the block path would miss the field by about 1e-6
+    # a subset that S2 does not preserve, takes the trivial group on both
+    # methods: it runs in the whole space and matches expm; the block path
+    # would miss the field by about 1e-6
     rng = np.random.default_rng(4)
     full = BasisSubset.full_space(8)
     h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), full).h.toarray()
@@ -874,14 +961,13 @@ def test_momentum_blocks_fall_back_to_the_whole_space():
     part = BasisSubset(np.arange(40), 8)
     g = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     times = np.array([0.0, 0.37, 2.5, 9.0])
-    for ham, sub, order in ((h, full, 4), ((g + g.conj().T) / 2, part, 1)):
+    for ham, sub in ((h, full), ((g + g.conj().T) / 2, part)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "DENSE_GUARD", 0)
             prop = Propagator(ham, sub)
         assert_evolution_matches_expm(prop, ham, sub.basis_vector(0), times)
-        assert prop.order == order and prop.blocks == []
-    assert prop.symmetric is None
-    assert Propagator(h, full).order == 1    # the dense path's check agrees
+        assert prop.order == 1 and prop.blocks == [] and prop.whole.basis is prop.group
+        assert Propagator(ham, sub).order == 1    # the dense path's group
 
 
 def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypatch):
