@@ -1,23 +1,22 @@
 """Time evolution, revival traces, and local-observable diagnostics.
 
-`Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a state.
-The propagator decides its group once, at construction.  When the subset is
-invariant under S2 (translation by two sites, of order M = L / gcd(L, 2))
-and [H, S2] is at most MOMENTUM_COMMUTE_TOL, the group is S2 and H splits
-into the M momentum blocks of `hamiltonian.project_sector` (Sandvik,
-arXiv:1101.3281); otherwise the group is the trivial one, of order 1, and
-its single block is the whole H.  The group's orbits, with their sizes and
-the S2 power taking each slot to its representative, are its momentum-0
-sector basis (`group`).  `evolve` takes the orbit sums of psi0 in every
-momentum from one DFT over the S2 powers of each orbit.  A momentum is
-occupied when the norm of psi0's part in it exceeds MOMENTUM_COMMUTE_TOL
-||psi0||, and the blocks of the other momenta are skipped: an S2-invariant
-start such as the Neel state touches the k = 0 block alone.  Block
-amplitudes on the orbit representatives come back to the subset slots
-through one inverse DFT over the momenta of each orbit (`_OrbitGather`);
-when only k = 0 has weight, every member carries its orbit's amplitude and
-the DFT is skipped.  Each time point's norm is taken on its chunk as it is
-gathered, its squared moduli summed pairwise.
+`Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a
+state.  The propagator decides its group once, at construction.  When the
+subset is invariant under S2 (translation by two sites, of order
+M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, the group is
+S2: its orbits, with their sizes and the S2 power taking each slot to its
+representative, are the S2 = +1 sector basis (`group`), built once, and each
+of the M momentum blocks of H takes its basis from it
+(`hamiltonian.momentum_basis`; Sandvik, arXiv:1101.3281).  Otherwise the
+group is the trivial one, of order 1, and its single block is the whole H.
+`evolve` takes the orbit sums of psi0 in every momentum from one DFT over
+the S2 powers of each orbit.  A momentum is occupied when the norm of psi0's
+part in it exceeds MOMENTUM_COMMUTE_TOL ||psi0||, and the blocks of the
+other momenta are skipped: an S2-invariant start such as the Neel state
+touches the k = 0 block alone.  Block amplitudes on the orbit representatives
+come back to the subset slots through one inverse DFT over the momenta of
+each orbit, skipped when only k = 0 has weight, which also takes each time's
+norm (`_OrbitGather`).
 
 The two methods differ in how a block evolves.  `dense_fits` is the one
 dense limit, read by the propagator, by `spectral.analyze_spectrum` and by
@@ -34,34 +33,27 @@ back to the orbit sums.  As P commutes with S2, Theta then maps the k block
 to the -k block, and only the momenta k <= M/2 are solved: the -k vectors
 are the complex conjugates of the k vectors, with rows permuted and signed
 by P.  Over chunks of the time grid, each occupied block maps its scaled
-phase block through its eigenvectors in one matrix product.  The phase
-block e^{-iE tau} over the offsets tau from a chunk's first time is
-computed once, for the first chunk, and reused by every chunk whose offsets
-match it to within 2 ulp of the largest time (every evenly spaced grid);
-e^{-iE t_0} of the chunk's first time scales the coefficients, and a chunk
-with other offsets computes its own block.  `energies` are sorted over all
-blocks (`level_order` sorts the blocks' levels taken in turn); `modes`, the
-eigenvectors in the subset basis (real for a real H, from sqrt(2) Re and
-sqrt(2) Im of a momentum pair), are built on each read.
+phase block through its eigenvectors in one matrix product; every chunk of
+an evenly spaced grid shares one phase block (`_evolve_dense`).  `energies`
+are sorted over all blocks (`level_order` sorts the blocks' levels taken in
+turn); `modes`, the eigenvectors in the subset basis (real for a real H,
+from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on each read.
 
 Above the limit, each block expands e^{-iHt} in Chebyshev polynomials of
 its rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
 3967 (1984)), where [b - a, b + a] is the block's Gershgorin interval.  A
 start that occupies some momenta but not all runs in the momentum blocks it
-occupies, each built on first use, as the CSR `hamiltonian.orbit_block` of
-`hamiltonian.sector_basis`, and kept.  A start that occupies every
-momentum, and every start under the trivial group, runs in the trivial
-group's block, whose operator is the whole H, built with the propagator.
-Output times are grouped into windows of a*dt <= CHEBYSHEV_WINDOW for the
-widest interval, the last one stretched to end the grid; each block runs
-one three-term recurrence per window from its orbit-sum state and reads
-every output time in it off the same Chebyshev vectors (dense output).
-Their coefficients (2 - delta_k0) (-i)^k J_k(a t) are the Fourier
-coefficients of e^{-iat cos(theta)} (the Jacobi-Anger expansion), read off
-one FFT, and the products are added with numpy's matmul, so the path loads
-neither scipy.special nor scipy's BLAS.  The degree comes from |J_k(x)| <=
-(x/2)^k / k!, so the dropped tail of each window is at most
-CHEBYSHEV_TAIL_TOL in norm.
+occupies, each built on first use as the CSR `hamiltonian.orbit_block`, and
+kept.  A start that occupies every momentum, and every start under the
+trivial group, runs in the trivial group's block, whose operator is the
+whole H, built with the propagator.  Output times are grouped into windows
+of a*dt <= CHEBYSHEV_WINDOW for the widest interval, the last one stretched
+to end the grid; each block runs one three-term recurrence per window from
+its orbit-sum state and reads every output time in it off the same
+Chebyshev vectors (dense output).  Their coefficients come from one FFT
+(`chebyshev_coefficients`) and the products are added with numpy's matmul,
+so the path loads neither scipy.special nor scipy's BLAS; the degree
+(`chebyshev_degree`) leaves a tail of at most CHEBYSHEV_TAIL_TOL per window.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
 working set (one time chunk of the dense block evolution with the cached
@@ -69,7 +61,7 @@ phase blocks; for the Chebyshev blocks the vectors and the buffer of their
 products, every block's outputs over the longest window and one chunk of
 their recombination) would not fit in the available memory.  Unitarity is
 monitored along every trace, the worst drift is reported in the result, and
-drift beyond NORM_DRIFT_ABORT aborts.
+drift beyond NORM_DRIFT_ABORT, or NaN, aborts.
 """
 
 from __future__ import annotations
@@ -87,12 +79,15 @@ from .hamiltonian import (
     SectorBasis,
     SymmetrySector,
     find_antiunitary,
+    momentum_basis,
+    momentum_kept,
     operator_commutes,
     orbit_block,
     orbit_images,
-    project_sector,
     s2_order,
     sector_basis,
+    sector_block,
+    trivial_basis,
 )
 from .tolerances import (
     CHEBYSHEV_TAIL_TOL,
@@ -195,8 +190,10 @@ def chebyshev_degree(x: float) -> int:
 
     Past k > x/2 - 1 the bound's terms shrink at least geometrically, by
     q = (x/2) / (K + 2) from the first dropped one on, so the tail is at most
-    2 (x/2)^(K+1) / (K+1)! / (1 - q).  Worked in logarithms, so any x fits.
+    2 (x/2)^(K+1) / (K+1)! / (1 - q).  Worked in logarithms, so any finite x fits.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"Chebyshev degree of a non-finite argument {x}")
     if x <= 0.0:
         return 0
     half = x / 2.0
@@ -402,7 +399,7 @@ class Propagator:
             symmetric = False
         # the trivial group when S2 does not apply: one block, the whole H
         self.order = s2_order(subset.length) if symmetric else 1
-        self.group = sector_basis(subset, SymmetrySector(momentum=0) if symmetric else SymmetrySector())
+        self.group = sector_basis(subset, SymmetrySector((("S2", 1),))) if symmetric else trivial_basis(dim)
         self.blocks = []
         if self.method == "dense":
             self.real = np.isrealobj(h)
@@ -410,8 +407,8 @@ class Propagator:
             name, slots, _ = theta
             paired = name is not None    # Theta maps momentum k to -k
             for k in range(self.order // 2 + 1 if paired else self.order):
-                sector = SymmetrySector(momentum=k) if symmetric else SymmetrySector()
-                block, basis = project_sector(h, subset, sector, theta)
+                basis = momentum_basis(self.group, self.order, k)
+                block, basis = sector_block(orbit_block(h, basis), basis, theta)
                 energies, vectors = np.linalg.eigh(block)
                 if basis.rotation is not None:
                     vectors = basis.rotation @ vectors    # the real eigenvectors in orbit sums
@@ -419,9 +416,8 @@ class Propagator:
                 self.blocks.append(MomentumBlock(k, basis, orbits, energies, scaled))
                 # Theta carries the k block's vectors to the -k block's: the
                 # conjugate of the vector row of P(r), times its sign, is row r
-                # (for a real H, P(r) = r and that sign is 1).  Kept
-                # next to the k block, so that evolve computes their shared
-                # phase block once
+                # (for a real H, P(r) = r and that sign is 1).  Kept next to the
+                # k block, so that evolve computes their shared phase block once
                 if paired and 0 < 2 * k < self.order:
                     image, phase = orbit_images(basis, slots)
                     partner = (phase[:, None] * scaled[image]).conj()
@@ -435,7 +431,7 @@ class Propagator:
             # the trivial group's block, the whole H; the momentum blocks
             # are built from H on the first start that occupies each
             self.hamiltonian = h
-            trivial = self.group if self.order == 1 else sector_basis(subset, SymmetrySector())
+            trivial = self.group if self.order == 1 else trivial_basis(dim)
             self.whole = MomentumBlock(0, trivial, trivial.reps, chebyshev=ChebyshevOperator.of(h))
 
     @property
@@ -459,12 +455,15 @@ class Propagator:
         return modes[:, self.level_order]
 
     def evolve(self, initial: np.ndarray, times) -> EvolutionResult:
+        """The history of `initial` over `times`; a bad grid or start raises ValueError before any work."""
         times = np.asarray(times, dtype=float)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("time grid must be a non-empty 1-D array of finite, strictly increasing times")
         if self.method != "dense" and np.any(times < 0.0):
             raise ValueError("the Chebyshev path evolves forward from t = 0 only")
         psi0 = np.asarray(initial, dtype=complex)
+        if psi0.shape != (self.subset.size,) or not np.all(np.isfinite(psi0)):
+            raise ValueError(f"initial state must hold {self.subset.size} finite amplitudes")
         plan = self._occupied_blocks(psi0) if self.method != "dense" else None
         need = (len(times) * self.subset.size + self._work_entries(times, plan)) * COMPLEX_BYTES
         admit(need, "evolution holds", "shorten the time grid")
@@ -473,50 +472,43 @@ class Propagator:
         else:
             amps, norms = self._evolve_blocks(times, *plan)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
-        if drift > NORM_DRIFT_ABORT:
+        if not drift <= NORM_DRIFT_ABORT:    # a NaN drift aborts too
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
         return EvolutionResult(amps, self.subset, drift)
 
     def _momentum_parts(self, psi0: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The orbit sums of psi0 (`_momentum_sums`) and the momenta it occupies.
 
-        Momentum k keeps the orbits whose period p has k p = 0 (mod M), and
-        psi0's part in it has the orbit-sum coefficients sums[r, k] / sqrt(p)
-        on them.  k is occupied when the norm of that part exceeds
+        psi0's part in momentum k has the orbit-sum coefficients
+        sums[r, k] / sqrt(p) on the orbits of period p it keeps
+        (`momentum_kept`).  k is occupied when the norm of that part exceeds
         MOMENTUM_COMMUTE_TOL ||psi0||, so that roundoff left in a momentum
         by a numerical projection does not count as weight.
         """
         sums = self._momentum_sums(psi0)
-        sizes = self.group.sizes[:, None]
-        kept = np.arange(self.order) * sizes % self.order == 0
-        weight = np.sqrt(np.sum(np.abs(sums) ** 2 / sizes, axis=0, where=kept))
+        kept = momentum_kept(self.group.sizes, self.order, np.arange(self.order))
+        weight = np.sqrt(np.sum(np.abs(sums) ** 2 / self.group.sizes[:, None], axis=0, where=kept))
         cut = MOMENTUM_COMMUTE_TOL * np.linalg.norm(psi0)
         return sums, [k for k in range(self.order) if weight[k] > cut]
 
     def _occupied_blocks(self, psi0: np.ndarray) -> tuple[int, SectorBasis, list]:
         """The order and momentum-0 sector basis of the group psi0 runs in,
-        and its Chebyshev blocks psi0 occupies, each paired with the
-        orbit-sum coefficients of psi0 there.
-
-        A start that occupies some momenta but not all runs in the S2
-        momentum blocks it occupies; any other start, and every start under
-        the trivial group, runs in the trivial group's block, the whole H,
-        with psi0 itself as its coefficients.  Each momentum block is built
-        once, as CSR, and kept.
-        """
+        and the Chebyshev blocks it occupies there (see the module
+        docstring), each paired with the orbit-sum coefficients of psi0 in
+        it: psi0 itself in the trivial group's block.  A momentum block is
+        built once and kept."""
         sums, occupied = self._momentum_parts(psi0)
-        if 0 < len(occupied) < self.order:
-            built = {b.momentum: b for b in self.blocks}
-            for k in occupied:
-                if k not in built:
-                    basis = self.group if k == 0 else sector_basis(self.subset, SymmetrySector(momentum=k))
-                    operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis))
-                    built[k] = MomentumBlock(k, basis, self.group.orbit[basis.reps], chebyshev=operator)
-                    self.blocks.append(built[k])
-            blocks = [built[k] for k in occupied]
-            return self.order, self.group, [(b, sums[b.orbits, k] / np.sqrt(b.basis.sizes))
-                                            for b, k in zip(blocks, occupied)]
-        return 1, self.whole.basis, [(self.whole, psi0)]
+        if not 0 < len(occupied) < self.order:
+            return 1, self.whole.basis, [(self.whole, psi0)]
+        built = {b.momentum: b for b in self.blocks}
+        for k in occupied:
+            if k not in built:
+                basis = momentum_basis(self.group, self.order, k)
+                operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis))
+                built[k] = MomentumBlock(k, basis, self.group.orbit[basis.reps], chebyshev=operator)
+                self.blocks.append(built[k])
+        blocks = [built[k] for k in occupied]
+        return self.order, self.group, [(b, sums[b.orbits, b.momentum] / np.sqrt(b.basis.sizes)) for b in blocks]
 
     def _work_entries(self, times: np.ndarray, plan) -> int:
         """Complex entries held beside the history.

@@ -15,14 +15,14 @@ every state seen.
 
 Symmetry sectors use the group of S2 (translation by two sites, of order
 M = L / gcd(L, 2)) and USM (mirror, one-site translation, spin flip),
-elements S2^j USM^e with character chi(S2)^j chi(USM)^e.  chi(USM) is +1 or
--1; chi(S2) is +1, -1, or a momentum omega^k with omega = e^{2 pi i / M}
-(after Sandvik, arXiv:1101.3281).  An orbit's representative is its smallest
-state, a state's sign is the character of the elements taking it there, and
-an orbit survives only when every element fixing its representative has
-character 1, so momentum k keeps the orbits whose period p has k p = 0
-(mod M).  As S2^M = 1, an odd S2 character at L = 2 (mod 4) empties the
-sector.
+elements S2^j USM^e with character chi(S2)^j chi(USM)^e, each +1 or -1.  An
+orbit's representative is its smallest state, a state's sign is the
+character of the elements taking it there, and an orbit survives only when
+every element fixing its representative has character 1.  As S2^M = 1, an
+odd S2 character at L = 2 (mod 4) empties the sector.  The S2 momentum
+sectors, S2 = omega^k with omega = e^{2 pi i / M} (after Sandvik,
+arXiv:1101.3281), are derived from the S2 = +1 basis by `momentum_basis`:
+momentum k keeps the orbits whose period p has k p = 0 (mod M).
 
 A complex H can still have a real form.  When Theta = K F commutes with H,
 for K complex conjugation and F the global spin flip, every sector with real
@@ -199,16 +199,10 @@ def s2_order(length: int) -> int:
 
 @dataclass(frozen=True)
 class SymmetrySector:
-    """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1)), or an S2 momentum.
-
-    `momentum=k` asks for S2 = omega^k with omega = e^{2 pi i / M} and takes
-    no operator: USM maps k to -k, so it labels only k = 0 and M/2, where
-    the S2 = +1 and -1 signs ask for the same sectors.  No operator at all
-    is the trivial group: every state its own orbit.
-    """
+    """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1)).  No operator
+    at all is the trivial group: every state its own orbit."""
 
     operators: tuple[tuple[str, int], ...] = ()
-    momentum: int | None = None
 
     def __post_init__(self):
         names = [name for name, _ in self.operators]
@@ -219,9 +213,6 @@ class SymmetrySector:
                 raise ValueError(f"unknown sector operator {name!r}")
             if val not in (1, -1):
                 raise ValueError("sector eigenvalues must be +1 or -1")
-        if self.momentum is not None and names:
-            raise ValueError("a momentum sector takes no other operator; "
-                             "for k = 0 or M/2 with USM, ask for S2 = +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -231,7 +222,7 @@ class SectorBasis:
     Column k is the sum of sign[x] |x> / sqrt(sizes[k]) over the slots x with
     orbit[x] == k; reps[k] is the slot of its smallest state, and
     S2^shift[x] USM^e maps slot x to its representative.  A block that
-    `project_sector` solved in the real basis of an antiunitary symmetry
+    `sector_block` solved in the real basis of an antiunitary symmetry
     carries that basis as `rotation`, the sparse unitary W whose columns are
     the real basis vectors in orbit-sum coordinates: a block eigenvector u
     has orbit-sum amplitudes W u.  `rotation` is None for a block written in
@@ -305,14 +296,7 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
     """Orbits of the subset states under the sector group, characters attached."""
-    return _orbit_arrays(subset, sector, _sector_slots(subset, sector))[0]
-
-
-def _sector_slots(subset: BasisSubset, sector: SymmetrySector) -> dict[str, np.ndarray]:
-    names = [name for name, _ in sector.operators]
-    if sector.momentum is not None:
-        names.append("S2")
-    return {name: _symmetry_slots(subset, name) for name in names}
+    return _orbit_arrays(subset, sector, {name: _symmetry_slots(subset, name) for name, _ in sector.operators})[0]
 
 
 def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
@@ -326,14 +310,12 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
     group, of order M = L / gcd(L, period).
 
     Characters are e^{2 pi i n / 2M}, kept as the integer n: S2 = -1 and
-    USM = -1 are n = M, momentum k is n = 2k.  Integers make "every element
-    fixing the representative has character 1" exact, and an S2 sign of -1
-    at odd M then empties the sector.
+    USM = -1 are n = M.  Integers make "every element fixing the
+    representative has character 1" exact, and an S2 sign of -1 at odd M
+    then empties the sector.
     """
     order = subset.length // math.gcd(subset.length, period)
     turns = {name: 0 if val == 1 else order for name, val in sector.operators}
-    if sector.momentum is not None:
-        turns["S2"] = 2 * sector.momentum
     table, chars = [np.arange(subset.size)], [0]
     for _ in range(order if "S2" in turns else 0):
         table.append(slots["S2"][table[-1]])
@@ -352,12 +334,32 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
     column[reps] = np.arange(len(reps))
     orbit = column[rep]
     sizes = np.bincount(orbit[orbit >= 0], minlength=len(reps))
-    chars = chars[to_rep]
-    if np.all(chars % order == 0):
-        sign = np.where(chars == 0, 1, -1)
-    else:
-        sign = np.exp(1j * np.pi * chars / order)
+    sign = np.where(chars[to_rep] == 0, 1, -1)
     return SectorBasis(orbit, sign, to_rep % rows, reps, sizes), table[:rows]
+
+
+def trivial_basis(dim: int) -> SectorBasis:
+    """The trivial group's basis: every slot its own orbit, of size 1 and sign 1."""
+    states, ones = np.arange(dim), np.ones(dim, dtype=int)
+    return SectorBasis(states, ones, np.zeros(dim, dtype=int), states, ones)
+
+
+def momentum_kept(sizes: np.ndarray, order: int, k) -> np.ndarray:
+    """Whether momentum k of S2, of order M, keeps each orbit of period
+    `sizes`: k p = 0 (mod M).  An array of momenta gives one column each."""
+    return np.multiply.outer(sizes, k) % order == 0
+
+
+def momentum_basis(group: SectorBasis, order: int, k: int) -> SectorBasis:
+    """Momentum k's sector basis, S2 = omega^k, from the S2 = +1 basis `group`
+    of S2 of order M: the orbits `momentum_kept` keeps, in representative
+    order, and slot signs e^{2 pi i n / 2M} for n = 2 k shift mod 2M, int +1
+    or -1 when every n is a multiple of M (k = 0 and M/2), else complex."""
+    kept = momentum_kept(group.sizes, order, k)
+    column = np.where(kept, np.cumsum(kept) - 1, -1)
+    chars = 2 * k * group.shift % (2 * order)
+    sign = np.where(chars == 0, 1, -1) if np.all(chars % order == 0) else np.exp(1j * np.pi * chars / order)
+    return SectorBasis(column[group.orbit], sign, group.shift, group.reps[kept], group.sizes[kept])
 
 
 def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray]:
@@ -371,8 +373,7 @@ def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray]:
     ValueError: its tag is false.
     """
     dim = a.shape[0]
-    states, ones = np.arange(dim), np.ones(dim, dtype=int)
-    trivial = SectorBasis(states, ones, np.zeros(dim, dtype=int), states, ones), np.stack([states, states])
+    trivial = trivial_basis(dim), np.stack([np.arange(dim)] * 2)
     subset, period = getattr(a, "subset", None), getattr(a, "period", None)
     if subset is None or getattr(b, "subset", None) is not subset or getattr(b, "period", None) != period:
         return trivial
@@ -432,29 +433,34 @@ def _real_rotation(basis: SectorBasis, slots: np.ndarray) -> sp.csr_matrix:
 
 def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector,
                    antiunitary=None) -> tuple[np.ndarray, SectorBasis]:
-    """Restrict an operator to a sector, as a dense block.
-
-    The block is `orbit_block`, unless the sector's characters are real and
-    Theta = K F commutes with the operator (`antiunitary`, as returned by
-    `find_antiunitary`, which is called when it is not given).  Then the
-    orbit block is rotated sparsely into the real basis W of Theta and, when
-    its imaginary parts are at most ANTIUNITARY_TOL, only the real part is
-    made dense and W is returned as `basis.rotation`.  Those parts add up
-    over an orbit's members, so a deviation just inside the tolerance can
-    leave them above it; the orbit block is then returned as it is.  A
-    float64 operator (Theta = K) keeps its orbit block, real, so its levels
-    do not move.
-    """
-    slots = _sector_slots(subset, sector)
+    """`sector_block` of an operator that commutes with every sector operator
+    to SECTOR_COMMUTE_TOL, under `antiunitary` or `find_antiunitary`'s Theta."""
+    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
     for name, p in slots.items():
         dev = _conjugation_deviation(mat, p)
         if dev > SECTOR_COMMUTE_TOL:
             raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
     basis, _ = _orbit_arrays(subset, sector, slots)
-    block = orbit_block(mat, basis)
+    block = orbit_block(mat, basis)    # before Theta, whose temporaries would raise the peak RSS
+    return sector_block(block, basis, find_antiunitary(mat, subset) if antiunitary is None else antiunitary)
+
+
+def sector_block(block: sp.csr_matrix, basis: SectorBasis, antiunitary) -> tuple[np.ndarray, SectorBasis]:
+    """An operator's `orbit_block` in a sector basis, as a dense block.
+
+    The block is returned as it is, unless the basis's characters are real
+    and Theta = K F commutes with the operator (`antiunitary`, as returned by
+    `find_antiunitary`).  Then it is rotated sparsely into the real basis W
+    of Theta and, when its imaginary parts are at most ANTIUNITARY_TOL, only
+    the real part is made dense and W is returned as `basis.rotation`.  Those
+    parts add up over an orbit's members, so a deviation just inside the
+    tolerance can leave them above it; the orbit block is then returned as
+    it is.  A float64 operator (Theta = K) keeps its orbit block, real, so
+    its levels do not move.
+    """
     if np.iscomplexobj(basis.sign):
         return block.toarray(), basis
-    name, theta, _ = find_antiunitary(mat, subset) if antiunitary is None else antiunitary
+    name, theta, _ = antiunitary
     if name in (None, "identity"):
         return block.toarray(), basis
     rotation = _real_rotation(basis, theta)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import antiunitary_gate, near_antiunitary_hamiltonian, random_phase_gate
-from scarforge import dynamics
+from scarforge import dynamics, hamiltonian
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import BasisSubset, translate_index
 from scarforge.dynamics import (
@@ -33,6 +33,8 @@ from scarforge.dynamics import (
 from scarforge.hamiltonian import SymmetrySector, build_hamiltonian, krylov_subspace, sector_basis
 from scarforge.models import load_model, neel_orbit_states, working_subspace
 from scarforge.tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL
+
+S2_PLUS = SymmetrySector((("S2", 1),))    # the k = 0 sector, the orbits of S2
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,25 @@ def test_norm_drift_abort(pxp_chain, monkeypatch):
         prop.evolve(psi0, np.arange(0.0, 20.0, 1.0))
 
 
+def test_nan_norm_drift_aborts(pxp_chain):
+    # an evolution whose norms come back NaN trips the drift guard on both
+    # methods: a NaN drift compares false with any bound
+    chain, sub, m = pxp_chain
+    for guard, method in ((6000, "_evolve_dense"), (0, "_evolve_blocks")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "DENSE_GUARD", guard)
+            prop = Propagator(chain.h, sub)
+            run = getattr(Propagator, method)
+
+            def nan_norms(self, *args, run=run):
+                amps, norms = run(self, *args)
+                return amps, np.full_like(norms, np.nan)
+
+            mp.setattr(Propagator, method, nan_norms)
+            with pytest.raises(NormDriftError, match="nan"):
+                prop.evolve(sub.basis_vector(m.orbit_seed(12)), np.arange(0.0, 1.0, 0.1))
+
+
 def test_time_grid_must_increase(pxp_chain):
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
@@ -152,6 +173,28 @@ def test_time_grid_must_increase(pxp_chain):
     psi0[0] = 1.0
     with pytest.raises(ValueError):
         prop.evolve(psi0, [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("guard", [6000, 0], ids=["dense", "chebyshev"])
+def test_evolve_refuses_bad_grids_and_starts_before_any_work(pxp_chain, monkeypatch, guard):
+    # an empty, non-finite or two-dimensional grid, and a start of the wrong
+    # length or with a non-finite amplitude, raise ValueError before the
+    # memory check and before any block is built; a NaN or infinite time
+    # would give an all-NaN dense history or an endless Chebyshev window loop
+    chain, sub, m = pxp_chain
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", guard)
+    prop = Propagator(chain.h, sub)
+    monkeypatch.setattr(dynamics, "admit", lambda *a: pytest.fail("evolve reached the memory check"))
+    psi0 = sub.basis_vector(m.orbit_seed(12))
+    for times in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0, -np.inf], [], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="time grid"):
+            prop.evolve(psi0, times)
+    blank = psi0.astype(complex)
+    blank[1] = np.nan
+    for start in (psi0[:-1], np.append(psi0, 0.0), blank, np.where(psi0 > 0, np.inf, 0.0)):
+        with pytest.raises(ValueError, match="initial state"):
+            prop.evolve(start, [0.0, 1.0])
+    assert len(prop.blocks) == (0 if prop.method == "iterative" else 6)
 
 
 def test_chebyshev_path_refuses_negative_times(pxp_chain, monkeypatch):
@@ -616,6 +659,13 @@ def test_chebyshev_degree_tail_within_tolerance():
     assert chebyshev_degree(0.0) == 0
 
 
+def test_chebyshev_degree_refuses_non_finite_arguments():
+    # no tail bound holds for NaN or +inf, so no search for a degree may start
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            chebyshev_degree(x)
+
+
 def test_chebyshev_coefficients_match_bessel_functions():
     # (2 - delta_k0) (-i)^k J_k(x) from one FFT, against scipy's J_k: one
     # x per call at its own degree, and all of them in one call at the
@@ -785,7 +835,7 @@ def short_period_state(rng, sub, period):
     """A random state on the subset states whose S2 orbit period divides
     `period`: momentum k has weight only when k * period = 0 (mod M), and
     every other momentum is exactly empty."""
-    basis = sector_basis(sub, SymmetrySector(momentum=0))
+    basis = sector_basis(sub, S2_PLUS)
     slots = np.flatnonzero(period % basis.sizes[basis.orbit] == 0)
     psi0 = np.zeros(sub.size, dtype=complex)
     psi0[slots] = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
@@ -820,7 +870,7 @@ def test_momentum_block_chebyshev_matches_dense_for_random_gates(seed, length, t
     order = length // 2
     period = int(rng.choice([p for p in range(1, order) if order % p == 0]))
     momenta = [k for k in range(order) if k * period % order == 0]
-    width = len(sector_basis(sub, SymmetrySector(momentum=0)).sizes) * order
+    width = len(sector_basis(sub, S2_PLUS).sizes) * order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "HISTORY_CHUNK", 7 * width)
         assert_blocks_match_dense(h, sub, short_period_state(rng, sub, period), times, momenta)
@@ -858,9 +908,30 @@ def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch)
     times = np.arange(0.0, 20.0, 0.05)
     first = prop.evolve(psi0, times).amplitudes
     assert prop.evolve(psi0, times).amplitudes.tobytes() == first.tobytes()
-    zero = sector_basis(sub, SymmetrySector(momentum=0))
+    zero = sector_basis(sub, S2_PLUS)
     assert [b.momentum for b in prop.blocks] == [0] and prop.blocks[0].basis.size == zero.size == 60
     assert checks == ["S2"] and built == [60]
+
+
+@pytest.mark.parametrize("guard", [6000, 0], ids=["dense", "chebyshev"])
+def test_propagator_builds_one_orbit_table_and_one_s2_check(pxp_chain, monkeypatch, guard):
+    # the constructor builds the S2 orbit table and checks [H, S2] once; every
+    # momentum block of either method, over starts in k = 0, in k = 0, 2, 4,
+    # in k = 0, 3 and in every momentum, is derived from that table
+    chain, sub, m = pxp_chain
+    rng = np.random.default_rng(5)
+    starts = [sub.basis_vector(m.orbit_seed(12)), short_period_state(rng, sub, 3),
+              short_period_state(rng, sub, 2), random_state(rng, sub.size)]
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", guard)
+    tables, checks = [], []
+    orbit_arrays, deviation = hamiltonian._orbit_arrays, hamiltonian._conjugation_deviation
+    monkeypatch.setattr(hamiltonian, "_orbit_arrays", lambda *a: tables.append(a[1]) or orbit_arrays(*a))
+    monkeypatch.setattr(hamiltonian, "_conjugation_deviation", lambda *a: checks.append(a) or deviation(*a))
+    prop = Propagator(chain.h, sub)
+    for psi0 in starts:
+        prop.evolve(psi0, np.arange(0.0, 2.0, 0.1))
+    assert tables == [S2_PLUS] and len(checks) == 1 and prop.order == 6
+    assert sorted(b.momentum for b in prop.blocks) == ([0, 2, 3, 4] if guard == 0 else list(range(6)))
 
 
 def whole_space_history(h, psi0, times):
@@ -982,7 +1053,7 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     prop = Propagator(chain.h, sub)
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 5.0, 0.05)
-    zero = sector_basis(sub, SymmetrySector(momentum=0))
+    zero = sector_basis(sub, S2_PLUS)
     size = zero.size
     half_width = dynamics.ChebyshevOperator.of(dynamics.orbit_block(chain.h, zero)).half_width
     windows = list(dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / half_width))

@@ -32,11 +32,13 @@ from scarforge.hamiltonian import (
     build_hamiltonian,
     find_antiunitary,
     krylov_subspace,
+    momentum_basis,
     operator_commutes,
     orbit_block,
     project_sector,
     s2_order,
     sector_basis,
+    sector_block,
     window_sum,
 )
 from scarforge.models import (
@@ -418,10 +420,20 @@ def test_sector_basis_matches_orbit_walk(models, length):
             assert (basis.size == 0) == (("S2", -1) in spec and length % 4 == 2)
 
 
-@pytest.mark.parametrize("length", [8, 10])
+def momentum_sectors(h, sub, theta=None):
+    """`sector_block` of every S2 momentum k, its basis derived from the
+    S2 = +1 basis by `momentum_basis`: (block, basis) per k."""
+    group = sector_basis(sub, SymmetrySector((("S2", 1),)))
+    theta = find_antiunitary(h, sub) if theta is None else theta
+    order = s2_order(sub.length)
+    bases = [momentum_basis(group, order, k) for k in range(order)]
+    return [sector_block(orbit_block(h, basis), basis, theta) for basis in bases]
+
+
+@pytest.mark.parametrize("length", [8, 10, 12])
 @pytest.mark.parametrize("name", ["pxp", "qmbs-b"])
 def test_momentum_sectors_split_the_operator(models, name, length):
-    # for every S2 momentum k (M = 4 and M = 5 momenta): the columns
+    # for every S2 momentum k (M = 4, 5 and 6 momenta): the columns
     # sum_x sign[x] |x> / sqrt(size) are orthonormal eigenvectors of S2 with
     # eigenvalue e^{2 pi i k / M}, the projected block is V^dagger H V, the
     # blocks together hold every subset state once and their spectra make up
@@ -431,8 +443,8 @@ def test_momentum_sectors_split_the_operator(models, name, length):
     order = s2_order(length)
     s2 = sp.csr_matrix((np.ones(sub.size), (sub.find(translate_index(sub.states, 2, length)), np.arange(sub.size))))
     levels, count = [], 0
-    for k in range(order):
-        block, basis = project_sector(h, sub, SymmetrySector(momentum=k))
+    sectors = momentum_sectors(h, sub)
+    for k, (block, basis) in enumerate(sectors):
         slots = np.flatnonzero(basis.orbit >= 0)
         v = np.zeros((sub.size, basis.size), dtype=complex)
         v[slots, basis.orbit[slots]] = basis.sign[slots] / np.sqrt(basis.sizes[basis.orbit[slots]])
@@ -443,17 +455,8 @@ def test_momentum_sectors_split_the_operator(models, name, length):
         count += basis.size
     assert count == sub.size
     assert np.max(np.abs(np.sort(np.concatenate(levels)) - np.linalg.eigvalsh(h.toarray()))) < 1e-10
-    zero, _ = project_sector(h, sub, SymmetrySector(momentum=0))
+    zero, _ = sectors[0]
     assert np.array_equal(zero, project_sector(h, sub, SymmetrySector((("S2", 1),)))[0])
-
-
-def test_momentum_sector_refusals():
-    # S2 would be asked twice; USM maps k to -k, and at k = 0 and M/2 the
-    # S2 = +1 and -1 signs already ask for the sectors it labels
-    for operators in ((("S2", 1),), (("USM", 1),)):
-        for k in (0, 1, 2):
-            with pytest.raises(ValueError, match="momentum sector takes no other operator"):
-                SymmetrySector(operators, momentum=k)
 
 
 def test_sector_rejects_repeated_operator():
@@ -477,10 +480,9 @@ def test_antiunitary_sectors_match_complex_path_for_random_gates(seed):
     h = build_hamiltonian(FloquetCircuit(antiunitary_gate(rng), 8, "stride4"), sub).h
     name, _, dev = find_antiunitary(h, sub)
     assert name == ("F" if np.iscomplexobj(h) else "identity") and dev <= ANTIUNITARY_TOL
-    sectors = [SymmetrySector(spec) for spec in SECTOR_SPECS]
-    sectors += [SymmetrySector(momentum=k) for k in range(s2_order(8))]
-    for sector in sectors:
-        hs, basis = project_sector(h, sub, sector)
+    sectors = [project_sector(h, sub, SymmetrySector(spec)) for spec in SECTOR_SPECS]
+    sectors += momentum_sectors(h, sub)
+    for hs, basis in sectors:
         block = orbit_block(h, basis).toarray()
         real_characters = not np.iscomplexobj(basis.sign)
         assert np.isrealobj(hs) == (real_characters and (name == "F" or np.isrealobj(h)))
@@ -489,8 +491,7 @@ def test_antiunitary_sectors_match_complex_path_for_random_gates(seed):
         assert np.max(np.abs(np.linalg.eigvalsh(hs) - np.linalg.eigvalsh(block)), initial=0.0) < 1e-10
     broken = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), 8, "stride4"), sub).h
     assert find_antiunitary(broken, sub)[0] is None
-    for k in range(s2_order(8)):
-        hs, basis = project_sector(broken, sub, SymmetrySector(momentum=k))
+    for hs, basis in momentum_sectors(broken, sub):
         assert np.iscomplexobj(hs) and basis.rotation is None
         assert np.array_equal(hs, orbit_block(broken, basis).toarray())
 
@@ -503,11 +504,10 @@ def test_antiunitary_sector_left_complex_by_rotation_keeps_orbit_block():
     h, sub = near_antiunitary_hamiltonian()
     theta = find_antiunitary(h, sub)
     assert theta[0] == "F" and theta[2] <= ANTIUNITARY_TOL
-    sectors = [SymmetrySector(spec) for spec in SECTOR_SPECS]
-    sectors += [SymmetrySector(momentum=k) for k in range(s2_order(8))]
+    sectors = [project_sector(h, sub, SymmetrySector(spec), theta) for spec in SECTOR_SPECS]
+    sectors += momentum_sectors(h, sub, theta)
     kept = []
-    for sector in sectors:
-        hs, basis = project_sector(h, sub, sector, theta)
+    for hs, basis in sectors:
         block = orbit_block(h, basis).toarray()
         if basis.rotation is None:
             assert np.array_equal(hs, block)
