@@ -9,14 +9,17 @@ representative, are the S2 = +1 sector basis (`group`), built once, and each
 of the M momentum blocks of H takes its basis from it
 (`hamiltonian.momentum_basis`; Sandvik, arXiv:1101.3281).  Otherwise the
 group is the trivial one, of order 1, and its single block is the whole H.
-`evolve` takes the orbit sums of psi0 in every momentum from one DFT over
-the S2 powers of each orbit.  A momentum is occupied when the norm of psi0's
-part in it exceeds MOMENTUM_COMMUTE_TOL ||psi0||, and the blocks of the
-other momenta are skipped: an S2-invariant start such as the Neel state
-touches the k = 0 block alone.  Block amplitudes on the orbit representatives
-come back to the subset slots through one inverse DFT over the momenta of
-each orbit, skipped when only k = 0 has weight, which also takes each time's
-norm (`_OrbitGather`).
+`evolve` runs three steps on both methods.  Its plan (`_plan`) takes the
+orbit sums of psi0 in every momentum from one DFT over the S2 powers of
+each orbit, and pairs each occupied block with the coefficients of psi0 in
+it; a momentum is occupied when the norm of psi0's part in it exceeds
+MOMENTUM_COMMUTE_TOL ||psi0||, so an S2-invariant start such as the Neel
+state touches the k = 0 block alone.  The method's producer evolves the
+blocks one chunk of times after another, and one writer (`_write`) brings
+their amplitudes on the orbit representatives back to the subset slots,
+through one inverse DFT over the momenta of each orbit, skipped when only
+k = 0 has weight (`_OrbitGather`), into a C-ordered (n_times, dim) history,
+and takes each time's norm along its row.
 
 The two methods differ in how a block evolves.  `dense_fits` is the one
 dense limit, read by the propagator, by `spectral.analyze_spectrum` and by
@@ -34,7 +37,7 @@ to the -k block, and only the momenta k <= M/2 are solved: the -k vectors
 are the complex conjugates of the k vectors, with rows permuted and signed
 by P.  Over chunks of the time grid, each occupied block maps its scaled
 phase block through its eigenvectors in one matrix product; every chunk of
-an evenly spaced grid shares one phase block (`_evolve_dense`).  `energies`
+an evenly spaced grid shares one phase block (`_dense_rows`).  `energies`
 are sorted over all blocks (`level_order` sorts the blocks' levels taken in
 turn); `modes`, the eigenvectors in the subset basis (real for a real H,
 from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on each read.
@@ -50,18 +53,20 @@ whole H, built with the propagator.  Output times are grouped into windows
 of a*dt <= CHEBYSHEV_WINDOW for the widest interval, the last one stretched
 to end the grid; each block runs one three-term recurrence per window from
 its orbit-sum state and reads every output time in it off the same
-Chebyshev vectors (dense output).  Their coefficients come from one FFT
-(`chebyshev_coefficients`) and the products are added with numpy's matmul,
-so the path loads neither scipy.special nor scipy's BLAS; the degree
-(`chebyshev_degree`) leaves a tail of at most CHEBYSHEV_TAIL_TOL per window.
+Chebyshev vectors (dense output; `_chebyshev_rows`).  Their coefficients
+come from one FFT (`chebyshev_coefficients`) and the products are added
+with numpy's matmul, so the path loads neither scipy.special nor scipy's
+BLAS; the degree (`chebyshev_degree`) leaves a tail of at most
+CHEBYSHEV_TAIL_TOL per window.  The trivial group's block adds its outputs
+into the history rows themselves.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
-working set (one time chunk of the dense block evolution with the cached
-phase blocks; for the Chebyshev blocks the vectors and the buffer of their
-products, every block's outputs over the longest window and one chunk of
-their recombination) would not fit in the available memory.  Unitarity is
-monitored along every trace, the worst drift is reported in the result, and
-drift beyond NORM_DRIFT_ABORT, or NaN, aborts.
+working set (one chunk of the writer's recombination; beside it one time
+chunk of the dense block evolution with the cached phase blocks, or for the
+Chebyshev blocks the vectors and the buffer of their products and every
+block's outputs over the longest window) would not fit in the available
+memory.  Unitarity is monitored along every trace, the worst drift is
+reported in the result, and drift beyond NORM_DRIFT_ABORT, or NaN, aborts.
 """
 
 from __future__ import annotations
@@ -78,14 +83,15 @@ from .basis import BasisSubset, bit_of
 from .hamiltonian import (
     SectorBasis,
     SymmetrySector,
+    _conjugation_deviation,
+    _orbit_arrays,
+    _symmetry_slots,
     find_antiunitary,
     momentum_basis,
     momentum_kept,
-    operator_commutes,
     orbit_block,
     orbit_images,
     s2_order,
-    sector_basis,
     sector_block,
     trivial_basis,
 )
@@ -362,25 +368,15 @@ class _OrbitGather:
         powers = np.arange(order)
         self.dft = np.exp((2j * np.pi / order) * (np.multiply.outer(powers, powers) % order))
 
-    def emit(self, out: np.ndarray, norms: np.ndarray) -> None:
-        """The (dim, n) amplitudes `out` and their n norms from the first n
-        times of `momenta`; each norm is taken on the gathered chunk."""
-        order, n = len(self.momenta), len(norms)
+    def emit(self, out: np.ndarray) -> None:
+        """The (n, dim) history rows `out` from the first n times of `momenta`."""
+        order, n = len(self.momenta), len(out)
         if self.transform:
             np.matmul(self.dft, self.momenta.reshape(order, -1), out=self.spectrum.reshape(order, -1))
             members = self.spectrum[:, :, :n].reshape(-1, n)[self.gather]
         else:
             members = self.momenta[0, :, :n][self.orbit]
-        out[...] = members
-        # np.linalg.norm(members.T, axis=1), term for term: the squared
-        # moduli, written into the free transform buffer, are copied so that
-        # each time's fill one contiguous row of the spent `members`, and the
-        # reduction along it sums them pairwise
-        square = self.spectrum.reshape(-1)[:members.size].reshape(members.shape)
-        np.multiply(np.conjugate(members, out=square), members, out=square)
-        rows = members.reshape(-1).view(np.float64)[:members.size].reshape(n, -1)
-        np.copyto(rows, square.real.T)
-        norms[:] = np.sqrt(np.add.reduce(rows, axis=1))
+        out.T[...] = members
 
 
 class Propagator:
@@ -394,12 +390,14 @@ class Propagator:
         self.subset = subset
         h = sp.csr_matrix(hamiltonian)
         try:
-            symmetric = operator_commutes(h, subset, "S2") <= MOMENTUM_COMMUTE_TOL
+            slots = _symmetry_slots(subset, "S2")    # one S2 slot map for the check and the orbits
+            symmetric = _conjugation_deviation(h, slots) <= MOMENTUM_COMMUTE_TOL
         except ValueError:  # the subset is not S2-invariant
             symmetric = False
         # the trivial group when S2 does not apply: one block, the whole H
         self.order = s2_order(subset.length) if symmetric else 1
-        self.group = sector_basis(subset, SymmetrySector((("S2", 1),))) if symmetric else trivial_basis(dim)
+        self.group = (_orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots})[0] if symmetric
+                      else trivial_basis(dim))
         self.blocks = []
         if self.method == "dense":
             self.real = np.isrealobj(h)
@@ -464,13 +462,10 @@ class Propagator:
         psi0 = np.asarray(initial, dtype=complex)
         if psi0.shape != (self.subset.size,) or not np.all(np.isfinite(psi0)):
             raise ValueError(f"initial state must hold {self.subset.size} finite amplitudes")
-        plan = self._occupied_blocks(psi0) if self.method != "dense" else None
-        need = (len(times) * self.subset.size + self._work_entries(times, plan)) * COMPLEX_BYTES
-        admit(need, "evolution holds", "shorten the time grid")
-        if self.method == "dense":
-            amps, norms = self._evolve_dense(psi0, times)
-        else:
-            amps, norms = self._evolve_blocks(times, *plan)
+        plan = self._plan(psi0)
+        work, rows = self._work_entries(times, *plan)
+        admit((len(times) * self.subset.size + work) * COMPLEX_BYTES, "evolution holds", "shorten the time grid")
+        amps, norms = self._write(times, rows, *plan)
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if not drift <= NORM_DRIFT_ABORT:    # a NaN drift aborts too
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
@@ -491,13 +486,17 @@ class Propagator:
         cut = MOMENTUM_COMMUTE_TOL * np.linalg.norm(psi0)
         return sums, [k for k in range(self.order) if weight[k] > cut]
 
-    def _occupied_blocks(self, psi0: np.ndarray) -> tuple[int, SectorBasis, list]:
+    def _plan(self, psi0: np.ndarray) -> tuple[int, SectorBasis, list]:
         """The order and momentum-0 sector basis of the group psi0 runs in,
-        and the Chebyshev blocks it occupies there (see the module
-        docstring), each paired with the orbit-sum coefficients of psi0 in
-        it: psi0 itself in the trivial group's block.  A momentum block is
-        built once and kept."""
+        and the blocks it occupies there (see the module docstring), each
+        paired with the coefficients of psi0 in it: eigen-coefficients on
+        the dense path, orbit-sum states on the Chebyshev path, psi0 itself
+        in the trivial group's Chebyshev block.  A Chebyshev momentum block
+        is built on first use and kept."""
         sums, occupied = self._momentum_parts(psi0)
+        if self.method == "dense":
+            return self.order, self.group, [(b, _adjoint_times(b.vectors, sums[b.orbits, b.momentum]))
+                                            for b in self.blocks if b.momentum in occupied]
         if not 0 < len(occupied) < self.order:
             return 1, self.whole.basis, [(self.whole, psi0)]
         built = {b.momentum: b for b in self.blocks}
@@ -510,30 +509,29 @@ class Propagator:
         blocks = [built[k] for k in occupied]
         return self.order, self.group, [(b, sums[b.orbits, b.momentum] / np.sqrt(b.basis.sizes)) for b in blocks]
 
-    def _work_entries(self, times: np.ndarray, plan) -> int:
-        """Complex entries held beside the history.
+    def _work_entries(self, times: np.ndarray, order: int, group: SectorBasis, occupied) -> tuple[int, int]:
+        """Complex entries held beside the history by the plan (`_plan`),
+        and the times of one chunk of rows: at most the grid on the dense
+        path, the longest window on the Chebyshev path.
 
-        Dense: for one time chunk, the momentum array, its transform and the
-        gathered amplitudes, the cached phase block of every distinct energy
-        set, plus a chunk's own phase block, the scaled one and the product
-        of the largest momentum block.  Chebyshev: the vectors and the buffer
-        of their products for the largest block of the plan
-        (`_occupied_blocks`), every block's outputs of the longest window,
-        and for one chunk of that window the momentum array, its transform,
-        the gathered amplitudes and one block's scaled rows.
+        The writer: for one chunk, the momentum array, its transform and the
+        gathered amplitudes.  Dense: the cached phase block of every distinct
+        energy set, plus a chunk's own phase block, the scaled one and the
+        product of the largest momentum block.  Chebyshev: the vectors and
+        the buffer of their products for the largest block, every block's
+        outputs of the longest window, and one block's scaled rows of a chunk.
         """
+        width = len(group.sizes) * order
         if self.method == "dense":
-            width = len(self.group.sizes) * self.order
             rows = min(len(times), _chunk_rows(width))
             cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
-            return rows * (2 * width + self.subset.size + 3 * max(len(b.energies) for b in self.blocks) + cached)
-        order, group, occupied = plan
-        width = len(group.sizes) * order
-        sizes = [b.basis.size for b, _ in occupied]
-        longest = max(hi - lo for _, lo, hi in self._block_windows(times, occupied)[1])
-        rows = min(longest, _chunk_rows(width))
-        return (2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes)
-                + rows * (2 * width + self.subset.size + max(sizes)))
+            work = rows * (3 * max(len(b.energies) for b in self.blocks) + cached)
+        else:
+            longest = max(hi - lo for _, lo, hi in self._block_windows(times, occupied)[1])
+            rows = min(longest, _chunk_rows(width))
+            sizes = [b.basis.size for b, _ in occupied]
+            work = 2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes) + rows * max(sizes)
+        return work + rows * (2 * width + self.subset.size), rows
 
     @staticmethod
     def _block_windows(times, occupied) -> tuple[float, list[tuple[float, int, int]]]:
@@ -555,8 +553,35 @@ class Propagator:
         sums = self._momentum_sums(psi0)
         return [_adjoint_times(b.vectors, sums[b.orbits, b.momentum]) for b in self.blocks]
 
-    def _evolve_dense(self, psi0, times):
-        """Block by block over time chunks, recombined by `_OrbitGather`.
+    def _write(self, times, rows, order, group, occupied):
+        """The history, (n_times, dim) and C-ordered, and its norms, for both
+        methods.  The method's producer, handed the history, yields chunks
+        of at most `rows` times, each with its blocks' (block size, n) rows
+        on the orbit representatives; they fill the momentum rows of an
+        `_OrbitGather`, which writes the chunk's history rows.  None in
+        place of the rows: the trivial group's Chebyshev block wrote them.
+        Each time's norm is summed pairwise along its row, the squared
+        moduli in the spent transform buffer."""
+        gather = _OrbitGather(order, group, any(b.momentum for b, _ in occupied), rows)
+        produce = self._dense_rows if self.method == "dense" else self._chebyshev_rows
+        amps = np.zeros((len(times), self.subset.size), dtype=complex)    # the trivial block adds into it
+        norms = np.empty(len(times))
+        for lo, hi, parts in produce(times, occupied, rows, amps):
+            out = amps[lo:hi]
+            if parts is not None:
+                for b, part in parts:
+                    gather.momenta[b.momentum, b.orbits, :hi - lo] = part
+                    del part    # freed before the next block's rows or the gathered ones are made
+                gather.emit(out)
+            square = gather.spectrum.reshape(-1)[:out.size].reshape(out.shape)
+            np.multiply(np.conjugate(out, out=square), out, out=square)
+            norms[lo:hi] = np.sqrt(np.add.reduce(square.real, axis=1))
+        return amps, norms
+
+    @staticmethod
+    def _dense_rows(times, occupied, rows, amps):
+        """The dense producer: chunks of `rows` times, block by block; it
+        leaves the history `amps` to the writer.
 
         Every occupied momentum block takes e^{-iEt} on a chunk as
         e^{-iE t_0} e^{-iE tau}, tau = t - t_0 the offsets from the chunk's
@@ -567,75 +592,62 @@ class Propagator:
         the block's coefficients, and the scaled phase block is mapped
         through the block's vectors in one GEMM (on the float64 view when
         they are real); the two blocks of a conjugate pair share one phase
-        block.  The products fill the momentum rows of the gather.  The
-        history is built as (dim, n_times) and returned as its (n_times, dim)
-        transpose, with the norms.
+        block.  The blocks' rows are made one at a time, as the writer takes
+        them.
         """
-        sums, occupied = self._momentum_parts(psi0)
-        active = [(b, _adjoint_times(b.vectors, sums[b.orbits, b.momentum]))
-                  for b in self.blocks if b.momentum in occupied]
-        step = _chunk_rows(len(self.group.sizes) * self.order)
-        gather = _OrbitGather(self.order, self.group, any(b.momentum for b, _ in active), min(step, len(times)))
-        first = times[:step] - times[0]
+        first = times[:rows] - times[0]
         slack = 2.0 * np.spacing(np.max(np.abs(times)))
-        cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in active}
-        amps = np.empty((self.subset.size, len(times)), dtype=complex)
-        norms = np.empty(len(times))
-        for lo in range(0, len(times), step):
-            t = times[lo:lo + step]
-            offsets = t - t[0]
-            reuse = np.max(np.abs(offsets - first[:len(t)])) <= slack
+        cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in occupied}
+
+        def products(t, offsets, reuse):
             energies = None
-            for b, coeff in active:
+            for b, coeff in occupied:
                 if b.energies is not energies:
                     energies = b.energies
                     base = cached[id(energies)][:, :len(t)] if reuse else _phase_block(energies, offsets)
                     onset = np.exp(-1j * t[0] * energies)
                 phases = base * (coeff * onset)[:, None]
                 if np.isrealobj(b.vectors):
-                    product = (b.vectors @ phases.view(np.float64)).view(complex)
+                    yield b, (b.vectors @ phases.view(np.float64)).view(complex)
                 else:
-                    product = b.vectors @ phases
-                gather.momenta[b.momentum, b.orbits, :len(t)] = product
-            gather.emit(amps[:, lo:lo + len(t)], norms[lo:lo + len(t)])
-        return amps.T, norms
+                    yield b, b.vectors @ phases
 
-    def _evolve_blocks(self, times, order, group, occupied):
-        """Chebyshev windows in each occupied block of the group of `order`
-        and momentum-0 basis `group`, recombined by `_OrbitGather`.
+        for lo in range(0, len(times), rows):
+            t = times[lo:lo + rows]
+            offsets = t - t[0]
+            reuse = np.max(np.abs(offsets - first[:len(t)])) <= slack
+            yield lo, lo + len(t), products(t, offsets, reuse)
+
+    def _chebyshev_rows(self, times, occupied, rows, amps):
+        """The Chebyshev producer: windows in each occupied block, each
+        window's outputs in chunks of `rows` times.
 
         Each block carries its orbit-sum state from window to window and runs
         its own recurrence on its own Gershgorin interval; the windows are
         those of the widest interval, so that every block covers each of them
-        in one recurrence.  A window's block outputs, divided by the square
-        roots of the orbit sizes, fill the momentum rows of the gather in
-        chunks of times.  Returns the history, (n_times, dim) and C-ordered,
-        and its norms.
+        in one recurrence.  A momentum block's outputs, divided by the square
+        roots of its orbit sizes, are its rows.  The trivial group's block
+        adds its outputs into the history rows themselves, as the
+        whole-space recurrence does, and yields None for them.
         """
         reach, windows = self._block_windows(times, occupied)
-        step = _chunk_rows(len(group.sizes) * order)
-        longest = max(hi - lo for _, lo, hi in windows)
-        gather = _OrbitGather(order, group, any(b.momentum for b, _ in occupied), min(step, longest))
         buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _ in occupied), dtype=complex)
+        whole = occupied[0][0] is self.whole
         scales = [1.0 / np.sqrt(b.basis.sizes)[:, None] for b, _ in occupied]
         states = [coeff for _, coeff in occupied]
-        amps = np.empty((len(times), self.subset.size), dtype=complex)
-        norms = np.empty(len(times))
         for start, lo, hi in windows:
             dts = times[lo:hi] - start if hi > lo else np.array([reach])
             outs = []
             for j, (b, _) in enumerate(occupied):
-                out = np.zeros((len(dts), b.basis.size), dtype=complex)
+                out = amps[lo:hi] if whole and hi > lo else np.zeros((len(dts), b.basis.size), dtype=complex)
                 block = buffer[:2 * CHEBYSHEV_BLOCK * b.basis.size].reshape(2, CHEBYSHEV_BLOCK, -1)
                 b.chebyshev.window(states[j], dts, out, block)
                 states[j] = out[-1].copy()
                 outs.append(out)
-            for c in range(lo, hi, step):
-                n = min(step, hi - c)
-                for (b, _), out, scale in zip(occupied, outs, scales):
-                    gather.momenta[b.momentum, b.orbits, :n] = out[c - lo:c - lo + n].T * scale
-                gather.emit(amps[c:c + n].T, norms[c:c + n])
-        return amps, norms
+            for c in range(lo, hi, rows):
+                n = min(rows, hi - c)
+                yield c, c + n, None if whole else (
+                    (b, out[c - lo:c - lo + n].T * scale) for (b, _), out, scale in zip(occupied, outs, scales))
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:

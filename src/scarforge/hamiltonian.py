@@ -242,17 +242,14 @@ class SectorBasis:
 
 
 def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
-    """Slot of the image of every subset state under a sector operator or
-    under the spin flip F of the antiunitary Theta = K F.
+    """Slot of the image of every subset state under a sector operator.
 
     S2 translates by two sites; USM mirrors about the center bond, translates
-    by one and flips every spin (F).  All act on basis states without phases.
+    by one and flips every spin.  Both act on basis states without phases.
     """
     states, length = subset.states, subset.length
     if name == "S2":
         images = translate_index(states, 2, length)
-    elif name == "F":
-        images = flip_index(states, length)
     elif name == "USM":
         images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
     else:
@@ -283,15 +280,20 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
     is not F-invariant.  Both P are involutions that commute with S2 and
     USM, so Theta^2 = 1, Theta keeps every sector with real characters and
     maps momentum k to -k.
+
+    F complements every bit, x -> 2^L - 1 - x, so on an F-invariant subset
+    it reverses the ascending slot order, and F mat F is `mat` with its CSR
+    arrays reversed: rows and the columns within each row both run
+    backwards, and stay sorted.
     """
     if not np.iscomplexobj(mat):
         return "identity", np.arange(subset.size), 0.0
-    try:
-        slots = _symmetry_slots(subset, "F")
-    except ValueError:
+    if not np.array_equal(subset.states[::-1], flip_index(subset.states, subset.length)):
         return None, None, math.inf
-    dev = float(abs(sp.csr_matrix(mat)[slots][:, slots] - mat.conj()).max())
-    return ("F", slots, dev) if dev <= ANTIUNITARY_TOL else (None, None, dev)
+    h = sp.csr_matrix(mat)
+    flipped = sp.csr_matrix((h.data[::-1], subset.size - 1 - h.indices[::-1], h.nnz - h.indptr[::-1]), shape=h.shape)
+    dev = float(abs(flipped - h.conj()).max())
+    return ("F", np.arange(subset.size)[::-1], dev) if dev <= ANTIUNITARY_TOL else (None, None, dev)
 
 
 def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:

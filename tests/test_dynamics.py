@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 import scipy.special
 from hypothesis import assume, given, settings
@@ -149,19 +150,20 @@ def test_norm_drift_abort(pxp_chain, monkeypatch):
 
 def test_nan_norm_drift_aborts(pxp_chain):
     # an evolution whose norms come back NaN trips the drift guard on both
-    # methods: a NaN drift compares false with any bound
+    # methods, whose histories and norms come from the one writer: a NaN
+    # drift compares false with any bound
     chain, sub, m = pxp_chain
-    for guard, method in ((6000, "_evolve_dense"), (0, "_evolve_blocks")):
+    write = Propagator._write
+
+    def nan_norms(self, *args):
+        amps, norms = write(self, *args)
+        return amps, np.full_like(norms, np.nan)
+
+    for guard in (6000, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "DENSE_GUARD", guard)
             prop = Propagator(chain.h, sub)
-            run = getattr(Propagator, method)
-
-            def nan_norms(self, *args, run=run):
-                amps, norms = run(self, *args)
-                return amps, np.full_like(norms, np.nan)
-
-            mp.setattr(Propagator, method, nan_norms)
+            mp.setattr(Propagator, "_write", nan_norms)
             with pytest.raises(NormDriftError, match="nan"):
                 prop.evolve(sub.basis_vector(m.orbit_seed(12)), np.arange(0.0, 1.0, 0.1))
 
@@ -565,12 +567,12 @@ def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeyp
 
 def test_pr_trace_in_row_chunks_equals_one_reduction(pxp_chain, monkeypatch):
     # a ragged split into 37-row chunks gives the same bits as reducing the
-    # whole history at once, for the transposed dense history and a
-    # C-ordered one alike
+    # whole history at once, for the C-ordered history evolve writes and an
+    # F-ordered one alike
     chain, sub, _ = pxp_chain
     res = Propagator(chain.h, sub).evolve(random_state(np.random.default_rng(3), sub.size), np.arange(0.0, 20.0, 0.05))
     monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 37 * sub.size)
-    for amps in (res.amplitudes, np.ascontiguousarray(res.amplitudes)):
+    for amps in (res.amplitudes, np.asfortranarray(res.amplitudes)):
         res.amplitudes = amps
         assert np.array_equal(pr_trace(res), np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1))
 
@@ -645,6 +647,22 @@ def test_evolution_reports_norm_drift(pxp_chain):
             norms = np.linalg.norm(np.ascontiguousarray(res.amplitudes), axis=1)
             assert res.norm_drift == np.max(np.abs(norms - np.linalg.norm(psi0)))
             assert 0.0 <= res.norm_drift < 1e-12
+
+
+def test_history_is_c_ordered_on_both_methods(pxp_chain):
+    # both methods write one C-ordered (n_times, dim) history, under the S2
+    # group and under the trivial group of an H whose field breaks S2, for a
+    # Neel start and one with weight in every momentum
+    chain, sub, m = pxp_chain
+    times = np.arange(0.0, 5.0, 0.5)
+    for h in (chain.h, chain.h + sp.diags(0.3 * z_diagonal(sub, 3))):
+        for guard in (dynamics.DENSE_GUARD, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "DENSE_GUARD", guard)
+                prop = Propagator(h, sub)
+            for psi0 in (sub.basis_vector(m.orbit_seed(12)), random_state(np.random.default_rng(3), sub.size)):
+                amps = prop.evolve(psi0, times).amplitudes
+                assert amps.shape == (len(times), sub.size) and amps.flags.c_contiguous
 
 
 def test_chebyshev_degree_tail_within_tolerance():
@@ -899,23 +917,25 @@ def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch)
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     checks, built = [], []
-    commutes, block = dynamics.operator_commutes, dynamics.orbit_block
-    monkeypatch.setattr(dynamics, "operator_commutes", lambda *a: checks.append(a[2]) or commutes(*a))
+    deviation, block = dynamics._conjugation_deviation, dynamics.orbit_block
+    monkeypatch.setattr(dynamics, "_conjugation_deviation", lambda *a: checks.append(len(a[1])) or deviation(*a))
     monkeypatch.setattr(dynamics, "orbit_block", lambda *a: built.append(a[1].size) or block(*a))
     prop = Propagator(chain.h, sub)
-    assert checks == ["S2"] and built == [] and prop.order == 6
+    assert checks == [sub.size] and built == [] and prop.order == 6
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 20.0, 0.05)
     first = prop.evolve(psi0, times).amplitudes
     assert prop.evolve(psi0, times).amplitudes.tobytes() == first.tobytes()
     zero = sector_basis(sub, S2_PLUS)
     assert [b.momentum for b in prop.blocks] == [0] and prop.blocks[0].basis.size == zero.size == 60
-    assert checks == ["S2"] and built == [60]
+    assert checks == [sub.size] and built == [60]
 
 
 @pytest.mark.parametrize("guard", [6000, 0], ids=["dense", "chebyshev"])
 def test_propagator_builds_one_orbit_table_and_one_s2_check(pxp_chain, monkeypatch, guard):
-    # the constructor builds the S2 orbit table and checks [H, S2] once; every
+    # the constructor maps S2 over the subset once, and from that one slot
+    # map builds the S2 orbit table and checks [H, S2] once (the map was
+    # made twice when the check and the table each made their own); every
     # momentum block of either method, over starts in k = 0, in k = 0, 2, 4,
     # in k = 0, 3 and in every momentum, is derived from that table
     chain, sub, m = pxp_chain
@@ -923,14 +943,16 @@ def test_propagator_builds_one_orbit_table_and_one_s2_check(pxp_chain, monkeypat
     starts = [sub.basis_vector(m.orbit_seed(12)), short_period_state(rng, sub, 3),
               short_period_state(rng, sub, 2), random_state(rng, sub.size)]
     monkeypatch.setattr(dynamics, "DENSE_GUARD", guard)
-    tables, checks = [], []
-    orbit_arrays, deviation = hamiltonian._orbit_arrays, hamiltonian._conjugation_deviation
-    monkeypatch.setattr(hamiltonian, "_orbit_arrays", lambda *a: tables.append(a[1]) or orbit_arrays(*a))
-    monkeypatch.setattr(hamiltonian, "_conjugation_deviation", lambda *a: checks.append(a) or deviation(*a))
+    maps, tables, checks = [], [], []
+    translate = hamiltonian.translate_index
+    orbit_arrays, deviation = dynamics._orbit_arrays, dynamics._conjugation_deviation
+    monkeypatch.setattr(hamiltonian, "translate_index", lambda *a: maps.append(a[1]) or translate(*a))
+    monkeypatch.setattr(dynamics, "_orbit_arrays", lambda *a: tables.append(a[1]) or orbit_arrays(*a))
+    monkeypatch.setattr(dynamics, "_conjugation_deviation", lambda *a: checks.append(a) or deviation(*a))
     prop = Propagator(chain.h, sub)
     for psi0 in starts:
         prop.evolve(psi0, np.arange(0.0, 2.0, 0.1))
-    assert tables == [S2_PLUS] and len(checks) == 1 and prop.order == 6
+    assert maps == [2] and tables == [S2_PLUS] and len(checks) == 1 and prop.order == 6
     assert sorted(b.momentum for b in prop.blocks) == ([0, 2, 3, 4] if guard == 0 else list(range(6)))
 
 

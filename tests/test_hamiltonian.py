@@ -542,6 +542,38 @@ def test_find_antiunitary_reads_real_form_and_checks_flip_for_models(models, len
     assert find_antiunitary(h[:n, :n], BasisSubset(np.arange(n), length)) == (None, None, np.inf)
 
 
+def flipped_copy_antiunitary(h, sub):
+    """`find_antiunitary` by the permuted copy: F's slot map by a binary
+    search for every flipped state, and F H F by fancy-indexing H with it."""
+    if not np.iscomplexobj(h):
+        return "identity", np.arange(sub.size), 0.0
+    slots = sub.find(flip_index(sub.states, sub.length))
+    if np.any(slots < 0):
+        return None, None, np.inf
+    dev = float(abs(sp.csr_matrix(h)[slots][:, slots] - h.conj()).max())
+    return ("F", slots, dev) if dev <= ANTIUNITARY_TOL else (None, None, dev)
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=0, length=8, flip=True, krylov=True)     # Theta = K F on a 128-state Krylov subset
+@example(seed=1, length=8, flip=True, krylov=True)     # a 16-state Krylov subset that F does not keep
+@example(seed=7, length=8, flip=True, krylov=True)     # a real H, Theta = K
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)), flip=st.booleans(), krylov=st.booleans())
+def test_find_antiunitary_matches_the_permuted_copy_for_random_gates(seed, length, flip, krylov):
+    # a random phased gate (no Theta) or one built with Theta = K F, on the
+    # full space or on the Krylov subset of a random seed state, which F may
+    # or may not keep: the slot reversal and the reversed CSR arrays give the
+    # name, the slots and the deviation of the permuted copy, bit for bit
+    rng = np.random.default_rng(seed)
+    circuit = FloquetCircuit(antiunitary_gate(rng) if flip else random_phase_gate(rng), length, "stride4")
+    sub = krylov_subspace(circuit, int(rng.integers(1 << length))) if krylov else BasisSubset.full_space(length)
+    h = build_hamiltonian(circuit, sub).h
+    name, slots, dev = find_antiunitary(h, sub)
+    want_name, want_slots, want_dev = flipped_copy_antiunitary(h, sub)
+    assert name == want_name and dev == want_dev
+    assert (slots is None and want_slots is None) or np.array_equal(slots, want_slots)
+
+
 def _complex_layers(circuit, subset):
     """A and B as the complex window sums, before any real form is taken."""
     local = principal_log(circuit.gate).matrix
