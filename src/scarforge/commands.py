@@ -201,7 +201,7 @@ def cmd_rstat(args) -> int:
     circuit = model.circuit(args.length)
     sector = _parse_sector(args.sector)
     subset = _subspace(model, args.length, "working")
-    levels = hamiltonian.sector_basis(subset, sector).size
+    levels = hamiltonian.sector_group(subset, sector)[0].size
     if levels < 3:
         raise ValueError(f"sector {args.sector} has {levels} levels at L={args.length}; "
                          "the gap ratio needs at least three")

@@ -1,8 +1,9 @@
 """Time evolution, revival traces, and local-observable diagnostics.
 
 `Propagator(h, subset).evolve(psi0, times)` is the one way to evolve a
-state.  The propagator decides its group once, at construction.  When the
-subset is invariant under S2 (translation by two sites, of order
+state.  The propagator decides its group once, at construction, from one
+call of `hamiltonian.sector_group`, the one place that builds the group.
+When the subset is invariant under S2 (translation by two sites, of order
 M = L / gcd(L, 2)) and [H, S2] is at most MOMENTUM_COMMUTE_TOL, the group is
 S2: its orbits, with their sizes and the S2 power taking each slot to its
 representative, are the S2 = +1 sector basis (`group`), built once, and each
@@ -63,10 +64,11 @@ into the history rows themselves.
 Before allocating, `evolve` refuses a call whose amplitude history and
 working set (one chunk of the writer's recombination; beside it one time
 chunk of the dense block evolution with the cached phase blocks, or for the
-Chebyshev blocks the vectors and the buffer of their products and every
-block's outputs over the longest window) would not fit in the available
-memory.  Unitarity is monitored along every trace, the worst drift is
-reported in the result, and drift beyond NORM_DRIFT_ABORT, or NaN, aborts.
+Chebyshev blocks the vectors and the buffer of their products, every
+block's outputs over the longest window and that window's coefficient
+tables) would not fit in the available memory.  Unitarity is monitored
+along every trace, the worst drift is reported in the result, and drift
+beyond NORM_DRIFT_ABORT, or NaN, aborts.
 """
 
 from __future__ import annotations
@@ -82,17 +84,13 @@ import scipy.sparse as sp
 from .basis import BasisSubset, bit_of
 from .hamiltonian import (
     SectorBasis,
-    SymmetrySector,
-    _conjugation_deviation,
-    _orbit_arrays,
-    _symmetry_slots,
     find_antiunitary,
     momentum_basis,
     momentum_kept,
     orbit_block,
     orbit_images,
-    s2_order,
     sector_block,
+    sector_group,
     trivial_basis,
 )
 from .tolerances import (
@@ -214,18 +212,24 @@ def chebyshev_degree(x: float) -> int:
         k += 1
 
 
+def _fft_points(x: float, degree: int) -> int:
+    """n = 2 (degree + ceil(x) + 32), the FFT length of `chebyshev_coefficients`
+    for a largest argument x."""
+    return 2 * (degree + math.ceil(x) + 32)
+
+
 def chebyshev_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
     """(2 - delta_k0) (-i)^k J_k(x) for k = 0..degree, one row per x >= 0.
 
     By the Jacobi-Anger expansion e^{-ix cos(theta)} = sum_k (-i)^k J_k(x)
     e^{ik theta}, these are the Fourier coefficients of e^{-ix cos(theta)},
-    doubled for k >= 1.  One FFT on n = 2 (degree + ceil(max x) + 32) points
+    doubled for k >= 1.  One FFT on n = `_fft_points(max x, degree)` points
     reads them off: a coefficient of index k <= degree picks up aliases of
     index at least n - degree > 2 max x + 64 apart, where |J| is far below
-    double precision.
+    double precision.  The (len(x), n) samples and their FFT are held at once.
     """
     x = np.asarray(x, dtype=float)
-    n = 2 * (degree + math.ceil(float(np.max(x))) + 32)
+    n = _fft_points(float(np.max(x)), degree)
     samples = np.exp(-1j * np.multiply.outer(x, np.cos((2.0 * np.pi / n) * np.arange(n))))
     coeff = np.fft.fft(samples, axis=-1)[..., :degree + 1] / n
     coeff[..., 1:] *= 2.0
@@ -390,14 +394,13 @@ class Propagator:
         self.subset = subset
         h = sp.csr_matrix(hamiltonian)
         try:
-            slots = _symmetry_slots(subset, "S2")    # one S2 slot map for the check and the orbits
-            symmetric = _conjugation_deviation(h, slots) <= MOMENTUM_COMMUTE_TOL
+            group, images, (dev,) = sector_group(subset, mats=(h,))
         except ValueError:  # the subset is not S2-invariant
-            symmetric = False
+            dev = math.inf
         # the trivial group when S2 does not apply: one block, the whole H
-        self.order = s2_order(subset.length) if symmetric else 1
-        self.group = (_orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots})[0] if symmetric
-                      else trivial_basis(dim))
+        symmetric = dev <= MOMENTUM_COMMUTE_TOL
+        self.order = len(images) - 1 if symmetric else 1
+        self.group = group if symmetric else trivial_basis(dim)
         self.blocks = []
         if self.method == "dense":
             self.real = np.isrealobj(h)
@@ -519,7 +522,10 @@ class Propagator:
         energy set, plus a chunk's own phase block, the scaled one and the
         product of the largest momentum block.  Chebyshev: the vectors and
         the buffer of their products for the largest block, every block's
-        outputs of the longest window, and one block's scaled rows of a chunk.
+        outputs of the longest window, one block's scaled rows of a chunk,
+        and the coefficient tables of `chebyshev_coefficients` (the samples
+        and their FFT) for as many outputs as the longest window holds, on
+        the FFT length of the widest block's longest span.
         """
         width = len(group.sizes) * order
         if self.method == "dense":
@@ -527,10 +533,14 @@ class Propagator:
             cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
             work = rows * (3 * max(len(b.energies) for b in self.blocks) + cached)
         else:
-            longest = max(hi - lo for _, lo, hi in self._block_windows(times, occupied)[1])
+            reach, windows = self._block_windows(times, occupied)
+            longest = max(hi - lo for _, lo, hi in windows)
             rows = min(longest, _chunk_rows(width))
             sizes = [b.basis.size for b, _ in occupied]
-            work = 2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes) + rows * max(sizes)
+            x = max(b.chebyshev.half_width for b, _ in occupied) * max(
+                times[hi - 1] - start if hi > lo else reach for start, lo, hi in windows)
+            work = (2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes) + rows * max(sizes)
+                    + 2 * longest * _fft_points(x, chebyshev_degree(x)))
         return work + rows * (2 * width + self.subset.size), rows
 
     @staticmethod

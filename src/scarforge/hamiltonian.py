@@ -15,14 +15,19 @@ every state seen.
 
 Symmetry sectors use the group of S2 (translation by two sites, of order
 M = L / gcd(L, 2)) and USM (mirror, one-site translation, spin flip),
-elements S2^j USM^e with character chi(S2)^j chi(USM)^e, each +1 or -1.  An
-orbit's representative is its smallest state, a state's sign is the
-character of the elements taking it there, and an orbit survives only when
-every element fixing its representative has character 1.  As S2^M = 1, an
-odd S2 character at L = 2 (mod 4) empties the sector.  The S2 momentum
-sectors, S2 = omega^k with omega = e^{2 pi i / M} (after Sandvik,
-arXiv:1101.3281), are derived from the S2 = +1 basis by `momentum_basis`:
-momentum k keeps the orbits whose period p has k p = 0 (mod M).
+elements S2^j USM^e with character chi(S2)^j chi(USM)^e, each +1 or -1.
+`sector_group` is the one place that maps these generators over a subset,
+builds the group table and measures how far an operator is from commuting
+with them; the propagator, the series (`layer_orbits`, with S2 the
+translation by the window period) and `project_sector` each read it and
+apply their own tolerance.  An orbit's representative is its smallest
+state, a state's sign is the character of the elements taking it there,
+and an orbit survives only when every element fixing its representative
+has character 1.  As S2^M = 1, an odd S2 character at L = 2 (mod 4)
+empties the sector.  The S2 momentum sectors, S2 = omega^k with
+omega = e^{2 pi i / M} (after Sandvik, arXiv:1101.3281), are derived from
+the S2 = +1 basis by `momentum_basis`: momentum k keeps the orbits whose
+period p has k p = 0 (mod M).
 
 A complex H can still have a real form.  When Theta = K F commutes with H,
 for K complex conjugation and F the global spin flip, every sector with real
@@ -32,7 +37,7 @@ characters has a basis of Theta-invariant vectors, in which H is real
 phi_r times orbit sum r' = F(r), phi_r = +1 or -1, and the real basis is
 (e_r + phi_r e_r') / sqrt(2) and i (e_r - phi_r e_r') / sqrt(2) for a pair
 r < r', and e_r or i e_r for an orbit F fixes with phi_r = +1 or -1.
-`project_sector` rotates such a sector sparsely and makes only the real part
+`sector_block` rotates such a sector sparsely and makes only the real part
 dense.
 """
 
@@ -192,11 +197,6 @@ def krylov_subspace(circuit: FloquetCircuit, seed: int) -> BasisSubset:
 SECTOR_OPERATORS = ("S2", "USM")
 
 
-def s2_order(length: int) -> int:
-    """Order M of S2 on a ring of `length` sites: L / gcd(L, 2)."""
-    return length // math.gcd(length, 2)
-
-
 @dataclass(frozen=True)
 class SymmetrySector:
     """Joint eigenspace request, e.g. (("S2", 1), ("USM", 1)).  No operator
@@ -241,32 +241,8 @@ class SectorBasis:
         return len(self.reps)
 
 
-def _symmetry_slots(subset: BasisSubset, name: str) -> np.ndarray:
-    """Slot of the image of every subset state under a sector operator.
-
-    S2 translates by two sites; USM mirrors about the center bond, translates
-    by one and flips every spin.  Both act on basis states without phases.
-    """
-    states, length = subset.states, subset.length
-    if name == "S2":
-        images = translate_index(states, 2, length)
-    elif name == "USM":
-        images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
-    else:
-        raise ValueError(f"unknown sector operator {name!r}")
-    slots = subset.find(images)
-    if np.any(slots < 0):
-        raise ValueError(f"subset is not invariant under {name} (state {int(images[slots < 0][0])})")
-    return slots
-
-
 def _conjugation_deviation(mat: sp.spmatrix, slots: np.ndarray) -> float:
     return float(abs(mat.tocsr()[slots][:, slots] - mat).max())
-
-
-def operator_commutes(mat: sp.spmatrix, subset: BasisSubset, name: str) -> float:
-    """Max-norm of [mat, P] for the permutation operator P (as deviation)."""
-    return _conjugation_deviation(mat, _symmetry_slots(subset, name))
 
 
 def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray | None, float]:
@@ -296,27 +272,38 @@ def find_antiunitary(mat, subset: BasisSubset) -> tuple[str | None, np.ndarray |
     return ("F", np.arange(subset.size)[::-1], dev) if dev <= ANTIUNITARY_TOL else (None, None, dev)
 
 
-def sector_basis(subset: BasisSubset, sector: SymmetrySector) -> SectorBasis:
-    """Orbits of the subset states under the sector group, characters attached."""
-    return _orbit_arrays(subset, sector, {name: _symmetry_slots(subset, name) for name, _ in sector.operators})[0]
+def sector_group(subset: BasisSubset, sector: SymmetrySector = SymmetrySector((("S2", 1),)), mats=(),
+                 period: int = 2) -> tuple[SectorBasis, np.ndarray, list[float]]:
+    """The sector basis, the slot images under each power S2^j, j = 0..M,
+    and for each operator in `mats` its largest deviation |P m P - m| over
+    the sector's generators P.
 
-
-def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
-                  period: int = 2) -> tuple[SectorBasis, np.ndarray]:
-    """The sector basis, and the slot images under each power S2^j, j = 0..M.
+    S2 translates by `period` sites, two for a sector and the window period
+    for a layer group, and has order M = L / gcd(L, period); USM mirrors
+    about the center bond, translates by one and flips every spin.  Both act
+    on basis states without phases.  A subset that a generator does not keep
+    raises ValueError.  The caller decides what deviation it accepts.
 
     Row g of the group table holds the slot images under S2^j USM^e, with
     j = 0..M so that S2^M = 1 carries its character; a slot's representative
-    is the minimum of its column.  S2 is the translation whose slot map is
-    slots["S2"]: by two sites in a sector, by `period` sites for a layer
-    group, of order M = L / gcd(L, period).
-
-    Characters are e^{2 pi i n / 2M}, kept as the integer n: S2 = -1 and
-    USM = -1 are n = M.  Integers make "every element fixing the
-    representative has character 1" exact, and an S2 sign of -1 at odd M
-    then empties the sector.
+    is the minimum of its column.  Characters are e^{2 pi i n / 2M}, kept as
+    the integer n: S2 = -1 and USM = -1 are n = M.  Integers make "every
+    element fixing the representative has character 1" exact, and an S2 sign
+    of -1 at odd M then empties the sector.
     """
-    order = subset.length // math.gcd(subset.length, period)
+    states, length = subset.states, subset.length
+    slots = {}
+    for name, _ in sector.operators:
+        if name == "S2":
+            images = translate_index(states, period, length)
+        else:
+            images = flip_index(translate_index(mirror_index(states, length), 1, length), length)
+        found = subset.find(images)
+        if np.any(found < 0):
+            raise ValueError(f"subset is not invariant under {name} (state {int(images[found < 0][0])})")
+        slots[name] = found
+    devs = [max((_conjugation_deviation(m, p) for p in slots.values()), default=0.0) for m in mats]
+    order = length // math.gcd(length, period)
     turns = {name: 0 if val == 1 else order for name, val in sector.operators}
     table, chars = [np.arange(subset.size)], [0]
     for _ in range(order if "S2" in turns else 0):
@@ -337,7 +324,7 @@ def _orbit_arrays(subset: BasisSubset, sector: SymmetrySector, slots,
     orbit = column[rep]
     sizes = np.bincount(orbit[orbit >= 0], minlength=len(reps))
     sign = np.where(chars[to_rep] == 0, 1, -1)
-    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes), table[:rows]
+    return SectorBasis(orbit, sign, to_rep % rows, reps, sizes), table[:rows], devs
 
 
 def trivial_basis(dim: int) -> SectorBasis:
@@ -366,7 +353,7 @@ def momentum_basis(group: SectorBasis, order: int, k: int) -> SectorBasis:
 
 def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray]:
     """The orbits of the translation both layers are tagged with, and the
-    slot images under each of its powers, as `_orbit_arrays` returns them.
+    slot images under each of its powers, as `sector_group` returns them.
 
     The trivial group, every state its own orbit and G = 1, when a layer is
     untagged, the two tags differ, the subset is not invariant under the
@@ -379,14 +366,13 @@ def layer_orbits(a, b) -> tuple[SectorBasis, np.ndarray]:
     subset, period = getattr(a, "subset", None), getattr(a, "period", None)
     if subset is None or getattr(b, "subset", None) is not subset or getattr(b, "period", None) != period:
         return trivial
-    slots = subset.find(translate_index(subset.states, period, subset.length))
-    if np.any(slots < 0):
+    try:
+        basis, images, devs = sector_group(subset, mats=(a, b), period=period)
+    except ValueError:  # the subset is not invariant under the translation
         return trivial
-    for name, layer in (("A", a), ("B", b)):
-        dev = _conjugation_deviation(layer, slots)
+    for name, dev in zip("AB", devs):
         if dev > SECTOR_COMMUTE_TOL:
             raise ValueError(f"layer {name} does not commute with translation by {period} sites (dev {dev:.2e})")
-    basis, images = _orbit_arrays(subset, SymmetrySector((("S2", 1),)), {"S2": slots}, period)
     return (basis, images) if basis.size < dim else trivial
 
 
@@ -437,12 +423,10 @@ def project_sector(mat: sp.spmatrix, subset: BasisSubset, sector: SymmetrySector
                    antiunitary=None) -> tuple[np.ndarray, SectorBasis]:
     """`sector_block` of an operator that commutes with every sector operator
     to SECTOR_COMMUTE_TOL, under `antiunitary` or `find_antiunitary`'s Theta."""
-    slots = {name: _symmetry_slots(subset, name) for name, _ in sector.operators}
-    for name, p in slots.items():
-        dev = _conjugation_deviation(mat, p)
-        if dev > SECTOR_COMMUTE_TOL:
-            raise ValueError(f"operator does not commute with {name} (dev {dev:.2e})")
-    basis, _ = _orbit_arrays(subset, sector, slots)
+    basis, table, (dev,) = sector_group(subset, sector, (mat,))
+    del table    # unread; dropped before the block, whose peak it would add to
+    if dev > SECTOR_COMMUTE_TOL:
+        raise ValueError(f"operator does not commute with the sector operators (dev {dev:.2e})")
     block = orbit_block(mat, basis)    # before Theta, whose temporaries would raise the peak RSS
     return sector_block(block, basis, find_antiunitary(mat, subset) if antiunitary is None else antiunitary)
 

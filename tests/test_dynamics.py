@@ -31,7 +31,7 @@ from scarforge.dynamics import (
     pr_trace,
     z_diagonal,
 )
-from scarforge.hamiltonian import SymmetrySector, build_hamiltonian, krylov_subspace, sector_basis
+from scarforge.hamiltonian import SymmetrySector, build_hamiltonian, krylov_subspace, sector_group
 from scarforge.models import load_model, neel_orbit_states, working_subspace
 from scarforge.tolerances import ASSEMBLY_PRUNE, CHEBYSHEV_TAIL_TOL
 
@@ -490,14 +490,24 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
     assert np.allclose(prop.block_coefficients(generic)[0], block.vectors.conj().T @ generic, rtol=0, atol=1e-12)
 
 
+def coefficient_tables(half_width, times, windows, reach):
+    """Entries of the samples and their FFT that `chebyshev_coefficients`
+    holds at once, for as many outputs as the longest window has, on the
+    FFT length 2 (K + ceil(x) + 32) of the longest span x = a * dt."""
+    x = half_width * max(times[hi - 1] - start if hi > lo else reach for start, lo, hi in windows)
+    longest = max(hi - lo for _, lo, hi in windows)
+    return 2 * longest * 2 * (dynamics.chebyshev_degree(x) + math.ceil(x) + 32)
+
+
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
     # a start with weight in every momentum runs in the trivial group's
     # block, built with the propagator.  The call holds the history, the
     # block's Chebyshev vectors and the buffer of their products, its
-    # outputs over the longest window, and one chunk of that window's
-    # momentum array, transform, gathered amplitudes and scaled rows, all
-    # over the whole space: one entry short of that, it refuses before
-    # building any; with exactly that available it runs
+    # outputs over the longest window, one chunk of that window's momentum
+    # array, transform, gathered amplitudes and scaled rows, all over the
+    # whole space, and the longest window's coefficient tables: one entry
+    # short of that, it refuses before building any; with exactly that
+    # available it runs
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     prop = Propagator(chain.h, sub)
@@ -505,11 +515,13 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     psi0 = random_state(np.random.default_rng(5), sub.size)
     times = np.arange(0.0, 5.0, 0.05)
     half_width = dynamics.ChebyshevOperator.of(chain.h).half_width
-    windows = list(dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / half_width))
+    reach = dynamics.CHEBYSHEV_WINDOW / half_width
+    windows = list(dynamics._chebyshev_windows(times, reach))
     longest = max(hi - lo for _, lo, hi in windows)
     assert len(windows) == 4
     rows = min(longest, dynamics.HISTORY_CHUNK // sub.size)
-    work = 2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 4 * sub.size
+    work = (2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 4 * sub.size
+            + coefficient_tables(half_width, times, windows, reach))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
@@ -523,6 +535,31 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
     assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)
     assert prop.blocks == []
+
+
+@pytest.mark.parametrize("name, length", [("pxp", 12), ("qmbs-b", 12), ("pxp", 16)])
+def test_chebyshev_block_peak_within_its_count(name, length, monkeypatch):
+    # the Neel start of a fresh iterative propagator runs in its k = 0
+    # block; the traced peak of the evolve, the block's construction
+    # included, is at most the count it was admitted on.  Without the
+    # coefficient tables of the longest window that count read 0.96 of the
+    # peak at pxp L=12
+    m = load_model(name)
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
+    prop = Propagator(h, sub)
+    needs = []
+    admit = dynamics.admit
+    monkeypatch.setattr(dynamics, "admit", lambda need, *a: needs.append(need) or admit(need, *a))
+    tracemalloc.start()
+    try:
+        prop.evolve(sub.basis_vector(m.orbit_seed(length)), np.arange(0.0, 20.0, 0.05))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [b.momentum for b in prop.blocks] == [0]
+    assert peak <= needs[0]
 
 
 def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeypatch):
@@ -853,7 +890,7 @@ def short_period_state(rng, sub, period):
     """A random state on the subset states whose S2 orbit period divides
     `period`: momentum k has weight only when k * period = 0 (mod M), and
     every other momentum is exactly empty."""
-    basis = sector_basis(sub, S2_PLUS)
+    basis, _, _ = sector_group(sub, S2_PLUS)
     slots = np.flatnonzero(period % basis.sizes[basis.orbit] == 0)
     psi0 = np.zeros(sub.size, dtype=complex)
     psi0[slots] = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
@@ -888,7 +925,7 @@ def test_momentum_block_chebyshev_matches_dense_for_random_gates(seed, length, t
     order = length // 2
     period = int(rng.choice([p for p in range(1, order) if order % p == 0]))
     momenta = [k for k in range(order) if k * period % order == 0]
-    width = len(sector_basis(sub, S2_PLUS).sizes) * order
+    width = len(sector_group(sub, S2_PLUS)[0].sizes) * order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "HISTORY_CHUNK", 7 * width)
         assert_blocks_match_dense(h, sub, short_period_state(rng, sub, period), times, momenta)
@@ -917,8 +954,8 @@ def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch)
     chain, sub, m = pxp_chain
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 0)
     checks, built = [], []
-    deviation, block = dynamics._conjugation_deviation, dynamics.orbit_block
-    monkeypatch.setattr(dynamics, "_conjugation_deviation", lambda *a: checks.append(len(a[1])) or deviation(*a))
+    deviation, block = hamiltonian._conjugation_deviation, dynamics.orbit_block
+    monkeypatch.setattr(hamiltonian, "_conjugation_deviation", lambda *a: checks.append(len(a[1])) or deviation(*a))
     monkeypatch.setattr(dynamics, "orbit_block", lambda *a: built.append(a[1].size) or block(*a))
     prop = Propagator(chain.h, sub)
     assert checks == [sub.size] and built == [] and prop.order == 6
@@ -926,18 +963,18 @@ def test_neel_start_builds_the_zero_momentum_block_alone(pxp_chain, monkeypatch)
     times = np.arange(0.0, 20.0, 0.05)
     first = prop.evolve(psi0, times).amplitudes
     assert prop.evolve(psi0, times).amplitudes.tobytes() == first.tobytes()
-    zero = sector_basis(sub, S2_PLUS)
+    zero, _, _ = sector_group(sub, S2_PLUS)
     assert [b.momentum for b in prop.blocks] == [0] and prop.blocks[0].basis.size == zero.size == 60
     assert checks == [sub.size] and built == [60]
 
 
 @pytest.mark.parametrize("guard", [6000, 0], ids=["dense", "chebyshev"])
 def test_propagator_builds_one_orbit_table_and_one_s2_check(pxp_chain, monkeypatch, guard):
-    # the constructor maps S2 over the subset once, and from that one slot
-    # map builds the S2 orbit table and checks [H, S2] once (the map was
-    # made twice when the check and the table each made their own); every
-    # momentum block of either method, over starts in k = 0, in k = 0, 2, 4,
-    # in k = 0, 3 and in every momentum, is derived from that table
+    # the constructor calls `sector_group` once, which maps S2 over the
+    # subset once and from that one slot map builds the S2 orbit table and
+    # checks [H, S2] once; every momentum block of either method, over
+    # starts in k = 0, in k = 0, 2, 4, in k = 0, 3 and in every momentum,
+    # is derived from that table
     chain, sub, m = pxp_chain
     rng = np.random.default_rng(5)
     starts = [sub.basis_vector(m.orbit_seed(12)), short_period_state(rng, sub, 3),
@@ -945,14 +982,14 @@ def test_propagator_builds_one_orbit_table_and_one_s2_check(pxp_chain, monkeypat
     monkeypatch.setattr(dynamics, "DENSE_GUARD", guard)
     maps, tables, checks = [], [], []
     translate = hamiltonian.translate_index
-    orbit_arrays, deviation = dynamics._orbit_arrays, dynamics._conjugation_deviation
+    group, deviation = dynamics.sector_group, hamiltonian._conjugation_deviation
     monkeypatch.setattr(hamiltonian, "translate_index", lambda *a: maps.append(a[1]) or translate(*a))
-    monkeypatch.setattr(dynamics, "_orbit_arrays", lambda *a: tables.append(a[1]) or orbit_arrays(*a))
-    monkeypatch.setattr(dynamics, "_conjugation_deviation", lambda *a: checks.append(a) or deviation(*a))
+    monkeypatch.setattr(dynamics, "sector_group", lambda *a, **k: tables.append(a) or group(*a, **k))
+    monkeypatch.setattr(hamiltonian, "_conjugation_deviation", lambda *a: checks.append(a) or deviation(*a))
     prop = Propagator(chain.h, sub)
     for psi0 in starts:
         prop.evolve(psi0, np.arange(0.0, 2.0, 0.1))
-    assert maps == [2] and tables == [S2_PLUS] and len(checks) == 1 and prop.order == 6
+    assert maps == [2] and len(tables) == 1 and len(checks) == 1 and prop.order == 6
     assert sorted(b.momentum for b in prop.blocks) == ([0, 2, 3, 4] if guard == 0 else list(range(6)))
 
 
@@ -1066,8 +1103,9 @@ def test_momentum_blocks_fall_back_to_the_whole_space():
 def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypatch):
     # the block path holds the history, the Chebyshev vectors and product
     # buffer of its largest block, every block's outputs over the longest
-    # window, and one chunk of that window's momentum array, transform,
-    # gathered amplitudes and scaled block rows.  One entry short, a fresh
+    # window, one chunk of that window's momentum array, transform,
+    # gathered amplitudes and scaled block rows, and the longest window's
+    # coefficient tables.  One entry short, a fresh
     # propagator makes its k = 0 block and refuses before any of the rest;
     # with exactly that available it runs
     chain, sub, m = pxp_chain
@@ -1075,15 +1113,17 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     prop = Propagator(chain.h, sub)
     psi0 = sub.basis_vector(m.orbit_seed(12))
     times = np.arange(0.0, 5.0, 0.05)
-    zero = sector_basis(sub, S2_PLUS)
+    zero, _, _ = sector_group(sub, S2_PLUS)
     size = zero.size
     half_width = dynamics.ChebyshevOperator.of(dynamics.orbit_block(chain.h, zero)).half_width
-    windows = list(dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / half_width))
+    reach = dynamics.CHEBYSHEV_WINDOW / half_width
+    windows = list(dynamics._chebyshev_windows(times, reach))
     longest = max(hi - lo for _, lo, hi in windows)
     assert len(windows) == 4
     width = len(zero.sizes) * 6
     rows = min(longest, dynamics.HISTORY_CHUNK // width)
-    work = 2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (2 * width + sub.size + size)
+    work = (2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (2 * width + sub.size + size)
+            + coefficient_tables(half_width, times, windows, reach))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()

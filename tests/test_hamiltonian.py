@@ -25,20 +25,20 @@ from scarforge.basis import (
 )
 from scarforge.gate import identity_gate
 from scarforge.logmap import NonPeriodicGateError, principal_log
-from scarforge.tolerances import ANTIUNITARY_TOL, ASSEMBLY_PRUNE
+from scarforge.tolerances import ANTIUNITARY_TOL, ASSEMBLY_PRUNE, SECTOR_COMMUTE_TOL
 from scarforge.hamiltonian import (
+    SECTOR_OPERATORS,
     SubsetNotClosedError,
     SymmetrySector,
     build_hamiltonian,
     find_antiunitary,
     krylov_subspace,
+    layer_orbits,
     momentum_basis,
-    operator_commutes,
     orbit_block,
     project_sector,
-    s2_order,
-    sector_basis,
     sector_block,
+    sector_group,
     window_sum,
 )
 from scarforge.models import (
@@ -226,8 +226,9 @@ def test_sector_operators_commute(models):
     L = 12
     sub = working_subspace(m, L)
     chain = build_hamiltonian(m.circuit(L), sub)
-    assert operator_commutes(chain.h, sub, "S2") < 1e-10
-    assert operator_commutes(chain.h, sub, "USM") < 1e-10
+    for name in SECTOR_OPERATORS:
+        _, _, (dev,) = sector_group(sub, SymmetrySector(((name, 1),)), (chain.h,))
+        assert dev < 1e-10
 
 
 def sector_vectors(basis):
@@ -329,30 +330,30 @@ def test_project_sector_rejects_noncommuting():
     sub = BasisSubset.full_space(8)
     chain = build_hamiltonian(circuit, sub)
     sector = SymmetrySector((("USM", 1),))
-    if operator_commutes(chain.h, sub, "USM") > 1e-9:
-        with pytest.raises(ValueError):
-            project_sector(chain.h, sub, sector)
-    else:
-        pytest.skip("probe gate unexpectedly symmetric")
+    _, _, (dev,) = sector_group(sub, sector, (chain.h,))
+    assert dev > SECTOR_COMMUTE_TOL
+    with pytest.raises(ValueError, match="does not commute"):
+        project_sector(chain.h, sub, sector)
 
 
 def test_sector_basis_orthonormal(models):
     m = models["qmbs-b"]
     L = 10
     sub = working_subspace(m, L)
-    basis = sector_basis(sub, SymmetrySector((("S2", 1), ("USM", 1))))
+    basis, _, _ = sector_group(sub, SymmetrySector((("S2", 1), ("USM", 1))))
     vecs = sector_vectors(basis)
     gram = vecs.T @ vecs
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
 
 
-def reference_orbits(subset, sector):
+def reference_orbits(subset, sector, period=2):
     """Reference sector basis: a breadth-first walk from every unassigned
     state, one Python step per state and operator, signs kept in a dict.
-    Orbits whose signs contradict each other are dropped."""
+    S2 translates by `period` sites.  Orbits whose signs contradict each
+    other are dropped."""
     def image(name, x):
         if name == "S2":
-            return translate_index(x, 2, subset.length)
+            return translate_index(x, period, subset.length)
         return flip_index(translate_index(mirror_index(x, subset.length), 1, subset.length), subset.length)
 
     images = []
@@ -387,6 +388,49 @@ def reference_orbits(subset, sector):
     return orbits
 
 
+def assert_orbits_match(basis, subset, want):
+    """The sector basis holds the walk's orbits in the same order, with the
+    same members and signs."""
+    assert basis.size == len(want)
+    assert np.array_equal(basis.reps, subset.positions([members[0] for members, _ in want]))
+    for k, (members, signs) in enumerate(want):
+        got = np.flatnonzero(basis.orbit == k)
+        assert np.array_equal(subset.states[got], members)
+        assert np.array_equal(basis.sign[got], signs)
+        assert basis.sizes[k] == len(members)
+
+
+def reference_images(subset, period):
+    """Row j holds the slot of every state translated j times by `period`
+    sites, j = 0..M, walked one Python step per state and translation."""
+    order = subset.length // np.gcd(subset.length, period)
+    rows = np.empty((order + 1, subset.size), dtype=np.int64)
+    for slot, state in enumerate(subset.states.tolist()):
+        for j in range(order + 1):
+            rows[j, slot] = subset.position(state)
+            state = translate_index(state, period, subset.length)
+    return rows
+
+
+def check_layer_group(subset, period):
+    """`sector_group` with S2 as translation by `period` sites, in both S2
+    characters, against the orbit walk and the per-state images; a subset
+    the translation does not keep is refused by both.  Whether the
+    translation keeps the subset."""
+    for s2 in (1, -1):
+        sector = SymmetrySector((("S2", s2),))
+        try:
+            want = reference_orbits(subset, sector, period)
+        except ValueError:
+            with pytest.raises(ValueError, match="not invariant"):
+                sector_group(subset, sector, period=period)
+            return False
+        basis, images, devs = sector_group(subset, sector, period=period)
+        assert_orbits_match(basis, subset, want)
+        assert devs == [] and np.array_equal(images, reference_images(subset, period))
+    return True
+
+
 SECTOR_SPECS = [((name, val),) for name in ("S2", "USM") for val in (1, -1)] + [
     (("S2", s2), ("USM", usm)) for s2 in (1, -1) for usm in (1, -1)
 ]
@@ -406,26 +450,51 @@ def test_sector_basis_matches_orbit_walk(models, length):
                 want = reference_orbits(sub, sector)
             except ValueError:
                 with pytest.raises(ValueError, match="not invariant"):
-                    sector_basis(sub, sector)
+                    sector_group(sub, sector)
                 continue
-            basis = sector_basis(sub, sector)
-            assert basis.size == len(want)
-            assert np.array_equal(basis.reps, sub.positions([members[0] for members, _ in want]))
-            for k, (members, signs) in enumerate(want):
-                got = np.flatnonzero(basis.orbit == k)
-                assert np.array_equal(sub.states[got], members)
-                assert np.array_equal(basis.sign[got], signs)
-                assert basis.sizes[k] == len(members)
+            basis, _, _ = sector_group(sub, sector)
+            assert_orbits_match(basis, sub, want)
             # exactly an odd S2 character at L = 2 (mod 4) empties a sector
             assert (basis.size == 0) == (("S2", -1) in spec and length % 4 == 2)
+
+
+@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("name", ["qmbs-a", "qmbs-b", "qmbs-c"])
+def test_layer_group_matches_translation_walk(models, name, length):
+    # the stride4 layers are tagged with translation by 4 sites (M = 2 and
+    # 3): the layer group is the orbit walk's, image row by image row, and
+    # `layer_orbits` returns it for the tagged layers
+    sub = working_subspace(models[name], length)
+    assert check_layer_group(sub, 4)
+    chain = build_hamiltonian(models[name].circuit(length), sub)
+    assert chain.a.period == chain.b.period == 4
+    basis, images = layer_orbits(chain.a, chain.b)
+    assert basis.size < sub.size
+    assert_orbits_match(basis, sub, reference_orbits(sub, SymmetrySector((("S2", 1),)), 4))
+    assert np.array_equal(images, reference_images(sub, 4))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)))
+def test_layer_group_matches_translation_walk_for_random_gates(seed, length):
+    # the full space, the Krylov closure of a random state under a random
+    # phased stride4 gate and a random half of that closure: the group of
+    # translation by 4 sites matches the walk, or, on a subset the
+    # translation does not keep, both refuse it
+    rng = np.random.default_rng(seed)
+    circuit = FloquetCircuit(random_phase_gate(rng), length, "stride4")
+    closure = krylov_subspace(circuit, int(rng.integers(1 << length)))
+    check_layer_group(closure, 4)
+    assert check_layer_group(BasisSubset.full_space(length), 4)
+    check_layer_group(BasisSubset(rng.choice(closure.states, closure.size // 2, replace=False), length), 4)
 
 
 def momentum_sectors(h, sub, theta=None):
     """`sector_block` of every S2 momentum k, its basis derived from the
     S2 = +1 basis by `momentum_basis`: (block, basis) per k."""
-    group = sector_basis(sub, SymmetrySector((("S2", 1),)))
+    group, images, _ = sector_group(sub)
     theta = find_antiunitary(h, sub) if theta is None else theta
-    order = s2_order(sub.length)
+    order = len(images) - 1
     bases = [momentum_basis(group, order, k) for k in range(order)]
     return [sector_block(orbit_block(h, basis), basis, theta) for basis in bases]
 
@@ -440,7 +509,7 @@ def test_momentum_sectors_split_the_operator(models, name, length):
     # the full one; the k = 0 block is the S2 = +1 sector bit for bit
     sub = working_subspace(models[name], length)
     h = build_hamiltonian(models[name].circuit(length), sub).h
-    order = s2_order(length)
+    order = length // 2    # M of S2 at even L
     s2 = sp.csr_matrix((np.ones(sub.size), (sub.find(translate_index(sub.states, 2, length)), np.arange(sub.size))))
     levels, count = [], 0
     sectors = momentum_sectors(h, sub)
