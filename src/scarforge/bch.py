@@ -54,18 +54,20 @@ the trivial group, G = 1: every row is a representative, so a piece's rows
 are its full operator, and the second product is the graded adjoint of the
 first, QP = (-1)^d (PQ)^dagger.
 
-Pre-flight.  Before each order the series is admitted against the
-available memory, else ResourceLimitError is raised before the order
-allocates.  The count is what the series holds (the representative rows,
-the expansions later orders still read, the layers and the orbit tables),
-plus the order's new pieces, their expansions and one expansion's index
-arrays, three in-flight products, the stacked operands of the largest
-commutator, and at the last order the complex terms.  Each new piece is
-sized as the largest piece held times the larger of its growths over the
-last two orders (at order 1, the mean entries per row of s), at most a full
-set of rows: in pxp the pieces of alternate degree double every other
-order.  Each product is bounded row by row: a row of P_rep @ Q has no more
-entries than the rows of Q it reaches, nor than the dimension.
+Pre-flight.  Each allocation is admitted against the available memory
+when its size is known, else ResourceLimitError is raised before it is
+made.  The available memory already excludes what the process holds, so
+each admission counts only what it is about to allocate, up to the next:
+order 0, the Hermitian parts of the layers, their sum and their
+representative rows, bounded by the layers' entries; each commutator, the
+stacked operands of one product at a time, both products (a row of P_rep @ Q
+has no more entries than the rows of Q it reaches, nor than the dimension),
+the buffer of their difference and the prune's 9 bytes per entry of it; each
+right-hand side, its running Bernoulli sum beside the sum before it, the
+scaled copy and the prune's copy of that; each expansion, its exact entries
+(its rows' once per state of their orbits) with the int32 power and numpy's
+int64 index copies that `_expand` makes per entry; and the terms, complex
+values for the index arrays each takes over from its piece.
 """
 
 from __future__ import annotations
@@ -176,8 +178,8 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     float64 for C_0 of real layers and complex otherwise.  Layers tagged by
     `build_hamiltonian` run on the rows of their translation group's orbit
     representatives; a tag whose translation does not commute with its layer
-    raises ValueError.  Raises ResourceLimitError before an order that would
-    not fit in memory.
+    raises ValueError.  Raises ResourceLimitError before an allocation that
+    would not fit in memory.
     """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("layer matrices must be square and of equal shape")
@@ -186,26 +188,58 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
 
     basis, images = layer_orbits(a, b)
     a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    images = images.astype(a.indices.dtype)    # column indices of an operator of this dimension
+    dim, reps, idx = a.shape[0], basis.size, a.indices.itemsize
+    entry = np.result_type(a.dtype, b.dtype, np.float64).itemsize + idx    # bytes per entry of every piece
+
+    def admit(need: int, deg: int) -> None:
+        dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
+
+    layers = 2 * (a.nnz + b.nnz)    # at most the entries of x and y, and of s, y[reps] and s[reps] each
+    # forming x or y also takes two copies of its layer and a sum buffer of twice its entries
+    admit(entry * (4 * layers + 4 * max(a.nnz, b.nnz)) + 8 * (dim + 1) * idx, 0)
     # Enforce exact Hermiticity of the layers.
     x = (0.5 * (a + a.getH())).tocsr()
     y = (0.5 * (b + b.getH())).tocsr()
     s = x + y
-    dim, reps = x.shape[0], basis.size
-    images = images.astype(x.indices.dtype)    # column indices of an operator of this dimension
 
-    def piece(rows, read_later: bool = True) -> _Piece:
-        return _Piece(rows, _expand(rows, basis, images) if read_later else None)
+    def full_entries(rows) -> int:
+        """The entries of the operator expanded from `rows`."""
+        return int(np.diff(rows.indptr) @ basis.sizes)
 
-    def sides(pairs) -> list:
-        """The (left, right) operand pairs of a commutator's products: rows
-        of P with full Q, and rows of Q with full P."""
-        return [pairs, [(q, p) for p, q in pairs]]
+    def expansion_bytes(rows) -> int:
+        """The full operator, and per entry the power and index copies of `_expand`."""
+        return full_entries(rows) * (entry + 20 + idx) + 6 * (dim + 1) * idx
 
-    def commutator(pairs, degree: int) -> sp.csr_matrix:
+    def piece(rows, deg: int, read_later: bool) -> _Piece:
+        if reps == dim:
+            return _Piece(rows, rows)
+        if not read_later:
+            return _Piece(rows, None)
+        admit(expansion_bytes(rows), deg)
+        return _Piece(rows, _expand(rows, basis, images))
+
+    def reach(side) -> int:
+        """At most the entries of the sum of rows(P) @ full(Q) over the
+        (P, Q) pieces of `side`: row i has no more entries than dim, nor than
+        the entries of the rows of Q that row i of P reaches."""
+        out = 0
+        for left, right in side:
+            ends = np.zeros(left.rows.nnz + 1, dtype=np.int64)
+            np.cumsum(np.diff(right.full.indptr)[left.rows.indices], out=ends[1:])
+            out = out + ends[left.rows.indptr[1:]] - ends[left.rows.indptr[:-1]]
+        return int(np.minimum(out, dim).sum())
+
+    def commutator(pairs, deg: int) -> sp.csr_matrix:
         """Representative rows of the sum of [P, Q] over the (P, Q) pieces of
-        `pairs`, whose degrees sum to `degree`."""
+        `pairs`, whose degrees sum to deg + 1."""
+        swapped = [(q, p) for p, q in pairs]    # rows of Q with full P
+        stacked = [pairs] if reps == dim else [pairs, swapped]
+        products = 2 * reach(pairs) if reps == dim else reach(pairs) + reach(swapped)
+        admit(max(sum(_csr_bytes(p.rows) + _csr_bytes(q.full) for p, q in side) for side in stacked)
+              + products * (2 * entry + 9) + 3 * (reps + 1) * idx, deg)
         first = _stacked_product(pairs)
-        second = _graded_adjoint(first, degree) if reps == dim else _stacked_product(sides(pairs)[1])
+        second = _graded_adjoint(first, deg + 1) if reps == dim else _stacked_product(swapped)
         out = first - second
         del first, second
         return _prune(out)
@@ -235,70 +269,33 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
         """Whether a later order reads T(k, deg) as a right operand."""
         return any(k + 1 in formed(later) for later in range(deg + 1, n_orders + 1))
 
-    def stacked_bytes(pairs) -> int:
-        return sum(_csr_bytes(left.rows) + _csr_bytes(right.full) for side in sides(pairs) for left, right in side)
-
-    def product_bytes(pairs) -> int:
-        """At most the bytes of a commutator's larger product: row i of
-        rows(P) @ full(Q) has no more entries than dim, nor than the entries
-        of the rows of Q that row i of P reaches."""
-        out = 0
-        for side in sides(pairs):
-            reach = 0
-            for left, right in side:
-                ends = np.concatenate([[0], np.cumsum(np.diff(right.full.indptr)[left.rows.indices])])
-                reach = reach + ends[left.rows.indptr[1:]] - ends[left.rows.indptr[:-1]]
-            size = max(max(left.rows.data.itemsize, right.full.data.itemsize) for left, right in side)
-            out = max(out, int(np.minimum(reach, dim).sum()) * (size + idx))
-        return out + reps * x.indptr.itemsize
-
-    itemsize, idx = x.data.itemsize, x.indices.itemsize
-    full_rows = reps * (dim * (itemsize + idx) + x.indptr.itemsize)
-    expansion = dim / reps    # bytes of a full operator per byte of its rows
-    resident = _csr_bytes(x) + images.nbytes + sum(
-        arr.nbytes for arr in (basis.orbit, basis.sign, basis.shift, basis.reps, basis.sizes))
-    largest = []
     for deg in range(1, n_orders + 1):
-        pieces = [y_piece, *z[1:], *table.values()]
-        rows = [_csr_bytes(p.rows) for p in pieces]
-        held = resident + sum(rows) + sum(_csr_bytes(p.full) for p in pieces if p.full is not None)
-        largest.append(max(rows))
-        # before any growth is seen, a first product spreads each entry over a row of s
-        last = largest[-3:]
-        growth = s.nnz / dim if deg == 1 else max(after / max(before, 1) for before, after in zip(last, last[1:]))
-        new = min(max(growth, 1.0) * largest[-1], full_rows)
-        entries = formed(deg)
-        commutators = [operands(k, deg) for k in entries] + [[(z[deg], y_piece)]]
-        stacked = max(stacked_bytes(pairs) for pairs in commutators)
-        product = max(product_bytes(pairs) for pairs in commutators)
-        expansions = sum(read_later(k, deg) for k in entries) + 1
-        need = (held + (len(entries) + 1) * new + 3 * product + stacked
-                + (expansions + (4 + idx) / (itemsize + idx)) * new * expansion)
-        if deg == n_orders:    # the terms, complex copies of every expanded piece
-            need += (16 + idx) / (itemsize + idx) * (sum(_csr_bytes(p.full) for p in z[2:]) + new * expansion)
-        dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
-        for k in entries:
+        for k in formed(deg):
             pairs = operands(k, deg)
             if pairs:
-                table[(k, deg)] = piece(commutator(pairs, deg + 1), read_later(k, deg))
-        rhs = commutator([(z[deg], y_piece)], deg + 1)
-        for k in range(1, deg + 1):
-            coeff = bern[k]
-            if coeff == 0:
-                continue
-            entry = t_entry(k, deg)
-            if entry is None:
-                continue
-            rhs = rhs + (float(coeff) / factorial(k)) * entry.rows
-        z.append(piece(_prune(rhs * (1.0 / (deg + 1))), deg < n_orders))
-        del rhs
+                table[(k, deg)] = piece(commutator(pairs, deg), deg, read_later(k, deg))
+        rhs = commutator([(z[deg], y_piece)], deg)
+        addends = [(float(bern[k]) / factorial(k), table[(k, deg)].rows) for k in range(1, deg + 1)
+                   if bern[k] != 0 and (k, deg) in table]
+        admit(3 * (rhs.nnz + sum(rows.nnz for _, rows in addends)) * entry + 3 * (reps + 1) * idx, deg)
+        for coeff, rows in addends:
+            rhs = rhs + coeff * rows
+        z.append(piece(_prune(rhs * (1.0 / (deg + 1))), deg, deg < n_orders))
+        del rhs, addends
 
     table.clear()
+    if n_orders:
+        # each term takes over its piece's index arrays
+        admit(sum(full_entries(p.rows) for p in z[2:]) * np.dtype(complex).itemsize
+              + (0 if z[-1].full is not None else expansion_bytes(z[-1].rows)), n_orders)
     terms = [s]
     for n in range(1, n_orders + 1):
         p, z[n + 1] = z[n + 1], None    # each piece is released as its term is made
-        terms.append((-1j) ** n * (p.full if p.full is not None else _expand(p.rows, basis, images)))
-        del p
+        full = p.full if p.full is not None else _expand(p.rows, basis, images)
+        term = sp.csr_matrix((full.data.astype(complex), full.indices, full.indptr), shape=full.shape)
+        term.data *= (-1j) ** n
+        terms.append(term)
+        del p, full, term
     return BchSeries(terms, len(images) - 1, reps)
 
 

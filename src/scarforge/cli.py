@@ -51,7 +51,7 @@ def _config_flags(path) -> tuple[list[str], str | None]:
 def _top_options() -> argparse.ArgumentParser:
     """The options that may stand before or after the subcommand."""
     top = argparse.ArgumentParser(prog="scarforge", add_help=False, allow_abbrev=False)
-    top.add_argument("--threads", type=int, default=None, help="BLAS/worker thread count")
+    top.add_argument("--threads", type=int, default=None, help="BLAS thread count")
     top.add_argument("--config", default=None, help="key=value file of defaults")
     return top
 

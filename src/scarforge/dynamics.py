@@ -124,15 +124,15 @@ def dense_fits(levels: int) -> bool:
 
 
 def _proc_bytes(path: str, key: str) -> int | None:
-    """The `key: N kB` line of a /proc file in bytes, or None."""
+    """The `key: N kB` line of a /proc file in bytes, or None; read unbuffered,
+    as the series admits, and so reads this, before each of its allocations."""
     try:
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith(key):
-                    return int(line.split()[1]) * 1024
+        with open(path, "rb", buffering=0) as fh:
+            text = b"\n" + fh.read()
     except OSError:
-        pass
-    return None
+        return None
+    at = text.find(b"\n" + key.encode())
+    return None if at < 0 else int(text[at + 1 + len(key):].split(None, 1)[0]) * 1024
 
 
 def available_bytes() -> int:
@@ -149,7 +149,9 @@ def available_bytes() -> int:
 
 
 def admit(need: int, what: str, advice: str) -> None:
-    """Raise ResourceLimitError when `need` bytes exceed `available_bytes()`."""
+    """Raise ResourceLimitError when `need` bytes exceed `available_bytes()`,
+    which already excludes this process's memory: `need` is what the caller
+    is about to allocate, not what it holds."""
     have = available_bytes()
     if need > have:
         raise ResourceLimitError(f"{what} {need / 1e9:.3g} GB, {have / 1e9:.2f} GB available; {advice}")

@@ -306,83 +306,127 @@ def test_fgr_rate_refuses_nonpositive_bandwidth(bandwidth):
 
 
 def test_series_refused_before_an_order_that_does_not_fit(monkeypatch):
-    # qmbs-a on the 256-state full space: the order-2 admission counts about
-    # 8.0 MB (its traced peak is 5.1 MB) and the order-3 one about 13.8 MB
+    # qmbs-a on the 256-state full space fills in: the largest admission of
+    # order 6 counts about 8.9 MiB and that of order 7 about 10.7 MiB, so
+    # 10 MiB refuses order 7 before it allocates, and a series to order 6
+    # completes
     model = load_model("qmbs-a")
     chain = build_hamiltonian(model.circuit(8), BasisSubset.full_space(8))
     monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
-    with pytest.raises(dynamics.ResourceLimitError, match="series order 3 needs"):
+    with pytest.raises(dynamics.ResourceLimitError, match="series order 7 needs"):
         bch_terms(chain.a, chain.b, 8)
-    assert bch_terms(chain.a, chain.b, 2).max_order == 2
+    assert bch_terms(chain.a, chain.b, 6).max_order == 6
+
+
+def _traced_admissions(monkeypatch, cap=lambda index: 1 << 50) -> list:
+    """Make the index-th admission run against cap(index) less the traced
+    current, the memory a process capped there has left.  Returns the list
+    of admissions: each one's count, traced level and message, and the
+    traced peak since the admission before it."""
+    records = []
+    admit = dynamics.admit
+
+    def counted(need, what, advice):
+        current, peak = tracemalloc.get_traced_memory()
+        records.append({"need": need, "level": current, "peak": peak, "what": what})
+        tracemalloc.reset_peak()
+        admit(need, what, advice)
+
+    monkeypatch.setattr(dynamics, "admit", counted)
+    monkeypatch.setattr(dynamics, "available_bytes",
+                        lambda: cap(len(records) - 1) - tracemalloc.get_traced_memory()[0])
+    return records
+
+
+def _traced_peak(layers, n_orders: int) -> int:
+    tracemalloc.start()
+    try:
+        bch_terms(*layers, n_orders)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _window_peaks(records: list, end: int) -> list:
+    """The traced peak from each admission to the next, or to `end`, the
+    peak after the last one."""
+    return [record["peak"] for record in records[1:]] + [end]
 
 
 def test_series_preflight_covers_the_order_it_admits(monkeypatch):
     # qmbs-b on its 1366-state working subspace at L=12 fills in from order
-    # to order (the largest piece held grows 2.4-fold into order 5).  The
-    # traced peak from order 5's admission to the end of the series must lie
-    # within that admission's count: with one byte less than the peak
-    # available, order 5 is refused.  Sizing each new piece as the largest
-    # one held, without its growth, counted 206 MB against a 321 MB peak
+    # to order, and an admission of order 5 holds the traced peak of the
+    # series.  With one byte less than the traced growth of that admission
+    # left to it, it refuses order 5
     model = load_model("qmbs-b")
     chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
-
-    def admit():
-        tracemalloc.reset_peak()
-        return 1 << 50
-
-    monkeypatch.setattr(dynamics, "available_bytes", admit)
-    tracemalloc.start()
-    try:
-        bch_terms(chain.a, chain.b, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(dynamics, "available_bytes", lambda: peak - 1)
+    records = _traced_admissions(monkeypatch)
+    peaks = _window_peaks(records, _traced_peak((chain.a, chain.b), 5))
+    at = int(np.argmax(peaks))
+    assert records[at]["what"].startswith("series order 5 ")
+    _traced_admissions(monkeypatch, lambda index: peaks[at] - 1 if index == at else 1 << 50)
     with pytest.raises(dynamics.ResourceLimitError, match="series order 5 needs"):
-        bch_terms(chain.a, chain.b, 5)
+        _traced_peak((chain.a, chain.b), 5)
 
 
-@pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 14, 8), ("pxp", 16, 8),
-                                                     ("random", 8, 8)])
-def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders):
-    # each admission's count is at least the traced peak from it to the next
-    # admission, or to the end of the series after the last one, for the
-    # tagged layers and for untagged copies, which run the trivial group.
-    # pxp's pieces of alternate degree double every other order; the random
-    # phased gate's pieces fill the L=8 full space by order 3
+def _series_layers(name: str, length: int):
     if name == "random":
         circuit = FloquetCircuit(random_phase_gate(np.random.default_rng(2)), length, "stride4")
         subset = BasisSubset.full_space(length)
     else:
         model = load_model(name)
         circuit, subset = model.circuit(length), working_subspace(model, length)
-    chain = build_hamiltonian(circuit, subset)
-    needs, peaks = [], []
-    admit = dynamics.admit
+    return build_hamiltonian(circuit, subset)
 
-    def counted(need, what, advice):
-        needs.append(need)
-        admit(need, what, advice)
 
-    def available():
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        return 1 << 50
-
-    monkeypatch.setattr(dynamics, "admit", counted)
-    monkeypatch.setattr(dynamics, "available_bytes", available)
+@pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 14, 8), ("pxp", 16, 8),
+                                                     ("random", 8, 8)])
+def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders):
+    # each admission's count is at least the traced growth above its level,
+    # up to the next admission or to the end of the series after the last
+    # one, for the tagged layers and for untagged copies, which run the
+    # trivial group.  pxp's pieces of alternate degree double every other
+    # order; the random phased gate's pieces fill the L=8 full space by
+    # order 3
+    chain = _series_layers(name, length)
     for tagged, layers in ((True, (chain.a, chain.b)), (False, (sp.csr_matrix(chain.a), sp.csr_matrix(chain.b)))):
-        needs.clear()
-        peaks.clear()
-        tracemalloc.start()
-        try:
-            bch_terms(*layers, n_orders)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert len(needs) == n_orders
-        for order, (need, peak) in enumerate(zip(needs, peaks[1:]), start=1):
-            assert need >= peak, (tagged, order, need, peak)
+        records = _traced_admissions(monkeypatch)
+        end = _traced_peak(layers, n_orders)
+        for record, peak in zip(records, _window_peaks(records, end)):
+            assert record["need"] >= peak - record["level"], (tagged, record, peak)
+
+
+@pytest.mark.parametrize("name, length, n_orders", [("pxp", 14, 8), ("qmbs-b", 12, 6)])
+def test_series_that_fits_is_admitted(monkeypatch, name, length, n_orders):
+    # with 1.75 times the traced peak of the series as the cap, every
+    # admission fits beside what the series holds, as each counts only what
+    # it is about to allocate: the series needs about 1.60 (pxp) and 1.31
+    # (qmbs-b) times its peak, where a count of everything held needed 2.18
+    # and 2.14
+    chain = _series_layers(name, length)
+    peak = _traced_peak((chain.a, chain.b), n_orders)
+    _traced_admissions(monkeypatch, lambda index: int(1.75 * peak))
+    _traced_peak((chain.a, chain.b), n_orders)
+
+
+def test_layers_refused_before_they_are_symmetrised(models, monkeypatch):
+    # the first admission counts the Hermitian parts of the layers, their
+    # sum and their representative rows from the layers' entries: one byte
+    # less refuses order 0 before any of them or any product is formed
+    model = models["pxp"]
+    chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
+    records = _traced_admissions(monkeypatch)
+    _traced_peak((chain.a, chain.b), 2)
+    assert records[0]["what"].startswith("series order 0 ")
+
+    def formed(*args, **kwargs):
+        raise AssertionError("a layer was symmetrised or a product formed")
+
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: records[0]["need"] - 1)
+    monkeypatch.setattr(sp.csr_matrix, "getH", formed)
+    monkeypatch.setattr(bch, "_stacked_product", formed)
+    with pytest.raises(dynamics.ResourceLimitError, match="series order 0 needs"):
+        bch_terms(chain.a, chain.b, 2)
 
 
 def test_order_guard():

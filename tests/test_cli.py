@@ -479,15 +479,16 @@ def test_stride4_length_without_automaton_refused_before_building(args, tmp_path
 
 
 def test_bch_memory_refusal_exit(tmp_path, monkeypatch, capsys):
-    # the qmbs-a series on the 256-state full space fills in: order 3 needs
-    # about 13.8 MB, so 10 MB refuses it before the order allocates
+    # the qmbs-a series on the 256-state full space fills in: an allocation
+    # of order 7 counts about 10.7 MiB, so 10 MiB refuses it before it is made
     from scarforge import dynamics
 
     monkeypatch.setattr(dynamics, "available_bytes", lambda: 10 << 20)
     out = tmp_path / "norms.csv"
     args = ["bch", "--model", "qmbs-a", "-L", "8", "--subspace", "full", "--out", str(out)]
     assert run(args) == EXIT_NUMERICAL
-    assert "series order 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: series order 7 needs about ") and err.count("\n") == 1
     assert not out.exists()
 
 
