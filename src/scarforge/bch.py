@@ -58,9 +58,11 @@ Pre-flight.  Each allocation is admitted against the available memory
 when its size is known, else ResourceLimitError is raised before it is
 made.  The available memory already excludes what the process holds, so
 each admission counts only what it is about to allocate, up to the next:
-order 0, the Hermitian parts of the layers, their sum and their
-representative rows, bounded by the layers' entries; each commutator, the
-stacked operands of one product at a time, both products (a row of P_rep @ Q
+order 0, first the translation group of `layer_orbits` (the check of
+tagged layers against translated copies of themselves and the table of
+the translation's powers), then the Hermitian parts of the layers, their
+sum and their representative rows, bounded by the layers' entries; each
+commutator, the stacked operands of one product at a time, both products (a row of P_rep @ Q
 has no more entries than the rows of Q it reaches, nor than the dimension),
 the buffer of their difference and the prune's 9 bytes per entry of it; each
 right-hand side, its running Bernoulli sum beside the sum before it, the
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -186,14 +188,23 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     if n_orders < 0 or n_orders > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}]")
 
+    def admit(need: int, deg: int) -> None:
+        dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
+
+    # layer_orbits compares each tagged layer with a translated copy of
+    # itself (a permuted copy, their difference and its modulus) and makes
+    # the table of the translation's powers and its copy, beside ten index
+    # arrays of the dimension; the trivial group of untagged layers is
+    # those arrays alone
+    subset, dim = getattr(a, "subset", None), a.shape[0]
+    group = 0 if subset is None else (4 * max(_csr_bytes(a), _csr_bytes(b))
+                                      + 16 * dim * (subset.length // gcd(subset.length, a.period) + 1))
+    admit(group + 80 * dim, 0)
     basis, images = layer_orbits(a, b)
     a, b = sp.csr_matrix(a), sp.csr_matrix(b)
     images = images.astype(a.indices.dtype)    # column indices of an operator of this dimension
-    dim, reps, idx = a.shape[0], basis.size, a.indices.itemsize
+    reps, idx = basis.size, a.indices.itemsize
     entry = np.result_type(a.dtype, b.dtype, np.float64).itemsize + idx    # bytes per entry of every piece
-
-    def admit(need: int, deg: int) -> None:
-        dynamics.admit(need, f"series order {deg} needs about", "lower the order or use a smaller subspace")
 
     layers = 2 * (a.nnz + b.nnz)    # at most the entries of x and y, and of s, y[reps] and s[reps] each
     # forming x or y also takes two copies of its layer and a sum buffer of twice its entries

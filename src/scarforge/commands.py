@@ -37,6 +37,20 @@ def _subspace(model, length, mode):
     return models.working_subspace(model, length)
 
 
+def _checked_subspace(args, model, mode, check):
+    """`_subspace`, with `check(size)` raising for a size that does not fit:
+    run on the built subset's size, and first, before anything is built, on
+    its closed form where it is known: 2^L for the full space and
+    `models.expected_krylov_dimension` for a registry model's closure."""
+    if mode == "full":
+        check(1 << args.length)
+    elif args.model in models.MODEL_NAMES:
+        check(models.expected_krylov_dimension(args.model, args.length))
+    subset = _subspace(model, args.length, mode)
+    check(subset.size)
+    return subset
+
+
 def _seed_index(spec: str, model, length: int) -> int:
     if spec == "neel":
         return tile_pattern("01", length) if model.geometry == "stride2" else model.orbit_seed(length)
@@ -129,9 +143,9 @@ def cmd_revivals(args) -> int:
     circuit = model.circuit(args.length)
     # the orbit first: a stride4 length of 2 mod 4 has an H but no automaton
     orbit = models.neel_orbit_states(model, args.length) if args.state == "generic" else None
-    subset = _subspace(model, args.length, "working")
     points = float(np.ceil(args.tmax / args.dt + 0.5))    # the length of the arange grid below, or inf
-    admit(points * subset.size * COMPLEX_BYTES, f"a history of {points:.4g} times holds", "shorten the time grid")
+    subset = _checked_subspace(args, model, "working", lambda size: admit(
+        points * size * COMPLEX_BYTES, f"a history of {points:.4g} times holds", "shorten the time grid"))
     if orbit is None:
         seed = _seed_index(args.state, model, args.length)
         _require(seed in subset, "--state", f"lie in the working subspace of {model.name} at L={args.length}",
@@ -168,10 +182,13 @@ def cmd_ipr(args) -> int:
     model = models.load_model(args.model)
     circuit = model.circuit(args.length)
     mode = args.subspace or ("full" if model.name == "qmbs-c" else "working")
-    subset = _subspace(model, args.length, mode)
-    if not dense_fits(subset.size):
-        raise ResourceLimitError(f"ipr needs a dense eigensolve, refused at dimension {subset.size}; "
-                                 "use a smaller length or subspace")
+
+    def dense(size):
+        if not dense_fits(size):
+            raise ResourceLimitError(f"ipr needs a dense eigensolve, refused at dimension {size}; "
+                                     "use a smaller length or subspace")
+
+    subset = _checked_subspace(args, model, mode, dense)
     chain = hamiltonian.build_hamiltonian(circuit, subset)
     refs = [tile_pattern("10", args.length), tile_pattern("01", args.length)]
     analysis = analyze_spectrum(chain.h, subset, refs, args.flag_threshold)

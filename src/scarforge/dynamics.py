@@ -45,21 +45,25 @@ from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on each read.
 
 Above the limit, each block expands e^{-iHt} in Chebyshev polynomials of
 its rescaled operator (H - b)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-3967 (1984)), where [b - a, b + a] is the block's Gershgorin interval.  A
-start that occupies some momenta but not all runs in the momentum blocks it
-occupies, each built on first use as the CSR `hamiltonian.orbit_block`, and
-kept.  A start that occupies every momentum, and every start under the
-trivial group, runs in the trivial group's block, whose operator is the
-whole H, built with the propagator.  Output times are grouped into windows
-of a*dt <= CHEBYSHEV_WINDOW for the widest interval, the last one stretched
-to end the grid; each block runs one three-term recurrence per window from
-its orbit-sum state and reads every output time in it off the same
-Chebyshev vectors (dense output; `_chebyshev_rows`).  Their coefficients
-come from one FFT (`chebyshev_coefficients`) and the products are added
-with numpy's matmul, so the path loads neither scipy.special nor scipy's
-BLAS; the degree (`chebyshev_degree`) leaves a tail of at most
-CHEBYSHEV_TAIL_TOL per window.  The trivial group's block adds its outputs
-into the history rows themselves.
+3967 (1984)), where [b - a, b + a] is the block's Gershgorin interval
+clipped to H's: a momentum block is H in one sector, so its spectrum lies
+inside H's interval as well.  A start that occupies some momenta but not
+all runs in the momentum blocks it occupies, each built on first use as the
+CSR `hamiltonian.orbit_block`, and kept.  A start that occupies every
+momentum, and every start under the trivial group, runs in the trivial
+group's block, whose operator is the whole H, built with the propagator.
+The windows depend on the grid and H alone: output times are grouped into
+windows of a*dt <= CHEBYSHEV_WINDOW for H's half-width a, the last one
+stretched to end the grid, and every window holds at least one output, so a
+gap longer than a window is one recurrence.  As every block's interval lies
+inside H's, each block runs one three-term recurrence per window from its
+orbit-sum state and reads every output time in it off the same Chebyshev
+vectors (dense output; `_chebyshev_rows`).  Their coefficients come from
+one FFT (`chebyshev_coefficients`) and the products are added with numpy's
+matmul, so the path loads neither scipy.special nor scipy's BLAS; the
+degree (`chebyshev_degree`) leaves a tail of at most CHEBYSHEV_TAIL_TOL per
+window.  The trivial group's block adds its outputs into the history rows
+themselves.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
 working set (one chunk of the writer's recombination; beside it one time
@@ -249,21 +253,17 @@ def _chebyshev_windows(times: np.ndarray, reach: float):
     """(start, lo, hi) for each Chebyshev window along a grid of times >= 0.
 
     A window runs one recurrence from the state at `start` and reads the
-    outputs times[lo:hi]: those up to `reach` after its start, or the rest of
-    the grid when that ends within CHEBYSHEV_STRETCH windows.  The next
-    window starts at its last output.  A longer gap is crossed by hops of
-    `reach`, lo == hi, that keep only their end state.
+    outputs times[lo:hi]: those up to `reach` after its start, and at least
+    the first, or the rest of the grid when that ends within
+    CHEBYSHEV_STRETCH windows.  The next window starts at its last output,
+    so a longer gap is one recurrence to the output that ends it.
     """
     start, i = 0.0, 0
     while i < len(times):
         if times[-1] - start <= CHEBYSHEV_STRETCH * reach:
             stop = len(times)
-        elif times[i] - start > reach:
-            yield start, i, i
-            start += reach
-            continue
         else:
-            stop = int(np.searchsorted(times, start + reach, side="right"))
+            stop = max(i + 1, int(np.searchsorted(times, start + reach, side="right")))
         yield start, i, stop
         start, i = times[stop - 1], stop
 
@@ -271,19 +271,22 @@ def _chebyshev_windows(times: np.ndarray, reach: float):
 @dataclass(frozen=True)
 class ChebyshevOperator:
     """2 (H - b) / a, the operator of the recurrence T_{k+1} = 2X T_k - T_{k-1},
-    for the Gershgorin interval [b - a, b + a] of a Hermitian H."""
+    for the Gershgorin interval [b - a, b + a] of a Hermitian H, clipped to
+    the interval of `bound`, the operator of a matrix whose spectrum holds H's."""
 
     scaled: sp.csr_matrix
     centre: float
     half_width: float
 
     @classmethod
-    def of(cls, hamiltonian) -> ChebyshevOperator:
+    def of(cls, hamiltonian, bound: ChebyshevOperator | None = None) -> ChebyshevOperator:
         h = sp.csr_matrix(hamiltonian, dtype=complex)
         # Gershgorin: every eigenvalue of a Hermitian H lies in [b - a, b + a]
         diag = h.diagonal()
         radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
         lo, hi = np.min(diag.real - radius), np.max(diag.real + radius)
+        if bound is not None:
+            lo, hi = max(lo, bound.centre - bound.half_width), min(hi, bound.centre + bound.half_width)
         centre = float(hi + lo) / 2.0
         half_width = float(hi - lo) / 2.0 or 1.0  # H = b: any a > 0 bounds it
         scaled = ((h - centre * sp.identity(h.shape[0], dtype=complex, format="csr"))
@@ -436,6 +439,7 @@ class Propagator:
             self.hamiltonian = h
             trivial = self.group if self.order == 1 else trivial_basis(dim)
             self.whole = MomentumBlock(0, trivial, trivial.reps, chebyshev=ChebyshevOperator.of(h))
+            self.reach = CHEBYSHEV_WINDOW / self.whole.chebyshev.half_width    # the window of every block
 
     @property
     def modes(self) -> np.ndarray | None:
@@ -508,7 +512,7 @@ class Propagator:
         for k in occupied:
             if k not in built:
                 basis = momentum_basis(self.group, self.order, k)
-                operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis))
+                operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis), self.whole.chebyshev)
                 built[k] = MomentumBlock(k, basis, self.group.orbit[basis.reps], chebyshev=operator)
                 self.blocks.append(built[k])
         blocks = [built[k] for k in occupied]
@@ -527,7 +531,7 @@ class Propagator:
         outputs of the longest window, one block's scaled rows of a chunk,
         and the coefficient tables of `chebyshev_coefficients` (the samples
         and their FFT) for as many outputs as the longest window holds, on
-        the FFT length of the widest block's longest span.
+        the FFT length of H's interval over the longest span.
         """
         width = len(group.sizes) * order
         if self.method == "dense":
@@ -535,22 +539,14 @@ class Propagator:
             cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
             work = rows * (3 * max(len(b.energies) for b in self.blocks) + cached)
         else:
-            reach, windows = self._block_windows(times, occupied)
+            windows = list(_chebyshev_windows(times, self.reach))
             longest = max(hi - lo for _, lo, hi in windows)
             rows = min(longest, _chunk_rows(width))
             sizes = [b.basis.size for b, _ in occupied]
-            x = max(b.chebyshev.half_width for b, _ in occupied) * max(
-                times[hi - 1] - start if hi > lo else reach for start, lo, hi in windows)
+            x = self.whole.chebyshev.half_width * max(times[hi - 1] - start for start, _, hi in windows)
             work = (2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes) + rows * max(sizes)
                     + 2 * longest * _fft_points(x, chebyshev_degree(x)))
         return work + rows * (2 * width + self.subset.size), rows
-
-    @staticmethod
-    def _block_windows(times, occupied) -> tuple[float, list[tuple[float, int, int]]]:
-        """The reach and the windows of the Chebyshev blocks, set by the
-        widest block interval."""
-        reach = CHEBYSHEV_WINDOW / max(b.chebyshev.half_width for b, _ in occupied)
-        return reach, list(_chebyshev_windows(times, reach))
 
     def _momentum_sums(self, psi0: np.ndarray) -> np.ndarray:
         """sum_{x in r} conj(chi_k(x)) psi0[x] for every orbit r (rows) and
@@ -635,23 +631,22 @@ class Propagator:
         window's outputs in chunks of `rows` times.
 
         Each block carries its orbit-sum state from window to window and runs
-        its own recurrence on its own Gershgorin interval; the windows are
-        those of the widest interval, so that every block covers each of them
+        its own recurrence on its own interval; the windows are H's, whose
+        interval holds every block's, so that every block covers each of them
         in one recurrence.  A momentum block's outputs, divided by the square
         roots of its orbit sizes, are its rows.  The trivial group's block
         adds its outputs into the history rows themselves, as the
         whole-space recurrence does, and yields None for them.
         """
-        reach, windows = self._block_windows(times, occupied)
         buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _ in occupied), dtype=complex)
         whole = occupied[0][0] is self.whole
         scales = [1.0 / np.sqrt(b.basis.sizes)[:, None] for b, _ in occupied]
         states = [coeff for _, coeff in occupied]
-        for start, lo, hi in windows:
-            dts = times[lo:hi] - start if hi > lo else np.array([reach])
+        for start, lo, hi in _chebyshev_windows(times, self.reach):
+            dts = times[lo:hi] - start
             outs = []
             for j, (b, _) in enumerate(occupied):
-                out = amps[lo:hi] if whole and hi > lo else np.zeros((len(dts), b.basis.size), dtype=complex)
+                out = amps[lo:hi] if whole else np.zeros((hi - lo, b.basis.size), dtype=complex)
                 block = buffer[:2 * CHEBYSHEV_BLOCK * b.basis.size].reshape(2, CHEBYSHEV_BLOCK, -1)
                 b.chebyshev.window(states[j], dts, out, block)
                 states[j] = out[-1].copy()

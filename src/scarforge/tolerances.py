@@ -21,7 +21,8 @@ TYPE2_TOL = 1e-9              # type-II residual norm below which a rule holds
 # Chain operators
 ASSEMBLY_PRUNE = 1e-13        # window entries at or below this are floating noise; when every
                               # assembled imaginary part of A and B is, A, B and H are stored as float64
-HERMITICITY_TOL = 1e-10       # max |A - A^dagger| after assembly
+HERMITICITY_TOL = 1e-10       # bound on max |A - A^dagger| of a layer: its window count times
+                              # the window log's max |h - h^dagger|, checked before assembly
 SECTOR_COMMUTE_TOL = 1e-9     # max |[H, P]| for a sector operator P
 MOMENTUM_COMMUTE_TOL = 1e-13  # max |[H, S2]| for which a propagator solves momentum blocks; the
                               # dropped couplings grow by at most this times t in the amplitudes.

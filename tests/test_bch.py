@@ -385,13 +385,17 @@ def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders
     # each admission's count is at least the traced growth above its level,
     # up to the next admission or to the end of the series after the last
     # one, for the tagged layers and for untagged copies, which run the
-    # trivial group.  pxp's pieces of alternate degree double every other
+    # trivial group.  The first window starts before `layer_orbits`, which
+    # checks tagged layers against translated copies of themselves: before
+    # the first admission nothing grows but this harness's bookkeeping
+    # (about 1 KB).  pxp's pieces of alternate degree double every other
     # order; the random phased gate's pieces fill the L=8 full space by
     # order 3
     chain = _series_layers(name, length)
     for tagged, layers in ((True, (chain.a, chain.b)), (False, (sp.csr_matrix(chain.a), sp.csr_matrix(chain.b)))):
         records = _traced_admissions(monkeypatch)
         end = _traced_peak(layers, n_orders)
+        assert records[0]["peak"] < 4096, (tagged, records[0])
         for record, peak in zip(records, _window_peaks(records, end)):
             assert record["need"] >= peak - record["level"], (tagged, record, peak)
 
@@ -410,21 +414,41 @@ def test_series_that_fits_is_admitted(monkeypatch, name, length, n_orders):
 
 
 def test_layers_refused_before_they_are_symmetrised(models, monkeypatch):
-    # the first admission counts the Hermitian parts of the layers, their
-    # sum and their representative rows from the layers' entries: one byte
-    # less refuses order 0 before any of them or any product is formed
+    # the admission after the layers' group counts the Hermitian parts of
+    # the layers, their sum and their representative rows from the layers'
+    # entries: one byte less refuses order 0 before any of them or any
+    # product is formed
+    model = models["pxp"]
+    chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
+    records = _traced_admissions(monkeypatch)
+    _traced_peak((chain.a, chain.b), 2)
+    assert records[1]["what"].startswith("series order 0 ") and records[0]["need"] < records[1]["need"]
+
+    def formed(*args, **kwargs):
+        raise AssertionError("a layer was symmetrised or a product formed")
+
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: records[1]["need"] - 1)
+    monkeypatch.setattr(sp.csr_matrix, "getH", formed)
+    monkeypatch.setattr(bch, "_stacked_product", formed)
+    with pytest.raises(dynamics.ResourceLimitError, match="series order 0 needs"):
+        bch_terms(chain.a, chain.b, 2)
+
+
+def test_layer_group_refused_before_it_is_built(models, monkeypatch):
+    # the first admission counts what `layer_orbits` allocates, for tagged
+    # layers the check against their translated copies and the table of the
+    # translation's powers: one byte less refuses order 0 before the check
     model = models["pxp"]
     chain = build_hamiltonian(model.circuit(12), working_subspace(model, 12))
     records = _traced_admissions(monkeypatch)
     _traced_peak((chain.a, chain.b), 2)
     assert records[0]["what"].startswith("series order 0 ")
 
-    def formed(*args, **kwargs):
-        raise AssertionError("a layer was symmetrised or a product formed")
+    def reached(*args, **kwargs):
+        raise AssertionError("the layers' group was built")
 
     monkeypatch.setattr(dynamics, "available_bytes", lambda: records[0]["need"] - 1)
-    monkeypatch.setattr(sp.csr_matrix, "getH", formed)
-    monkeypatch.setattr(bch, "_stacked_product", formed)
+    monkeypatch.setattr(bch, "layer_orbits", reached)
     with pytest.raises(dynamics.ResourceLimitError, match="series order 0 needs"):
         bch_terms(chain.a, chain.b, 2)
 

@@ -16,6 +16,7 @@ from scarforge.cli import (
     EXIT_UNKNOWN_MODEL,
     run,
 )
+from scarforge.basis import BasisSubset
 from scarforge.models import load_model
 
 
@@ -177,6 +178,35 @@ def test_spectrum_refused_before_assembly(args, code, message, monkeypatch, caps
     monkeypatch.setattr(dynamics, "DENSE_GUARD", 100)
     monkeypatch.setattr(hamiltonian, "build_hamiltonian", reached)
     assert run(args) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["revivals", "--model", "pxp", "-L", "40"], "a history of 6001 times holds 2.2e+04 GB, 4.00 GB available; "
+     "shorten the time grid"),
+    (["revivals", "--model", "qmbs-b", "-L", "18"], "a history of 6001 times holds 8.39 GB, "
+     "4.00 GB available; shorten the time grid"),
+    (["ipr", "--model", "qmbs-a", "-L", "24"], "ipr needs a dense eigensolve, refused at dimension 16777216; "
+     "use a smaller length or subspace"),
+    (["ipr", "--model", "qmbs-c", "-L", "14"], "ipr needs a dense eigensolve, refused at dimension 16384; "
+     "use a smaller length or subspace"),
+    (["ipr", "--model", "pxp", "-L", "20", "--subspace", "krylov"], "ipr needs a dense eigensolve, refused at "
+     "dimension 15127; use a smaller length or subspace"),
+])
+def test_registry_model_refused_from_closed_form_size(args, message, monkeypatch, capsys):
+    # a registry model's subset size is known in closed form (2^L for ipr's
+    # default full space of qmbs-c), so a history or a dense eigensolve that
+    # does not fit is refused before any subset, orbit or H is built
+    from scarforge import dynamics, hamiltonian, models
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a subset was built")
+
+    monkeypatch.setattr(dynamics, "available_bytes", lambda: 4 * 10**9)
+    monkeypatch.setattr(models, "working_subspace", reached)
+    monkeypatch.setattr(hamiltonian, "krylov_subspace", reached)
+    monkeypatch.setattr(BasisSubset, "full_space", reached)
+    assert run(args) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -490,11 +490,11 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
     assert np.allclose(prop.block_coefficients(generic)[0], block.vectors.conj().T @ generic, rtol=0, atol=1e-12)
 
 
-def coefficient_tables(half_width, times, windows, reach):
+def coefficient_tables(half_width, times, windows):
     """Entries of the samples and their FFT that `chebyshev_coefficients`
     holds at once, for as many outputs as the longest window has, on the
     FFT length 2 (K + ceil(x) + 32) of the longest span x = a * dt."""
-    x = half_width * max(times[hi - 1] - start if hi > lo else reach for start, lo, hi in windows)
+    x = half_width * max(times[hi - 1] - start for start, _, hi in windows)
     longest = max(hi - lo for _, lo, hi in windows)
     return 2 * longest * 2 * (dynamics.chebyshev_degree(x) + math.ceil(x) + 32)
 
@@ -521,7 +521,7 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     assert len(windows) == 4
     rows = min(longest, dynamics.HISTORY_CHUNK // sub.size)
     work = (2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 4 * sub.size
-            + coefficient_tables(half_width, times, windows, reach))
+            + coefficient_tables(half_width, times, windows))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
@@ -818,7 +818,8 @@ def test_neel_start_skips_the_momentum_transform_and_matches_expm(pxp_chain, mon
 @st.composite
 def irregular_grids(draw):
     """A grid that starts after t = 0, holds a 1e-3 step next to a step of
-    10, and crosses one gap of 60 that spans dozens of Chebyshev windows."""
+    10, and crosses one gap of 60 that spans dozens of Chebyshev windows,
+    each of them one recurrence."""
     start = draw(st.floats(0.01, 2.0))
     steps = draw(st.lists(st.sampled_from((1e-3, 0.05, 0.7, 10.0)), min_size=2, max_size=10))
     steps.insert(draw(st.integers(0, len(steps))), 60.0)
@@ -997,18 +998,12 @@ def whole_space_history(h, psi0, times):
     """The whole-space Chebyshev recurrence, window by window along the grid:
     the reference the trivial group's block reproduces bit for bit."""
     op = dynamics.ChebyshevOperator.of(h)
-    reach = dynamics.CHEBYSHEV_WINDOW / op.half_width
     amps = np.zeros((len(times), len(psi0)), dtype=complex)
     block = np.empty((2, CHEBYSHEV_BLOCK, len(psi0)), dtype=complex)
     psi = psi0
-    for start, lo, hi in dynamics._chebyshev_windows(times, reach):
-        if lo == hi:
-            hop = np.zeros((1, len(psi0)), dtype=complex)
-            op.window(psi, np.array([reach]), hop, block)
-            psi = hop[0]
-        else:
-            op.window(psi, times[lo:hi] - start, amps[lo:hi], block)
-            psi = amps[hi - 1]
+    for start, lo, hi in dynamics._chebyshev_windows(times, dynamics.CHEBYSHEV_WINDOW / op.half_width):
+        op.window(psi, times[lo:hi] - start, amps[lo:hi], block)
+        psi = amps[hi - 1]
     return amps
 
 
@@ -1054,6 +1049,17 @@ def test_start_in_every_momentum_repeats_the_whole_space_recurrence_for_random_g
     assert_whole_space_recurrence(h, sub, random_state(rng, sub.size), times)
 
 
+def momentum_projection(sub, psi, order, momenta):
+    """sum_k P_k psi over `momenta`, normalized, with P_k = (1/M) sum_j
+    e^{2 pi i j k / M} S2^j, numerically."""
+    shift = sub.find(translate_index(sub.states, 2, sub.length))
+    out = np.zeros(sub.size, dtype=complex)
+    for j in range(order):
+        out += sum(np.exp(2j * np.pi * j * k / order) for k in momenta) / order * psi
+        psi = psi[shift]
+    return out / np.linalg.norm(out)
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)))
 def test_start_projected_onto_two_momenta_builds_their_blocks_alone(seed, length):
@@ -1065,13 +1071,7 @@ def test_start_projected_onto_two_momenta_builds_their_blocks_alone(seed, length
     h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), length, "stride4"), sub).h
     order = length // 2
     momenta = sorted(int(k) for k in rng.choice(order, size=2, replace=False))
-    shift = sub.find(translate_index(sub.states, 2, length))
-    psi = random_state(rng, sub.size)
-    psi0 = np.zeros(sub.size, dtype=complex)
-    for j in range(order):    # sum_k P_k psi, P_k = (1/M) sum_j e^{2 pi i j k / M} S2^j
-        psi0 += sum(np.exp(2j * np.pi * j * k / order) for k in momenta) / order * psi
-        psi = psi[shift]
-    psi0 /= np.linalg.norm(psi0)
+    psi0 = momentum_projection(sub, random_state(rng, sub.size), order, momenta)
     times = np.arange(0.0, 10.0, 0.05)
     prop = assert_blocks_match_dense(h, sub, psi0, times, momenta)
     kept = np.arange(order) * prop.group.sizes[:, None] % order == 0
@@ -1105,7 +1105,8 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     # buffer of its largest block, every block's outputs over the longest
     # window, one chunk of that window's momentum array, transform,
     # gathered amplitudes and scaled block rows, and the longest window's
-    # coefficient tables.  One entry short, a fresh
+    # coefficient tables, all on the windows of H's interval, which holds
+    # the block's.  One entry short, a fresh
     # propagator makes its k = 0 block and refuses before any of the rest;
     # with exactly that available it runs
     chain, sub, m = pxp_chain
@@ -1115,7 +1116,7 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     times = np.arange(0.0, 5.0, 0.05)
     zero, _, _ = sector_group(sub, S2_PLUS)
     size = zero.size
-    half_width = dynamics.ChebyshevOperator.of(dynamics.orbit_block(chain.h, zero)).half_width
+    half_width = dynamics.ChebyshevOperator.of(chain.h).half_width
     reach = dynamics.CHEBYSHEV_WINDOW / half_width
     windows = list(dynamics._chebyshev_windows(times, reach))
     longest = max(hi - lo for _, lo, hi in windows)
@@ -1123,7 +1124,7 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     width = len(zero.sizes) * 6
     rows = min(longest, dynamics.HISTORY_CHUNK // width)
     work = (2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (2 * width + sub.size + size)
-            + coefficient_tables(half_width, times, windows, reach))
+            + coefficient_tables(half_width, times, windows))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
@@ -1137,3 +1138,86 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     assert peak < len(times) * sub.size * COMPLEX_BYTES / 4
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
     assert prop.evolve(psi0, times).amplitudes.shape == (len(times), sub.size)
+
+
+def assert_block_intervals_inside_h(h, sub, rng):
+    """A start in each momentum alone builds that momentum's block; every
+    block's Chebyshev interval lies inside H's, and every block's spectrum,
+    solved densely for blocks of at most 600 orbits, inside its interval."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "DENSE_GUARD", 0)
+        prop = Propagator(h, sub)
+    psi = random_state(rng, sub.size)
+    for k in range(prop.order):
+        prop.evolve(momentum_projection(sub, psi, prop.order, [k]), [0.0])
+    assert sorted(b.momentum for b in prop.blocks) == list(range(prop.order))
+    whole = prop.whole.chebyshev
+    slack = 1e-12 * whole.half_width
+    for b in prop.blocks:
+        op = b.chebyshev
+        assert whole.centre - whole.half_width - slack <= op.centre - op.half_width
+        assert op.centre + op.half_width <= whole.centre + whole.half_width + slack
+        if b.basis.size <= 600:    # the scaled operator 2 (H_k - b) / a has its spectrum in [-2, 2]
+            assert np.max(np.abs(np.linalg.eigvalsh(op.scaled.toarray()))) <= 2.0 + 1e-12
+    return prop
+
+
+@pytest.mark.parametrize("name, length", [
+    ("pxp", 16), ("pxp-nophase", 16), ("qmbs-a", 12), ("qmbs-b", 16), ("qmbs-c", 16),
+])
+def test_block_intervals_lie_inside_h_interval_for_models(name, length):
+    # each momentum block is H in one sector, so its Gershgorin interval is
+    # clipped to H's; the k = 0 block of pxp and qmbs-b is wider unclipped
+    m = load_model(name)
+    sub = working_subspace(m, length)
+    h = build_hamiltonian(m.circuit(length), sub).h
+    prop = assert_block_intervals_inside_h(h, sub, np.random.default_rng(length))
+    if name in ("pxp", "qmbs-b"):
+        zero = dynamics.ChebyshevOperator.of(dynamics.orbit_block(h, prop.blocks[0].basis))
+        assert prop.blocks[0].momentum == 0 and zero.half_width > prop.whole.chebyshev.half_width
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from((8, 12)))
+def test_block_intervals_lie_inside_h_interval_for_random_gates(seed, length):
+    rng = np.random.default_rng(seed)
+    sub = BasisSubset.full_space(length)
+    h = build_hamiltonian(FloquetCircuit(random_phase_gate(rng), length, "stride4"), sub).h
+    assert_block_intervals_inside_h(h, sub, rng)
+
+
+def test_qmbs_b_zero_momentum_block_runs_h_interval_degree():
+    # qmbs-b at L=18 (87,382 states) is past the dense limit; the Neel start
+    # runs in its k = 0 block, whose Gershgorin half-width 27.08 is clipped
+    # to H's 25.02, so the t <= 1 grid is one window of degree 58 (62 on the
+    # block's own interval)
+    m = load_model("qmbs-b")
+    sub = working_subspace(m, 18)
+    prop = Propagator(build_hamiltonian(m.circuit(18), sub).h, sub)
+    assert prop.method == "iterative"
+    degrees = []
+    window = dynamics.ChebyshevOperator.window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics.ChebyshevOperator, "window", lambda self, psi, dts, *a: degrees.append(
+            chebyshev_degree(self.half_width * dts[-1])) or window(self, psi, dts, *a))
+        res = prop.evolve(sub.basis_vector(m.orbit_seed(18)), np.arange(0.0, 1.025, 0.05))
+    assert [b.momentum for b in prop.blocks] == [0]
+    assert prop.blocks[0].chebyshev.half_width == pytest.approx(25.02, abs=0.01)
+    assert degrees == [58] and res.norm_drift < 1e-12
+
+
+@pytest.mark.parametrize("start", ["neel", "random"])
+def test_chebyshev_steps_longer_than_a_window_match_dense(pxp_chain, monkeypatch, start):
+    # a step of 2 exceeds pxp L=12's window of about 1.3: every window holds
+    # one output and is one recurrence across the whole step, in the k = 0
+    # block (Neel) and in the whole space (random), and both match dense
+    chain, sub, m = pxp_chain
+    psi0 = sub.basis_vector(m.orbit_seed(12)) if start == "neel" else random_state(np.random.default_rng(9), sub.size)
+    times = np.arange(0.0, 40.0 + 1.0, 2.0)
+    spans = []
+    window = dynamics.ChebyshevOperator.window
+    monkeypatch.setattr(dynamics.ChebyshevOperator, "window",
+                        lambda self, psi, dts, *a: spans.append(len(dts)) or window(self, psi, dts, *a))
+    assert_chebyshev_matches_dense(chain.h, sub, psi0, times)
+    assert 2.0 > dynamics.CHEBYSHEV_WINDOW / dynamics.ChebyshevOperator.of(chain.h).half_width
+    assert spans == [1] * (len(times) - 1) + [spans[-1]] and sum(spans) == len(times)

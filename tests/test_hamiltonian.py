@@ -1,4 +1,5 @@
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     random_phase_gate,
     window_operator,
 )
+from scarforge import hamiltonian
 from scarforge.automaton import FloquetCircuit
 from scarforge.basis import (
     BasisSubset,
@@ -60,6 +62,27 @@ def test_h_is_a_plus_b_and_hermitian(models):
     assert abs(chain.h - (chain.a + chain.b)).max() == 0
     for m in (chain.a, chain.b):
         assert abs(m - m.getH()).max() < 1e-10
+
+
+@pytest.mark.parametrize("off, refused", [(0.4e-10, False), (0.6e-10, True)])
+def test_window_log_hermiticity_checked_before_any_window_sum(models, monkeypatch, off, refused):
+    # qmbs-b at L=8 has two windows per layer, so a window log off its
+    # adjoint by 0.6e-10 bounds a layer's deviation by 1.2e-10, past
+    # HERMITICITY_TOL, and is refused before any window sum is built; 0.4e-10
+    # (a bound of 0.8e-10) is assembled
+    m = models["qmbs-b"]
+    circuit, subset = m.circuit(8), BasisSubset.full_space(8)
+    local = principal_log(m.gate).matrix.copy()
+    local[0, 1] += off
+    sums = []
+    monkeypatch.setattr(hamiltonian, "principal_log", lambda gate: SimpleNamespace(matrix=local))
+    monkeypatch.setattr(hamiltonian, "window_sum", lambda *a: sums.append(a) or window_sum(*a))
+    if refused:
+        with pytest.raises(RuntimeError, match=r"the layers would lose hermiticity during assembly \(1\.20e-10\)"):
+            build_hamiltonian(circuit, subset)
+        assert sums == []
+    else:
+        assert build_hamiltonian(circuit, subset).h.shape == (subset.size, subset.size) and len(sums) == 2
 
 
 def test_layer_exponentials_reproduce_circuit(models):
