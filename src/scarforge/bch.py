@@ -69,7 +69,9 @@ right-hand side, its running Bernoulli sum beside the sum before it, the
 scaled copy and the prune's copy of that; each expansion, its exact entries
 (its rows' once per state of their orbits) with the int32 power and numpy's
 int64 index copies that `_expand` makes per entry; and the terms, complex
-values for the index arrays each takes over from its piece.
+values for the index arrays each takes over from its piece, and TERM_BYTES
+for each term's sparse-matrix object and its constructor's checks, which
+is all a term of no entries (pxp's C_1) allocates.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .hamiltonian import SectorBasis, layer_orbits
 from .tolerances import SPARSE_PRUNE
 
 MAX_ORDER = 12
+TERM_BYTES = 4096  # a term's sparse-matrix object beside its arrays, about 1 KB traced at its peak
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:
@@ -297,7 +300,7 @@ def bch_terms(a, b, n_orders: int) -> BchSeries:
     table.clear()
     if n_orders:
         # each term takes over its piece's index arrays
-        admit(sum(full_entries(p.rows) for p in z[2:]) * np.dtype(complex).itemsize
+        admit(sum(full_entries(p.rows) for p in z[2:]) * np.dtype(complex).itemsize + TERM_BYTES * n_orders
               + (0 if z[-1].full is not None else expansion_bytes(z[-1].rows)), n_orders)
     terms = [s]
     for n in range(1, n_orders + 1):

@@ -77,9 +77,9 @@ def _emit_json(args, payload: dict) -> None:
         print(text)
 
 
-def _emit_csv(args, params: dict, columns: list[str], rows) -> None:
+def _emit_csv(args, params: dict, columns: list[str], rows, results: dict | None = None) -> None:
     if args.out:
-        write_csv(args.out, __version__, params, columns, rows)
+        write_csv(args.out, __version__, params, columns, rows, results)
     else:
         print(",".join(columns))
         for row in rows:
@@ -233,8 +233,8 @@ def cmd_rstat(args) -> int:
     evals = np.linalg.eigvalsh(hs)
     report = r_statistic(evals)
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
-    params = _params(args, n_levels=len(evals), mean_r=report.mean)
-    _emit_csv(args, params, ["r_bin_center", "density"], zip(centers, report.density))
+    params = _params(args, n_levels=len(evals))
+    _emit_csv(args, params, ["r_bin_center", "density"], zip(centers, report.density), {"mean_r": report.mean})
     solve = "real" if np.isrealobj(hs) else "complex"
     print(f"levels={len(evals)} mean_r={report.mean:.6f} solve={solve} "
           f"theta={theta[0] or 'none'} theta_dev={theta[2]:.2e}", file=sys.stderr)
@@ -256,13 +256,13 @@ def cmd_bch(args) -> int:
           f"{series.rows} of {subset.size} rows", file=sys.stderr)
     positions = [subset.position(s) for s in orbit]
     profile = norm_profile(series, positions)
-    params = _params(args, n_eff=subset.size)
+    results = {}
     if args.bandwidth is not None:
         estimate = fgr_rate(series, positions, args.length, args.bandwidth)
-        params["fgr_rate"] = estimate.rate
+        results["fgr_rate"] = estimate.rate
         print(f"fgr_rate={estimate.rate:.6g}", file=sys.stderr)
     rows = zip(profile.orders, profile.orbit_norm, profile.leakage_norm, profile.generic_norm)
-    _emit_csv(args, params, ["n", "orbit_norm", "leakage_norm", "generic_norm"], rows)
+    _emit_csv(args, _params(args, n_eff=subset.size), ["n", "orbit_norm", "leakage_norm", "generic_norm"], rows, results)
     if args.svg:
         norms = {"orbit": profile.orbit_norm, "leakage": profile.leakage_norm, "generic": profile.generic_norm}
         write_svg_lines(args.svg, f"{model.name} L={args.length} series norms", profile.orders, norms)

@@ -16,11 +16,14 @@ each orbit, and pairs each occupied block with the coefficients of psi0 in
 it; a momentum is occupied when the norm of psi0's part in it exceeds
 MOMENTUM_COMMUTE_TOL ||psi0||, so an S2-invariant start such as the Neel
 state touches the k = 0 block alone.  The method's producer evolves the
-blocks one chunk of times after another, and one writer (`_write`) brings
-their amplitudes on the orbit representatives back to the subset slots,
-through one inverse DFT over the momenta of each orbit, skipped when only
-k = 0 has weight (`_OrbitGather`), into a C-ordered (n_times, dim) history,
-and takes each time's norm along its row.
+blocks one chunk of times after another into the time-major slot rows of
+one writer (`_write`), which brings their amplitudes on the orbit
+representatives back to the subset slots, through one inverse DFT over the
+momenta of each orbit, batched over the chunk's times and skipped when only
+k = 0 has weight (`_OrbitGather`), with one np.take per chunk into a
+C-ordered (n_times, dim) history.  In one pass over each chunk it squares
+the moduli for each time's norm and sums their squares for its
+participation ratio, which `pr_trace` returns without reading the history.
 
 The two methods differ in how a block evolves.  `dense_fits` is the one
 dense limit, read by the propagator, by `spectral.analyze_spectrum` and by
@@ -32,14 +35,20 @@ e^{-iHt} exactly on the whole time grid.  A float64 H
 real) is propagated as real.  When H has an antiunitary symmetry Theta = K P
 (`hamiltonian.find_antiunitary`: complex conjugation K for a real H, with a
 spin flip for qmbs-a and qmbs-b), the k = 0 and M/2 blocks are solved as
-real-symmetric matrices in the real basis of Theta and their vectors rotated
-back to the orbit sums.  As P commutes with S2, Theta then maps the k block
-to the -k block, and only the momenta k <= M/2 are solved: the -k vectors
-are the complex conjugates of the k vectors, with rows permuted and signed
-by P.  Over chunks of the time grid, each occupied block maps its scaled
-phase block through its eigenvectors in one matrix product; every chunk of
-an evenly spaced grid shares one phase block (`_dense_rows`).  `energies`
-are sorted over all blocks (`level_order` sorts the blocks' levels taken in
+real-symmetric matrices in the real basis of Theta and their vectors
+rotated back to the orbit sums.  As P commutes with S2, Theta then maps the
+k block to the -k block, and only the momenta k <= M/2 are solved: the -k
+vectors are the complex conjugates of the k vectors, with rows permuted and
+signed by P.  Over chunks of the time grid, each occupied block maps the
+chunk's phases through its eigenvectors, scaled by psi0's coefficients, in
+one matrix product straight into the writer's rows; every chunk of an
+evenly spaced grid shares one phase block (`_dense_rows`).  For a real H and
+a real psi0, the -k block's vectors and coefficients are the conjugates of
+the k block's, so with W = vectors diag(coefficients) and Z the phases,
+[Re W; Im W] Z gives A and B with Y_k = A + iB and Y_-k = A - iB: one real
+product per conjugate pair of momenta, half the flops of two complex ones,
+and a real inverse DFT (2 cos(theta) A - 2 sin(theta) B).  `energies` are
+sorted over all blocks (`level_order` sorts the blocks' levels taken in
 turn); `modes`, the eigenvectors in the subset basis (real for a real H,
 from sqrt(2) Re and sqrt(2) Im of a momentum pair), are built on each read.
 
@@ -67,12 +76,13 @@ themselves.
 
 Before allocating, `evolve` refuses a call whose amplitude history and
 working set (one chunk of the writer's recombination; beside it one time
-chunk of the dense block evolution with the cached phase blocks, or for the
-Chebyshev blocks the vectors and the buffer of their products, every
-block's outputs over the longest window and that window's coefficient
-tables) would not fit in the available memory.  Unitarity is monitored
-along every trace, the worst drift is reported in the result, and drift
-beyond NORM_DRIFT_ABORT, or NaN, aborts.
+chunk of the dense block evolution with the cached phase blocks and the
+runs' weights, or for the Chebyshev blocks the vectors and the buffer of
+their products, every block's outputs over the longest window and that
+window's coefficient tables) would not fit in the available memory.  The
+writer's and the dense producer's arrays come from one allocation
+(`_Scratch`).  Unitarity is monitored along every trace, the worst drift is
+reported in the result, and drift beyond NORM_DRIFT_ABORT, or NaN, aborts.
 """
 
 from __future__ import annotations
@@ -81,6 +91,7 @@ import math
 import os
 import resource
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,13 +172,14 @@ def admit(need: int, what: str, advice: str) -> None:
         raise ResourceLimitError(f"{what} {need / 1e9:.3g} GB, {have / 1e9:.2f} GB available; {advice}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionResult:
     """The amplitude history of one evolved state over the subset basis."""
 
     amplitudes: np.ndarray  # shape (n_times, dim)
     subset: BasisSubset
     norm_drift: float  # worst | ||psi(t)|| - ||psi0|| | along the trace
+    pr: np.ndarray | None = None  # sum_x |psi_x(t)|^4 of each row, taken by the writer
 
 
 def _chunk_rows(width: int) -> int:
@@ -186,11 +198,12 @@ def _by_rows(amps: np.ndarray, reduce) -> np.ndarray:
 
 
 def _adjoint_times(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """vectors^dagger @ psi.  Real vectors multiply the real and imaginary
-    parts of psi separately, so no complex copy of them is made."""
+    """vectors^dagger @ psi, with no copy of the vectors: real vectors
+    multiply the real and imaginary parts of psi separately, complex ones
+    take the conjugate of conj(psi) @ vectors."""
     if np.isrealobj(vectors):
         return vectors.T @ psi.real + 1j * (vectors.T @ psi.imag)
-    return vectors.conj().T @ psi
+    return np.conj(psi.conj() @ vectors)
 
 
 def chebyshev_degree(x: float) -> int:
@@ -232,7 +245,8 @@ def chebyshev_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
     doubled for k >= 1.  One FFT on n = `_fft_points(max x, degree)` points
     reads them off: a coefficient of index k <= degree picks up aliases of
     index at least n - degree > 2 max x + 64 apart, where |J| is far below
-    double precision.  The (len(x), n) samples and their FFT are held at once.
+    double precision.  Making the (len(x), n) samples and their FFT holds
+    up to 2.5 such tables at once.
     """
     x = np.asarray(x, dtype=float)
     n = _fft_points(float(np.max(x)), degree)
@@ -242,10 +256,11 @@ def chebyshev_coefficients(x: np.ndarray, degree: int) -> np.ndarray:
     return coeff
 
 
-def _phase_block(energies: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """e^{-iE tau} as an (n_levels, n_offsets) array."""
-    base = np.zeros((len(energies), len(offsets)), dtype=complex)
-    np.multiply.outer(-energies, offsets, out=base.imag)
+def _phase_block(energies: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{-iE tau} as an (n_offsets, n_levels) array, one row per time, in `out` if given."""
+    base = np.empty((len(offsets), len(energies)), dtype=complex) if out is None else out
+    base.real = 0.0
+    np.multiply.outer(offsets, -energies, out=base.imag)
     return np.exp(base, out=base)
 
 
@@ -353,39 +368,112 @@ class MomentumBlock:
         return np.where((orbit >= 0)[:, None], self.basis.sign[slots, None] * vectors[orbit], 0.0)
 
 
+class _Scratch:
+    """The working arrays of one evolve, carved in turn from one allocation.
+    As one block, the allocator maps it on its own and returns it to the
+    system when the evolve ends; the same arrays made one by one would come
+    from its heap, which keeps freed blocks below its trim threshold
+    resident beside the next history."""
+
+    def __init__(self, entries: int):
+        self.free = np.empty(entries, dtype=complex)
+
+    def take(self, shape, dtype=complex, zero: bool = False) -> np.ndarray:
+        size = math.prod(shape)
+        entries = -(-size * np.dtype(dtype).itemsize // COMPLEX_BYTES)
+        block, self.free = self.free[:entries], self.free[entries:]
+        out = block.view(dtype)[:size].reshape(shape)
+        if zero:
+            out.fill(0)
+        return out
+
+
 class _OrbitGather:
     """The amplitudes of every subset slot from the orbit amplitudes of the
     momentum blocks of a group of order M, one chunk of at most `rows` times
     at a time.  `group` is the group's momentum-0 sector basis: its orbits,
     their sizes and the S2 power taking each slot to its representative.
 
-    `momenta[k, r, j]` holds the momentum-k part of the amplitude on the
-    representative of orbit r at the chunk's j-th time.  Its inverse DFT over
-    the momentum axis, one (M, M) matrix product, gives for each orbit the
-    amplitude of the member that S2^j takes to the representative at index
-    j; when only momentum 0 has weight (`transform` false), every member
-    carries its orbit's amplitude and the DFT is skipped.
+    `momenta[t, p, s, r]` holds, at the chunk's t-th time, the rows that the
+    block in slot s, of momentum `slots[s]`, has on the representative of
+    orbit r.  Complex rows have one plane p.  Real rows (`real`, for a real
+    H and a real start) have two, the real and the imaginary part: a
+    self-conjugate momentum (k = 0 or M/2) holds its own rows, and a
+    conjugate pair, whose rows are Y_k = A + iB and Y_-k = A - iB, holds A
+    in the slot of k and B in the slot of -k.  The inverse DFT over the slot
+    axis, one matmul batched over the chunk's times and planes, gives for
+    each orbit the amplitude of the member that S2^j takes to the
+    representative at index j: sum_k e^{2 pi i jk/M} Y_k, which on a pair
+    is 2 cos(theta) A - 2 sin(theta) B, so real rows take a real transform.
+    When only momentum 0 has weight, `slots` is [0]: every member carries
+    its orbit's amplitude and the DFT is skipped.  One np.take of the
+    chunk's contiguous rows then writes its history rows.
     """
 
-    def __init__(self, order: int, group: SectorBasis, transform: bool, rows: int):
+    def __init__(self, order: int, group: SectorBasis, slots, real: bool, rows: int, scratch: _Scratch):
         orbits = len(group.sizes)
-        self.momenta = np.zeros((order, orbits, rows), dtype=complex)
-        self.spectrum = np.empty_like(self.momenta)
-        self.transform = transform
-        self.orbit = group.orbit
-        self.gather = group.shift * orbits + group.orbit
-        powers = np.arange(order)
-        self.dft = np.exp((2j * np.pi / order) * (np.multiply.outer(powers, powers) % order))
+        self.real = real
+        shape = (rows, 2 if real else 1, len(slots), orbits)
+        self.momenta = scratch.take(shape, float if real else complex, zero=True)
+        self.spectrum, self.dft, members = self.momenta, None, group.orbit
+        if len(slots) > 1:
+            self.spectrum = scratch.take(shape, self.momenta.dtype)
+            members = group.shift * orbits + group.orbit
+            k = np.asarray(slots)
+            dft = np.exp((2j * np.pi / order) * (np.multiply.outer(np.arange(order), k) % order))
+            # 1 on a self-conjugate momentum, 2 cos(theta) on the A and -2 sin(theta) on the B of a pair
+            pair = (k > 0) & (2 * k != order)
+            self.dft = np.where(2 * k > order, 2.0 * dft.imag, np.where(pair, 2.0, 1.0) * dft.real) if real else dft
+        # real rows interleave the entries of the two planes into complex amplitudes
+        self.members = (members[:, None] + [0, len(slots) * orbits]).ravel() if real else members
+
+    def fill(self, slot: int, rows: np.ndarray, weights: np.ndarray) -> None:
+        """rows @ weights into `momenta` in place, from `slot` on: `rows`
+        holds one row per time and plane of the chunk's first times, and
+        each group of `orbits` columns of `weights` fills one slot."""
+        width = weights.shape[1] // self.momenta.shape[3]
+        n = len(rows) // self.momenta.shape[1]
+        np.matmul(rows, weights, out=self.momenta[:n, :, slot:slot + width].reshape(len(rows), -1))
 
     def emit(self, out: np.ndarray) -> None:
         """The (n, dim) history rows `out` from the first n times of `momenta`."""
-        order, n = len(self.momenta), len(out)
-        if self.transform:
-            np.matmul(self.dft, self.momenta.reshape(order, -1), out=self.spectrum.reshape(order, -1))
-            members = self.spectrum[:, :, :n].reshape(-1, n)[self.gather]
-        else:
-            members = self.momenta[0, :, :n][self.orbit]
-        out.T[...] = members
+        n = len(out)
+        if self.dft is not None:
+            shape = (-1, *self.momenta.shape[2:])
+            np.matmul(self.dft, self.momenta[:n].reshape(shape), out=self.spectrum[:n].reshape(shape))
+        np.take(self.spectrum[:n].reshape(n, -1), self.members, axis=1, out=out.view(self.momenta.dtype), mode="clip")
+
+    def moduli(self, out: np.ndarray, mod: np.ndarray, emitted: bool) -> None:
+        """re^2 + im^2 of each entry of the history rows `out`, into `mod`,
+        squared in place in a spent buffer: after `emit`, in the cells of
+        the rows it took `out` from, then taken to the slots as `out` was;
+        else, when the trivial group's block wrote `out` and the slot rows
+        are unused, in them."""
+        n = len(out)
+        if not emitted:
+            parts = np.square(out.view(float), out=self.momenta.reshape(-1).view(float)[:2 * out.size].reshape(n, -1))
+            np.add(parts[:, 0::2], parts[:, 1::2], out=mod)
+            return
+        rows = self.spectrum[:n].reshape(n, -1).view(float)
+        half = rows.shape[1] // 2
+        np.square(rows, out=rows)
+        real, imag = (rows[:, :half], rows[:, half:]) if self.real else (rows[:, 0::2], rows[:, 1::2])
+        np.add(real, imag, out=real)
+        cells = self.members[0::2] if self.real else 2 * self.members    # each slot's real part in `rows`
+        np.take(rows, cells, axis=1, out=mod, mode="clip")
+
+
+class _Plan(NamedTuple):
+    """What one evolve runs (`Propagator._plan`): the order and momentum-0
+    sector basis of its group, the momentum of each slot of the writer's
+    `_OrbitGather`, whether its rows are real, and its runs, each a block,
+    the slot its rows fill and the coefficients of psi0 in it."""
+
+    order: int
+    group: SectorBasis
+    slots: list
+    real: bool
+    runs: list
 
 
 class Propagator:
@@ -472,13 +560,13 @@ class Propagator:
         if psi0.shape != (self.subset.size,) or not np.all(np.isfinite(psi0)):
             raise ValueError(f"initial state must hold {self.subset.size} finite amplitudes")
         plan = self._plan(psi0)
-        work, rows = self._work_entries(times, *plan)
+        work, scratch, rows = self._work_entries(times, plan)
         admit((len(times) * self.subset.size + work) * COMPLEX_BYTES, "evolution holds", "shorten the time grid")
-        amps, norms = self._write(times, rows, *plan)
+        amps, norms, prs = self._write(times, rows, plan, _Scratch(scratch))
         drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
         if not drift <= NORM_DRIFT_ABORT:    # a NaN drift aborts too
             raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_ABORT}")
-        return EvolutionResult(amps, self.subset, drift)
+        return EvolutionResult(amps, self.subset, drift, prs)
 
     def _momentum_parts(self, psi0: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The orbit sums of psi0 (`_momentum_sums`) and the momenta it occupies.
@@ -495,19 +583,31 @@ class Propagator:
         cut = MOMENTUM_COMMUTE_TOL * np.linalg.norm(psi0)
         return sums, [k for k in range(self.order) if weight[k] > cut]
 
-    def _plan(self, psi0: np.ndarray) -> tuple[int, SectorBasis, list]:
-        """The order and momentum-0 sector basis of the group psi0 runs in,
-        and the blocks it occupies there (see the module docstring), each
-        paired with the coefficients of psi0 in it: eigen-coefficients on
-        the dense path, orbit-sum states on the Chebyshev path, psi0 itself
-        in the trivial group's Chebyshev block.  A Chebyshev momentum block
-        is built on first use and kept."""
+    def _plan(self, psi0: np.ndarray) -> _Plan:
+        """The group psi0 runs in and the blocks it occupies there (see the
+        module docstring), each with the coefficients of psi0 in it:
+        eigen-coefficients on the dense path, orbit-sum states on the
+        Chebyshev path, psi0 itself in the trivial group's Chebyshev block.
+        A Chebyshev momentum block is built on first use and kept.
+
+        A dense block's rows fill the slot of its place in `blocks`, a
+        Chebyshev block's the slot of its momentum.  For a real H and a real
+        psi0 the rows are real (`_OrbitGather`): the block of -k, 2k > M, is
+        the conjugate of the block of k next to it, with conjugate
+        coefficients, so it has no run of its own, and the run of k, for
+        either of them occupied, fills both slots."""
         sums, occupied = self._momentum_parts(psi0)
         if self.method == "dense":
-            return self.order, self.group, [(b, _adjoint_times(b.vectors, sums[b.orbits, b.momentum]))
-                                            for b in self.blocks if b.momentum in occupied]
+            real = self.real and not np.any(psi0.imag)
+            runs = []
+            for slot, b in enumerate(self.blocks):
+                k = b.momentum
+                paired = real and 0 < 2 * k < self.order and self.order - k in occupied
+                if (k in occupied or paired) and not (real and 2 * k > self.order):
+                    runs.append((b, slot, _adjoint_times(b.vectors, sums[b.orbits, k])))
+            return _Plan(self.order, self.group, [b.momentum for b in self.blocks], real, runs)
         if not 0 < len(occupied) < self.order:
-            return 1, self.whole.basis, [(self.whole, psi0)]
+            return _Plan(1, self.whole.basis, [0], False, [(self.whole, 0, psi0)])
         built = {b.momentum: b for b in self.blocks}
         for k in occupied:
             if k not in built:
@@ -515,38 +615,54 @@ class Propagator:
                 operator = ChebyshevOperator.of(orbit_block(self.hamiltonian, basis), self.whole.chebyshev)
                 built[k] = MomentumBlock(k, basis, self.group.orbit[basis.reps], chebyshev=operator)
                 self.blocks.append(built[k])
-        blocks = [built[k] for k in occupied]
-        return self.order, self.group, [(b, sums[b.orbits, b.momentum] / np.sqrt(b.basis.sizes)) for b in blocks]
+        runs = [(built[k], k, sums[built[k].orbits, k] / np.sqrt(built[k].basis.sizes)) for k in occupied]
+        return _Plan(self.order, self.group, list(range(self.order)), False, runs)
 
-    def _work_entries(self, times: np.ndarray, order: int, group: SectorBasis, occupied) -> tuple[int, int]:
+    def _work_entries(self, times: np.ndarray, plan: _Plan) -> tuple[int, int, int]:
         """Complex entries held beside the history by the plan (`_plan`),
-        and the times of one chunk of rows: at most the grid on the dense
-        path, the longest window on the Chebyshev path.
+        those of them taken from one `_Scratch`, and the times of one chunk
+        of rows: at most the grid on the dense path, the longest window on
+        the Chebyshev path.
 
-        The writer: for one chunk, the momentum array, its transform and the
-        gathered amplitudes.  Dense: the cached phase block of every distinct
-        energy set, plus a chunk's own phase block, the scaled one and the
-        product of the largest momentum block.  Chebyshev: the vectors and
-        the buffer of their products for the largest block, every block's
-        outputs of the longest window, one block's scaled rows of a chunk,
-        and the coefficient tables of `chebyshev_coefficients` (the samples
-        and their FFT) for as many outputs as the longest window holds, on
-        the FFT length of H's interval over the longest span.
+        The scratch holds the writer's slot rows of every orbit for one
+        chunk (two real entries count as one complex one), their transform
+        unless only momentum 0 has weight, and the chunk's squared moduli
+        (counted one entry each); beside it, the writer's slot indices and
+        each time's norm and participation ratio.  On the dense path the
+        scratch also holds the cached phase block of every distinct energy
+        set of the runs, a chunk's phases and their real and imaginary
+        planes for the largest set, one block's scaled vectors and every
+        run's weights over all orbits; beside it, a chunk's own phase block
+        and the one it replaces.
+        Chebyshev: the vectors and the buffer of their products for the
+        largest block, every block's outputs of the longest window, one
+        block's scaled rows of a chunk, and three coefficient tables of
+        `chebyshev_coefficients` (the samples' real phases and complex
+        exponents, then the samples and their FFT: 2.5 tables traced at
+        once) for as many outputs as the longest window holds, on the FFT
+        length of H's interval over the longest span.
         """
-        width = len(group.sizes) * order
+        order, group, slots, _, runs = plan
+        orbits, dim = len(group.sizes), self.subset.size
         if self.method == "dense":
-            rows = min(len(times), _chunk_rows(width))
-            cached = sum(len(e) for e in {id(b.energies): b.energies for b in self.blocks}.values())
-            work = rows * (3 * max(len(b.energies) for b in self.blocks) + cached)
+            rows = min(len(times), _chunk_rows(orbits * order))
+            sets = {id(b.energies): len(b.energies) for b, _, _ in runs}
+            largest = max(sets.values())
+            scratch = rows * (sum(sets.values()) + 2 * largest) + (sum(len(b.energies) for b, _, _ in runs) + largest) * orbits
+            work = 2 * rows * largest
         else:
             windows = list(_chebyshev_windows(times, self.reach))
             longest = max(hi - lo for _, lo, hi in windows)
-            rows = min(longest, _chunk_rows(width))
-            sizes = [b.basis.size for b, _ in occupied]
+            rows = min(longest, _chunk_rows(orbits * order))
+            sizes = [b.basis.size for b, _, _ in runs]
             x = self.whole.chebyshev.half_width * max(times[hi - 1] - start for start, _, hi in windows)
             work = (2 * CHEBYSHEV_BLOCK * max(sizes) + longest * sum(sizes) + rows * max(sizes)
-                    + 2 * longest * _fft_points(x, chebyshev_degree(x)))
-        return work + rows * (2 * width + self.subset.size), rows
+                    + 3 * longest * _fft_points(x, chebyshev_degree(x)))
+            scratch = 0
+        gathered = orbits * len(slots) * 2 if any(b.momentum for b, _, _ in runs) else orbits
+        scratch += rows * (gathered + dim)
+        # the writer's int64 slot indices and those of the moduli, and the norms and participation ratios
+        return work + scratch + dim + len(times), scratch, rows
 
     def _momentum_sums(self, psi0: np.ndarray) -> np.ndarray:
         """sum_{x in r} conj(chi_k(x)) psi0[x] for every orbit r (rows) and
@@ -561,74 +677,93 @@ class Propagator:
         sums = self._momentum_sums(psi0)
         return [_adjoint_times(b.vectors, sums[b.orbits, b.momentum]) for b in self.blocks]
 
-    def _write(self, times, rows, order, group, occupied):
-        """The history, (n_times, dim) and C-ordered, and its norms, for both
-        methods.  The method's producer, handed the history, yields chunks
-        of at most `rows` times, each with its blocks' (block size, n) rows
-        on the orbit representatives; they fill the momentum rows of an
-        `_OrbitGather`, which writes the chunk's history rows.  None in
-        place of the rows: the trivial group's Chebyshev block wrote them.
-        Each time's norm is summed pairwise along its row, the squared
-        moduli in the spent transform buffer."""
-        gather = _OrbitGather(order, group, any(b.momentum for b, _ in occupied), rows)
-        produce = self._dense_rows if self.method == "dense" else self._chebyshev_rows
-        amps = np.zeros((len(times), self.subset.size), dtype=complex)    # the trivial block adds into it
-        norms = np.empty(len(times))
-        for lo, hi, parts in produce(times, occupied, rows, amps):
-            out = amps[lo:hi]
-            if parts is not None:
-                for b, part in parts:
-                    gather.momenta[b.momentum, b.orbits, :hi - lo] = part
-                    del part    # freed before the next block's rows or the gathered ones are made
+    def _write(self, times, rows, plan: _Plan, scratch: _Scratch):
+        """The history, (n_times, dim) and C-ordered, and its norms and
+        participation ratios, for both methods.  The method's producer, given
+        an `_OrbitGather` of chunks of `rows` times, fills its slot rows for
+        one chunk after another, and it writes each chunk's history rows;
+        the trivial group's Chebyshev block writes them itself.  In one pass
+        over each chunk's rows, the squares of their real and imaginary
+        parts are added into the squared moduli; each row sums them
+        pairwise for its norm, and their squares for its participation
+        ratio, as `pr_trace` does."""
+        dim = self.subset.size
+        transform = any(b.momentum for b, _, _ in plan.runs)
+        gather = _OrbitGather(plan.order, plan.group, plan.slots if transform else [0], plan.real, rows, scratch)
+        amps = np.zeros((len(times), dim), dtype=complex)    # the trivial block adds into it
+        norms, prs = np.empty(len(times)), np.empty(len(times))
+        moduli = scratch.take((rows, dim), float)
+        if self.method == "dense":
+            produce = self._dense_rows(times, plan.runs, gather, scratch)
+        else:
+            produce = self._chebyshev_rows(times, plan.runs, gather, amps)
+        for lo, hi, gathered in produce:
+            out, n = amps[lo:hi], hi - lo
+            if gathered:
                 gather.emit(out)
-            square = gather.spectrum.reshape(-1)[:out.size].reshape(out.shape)
-            np.multiply(np.conjugate(out, out=square), out, out=square)
-            norms[lo:hi] = np.sqrt(np.add.reduce(square.real, axis=1))
-        return amps, norms
+            mod = moduli[:n]
+            gather.moduli(out, mod, gathered)
+            norms[lo:hi] = np.sqrt(np.add.reduce(mod, axis=1))
+            prs[lo:hi] = np.add.reduce(np.square(mod, out=mod), axis=1)
+        return amps, norms, prs
 
-    @staticmethod
-    def _dense_rows(times, occupied, rows, amps):
-        """The dense producer: chunks of `rows` times, block by block; it
-        leaves the history `amps` to the writer.
+    def _dense_rows(self, times, runs, gather, scratch):
+        """The dense producer: chunks of the writer's rows, run by run.
 
-        Every occupied momentum block takes e^{-iEt} on a chunk as
-        e^{-iE t_0} e^{-iE tau}, tau = t - t_0 the offsets from the chunk's
-        first time.  The phase block e^{-iE tau} is computed once per energy
-        set for the first chunk's offsets and reused by every chunk whose own
-        offsets match them to within 2 ulp of max|t| (every evenly spaced
-        grid); any other chunk computes its own.  e^{-iE t_0} is folded into
-        the block's coefficients, and the scaled phase block is mapped
-        through the block's vectors in one GEMM (on the float64 view when
-        they are real); the two blocks of a conjugate pair share one phase
-        block.  The blocks' rows are made one at a time, as the writer takes
-        them.
+        Each run's block takes e^{-iEt} on a chunk as e^{-iE t_0} e^{-iE
+        tau}, tau = t - t_0 the offsets from the chunk's first time.  The
+        phase block e^{-iE tau} is computed once per energy set for the
+        first chunk's offsets and reused by every chunk whose own offsets
+        match them to within 2 ulp of max|t| (every evenly spaced grid); any
+        other chunk computes its own.  Times e^{-iE t_0}, it gives the
+        chunk's phases Z, one row per time, shared by the runs of one energy
+        set, the two blocks of a conjugate pair among them.  A run's rows
+        are Z W^T, with W = vectors diag(coefficients) over all orbits of the
+        group (zero on those the block drops), made once per call, in one
+        GEMM straight into the writer's slots.  Real rows take the real and
+        imaginary planes of Z, one row each, and the real W, or for a pair
+        [Re W, Im W], whose products are the pair's A and B: one real GEMM
+        of half the flops of the two complex ones.
         """
+        rows, real = len(gather.momenta), gather.real
+        orbits = gather.momenta.shape[3]
+
+        def weights(b, coeff):
+            pair = real and 0 < 2 * b.momentum < self.order
+            scaled = np.multiply(b.vectors, coeff, out=product[:len(b.vectors), :len(coeff)]).T
+            w = scratch.take((len(b.energies), 2 if pair else 1, orbits), float if real else complex, zero=True)
+            w[:, 0, b.orbits] = scaled.real if real else scaled
+            if pair:
+                w[:, 1, b.orbits] = scaled.imag
+            return w.reshape(len(b.energies), -1)
+
         first = times[:rows] - times[0]
         slack = 2.0 * np.spacing(np.max(np.abs(times)))
-        cached = {id(b.energies): _phase_block(b.energies, first) for b, _ in occupied}
-
-        def products(t, offsets, reuse):
-            energies = None
-            for b, coeff in occupied:
-                if b.energies is not energies:
-                    energies = b.energies
-                    base = cached[id(energies)][:, :len(t)] if reuse else _phase_block(energies, offsets)
-                    onset = np.exp(-1j * t[0] * energies)
-                phases = base * (coeff * onset)[:, None]
-                if np.isrealobj(b.vectors):
-                    yield b, (b.vectors @ phases.view(np.float64)).view(complex)
-                else:
-                    yield b, b.vectors @ phases
-
+        sets = {id(b.energies): b.energies for b, _, _ in runs}
+        cached = {key: _phase_block(e, first, scratch.take((rows, len(e)))) for key, e in sets.items()}
+        largest = max(len(e) for e in sets.values())
+        phases, product = scratch.take((rows, largest)), scratch.take((orbits, largest))
+        planes = scratch.take((rows, 2, largest), float) if real else None
+        runs = [(b, slot, weights(b, coeff)) for b, slot, coeff in runs]
         for lo in range(0, len(times), rows):
             t = times[lo:lo + rows]
-            offsets = t - t[0]
-            reuse = np.max(np.abs(offsets - first[:len(t)])) <= slack
-            yield lo, lo + len(t), products(t, offsets, reuse)
+            n, offsets = len(t), t - t[0]
+            reuse = np.max(np.abs(offsets - first[:n])) <= slack
+            energies = None
+            for b, slot, w in runs:
+                if b.energies is not energies:
+                    energies, m = b.energies, len(b.energies)
+                    base = cached[id(energies)][:n] if reuse else _phase_block(energies, offsets)
+                    z = np.multiply(base, np.exp(-1j * t[0] * energies), out=phases[:n, :m])
+                    if real:
+                        np.copyto(planes[:n, :, :m], z.view(float).reshape(n, m, 2).transpose(0, 2, 1))
+                        z = planes[:n, :, :m].reshape(2 * n, m)
+                gather.fill(slot, z, w)
+            yield lo, lo + n, True
 
-    def _chebyshev_rows(self, times, occupied, rows, amps):
-        """The Chebyshev producer: windows in each occupied block, each
-        window's outputs in chunks of `rows` times.
+    def _chebyshev_rows(self, times, runs, gather, amps):
+        """The Chebyshev producer: windows in each run's block, each
+        window's outputs in chunks of the writer's rows.
 
         Each block carries its orbit-sum state from window to window and runs
         its own recurrence on its own interval; the windows are H's, whose
@@ -636,16 +771,17 @@ class Propagator:
         in one recurrence.  A momentum block's outputs, divided by the square
         roots of its orbit sizes, are its rows.  The trivial group's block
         adds its outputs into the history rows themselves, as the
-        whole-space recurrence does, and yields None for them.
+        whole-space recurrence does, and leaves the writer's slots unused.
         """
-        buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _ in occupied), dtype=complex)
-        whole = occupied[0][0] is self.whole
-        scales = [1.0 / np.sqrt(b.basis.sizes)[:, None] for b, _ in occupied]
-        states = [coeff for _, coeff in occupied]
+        rows = len(gather.momenta)
+        buffer = np.empty(2 * CHEBYSHEV_BLOCK * max(b.basis.size for b, _, _ in runs), dtype=complex)
+        whole = runs[0][0] is self.whole
+        scales = [1.0 / np.sqrt(b.basis.sizes) for b, _, _ in runs]
+        states = [state for _, _, state in runs]
         for start, lo, hi in _chebyshev_windows(times, self.reach):
             dts = times[lo:hi] - start
             outs = []
-            for j, (b, _) in enumerate(occupied):
+            for j, (b, _, _) in enumerate(runs):
                 out = amps[lo:hi] if whole else np.zeros((hi - lo, b.basis.size), dtype=complex)
                 block = buffer[:2 * CHEBYSHEV_BLOCK * b.basis.size].reshape(2, CHEBYSHEV_BLOCK, -1)
                 b.chebyshev.window(states[j], dts, out, block)
@@ -653,14 +789,19 @@ class Propagator:
                 outs.append(out)
             for c in range(lo, hi, rows):
                 n = min(rows, hi - c)
-                yield c, c + n, None if whole else (
-                    (b, out[c - lo:c - lo + n].T * scale) for (b, _), out, scale in zip(occupied, outs, scales))
+                if not whole:
+                    for (b, slot, _), out, scale in zip(runs, outs, scales):
+                        gather.momenta[:n, 0, slot, b.orbits] = out[c - lo:c - lo + n] * scale
+                yield c, c + n, not whole
 
 
 def pr_trace(result: EvolutionResult) -> np.ndarray:
-    """Participation ratio sum_x |psi_x(t)|^4 of each history row, one chunk
-    of rows at a time (`_by_rows`); each row sums as one reduction over the
-    whole history would."""
+    """Participation ratio sum_x |psi_x(t)|^4 of each history row: the one
+    `evolve`'s writer took, which reads no amplitudes again, or for a
+    history it did not write, one chunk of rows at a time (`_by_rows`);
+    each row sums as one reduction over the whole history would."""
+    if result.pr is not None:
+        return result.pr
     return _by_rows(result.amplitudes, lambda rows: np.sum((rows.real ** 2 + rows.imag ** 2) ** 2, axis=1))
 
 

@@ -2,6 +2,8 @@
 
 Every file starts with '#' metadata lines carrying the tool version, the
 run's model and size, and a hash of all numeric-influencing parameters.
+Scalar results printed among them (a decay rate, a mean gap ratio) are not
+hashed, so that the hash names the configuration and not its outcome.
 Floats print at 12 significant digits so repeated runs are byte-identical.
 """
 
@@ -26,8 +28,8 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def metadata_lines(version: str, params: dict) -> list[str]:
-    items = " ".join(f"{k}={format_value(v)}" for k, v in sorted(params.items()))
+def metadata_lines(version: str, params: dict, results: dict | None = None) -> list[str]:
+    items = " ".join(f"{k}={format_value(v)}" for k, v in sorted({**params, **(results or {})}.items()))
     return [
         f"# scarforge {version}",
         f"# {items}",
@@ -43,8 +45,8 @@ def metadata_object(version: str, params: dict) -> dict:
     }
 
 
-def write_csv(path, version: str, params: dict, columns: list[str], rows) -> None:
-    lines = metadata_lines(version, params)
+def write_csv(path, version: str, params: dict, columns: list[str], rows, results: dict | None = None) -> None:
+    lines = metadata_lines(version, params, results)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))

@@ -380,7 +380,7 @@ def _series_layers(name: str, length: int):
 
 
 @pytest.mark.parametrize("name, length, n_orders", [("qmbs-b", 12, 6), ("pxp", 14, 8), ("pxp", 16, 8),
-                                                     ("random", 8, 8)])
+                                                     ("pxp", 18, 2), ("random", 8, 8)])
 def test_series_preflight_covers_every_order(monkeypatch, name, length, n_orders):
     # each admission's count is at least the traced growth above its level,
     # up to the next admission or to the end of the series after the last

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from scarforge.cli import (
     EXIT_UNKNOWN_MODEL,
     run,
 )
+from scarforge import commands
 from scarforge.basis import BasisSubset
 from scarforge.models import load_model
 
@@ -248,6 +250,32 @@ def test_rstat_command(tmp_path, capsys):
     assert re.fullmatch(r"levels=119 mean_r=0\.\d{6} solve=real theta=F theta_dev=\d\.\d\de-1[5-9]\n", captured.err)
     assert run(["rstat", "--model", "pxp", "-L", "12", "--sector", "s2+1"]) == EXIT_OK
     assert re.search(r" solve=real theta=identity theta_dev=0\.00e\+00\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, name, field, key", [
+    (["rstat", "--model", "pxp", "-L", "12", "--sector", "s2+1"], "r_statistic", "mean", "mean_r"),
+    (["bch", "--model", "pxp", "-L", "12", "--orders", "3", "--bandwidth", "30"], "fgr_rate", "rate", "fgr_rate"),
+], ids=["rstat", "bch"])
+def test_config_hash_names_params_not_results(tmp_path, monkeypatch, argv, name, field, key):
+    # a scalar result printed among the metadata (rstat's mean gap ratio,
+    # bch's decay rate) is not hashed: the same params with a different
+    # result give the same config line, and print the other value
+    real = getattr(commands, name)
+    heads = []
+    for shift in (0.0, 1e-6):
+        def moved(*args, shift=shift):
+            out = real(*args)
+            return dataclasses.replace(out, **{field: getattr(out, field) + shift})
+
+        monkeypatch.setattr(commands, name, moved)
+        path = tmp_path / f"{len(heads)}.csv"
+        assert run(argv + ["--out", str(path)]) == EXIT_OK
+        heads.append(path.read_text().splitlines()[1:3])
+    (items_a, config_a), (items_b, config_b) = heads
+    assert config_a == config_b
+    values = [dict(item.split("=") for item in items[2:].split()) for items in (items_a, items_b)]
+    assert values[0].pop(key) != values[1].pop(key)
+    assert values[0] == values[1]
 
 
 def test_rstat_bad_sector():

@@ -1,3 +1,4 @@
+import functools
 import math
 import resource
 import tracemalloc
@@ -156,8 +157,8 @@ def test_nan_norm_drift_aborts(pxp_chain):
     write = Propagator._write
 
     def nan_norms(self, *args):
-        amps, norms = write(self, *args)
-        return amps, np.full_like(norms, np.nan)
+        amps, norms, prs = write(self, *args)
+        return amps, np.full_like(norms, np.nan), prs
 
     for guard in (6000, 0):
         with pytest.MonkeyPatch.context() as mp:
@@ -491,21 +492,25 @@ def test_real_mode_coefficients_make_no_square_temporary(pxp_chain):
 
 
 def coefficient_tables(half_width, times, windows):
-    """Entries of the samples and their FFT that `chebyshev_coefficients`
-    holds at once, for as many outputs as the longest window has, on the
-    FFT length 2 (K + ceil(x) + 32) of the longest span x = a * dt."""
+    """Entries of the three tables (the samples' phases and exponents, the
+    samples and their FFT; 2.5 of them traced at once) that
+    `chebyshev_coefficients` is counted as holding, for as many outputs as
+    the longest window has, on the FFT length 2 (K + ceil(x) + 32) of the
+    longest span x = a * dt."""
     x = half_width * max(times[hi - 1] - start for start, _, hi in windows)
     longest = max(hi - lo for _, lo, hi in windows)
-    return 2 * longest * 2 * (dynamics.chebyshev_degree(x) + math.ceil(x) + 32)
+    return 3 * longest * 2 * (dynamics.chebyshev_degree(x) + math.ceil(x) + 32)
 
 
 def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkeypatch):
     # a start with weight in every momentum runs in the trivial group's
     # block, built with the propagator.  The call holds the history, the
     # block's Chebyshev vectors and the buffer of their products, its
-    # outputs over the longest window, one chunk of that window's momentum
-    # array, transform, gathered amplitudes and scaled rows, all over the
-    # whole space, and the longest window's coefficient tables: one entry
+    # outputs over the longest window, one chunk of that window's unused
+    # slot rows (its squared parts), squared moduli and scaled rows, all
+    # over the whole space, the longest window's coefficient tables, the
+    # writer's slot indices and each time's norm and participation
+    # ratio: one entry
     # short of that, it refuses before building any; with exactly that
     # available it runs
     chain, sub, m = pxp_chain
@@ -520,8 +525,8 @@ def test_history_and_chebyshev_block_refused_before_allocation(pxp_chain, monkey
     longest = max(hi - lo for _, lo, hi in windows)
     assert len(windows) == 4
     rows = min(longest, dynamics.HISTORY_CHUNK // sub.size)
-    work = (2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 4 * sub.size
-            + coefficient_tables(half_width, times, windows))
+    work = (2 * CHEBYSHEV_BLOCK * sub.size + longest * sub.size + rows * 3 * sub.size
+            + coefficient_tables(half_width, times, windows) + sub.size + len(times))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
@@ -563,55 +568,70 @@ def test_chebyshev_block_peak_within_its_count(name, length, monkeypatch):
 
 
 def test_history_and_momentum_chunk_refused_before_allocation(pxp_chain, monkeypatch):
-    # the dense path holds the history and one time chunk of block work: the
-    # (momentum, orbit, chunk) array, its transform and the gathered
-    # amplitudes, the cached phase block of every distinct energy set, plus
-    # a chunk's own and scaled phase blocks and the product of the largest
-    # block.  One byte short of that, the call refuses before
-    # building any of it; with exactly that available it runs, in several
-    # chunks, and holds no more than that beyond a few O(dim) index and
-    # coefficient arrays
+    # the dense path holds the history and one time chunk of block work:
+    # the writer's (time, plane, slot, orbit) rows, their transform when a
+    # momentum other than 0 has weight, and the squared moduli of the
+    # chunk's history rows; the cached phase block of every energy set
+    # that runs, plus a chunk's own phase block, the one it replaces, its
+    # phases and their two real planes; the weights of every run over all
+    # orbits and one block's scaled vectors; the writer's slot indices and
+    # each time's norm and participation ratio.  A Neel start runs the
+    # k = 0 block alone, a real start with weight in every momentum the
+    # blocks k <= M/2, each conjugate pair in one run.  One byte short of
+    # that, the call refuses before building any of it; with exactly that
+    # available it runs, in several chunks, and holds no more than that
+    # beyond a few O(dim) index and coefficient arrays
     chain, sub, m = pxp_chain
     prop = Propagator(chain.h, sub)
     assert prop.order == 6
-    psi0 = sub.basis_vector(m.orbit_seed(12))
+    spread = np.random.default_rng(8).normal(size=sub.size).astype(complex)
     times = np.arange(0.0, 300.025, 0.05)
-    width = len(prop.group.sizes) * prop.order
-    rows = dynamics.HISTORY_CHUNK // width
+    orbits = len(prop.group.sizes)
+    rows = dynamics.HISTORY_CHUNK // (orbits * prop.order)
     assert 2 * rows < len(times)
-    largest = max(len(b.energies) for b in prop.blocks)
-    cached = sum(len(e) for e in {id(b.energies): b.energies for b in prop.blocks}.values())
-    need = (len(times) * sub.size + rows * (2 * width + sub.size + 3 * largest + cached)) * COMPLEX_BYTES
-    monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            prop.evolve(psi0, times)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < len(times) * sub.size  # a sixteenth of the history
-    monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
-    tracemalloc.start()
-    try:
-        amps = prop.evolve(psi0, times).amplitudes
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert amps.shape == (len(times), sub.size)
-    assert peak <= need + 64 * sub.size
+    for psi0, runs, gathered in (
+        (sub.basis_vector(m.orbit_seed(12)), prop.blocks[:1], orbits),
+        (spread / np.linalg.norm(spread), [b for b in prop.blocks if 2 * b.momentum <= prop.order],
+         2 * orbits * prop.order),
+    ):
+        levels = [len(b.energies) for b in runs]
+        work = (rows * (gathered + sub.size + sum(levels) + 4 * max(levels)) + (sum(levels) + max(levels)) * orbits
+                + sub.size + len(times))
+        need = (len(times) * sub.size + work) * COMPLEX_BYTES
+        monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                prop.evolve(psi0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(times) * sub.size  # a sixteenth of the history
+        monkeypatch.setattr(dynamics, "available_bytes", lambda: need)
+        tracemalloc.start()
+        try:
+            amps = prop.evolve(psi0, times).amplitudes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert amps.shape == (len(times), sub.size)
+        assert peak <= need + 64 * sub.size
 
 
 def test_pr_trace_in_row_chunks_equals_one_reduction(pxp_chain, monkeypatch):
     # a ragged split into 37-row chunks gives the same bits as reducing the
-    # whole history at once, for the C-ordered history evolve writes and an
-    # F-ordered one alike
+    # whole history at once: for the participation ratios the writer takes
+    # along with the norms, and, for a history evolve did not write, for
+    # the C-ordered history evolve writes and an F-ordered one alike
     chain, sub, _ = pxp_chain
-    res = Propagator(chain.h, sub).evolve(random_state(np.random.default_rng(3), sub.size), np.arange(0.0, 20.0, 0.05))
     monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 37 * sub.size)
+    res = Propagator(chain.h, sub).evolve(random_state(np.random.default_rng(3), sub.size), np.arange(0.0, 20.0, 0.05))
+    amps = res.amplitudes
+    want = np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1)
+    assert res.pr is not None and np.array_equal(pr_trace(res), want)
     for amps in (res.amplitudes, np.asfortranarray(res.amplitudes)):
-        res.amplitudes = amps
-        assert np.array_equal(pr_trace(res), np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1))
+        got = pr_trace(EvolutionResult(amps, sub, res.norm_drift))
+        assert np.array_equal(got, np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1))
 
 
 def test_local_z_trace_microcanonical_from_blocks(pxp_chain):
@@ -672,7 +692,7 @@ def test_momentum_blocks_match_full_space_for_random_gates(seed):
 def test_evolution_reports_norm_drift(pxp_chain):
     # on both methods, for a Neel start and one with weight in every
     # momentum, the reported drift is the history's own, bit for bit: each
-    # row's squared moduli summed pairwise along the row
+    # row's squared moduli, re^2 + im^2, summed pairwise along the row
     chain, sub, m = pxp_chain
     times = np.arange(0.0, 20.0, 0.5)
     for guard in (dynamics.DENSE_GUARD, 0):
@@ -681,7 +701,8 @@ def test_evolution_reports_norm_drift(pxp_chain):
             prop = Propagator(chain.h, sub)
         for psi0 in (sub.basis_vector(m.orbit_seed(12)), random_state(np.random.default_rng(3), sub.size)):
             res = prop.evolve(psi0, times)
-            norms = np.linalg.norm(np.ascontiguousarray(res.amplitudes), axis=1)
+            amps = np.ascontiguousarray(res.amplitudes)
+            norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
             assert res.norm_drift == np.max(np.abs(norms - np.linalg.norm(psi0)))
             assert 0.0 <= res.norm_drift < 1e-12
 
@@ -745,9 +766,9 @@ def count_phase_blocks(monkeypatch) -> list:
     made = []
     compute = dynamics._phase_block
 
-    def spy(energies, offsets):
+    def spy(energies, offsets, *out):
         made.append(len(energies))
-        return compute(energies, offsets)
+        return compute(energies, offsets, *out)
 
     monkeypatch.setattr(dynamics, "_phase_block", spy)
     return made
@@ -796,8 +817,9 @@ def test_dense_arange_grid_over_many_chunks_matches_expm_for_random_gates(seed):
 def test_neel_start_skips_the_momentum_transform_and_matches_expm(pxp_chain, monkeypatch):
     # the Neel state is S2-invariant: only the k = 0 block has weight, its
     # orbit amplitudes are the member amplitudes, the inverse DFT (the one
-    # explicit matmul of the dense path) never runs, and the history over
-    # several chunks matches expm
+    # explicit matmul of the dense path beside the product of each chunk's
+    # phases with the k = 0 block's weights) never runs, and the history
+    # over several chunks matches expm
     chain, sub, m = pxp_chain
     h = chain.h.tocsc()
     prop = Propagator(chain.h, sub)
@@ -807,12 +829,57 @@ def test_neel_start_skips_the_momentum_transform_and_matches_expm(pxp_chain, mon
     monkeypatch.setattr(dynamics, "HISTORY_CHUNK", 97 * len(prop.group.sizes) * prop.order)
     calls = []
     matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(args[1].shape) or matmul(*args, **kwargs))
     amps = prop.evolve(psi0, times).amplitudes
     monkeypatch.undo()
-    assert calls == []
+    weights = (len(prop.blocks[0].energies), len(prop.group.sizes))
+    assert calls == [weights] * math.ceil(len(times) / 97)
     for i in range(0, len(times), 25):
         assert np.max(np.abs(amps[i] - scipy.sparse.linalg.expm_multiply(-1j * times[i] * h, psi0))) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_hamiltonian(case: str, seed: int) -> tuple[np.ndarray, BasisSubset]:
+    """A registry model's H at L=10 or 12 (real: pxp, pxp-nophase,
+    qmbs-c), or a random phased gate's H on the L=8 full space, complex
+    ("random") or its real part ("random-real")."""
+    if case.startswith("random"):
+        sub = BasisSubset.full_space(8)
+        h = build_hamiltonian(FloquetCircuit(random_phase_gate(np.random.default_rng(seed)), 8, "stride4"), sub).h
+        return (h.real if case == "random-real" else h).toarray(), sub
+    name, length = case.rsplit("-", 1)
+    m = load_model(name)
+    sub = working_subspace(m, int(length))
+    return build_hamiltonian(m.circuit(int(length)), sub).h.toarray(), sub
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(["pxp-10", "pxp-12", "pxp-nophase-12", "qmbs-c-12", "random", "random-real"]),
+       seed=st.integers(0, 7), real=st.booleans(), rows=st.integers(3, 40))
+def test_dense_producer_matches_one_eigh_of_h(case, seed, real, rows):
+    # the dense producer against e^{-iHt} psi0 from one eigh of the whole H:
+    # a real H with a real start runs one real GEMM per conjugate pair of
+    # momenta, any other pair one complex GEMM per block.  The grid changes
+    # step, so that chunks of `rows` times past the change do not share the
+    # first chunk's offsets.  The history matches to 1e-12, and the
+    # participation ratios the writer took with the norms are the history's
+    # own, bit for bit
+    h, sub = oracle_hamiltonian(case, seed)
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=sub.size) + (0.0 if real else 1j * rng.normal(size=sub.size))
+    psi0 = np.asarray(psi0 / np.linalg.norm(psi0), dtype=complex)
+    times = np.concatenate((np.arange(0.0, 3.0, 0.05), 3.0 + 0.37 * np.arange(1, 30)))
+    prop = Propagator(h, sub)
+    assert prop.method == "dense" and prop.order > 1
+    assert prop._plan(psi0).real == (real and np.isrealobj(h))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "HISTORY_CHUNK", rows * len(prop.group.sizes) * prop.order)
+        res = prop.evolve(psi0, times)
+    energies, modes = np.linalg.eigh(h)
+    want = (np.exp(-1j * np.multiply.outer(times, energies)) * (modes.conj().T @ psi0)) @ modes.T
+    amps = res.amplitudes
+    assert np.max(np.abs(amps - want)) < 1e-12
+    assert np.array_equal(pr_trace(res), np.sum((amps.real**2 + amps.imag**2) ** 2, axis=1))
 
 
 @st.composite
@@ -1103,10 +1170,11 @@ def test_momentum_blocks_fall_back_to_the_whole_space():
 def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypatch):
     # the block path holds the history, the Chebyshev vectors and product
     # buffer of its largest block, every block's outputs over the longest
-    # window, one chunk of that window's momentum array, transform,
-    # gathered amplitudes and scaled block rows, and the longest window's
-    # coefficient tables, all on the windows of H's interval, which holds
-    # the block's.  One entry short, a fresh
+    # window, one chunk of that window's slot rows (the k = 0 block's
+    # alone, with no transform), squared moduli and scaled block rows, the
+    # longest window's coefficient tables, the writer's slot indices and
+    # each time's norm and participation ratio, all on the
+    # windows of H's interval, which holds the block's.  One entry short, a fresh
     # propagator makes its k = 0 block and refuses before any of the rest;
     # with exactly that available it runs
     chain, sub, m = pxp_chain
@@ -1121,10 +1189,9 @@ def test_history_and_block_windows_refused_before_allocation(pxp_chain, monkeypa
     windows = list(dynamics._chebyshev_windows(times, reach))
     longest = max(hi - lo for _, lo, hi in windows)
     assert len(windows) == 4
-    width = len(zero.sizes) * 6
-    rows = min(longest, dynamics.HISTORY_CHUNK // width)
-    work = (2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (2 * width + sub.size + size)
-            + coefficient_tables(half_width, times, windows))
+    rows = min(longest, dynamics.HISTORY_CHUNK // (len(zero.sizes) * 6))
+    work = (2 * CHEBYSHEV_BLOCK * size + longest * size + rows * (len(zero.sizes) + sub.size + size)
+            + coefficient_tables(half_width, times, windows) + sub.size + len(times))
     need = (len(times) * sub.size + work) * COMPLEX_BYTES
     monkeypatch.setattr(dynamics, "available_bytes", lambda: need - 1)
     tracemalloc.start()
